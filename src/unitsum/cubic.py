@@ -125,23 +125,7 @@ class CubicElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a = self.params.a
-        c0, c1, c2 = self.coords
-        d0, d1, d2 = other.coords
-        e0 = c0 * d0
-        e1 = c0 * d1 + c1 * d0
-        e2 = c0 * d2 + c1 * d1 + c2 * d0
-        e3 = c1 * d2 + c2 * d1
-        e4 = c2 * d2
-        k1 = a - 1
-        k2 = a + 2
-        # alpha^3 = k1 alpha^2 + k2 alpha + 1, alpha^4 follows by one more pass
-        return CubicElement(
-            self.params,
-            e0 + e3 + e4 * k1,
-            e1 + e3 * k2 + e4 * (k1 * k2 + 1),
-            e2 + e3 * k1 + e4 * (k1 * k1 + k2),
-        )
+        return CubicElement(self.params, *_mul_coords(self.coords, other.coords, self.params.a))
 
     __rmul__ = __mul__
 
@@ -180,6 +164,37 @@ class CubicElement:
 
     def __repr__(self):
         return f"CubicElement(a={self.params.a}, {self.c0}, {self.c1}, {self.c2})"
+
+
+def _mul_coords(u, v, a: int):
+    """Product of two coordinate triples in the order with parameter a."""
+    c0, c1, c2 = u
+    d0, d1, d2 = v
+    e0 = c0 * d0
+    e1 = c0 * d1 + c1 * d0
+    e2 = c0 * d2 + c1 * d1 + c2 * d0
+    e3 = c1 * d2 + c2 * d1
+    e4 = c2 * d2
+    k1 = a - 1
+    k2 = a + 2
+    # alpha^3 = k1 alpha^2 + k2 alpha + 1, alpha^4 follows by one more pass
+    return (
+        e0 + e3 + e4 * k1,
+        e1 + e3 * k2 + e4 * (k1 * k2 + 1),
+        e2 + e3 * k1 + e4 * (k1 * k1 + k2),
+    )
+
+
+def _pow_coords(g, e: int, a: int):
+    """g^e for a coordinate triple g and e >= 0, by square-and-multiply."""
+    result = (1, 0, 0)
+    while e:
+        if e & 1:
+            result = _mul_coords(result, g, a)
+        e >>= 1
+        if e:
+            g = _mul_coords(g, g, a)
+    return result
 
 
 def _poly_trim(p: List[Fraction]) -> List[Fraction]:
@@ -254,13 +269,17 @@ def mul(u: CubicElement, v: CubicElement) -> CubicElement:
 
 @lru_cache(maxsize=None)
 def unit_monomial(i: int, j: int, params: CubicParams) -> CubicElement:
-    """alpha^i * conjugate^j for any integer exponents; always integral."""
+    """alpha^i * conjugate^j for any integer exponents; always integral.
+
+    Powers are taken on integer coordinate triples; the inverses used for
+    negative exponents are integral (the conjugate's is checked once per
+    parameter), so every product stays integral.
+    """
+    a = params.a
     g1 = alpha(params) if i >= 0 else _alpha_inverse(params)
     g2 = alpha2(params) if j >= 0 else _alpha2_inverse(params)
-    out = g1 ** abs(i) * g2 ** abs(j)
-    if not out.is_integral:
-        raise RelationBroken(f"unit monomial ({i},{j}) is not integral for a = {params.a}")
-    return out
+    out = _mul_coords(_pow_coords(g1.coords, abs(i), a), _pow_coords(g2.coords, abs(j), a), a)
+    return CubicElement(params, *out)
 
 
 @dataclass(frozen=True)

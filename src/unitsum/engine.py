@@ -10,9 +10,9 @@ rewrite until every coefficient is below n.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Tuple
 
@@ -26,13 +26,6 @@ from .errors import (
 
 Interval = Tuple[Fraction, Fraction]
 Index = Tuple[int, int, Tuple[int, ...]]
-
-# Exponent coordinates are packed into 42-bit fields during reduction so
-# heap keys are plain integers whose numeric order equals the lexicographic
-# order on (k, l, x).
-_COORD_BITS = 42
-_COORD_BASE = 1 << (_COORD_BITS - 1)
-_COORD_MASK = (1 << _COORD_BITS) - 1
 
 
 def log2_enclosure(value: Interval, bits: int) -> Interval:
@@ -236,21 +229,17 @@ class BoundParams:
 class ReductionPolicy:
     """Tuning for reduce.
 
-    max_steps caps the total rewrite count (a batched rewrite may overshoot
-    the cap by at most one batch before the error fires).  Gap checks run
-    every gap_check_interval batches; a support gap wider than
-    gap_factor * r_max * weight triggers a split.  on_step, when given,
-    receives (index, multiplicity) for every batch of rewrites at a site.
+    max_steps caps the total rewrite count.  The cap is checked after
+    each firing, and one firing at a site holding c performs c // n
+    rewrites at once, so the count may overshoot the cap by at most one
+    firing before the error fires.  on_step, when given, receives
+    (index, multiplicity) once per firing.  The order of the calls is
+    unspecified; the per-site sums of the multiplicities, the number of
+    rewrites made at each site, do not depend on it.
     """
 
     max_steps: int = 1_000_000
-    split_gaps: bool = True
-    gap_check_interval: int = 4096
-    gap_factor: int = 4
     on_step: Optional[Callable[[Index, int], None]] = None
-
-    def gap_threshold(self, w: int, r_max: int) -> int:
-        return self.gap_factor * r_max * max(w, 1)
 
 
 def total_weight(rep: Representation) -> int:
@@ -416,144 +405,72 @@ def _normalized(coeffs: dict, basis: UnitGroupBasis) -> dict:
     return out
 
 
-class _StepCounter:
-    __slots__ = ("steps",)
-
-    def __init__(self):
-        self.steps = 0
-
-
 def reduce(rep: Representation, rel: UnitRelation, policy: Optional[ReductionPolicy] = None) -> Representation:
     """Rewrite until every coefficient lies in [1, n-1].
 
-    Targets are processed in lexicographic (k, l, x) order with batching;
-    the stabilization is order-independent, so the final state and the
-    total step count match one-at-a-time lexicographic targeting.  Wide
-    support gaps are split off, reduced independently and merged back
-    (coinciding indices summed, reduction resumed).  The output carries
-    the total rewrite count in .steps.  Raises IterationCapExceeded, with
-    no partial result, if policy.max_steps is hit.
+    Firing is done in rounds: each round fires every site whose
+    coefficient has reached n, c // n times at once.  Stabilization is
+    abelian, so the final state, the total step count and the number of
+    rewrites made at each site do not depend on the firing order; they
+    match one-at-a-time targeting in any order.  The output carries the total
+    rewrite count in .steps.  Raises IterationCapExceeded, with no
+    partial result, if policy.max_steps is hit.
     """
     policy = policy or ReductionPolicy()
     _check_relation(rep.basis, rel)
     coeffs = _normalized(rep._coeffs, rep.basis)
-    counter = _StepCounter()
-    out = _stabilize(coeffs, rep.basis, rel, policy, counter)
-    return Representation(rep.basis, out, steps=counter.steps)
+    out, steps = _stabilize(coeffs, rep.basis, rel, policy)
+    return Representation(rep.basis, out, steps=steps)
 
 
-def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: ReductionPolicy, counter: _StepCounter) -> dict:
-    if not coeffs:
-        return {}
+def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: ReductionPolicy):
+    """Round kernel behind reduce; returns (stable coefficients, steps).
+
+    Sites are flat tuples (layer, x_1, ..., x_M) with layer = k*L + l - 1.
+    Firing a site adds, for each relation term, an offset precomputed per
+    layer that moves the layer to the term's sign layer and shifts x by
+    the term's exponent vector.  A site joins the next round when a
+    firing pushes it from below n to n or above, so a round lists each
+    site at most once and every listed site holds at least n when it
+    fires.
+    """
     n = rel.n
-    K, L, M = basis.K, basis.L, basis.M
-    shift = _COORD_BITS * M
-    xmask = (1 << shift) - 1
-    span = _COORD_BASE - max(1, rel.r_max) * (policy.max_steps + 1)
-    if span <= 0 or any(abs(c) >= span for _, _, x in coeffs for c in x):
-        raise ValueError("exponents too large for the packed reduction")
-
-    def pack(key) -> int:
-        k, ell, x = key
-        p = k * L + (ell - 1)
-        for c in x:
-            p = (p << _COORD_BITS) | (c + _COORD_BASE)
-        return p
-
-    def unpack(p: int) -> Index:
-        xs = []
-        for _ in range(M):
-            xs.append((p & _COORD_MASK) - _COORD_BASE)
-            p >>= _COORD_BITS
-        k, rem = divmod(p, L)
-        return (k, rem + 1, tuple(reversed(xs)))
-
-    packed_terms = []
-    for ki, r in rel.terms:
-        d = 0
-        for c in r:
-            d = (d << _COORD_BITS) + c
-        packed_terms.append((ki, d))
-
+    K, L = basis.K, basis.L
+    offsets = [
+        [(((layer // L + ki) % K) * L + layer % L - layer, *r) for ki, r in rel.terms]
+        for layer in range(K * L)
+    ]
+    # two exponents (every basis in this package) get the new site spelled
+    # out, which is several times cheaper than the generic tuple(map(...))
+    pair = basis.M == 2
+    state = {(k * L + ell - 1, *x): a for (k, ell, x), a in coeffs.items()}
+    ready = [site for site, c in state.items() if c >= n]
+    max_steps = policy.max_steps
     on_step = policy.on_step
-    interval = max(1, policy.gap_check_interval)
-    dI = rel.I - n
-
-    def find_cut(pdict: dict, weight: int):
-        th = policy.gap_threshold(weight, rel.r_max)
-        for m in range(M):
-            off = _COORD_BITS * (M - 1 - m)
-            vals = {(key >> off) & _COORD_MASK for key in pdict}
-            if max(vals) - min(vals) <= th:
-                continue
-            ordered = sorted(vals)
-            for a, b in zip(ordered, ordered[1:]):
-                if b - a > th:
-                    return (m, a - _COORD_BASE)
-        return None
-
-    def loop(pdict: dict) -> dict:
-        weight = sum(pdict.values())
-        heap = [key for key, c in pdict.items() if c >= n]
-        heapq.heapify(heap)
-        batches = 0
-        while heap:
-            key = heapq.heappop(heap)
-            c = pdict.get(key, 0)
-            if c < n:
-                continue
+    steps = 0
+    while ready:
+        following = []
+        for site in ready:
+            c = state[site]
             t = c // n
             rem = c - n * t
             if rem:
-                pdict[key] = rem
+                state[site] = rem
             else:
-                del pdict[key]
-            counter.steps += t
-            if counter.steps > policy.max_steps:
-                raise IterationCapExceeded(
-                    f"reduction exceeded {policy.max_steps} replacement steps"
-                )
-            weight += t * dI
+                del state[site]
+            steps += t
+            if steps > max_steps:
+                raise IterationCapExceeded(f"reduction exceeded {max_steps} replacement steps")
+            layer = site[0]
             if on_step is not None:
-                on_step(unpack(key), t)
-            top = key >> shift
-            xpart = key & xmask
-            if L == 1:
-                for ki, d in packed_terms:
-                    nk = (((top + ki) % K) << shift) | (xpart + d)
-                    old = pdict.get(nk, 0)
-                    nv = old + t
-                    pdict[nk] = nv
-                    if old < n <= nv:
-                        heapq.heappush(heap, nk)
-            else:
-                k0, rem0 = divmod(top, L)
-                ntop_base = rem0
-                for ki, d in packed_terms:
-                    nk = ((((k0 + ki) % K) * L + ntop_base) << shift) | (xpart + d)
-                    old = pdict.get(nk, 0)
-                    nv = old + t
-                    pdict[nk] = nv
-                    if old < n <= nv:
-                        heapq.heappush(heap, nk)
-            batches += 1
-            if policy.split_gaps and batches % interval == 0 and len(pdict) > 1:
-                cut = find_cut(pdict, weight)
-                if cut is not None:
-                    m, cval = cut
-                    off = _COORD_BITS * (M - 1 - m)
-                    bound = cval + _COORD_BASE
-                    left, right = {}, {}
-                    for pk, a in pdict.items():
-                        (left if ((pk >> off) & _COORD_MASK) <= bound else right)[pk] = a
-                    left = loop(left)
-                    right = loop(right)
-                    for pk, a in right.items():
-                        left[pk] = left.get(pk, 0) + a
-                    pdict = left
-                    heap = [pk for pk, cc in pdict.items() if cc >= n]
-                    heapq.heapify(heap)
-        return pdict
-
-    done = loop({pack(key): a for key, a in coeffs.items()})
-    return {unpack(p): a for p, a in done.items()}
+                on_step((layer // L, layer % L + 1, site[1:]), t)
+            if pair:
+                _, x0, x1 = site
+            for d in offsets[layer]:
+                nk = (layer + d[0], x0 + d[1], x1 + d[2]) if pair else tuple(map(add, site, d))
+                old = state.get(nk, 0)
+                state[nk] = old + t
+                if old < n <= old + t:
+                    following.append(nk)
+        ready = following
+    return {(site[0] // L, site[0] % L + 1, site[1:]): a for site, a in state.items()}, steps

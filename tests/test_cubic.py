@@ -11,6 +11,7 @@ from unitsum import (
     CubicParams,
     ParamsMismatch,
     ReductionPolicy,
+    RelationBroken,
     cubic_basis,
     cubic_evaluator,
     element_from_json,
@@ -21,6 +22,7 @@ from unitsum import (
     three_relation,
     unit_monomial,
 )
+from unitsum import cubic
 from unitsum.cubic import alpha, alpha2, one
 
 P2 = CubicParams(2)
@@ -125,6 +127,26 @@ def test_unit_monomial_anchor():
         params = CubicParams(a)
         u = unit_monomial(1, -1, params)
         assert u.coords == (-1, -(a + 1), 1)
+
+
+def test_unit_monomial_matches_object_powers():
+    # __wrapped__ skips the cache, so every pair is computed afresh
+    for a in (0, 1, 5, 10, 1000, -1000):
+        params = CubicParams(a)
+        powers1 = {i: alpha(params) ** i for i in range(-12, 13)}
+        powers2 = {j: alpha2(params) ** j for j in range(-12, 13)}
+        for i in range(-12, 13):
+            for j in range(-12, 13):
+                got = unit_monomial.__wrapped__(i, j, params)
+                assert got == powers1[i] * powers2[j], (a, i, j)
+                assert all(type(c) is int for c in got.coords)
+
+
+def test_unit_monomial_rejects_a_non_integral_conjugate_inverse(monkeypatch):
+    params = CubicParams(7919)  # used nowhere else, so nothing is cached for it
+    monkeypatch.setattr(cubic, "alpha2", lambda p: CubicElement(p, 2, 0, 0))
+    with pytest.raises(RelationBroken):
+        unit_monomial.__wrapped__(3, -1, params)
 
 
 def test_three_relation_shape():

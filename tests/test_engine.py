@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from heap_reference import heap_reduce, shuffled_reduce
 from unitsum import (
     BasisMismatch,
     BoundParams,
+    CubicParams,
     EmptySide,
     IterationCapExceeded,
     NotAGap,
@@ -16,8 +18,10 @@ from unitsum import (
     ReductionPolicy,
     Representation,
     TargetTooSmall,
+    UnitGroupBasis,
     UnitRelation,
     bounds_f_T,
+    cubic_basis,
     evaluate,
     log2_enclosure,
     merge,
@@ -27,6 +31,7 @@ from unitsum import (
     reduce,
     replacement_step,
     split_at_gap,
+    three_relation,
     to_unit_relation,
     total_weight,
 )
@@ -40,6 +45,47 @@ EVAL = rational_evaluator(PAIR)
 
 def rep_of(coeffs):
     return Representation(BASE, coeffs)
+
+
+def _point(value):
+    return lambda bits: (Fraction(value), Fraction(value))
+
+
+# two torsion generators and three exponents: the shape no basis in the
+# package has, where reduce takes its generic path
+WIDE = UnitGroupBasis(
+    K=2,
+    zeta_kind="minus_one",
+    etas=(1, 2),
+    epsilons=(5, 23, 7),
+    abs_val=(_point(5), _point(23), _point(7)),
+)
+WIDE_REL = UnitRelation(n=2, terms=((0, (2, 0, 1)), (1, (0, 1, 0))))
+CUBIC_PARAMS = [CubicParams(a) for a in (*range(11), 1000, -1000)]
+
+
+def seeds(ells, coord, dims, most):
+    return st.dictionaries(
+        st.tuples(
+            st.integers(0, 1),
+            st.integers(1, ells),
+            st.tuples(*[st.integers(-coord, coord)] * dims),
+        ),
+        st.integers(1, most),
+        max_size=8,
+    )
+
+
+def assert_agrees_with(reference, rep, rel):
+    """reduce gives the reference's (coefficients, steps, odometer); its
+    odometer is the per-index sums of the on_step multiplicities."""
+    odometer = {}
+
+    def record(idx, t):
+        odometer[idx] = odometer.get(idx, 0) + t
+
+    out = reduce(rep, rel, ReductionPolicy(on_step=record))
+    assert (dict(out.coeffs), out.steps, odometer) == reference
 
 
 # ---------------------------------------------------------------- basics
@@ -211,19 +257,73 @@ def test_reduce_on_step_ledger_matches_counter():
     assert all(t >= 1 for _, t in events)
 
 
+def test_reduce_step_cap_boundary():
+    """The cap is inclusive: exactly the total succeeds, one less fails
+    and leaves the input as it was."""
+    cubic = CubicParams(2)
+    cases = [
+        (rep_of({(0, 1, (0, 0)): 1000}), REL),
+        (Representation(cubic_basis(cubic), {(0, 1, (0, 0)): 300, (1, 1, (1, 0)): 200}), three_relation(cubic)),
+    ]
+    for rep, rel in cases:
+        total = reduce(rep, rel).steps
+        assert reduce(rep, rel, ReductionPolicy(max_steps=total)).steps == total
+        before = dict(rep.coeffs)
+        with pytest.raises(IterationCapExceeded):
+            reduce(rep, rel, ReductionPolicy(max_steps=total - 1))
+        assert dict(rep.coeffs) == before
+
+
+def test_reduce_has_no_exponent_limit():
+    """Neither a huge step cap nor huge exponents limit reduce; a shifted
+    seed reduces to the shifted result in the same number of steps."""
+    plain = reduce(rep_of({(0, 1, (0, 0)): 1000}), REL)
+    assert plain.steps == 37_009
+    capped = reduce(rep_of({(0, 1, (0, 0)): 1000}), REL, ReductionPolicy(max_steps=10**13))
+    assert capped == plain and capped.steps == plain.steps
+    far = 2**45
+    shifted = reduce(rep_of({(0, 1, (far, -far)): 1000}), REL)
+    assert shifted.steps == plain.steps
+    assert dict(shifted.coeffs) == {
+        (k, ell, (x0 + far, x1 - far)): a for (k, ell, (x0, x1)), a in plain.coeffs.items()
+    }
+
+
 def test_reduce_far_apart_clusters_agree_with_unsplit_run():
-    """Two widely separated clusters trigger the split path; the result
-    must be identical to the plain run."""
-    seed = {(0, 1, (0, 0)): 9, (0, 1, (900, 0)): 7, (1, 1, (900, 3)): 4}
-    fast = reduce(
-        rep_of(seed),
-        REL,
-        ReductionPolicy(split_gaps=True, gap_check_interval=1),
-    )
-    slow = reduce(rep_of(seed), REL, ReductionPolicy(split_gaps=False))
-    assert fast == slow
-    assert fast.steps == slow.steps
-    assert evaluate(fast, EVAL) == evaluate(rep_of(seed), EVAL)
+    """Two widely separated clusters reduce exactly as in the heap
+    reference loop, which fires in lexicographic order."""
+    seed = rep_of({(0, 1, (0, 0)): 9, (0, 1, (900, 0)): 7, (1, 1, (900, 3)): 4})
+    assert_agrees_with(heap_reduce(seed, REL), seed, REL)
+    assert evaluate(reduce(seed, REL), EVAL) == evaluate(seed, EVAL)
+
+
+@given(seeds(1, 6, 2, 200))
+def test_reduce_matches_heap_reference_rational(coeffs):
+    # REL's term (1, (0, 1)) moves its unit to the other sign layer
+    rep = rep_of(coeffs)
+    assert_agrees_with(heap_reduce(rep, REL), rep, REL)
+
+
+@given(st.sampled_from(CUBIC_PARAMS), seeds(1, 3, 2, 100))
+def test_reduce_matches_heap_reference_cubic(params, coeffs):
+    rep = Representation(cubic_basis(params), coeffs)
+    rel = three_relation(params)
+    assert_agrees_with(heap_reduce(rep, rel), rep, rel)
+
+
+@given(seeds(2, 3, 3, 60))
+def test_reduce_matches_heap_reference_generic_shape(coeffs):
+    rep = Representation(WIDE, coeffs)
+    assert_agrees_with(heap_reduce(rep, WIDE_REL), rep, WIDE_REL)
+
+
+@given(st.sampled_from([None, *CUBIC_PARAMS[:3]]), seeds(1, 3, 2, 40), st.randoms(use_true_random=False))
+def test_shuffled_firing_order_gives_same_state_and_odometer(params, coeffs, rnd):
+    if params is None:
+        rep, rel = rep_of(coeffs), REL
+    else:
+        rep, rel = Representation(cubic_basis(params), coeffs), three_relation(params)
+    assert_agrees_with(shuffled_reduce(rep, rel, rnd), rep, rel)
 
 
 @given(
