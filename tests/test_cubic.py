@@ -127,6 +127,13 @@ def test_unit_monomial_anchor():
         params = CubicParams(a)
         u = unit_monomial(1, -1, params)
         assert u.coords == (-1, -(a + 1), 1)
+    # alpha^-1 = alpha^2 - (a-1) alpha - (a+2) and alpha2^-1 = -alpha^2 + a alpha + 1,
+    # alpha^-2 = -(a+2) alpha^2 + (a^2+a-1) alpha + (a^2+3a+5)
+    for a in (0, 1000):
+        params = CubicParams(a)
+        assert unit_monomial(-1, 0, params).coords == (-(a + 2), -(a - 1), 1)
+        assert unit_monomial(0, -1, params).coords == (1, a, -1)
+        assert unit_monomial(-2, 0, params).coords == (a * a + 3 * a + 5, a * a + a - 1, -(a + 2))
 
 
 def test_unit_monomial_matches_object_powers():
@@ -140,6 +147,35 @@ def test_unit_monomial_matches_object_powers():
                 got = unit_monomial.__wrapped__(i, j, params)
                 assert got == powers1[i] * powers2[j], (a, i, j)
                 assert all(type(c) is int for c in got.coords)
+
+
+def test_unit_monomial_matches_polynomial_reduction():
+    # Independent of the inlined reduction in cubic._mul_coords: powers are
+    # products in Q[X] divided by the minimal polynomial, and the inverses
+    # come from the extended Euclidean algorithm.
+    for a in (0, 1, 5, 10, 1000, -1000):
+        params = CubicParams(a)
+        minpoly = [Fraction(-1), Fraction(-(a + 2)), Fraction(-(a - 1)), Fraction(1)]
+
+        def times(p, q):
+            return cubic._poly_divmod(cubic._poly_mul(p, q), minpoly)[1]
+
+        def powers(g):
+            up = list(map(Fraction, g.coords))
+            down = list(map(Fraction, g.inverse().coords))
+            out = {0: [Fraction(1)]}
+            for k in range(1, 13):
+                out[k] = times(out[k - 1], up)
+                out[-k] = times(out[-(k - 1)], down)
+            return out
+
+        powers1, powers2 = powers(alpha(params)), powers(alpha2(params))
+        for i in range(-12, 13):
+            for j in range(-12, 13):
+                want = times(powers1[i], powers2[j])
+                want += [Fraction(0)] * (3 - len(want))
+                got = unit_monomial.__wrapped__(i, j, params)
+                assert got.coords == tuple(want), (a, i, j)
 
 
 def test_unit_monomial_rejects_a_non_integral_conjugate_inverse(monkeypatch):
