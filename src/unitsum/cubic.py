@@ -235,7 +235,6 @@ def alpha(params: CubicParams) -> CubicElement:
     return CubicElement(params, 0, 1, 0)
 
 
-@lru_cache(maxsize=None)
 def _alpha_inverse(params: CubicParams) -> CubicElement:
     # constant term -1 makes this exact: alpha * (alpha^2 - (a-1) alpha - (a+2)) = 1
     a = params.a
@@ -248,17 +247,10 @@ def alpha2(params: CubicParams) -> CubicElement:
     return CubicElement(params, a + 1, a - 1, -1)
 
 
-@lru_cache(maxsize=None)
 def _alpha2_inverse(params: CubicParams) -> CubicElement:
-    inv = alpha2(params).inverse()
-    if not inv.is_integral:
-        raise RelationBroken(f"conjugate unit inverse is not integral for a = {params.a}")
-    return inv
-
-
-def mul(u: CubicElement, v: CubicElement) -> CubicElement:
-    """Exact product (function form of CubicElement.__mul__)."""
-    return u * v
+    # f(x) = (x+1)(x^2 - a x - 2) + 1 gives 1/(alpha+1) = -(alpha^2 - a alpha - 2),
+    # so (-1 - 1/alpha)^-1 = -alpha/(alpha+1) = -alpha^2 + a alpha + 1
+    return CubicElement(params, 1, params.a, -1)
 
 
 @lru_cache(maxsize=None)
@@ -266,27 +258,14 @@ def unit_monomial(i: int, j: int, params: CubicParams) -> CubicElement:
     """alpha^i * conjugate^j for any integer exponents; always integral.
 
     Powers are taken on integer coordinate triples; the inverses used for
-    negative exponents are integral (the conjugate's is checked once per
-    parameter), so every product stays integral.
+    negative exponents have closed integer forms, so every product stays
+    integral.
     """
     a = params.a
     g1 = alpha(params) if i >= 0 else _alpha_inverse(params)
     g2 = alpha2(params) if j >= 0 else _alpha2_inverse(params)
     out = _mul_coords(_pow_coords(g1.coords, abs(i), a), _pow_coords(g2.coords, abs(j), a), a)
     return CubicElement(params, *out)
-
-
-@dataclass(frozen=True)
-class UnitMonomial:
-    """A unit exponent pair together with its evaluated element."""
-
-    i: int
-    j: int
-    value: CubicElement
-
-    @classmethod
-    def of(cls, i: int, j: int, params: CubicParams) -> "UnitMonomial":
-        return cls(i, j, unit_monomial(i, j, params))
 
 
 @lru_cache(maxsize=None)
@@ -316,26 +295,29 @@ def _poly_at(a: int, x: Fraction) -> Fraction:
     return ((x - (a - 1)) * x - (a + 2)) * x - 1
 
 
-_ROOT_CACHE: Dict[int, List[Interval]] = {}
+_ROOT_CACHE: Dict[int, Tuple[Interval, Interval, Interval]] = {}
 
 
-def _isolate(a: int) -> List[Interval]:
-    bound = 2 + max(abs(a - 1), abs(a + 2))
-    step = Fraction(1)
-    while True:
-        intervals = []
-        x = Fraction(-bound)
-        fx = _poly_at(a, x)
-        while x < bound and len(intervals) < 3:
-            y = x + step
-            fy = _poly_at(a, y)
-            # grid points are rational, hence never roots
-            if (fx < 0) != (fy < 0):
-                intervals.append((x, y))
-            x, fx = y, fy
-        if len(intervals) == 3:
-            return intervals
-        step /= 2
+def _isolate(a: int) -> Tuple[Interval, Interval, Interval]:
+    """Unit brackets of the three roots, ascending, in closed form.
+
+    With f the defining polynomial, f(-1) = 1 and f(0) = -1 for every a.
+    For a >= 0, f(-2) = -2a - 1; alpha lies in (a, a+1) for a >= 1, as
+    f(a) = -2a - 1 and f(a+1) = a(a+1) - 1, and in (1, 2) for a = 0.  For
+    a <= -1, f(1) = -2a - 1 > 0; the smallest root lies in (a-1, a) for
+    a <= -2, as f(a-1) = 1 - a - a^2 and f(a) = -2a - 1, and in (-3, -2)
+    for a = -1.  These are the integer-aligned unit intervals holding a
+    sign change, whatever the size of a.
+    """
+    if a >= 1:
+        lows = (-2, -1, a)
+    elif a == 0:
+        lows = (-2, -1, 1)
+    elif a == -1:
+        lows = (-3, -1, 0)
+    else:
+        lows = (a - 1, -1, 0)
+    return tuple((Fraction(x), Fraction(x + 1)) for x in lows)
 
 
 def real_roots(params: CubicParams, precision_bits: int = 64) -> Tuple[Interval, Interval, Interval]:
@@ -343,22 +325,21 @@ def real_roots(params: CubicParams, precision_bits: int = 64) -> Tuple[Interval,
     last one is alpha.  Enclosures shrink monotonically as precision
     grows and are cached per parameter."""
     a = params.a
-    state = _ROOT_CACHE.get(a)
-    if state is None:
-        state = _ROOT_CACHE[a] = _isolate(a)
+    state = _ROOT_CACHE.get(a) or _isolate(a)
     target = Fraction(1, 1 << precision_bits)
-    for idx, (lo, hi) in enumerate(state):
-        if hi - lo <= target:
-            continue
-        neg_at_lo = _poly_at(a, lo) < 0
-        while hi - lo > target:
-            mid = (lo + hi) / 2
-            if (_poly_at(a, mid) < 0) == neg_at_lo:
-                lo = mid
-            else:
-                hi = mid
-        state[idx] = (lo, hi)
-    return tuple(state)
+    refined = []
+    for lo, hi in state:
+        if hi - lo > target:
+            neg_at_lo = _poly_at(a, lo) < 0
+            while hi - lo > target:
+                mid = (lo + hi) / 2
+                if (_poly_at(a, mid) < 0) == neg_at_lo:
+                    lo = mid
+                else:
+                    hi = mid
+        refined.append((lo, hi))
+    state = _ROOT_CACHE[a] = tuple(refined)
+    return state
 
 
 @lru_cache(maxsize=None)
@@ -386,12 +367,9 @@ def cubic_basis(params: CubicParams) -> UnitGroupBasis:
         return (1 + 1 / hi, 1 + 1 / lo)
 
     return UnitGroupBasis(
-        K=2,
-        zeta_kind="minus_one",
         etas=(one(params),),
         epsilons=(alpha(params), alpha2(params)),
         abs_val=(abs_alpha, abs_conj),
-        tag=f"cubic(a={params.a})",
     )
 
 

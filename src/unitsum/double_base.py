@@ -262,20 +262,6 @@ def _extended_credits(rel: "_relations.ExtendedRelation"):
     return ((rel.a, rel.b, 1), (rel.c, rel.d, rel.sign))
 
 
-def expand_claim(v: int, base: BasePair, rel, on_step=None) -> Tuple[SignedExpansion, int]:
-    """Expand v >= 0 by seeding its p-adic digits and reducing with a
-    plain relation.  Returns (expansion, fired pair count).  The count is
-    at most (w^2 - w) / 2 for w the seeded digit sum."""
-    if v < 0:
-        raise ValueError("expand_claim takes a nonnegative integer")
-    if not _relations.verify_relation(base, rel):
-        raise RelationInvalid(f"{rel} is not a valid relation for {base}")
-    grid = {(i, 0): d for i, d in enumerate(p_adic_digits(v, base.p)) if d}
-    steps = _claim_reduce(grid, _plain_credits(rel), on_step)
-    terms = [(a, i, j) for (i, j), a in grid.items() if a]
-    return (SignedExpansion(base, terms), steps)
-
-
 @dataclass(frozen=True)
 class ExpandStats:
     """expand output plus the bookkeeping the benchmarks report."""
@@ -310,7 +296,15 @@ def expand_with_stats(
     on_step=None,
 ) -> ExpandStats:
     """expand, but also reporting steps, the seeded digit sum and the
-    relation used (None on the single-base paths)."""
+    relation used (None on the single-base paths).
+
+    Off the single-base paths, the seed places signed digits of |v| on
+    the (i, j) grid: its base-p digits on the axis j = 0 for "padic",
+    the terms of greedy_seed for "greedy".  One reduction with the plain
+    relation then brings every grid coefficient into {-1, 0, 1}, and
+    steps counts its fired pairs.  For the padic seed that count is at
+    most (w^2 - w) / 2, w being w_init, the seeded digit sum.
+    """
     if seed_method not in ("padic", "greedy"):
         raise ValueError("seed_method must be 'padic' or 'greedy'")
     w_init = sum(p_adic_digits(abs(v), base.p))
@@ -325,19 +319,16 @@ def expand_with_stats(
         raise NoRelationFound(
             f"no plain relation for ({base.p},{base.q}) with exponents up to {search_bound}"
         )
-    sign = 1 if v > 0 else -1
+    if not _relations.verify_relation(base, rel):
+        raise RelationInvalid(f"{rel} is not a valid relation for {base}")
     if seed_method == "greedy":
-        grid = {}
-        for d, i, j in greedy_seed(abs(v), base):
-            grid[(i, j)] = d
-        steps = _claim_reduce(grid, _plain_credits(rel), on_step)
-        terms = [(a, i, j) for (i, j), a in grid.items() if a]
-        expansion = SignedExpansion(base, terms)
+        grid = {(i, j): d for d, i, j in greedy_seed(abs(v), base)}
     else:
-        expansion, steps = expand_claim(abs(v), base, rel, on_step)
-    if sign < 0:
-        expansion = flip(expansion)
-    return ExpandStats(expansion, steps, w_init, rel)
+        grid = {(i, 0): d for i, d in enumerate(p_adic_digits(abs(v), base.p)) if d}
+    steps = _claim_reduce(grid, _plain_credits(rel), on_step)
+    sign = 1 if v > 0 else -1
+    terms = [(sign * a, i, j) for (i, j), a in grid.items() if a]
+    return ExpandStats(SignedExpansion(base, terms), steps, w_init, rel)
 
 
 def expand(v: int, base: BasePair, search_bound: int = 64, seed_method: str = "padic") -> SignedExpansion:
@@ -350,12 +341,6 @@ def expand(v: int, base: BasePair, search_bound: int = 64, seed_method: str = "p
     NoRelationFound is raised when there is none.
     """
     return expand_with_stats(v, base, search_bound, seed_method).expansion
-
-
-def flip(exp):
-    """Negate an expansion digitwise."""
-    cls = type(exp)
-    return cls(exp.base, tuple((-d, i, j) for d, i, j in exp.terms))
 
 
 def expand_extended(x: PQRational, base: BasePair, search_bound: int = 64, on_step=None) -> ExtendedExpansion:
@@ -439,12 +424,9 @@ def rational_basis(p: int, q: int) -> UnitGroupBasis:
         return lambda bits: (Fraction(v), Fraction(v))
 
     return UnitGroupBasis(
-        K=2,
-        zeta_kind="minus_one",
         etas=(1,),
         epsilons=(base.p, base.q),
         abs_val=(point(base.p), point(base.q)),
-        tag=f"rational({p},{q})",
     )
 
 

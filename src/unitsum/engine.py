@@ -16,91 +16,34 @@ from operator import add
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Tuple
 
-from .errors import (
-    BasisMismatch,
-    EmptySide,
-    IterationCapExceeded,
-    NotAGap,
-    TargetTooSmall,
-)
+from .errors import BasisMismatch, IterationCapExceeded, TargetTooSmall
 
 Interval = Tuple[Fraction, Fraction]
 Index = Tuple[int, int, Tuple[int, ...]]
-
-
-def log2_enclosure(value: Interval, bits: int) -> Interval:
-    """Certified base-2 logarithm of a positive interval.
-
-    The result has width about 2^-bits plus the width of the input.
-    """
-    lo, hi = value
-    if lo <= 0:
-        raise ValueError("logarithm requires a certified positive interval")
-    return (_log2_point(lo, bits, upper=False), _log2_point(hi, bits, upper=True))
-
-
-def _log2_point(f: Fraction, bits: int, upper: bool) -> Fraction:
-    # One-sided log2 bound by repeated squaring of an integer mantissa.
-    if bits < 1:
-        raise ValueError("bits must be positive")
-    e = 0
-    while f >= 2:
-        f /= 2
-        e += 1
-    while f < 1:
-        f *= 2
-        e -= 1
-    guard = 2 * bits + 32
-    num, den = f.numerator, f.denominator
-    if upper:
-        m = -((-num << guard) // den)
-    else:
-        m = (num << guard) // den
-    two = 2 << guard
-    acc = 0
-    for _ in range(bits):
-        m = m * m
-        m = -((-m) >> guard) if upper else (m >> guard)
-        acc <<= 1
-        if m >= two:
-            m = -((-m) >> 1) if upper else (m >> 1)
-            acc |= 1
-    return e + Fraction(acc + (1 if upper else 0), 1 << bits)
 
 
 @dataclass(frozen=True, eq=False)
 class UnitGroupBasis:
     """Ambient data for representations.
 
-    K is the order of the sign root zeta (only zeta = -1, K = 2 is
-    supported); etas and epsilons carry the generator and unit values of
-    the instantiating ring.  abs_val holds one hook per epsilon mapping a
-    bit count to a certified (lo, hi) Fraction enclosure of |eps_m|;
-    abs_log holds the matching log2 enclosure hooks and is derived from
-    abs_val when not supplied.  Bases compare by identity.
+    The sign group is {1, -1}: zeta = -1, so K, the number of sign
+    layers, is the constant 2.  etas and epsilons carry the generator and
+    unit values of the instantiating ring; abs_val holds one hook per
+    epsilon mapping a bit count to a certified (lo, hi) Fraction
+    enclosure of |eps_m|.  Bases compare by identity.
     """
 
-    K: int
-    zeta_kind: str
+    K = 2
+
     etas: tuple
     epsilons: tuple
     abs_val: tuple
-    abs_log: tuple = ()
-    tag: str = ""
 
     def __post_init__(self):
-        if self.zeta_kind != "minus_one" or self.K != 2:
-            raise ValueError("only the order-two sign layer (zeta = -1) is supported")
         if not self.etas or not self.epsilons:
             raise ValueError("basis needs at least one eta and one epsilon")
         if len(self.abs_val) != len(self.epsilons):
             raise ValueError("one abs_val hook per epsilon required")
-        if not self.abs_log:
-            derived = tuple(
-                (lambda hook: lambda bits: log2_enclosure(hook(bits + 8), bits))(h)
-                for h in self.abs_val
-            )
-            object.__setattr__(self, "abs_log", derived)
 
     @property
     def L(self) -> int:
@@ -314,45 +257,6 @@ def monotone_quantity(rep: Representation, precision_bits: int = 64) -> Interval
     return (lo_total, hi_total)
 
 
-def split_at_gap(rep: Representation, coord: int, cut: int, gap_width: int = 1):
-    """Split at coordinate coord (1-based): left keeps x_coord <= cut.
-
-    The band (cut, cut + gap_width] must be free of support; both sides
-    must be nonempty.
-    """
-    if not (1 <= coord <= rep.basis.M):
-        raise ValueError(f"coord must lie in [1, {rep.basis.M}]")
-    if gap_width < 1:
-        raise ValueError("gap_width must be at least 1")
-    m = coord - 1
-    left, right = {}, {}
-    for key, a in rep._coeffs.items():
-        xm = key[2][m]
-        if cut < xm <= cut + gap_width:
-            raise NotAGap(f"support point {key} lies in the excluded band")
-        (left if xm <= cut else right)[key] = a
-    if not left or not right:
-        raise EmptySide("both sides of a split must carry support")
-    return (Representation(rep.basis, left), Representation(rep.basis, right))
-
-
-def merge(rep1: Representation, rep2: Representation):
-    """Coefficientwise sum.  Returns (merged, overlapped); overlapped is
-    True when the supports intersected, in which case callers may want to
-    re-run reduce."""
-    if rep1.basis is not rep2.basis:
-        raise BasisMismatch("cannot merge representations over different bases")
-    out = dict(rep1._coeffs)
-    overlapped = False
-    for key, a in rep2._coeffs.items():
-        if key in out:
-            overlapped = True
-            out[key] += a
-        else:
-            out[key] = a
-    return (Representation(rep1.basis, out, steps=rep1.steps + rep2.steps), overlapped)
-
-
 def evaluate(rep: Representation, evaluator):
     """Exact value of the representation.
 
@@ -384,7 +288,7 @@ def bounds_f_T(params: BoundParams):
     return (f, T)
 
 
-def _normalized(coeffs: dict, basis: UnitGroupBasis) -> dict:
+def _normalized(coeffs: dict) -> dict:
     # Opposite sign layers at the same (l, x) cancel exactly.
     out = dict(coeffs)
     for key in [key for key in out if key[0] == 0]:
@@ -418,7 +322,7 @@ def reduce(rep: Representation, rel: UnitRelation, policy: Optional[ReductionPol
     """
     policy = policy or ReductionPolicy()
     _check_relation(rep.basis, rel)
-    coeffs = _normalized(rep._coeffs, rep.basis)
+    coeffs = _normalized(rep._coeffs)
     out, steps = _stabilize(coeffs, rep.basis, rel, policy)
     return Representation(rep.basis, out, steps=steps)
 

@@ -17,14 +17,6 @@ class TargetTooSmall(UnitSumError):
     """A replacement step was requested at a coefficient below n."""
 
 
-class EmptySide(UnitSumError):
-    """A split would leave one side with no support."""
-
-
-class NotAGap(UnitSumError):
-    """A split cut intersects the support band it claims is empty."""
-
-
 class IterationCapExceeded(UnitSumError):
     """A reduction hit its step budget before stabilizing."""
 

@@ -22,7 +22,7 @@ def heap_reduce(rep, rel, max_steps=1_000_000):
     to the number of rewrites made there.
     """
     n, K = rel.n, rep.basis.K
-    coeffs = _normalized(dict(rep.coeffs), rep.basis)
+    coeffs = _normalized(dict(rep.coeffs))
     heap = [key for key, c in coeffs.items() if c >= n]
     heapq.heapify(heap)
     steps = 0
@@ -52,7 +52,7 @@ def shuffled_reduce(rep, rel, rnd):
     Returns (coefficients, steps, odometer) like heap_reduce.
     """
     n, K = rel.n, rep.basis.K
-    coeffs = _normalized(dict(rep.coeffs), rep.basis)
+    coeffs = _normalized(dict(rep.coeffs))
     steps = 0
     odometer = {}
     while True:

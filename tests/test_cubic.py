@@ -11,7 +11,6 @@ from unitsum import (
     CubicParams,
     ParamsMismatch,
     ReductionPolicy,
-    RelationBroken,
     cubic_basis,
     cubic_evaluator,
     element_from_json,
@@ -78,6 +77,9 @@ def test_alpha_inverse_closed_form():
         inv = alpha(params).inverse()
         assert inv.coords == (-(a + 2), -(a - 1), 1)
         assert alpha(params) * inv == one(params)
+        # the conjugate's inverse is -alpha^2 + a alpha + 1
+        assert alpha2(params).inverse().coords == (1, a, -1)
+        assert alpha2(params) * elem(params, 1, a, -1) == 1
 
 
 def test_powers():
@@ -134,6 +136,11 @@ def test_unit_monomial_anchor():
         assert unit_monomial(-1, 0, params).coords == (-(a + 2), -(a - 1), 1)
         assert unit_monomial(0, -1, params).coords == (1, a, -1)
         assert unit_monomial(-2, 0, params).coords == (a * a + 3 * a + 5, a * a + a - 1, -(a + 2))
+    for a in (0, 1, -1, 1000, -1000):
+        params = CubicParams(a)
+        for i in range(-6, 7):
+            for j in range(-6, 7):
+                assert unit_monomial(i, j, params) * unit_monomial(-i, -j, params) == 1, (a, i, j)
 
 
 def test_unit_monomial_matches_object_powers():
@@ -178,13 +185,6 @@ def test_unit_monomial_matches_polynomial_reduction():
                 assert got.coords == tuple(want), (a, i, j)
 
 
-def test_unit_monomial_rejects_a_non_integral_conjugate_inverse(monkeypatch):
-    params = CubicParams(7919)  # used nowhere else, so nothing is cached for it
-    monkeypatch.setattr(cubic, "alpha2", lambda p: CubicElement(p, 2, 0, 0))
-    with pytest.raises(RelationBroken):
-        unit_monomial.__wrapped__(3, -1, params)
-
-
 def test_three_relation_shape():
     rel = three_relation(P2)
     assert rel.n == 3
@@ -208,6 +208,41 @@ def test_three_relation_sums_to_three():
 def _approx(iv):
     lo, hi = iv
     return float((lo + hi) / 2)
+
+
+def _scan_isolate(a):
+    # Reference for cubic._isolate: scan [-bound, bound] from the left,
+    # halving the step until three sign changes show; O(|a|) evaluations.
+    # Grid points are rational, hence never roots.
+    bound = 2 + max(abs(a - 1), abs(a + 2))
+    step = Fraction(1)
+    while True:
+        intervals = []
+        x = Fraction(-bound)
+        fx = cubic._poly_at(a, x)
+        while x < bound and len(intervals) < 3:
+            y = x + step
+            fy = cubic._poly_at(a, y)
+            if (fx < 0) != (fy < 0):
+                intervals.append((x, y))
+            x, fx = y, fy
+        if len(intervals) == 3:
+            return intervals
+        step /= 2
+
+
+def test_root_brackets_match_the_grid_scan():
+    for a in (*range(-200, 201), 1000, -1000):
+        assert list(cubic._isolate(a)) == _scan_isolate(a), a
+
+
+def test_root_brackets_change_sign_for_huge_parameters():
+    for a in (10**9, -(10**9)):
+        brackets = cubic._isolate(a)
+        assert brackets[0][1] <= brackets[1][0] and brackets[1][1] <= brackets[2][0]
+        for lo, hi in brackets:
+            assert hi - lo == 1
+            assert (cubic._poly_at(a, lo) < 0) != (cubic._poly_at(a, hi) < 0)
 
 
 def test_real_roots_anchor_values():

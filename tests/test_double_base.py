@@ -138,6 +138,9 @@ def test_expand_greedy_seed_round_trips():
     for v in (995, 997, 2, -404):
         exp = expand(v, B523, seed_method="greedy")
         assert evaluate_expansion(exp) == v
+    # 404 = 23^2 - 5^3 seeds two unit digits, so nothing fires and the
+    # expansion is the negated seed (the padic seed gives eight terms)
+    assert expand(-404, B523, seed_method="greedy").terms == ((1, 3, 0), (-1, 0, 2))
 
 
 @given(st.integers(-10**6, 10**6))

@@ -1,5 +1,5 @@
 """Core rewrite engine: representations, the replacement step, reduce,
-splitting, and the certified numeric helpers."""
+and the certified numeric helpers."""
 
 from fractions import Fraction
 
@@ -11,9 +11,7 @@ from unitsum import (
     BasisMismatch,
     BoundParams,
     CubicParams,
-    EmptySide,
     IterationCapExceeded,
-    NotAGap,
     PlainRelation,
     ReductionPolicy,
     Representation,
@@ -23,14 +21,11 @@ from unitsum import (
     bounds_f_T,
     cubic_basis,
     evaluate,
-    log2_enclosure,
-    merge,
     monotone_quantity,
     rational_basis,
     rational_evaluator,
     reduce,
     replacement_step,
-    split_at_gap,
     three_relation,
     to_unit_relation,
     total_weight,
@@ -54,8 +49,6 @@ def _point(value):
 # two torsion generators and three exponents: the shape no basis in the
 # package has, where reduce takes its generic path
 WIDE = UnitGroupBasis(
-    K=2,
-    zeta_kind="minus_one",
     etas=(1, 2),
     epsilons=(5, 23, 7),
     abs_val=(_point(5), _point(23), _point(7)),
@@ -186,11 +179,7 @@ def test_replacement_step_needs_a_big_enough_coefficient():
 
 
 def test_basis_mismatch_is_detected():
-    other = rational_basis(3, 5)
-    r = Representation(other, {(0, 1, (0, 0)): 4})
-    with pytest.raises(BasisMismatch):
-        merge(rep_of({(0, 1, (0, 0)): 1}), r)
-    # a relation whose terms cannot fit the basis shape is rejected too
+    # a relation whose terms cannot fit the basis shape is rejected
     bad = UnitRelation(n=2, terms=((0, (1, 0, 0)), (1, (0, 1, 0))))
     with pytest.raises(BasisMismatch):
         replacement_step(rep_of({(0, 1, (0, 0)): 4}), bad, (0, 1, (0, 0)))
@@ -376,53 +365,6 @@ def test_reduce_strictly_raises_the_monotone_quantity(coeffs):
         assert q1[0] >= q0[0]
 
 
-# ------------------------------------------------------------ split/merge
-
-
-GAPPY = {(0, 1, (0, 0)): 1, (0, 1, (1, 3)): 1, (0, 1, (10, 1)): 1}
-
-
-def test_split_then_merge_round_trips():
-    r = rep_of(GAPPY)
-    low, high = split_at_gap(r, 1, 1)
-    assert dict(low.coeffs) == {(0, 1, (0, 0)): 1, (0, 1, (1, 3)): 1}
-    assert dict(high.coeffs) == {(0, 1, (10, 1)): 1}
-    back, overlapped = merge(low, high)
-    assert not overlapped
-    assert back == r
-
-
-def test_split_honors_gap_width():
-    r = rep_of(GAPPY)
-    low, high = split_at_gap(r, 1, 1, gap_width=8)
-    assert len(low) == 2 and len(high) == 1
-    with pytest.raises(NotAGap):
-        split_at_gap(r, 1, 1, gap_width=9)
-
-
-def test_split_rejects_occupied_band():
-    with pytest.raises(NotAGap):
-        split_at_gap(rep_of(GAPPY), 1, 0)
-
-
-def test_split_rejects_empty_side():
-    with pytest.raises(EmptySide):
-        split_at_gap(rep_of(GAPPY), 1, 100)
-
-
-def test_split_second_coordinate():
-    low, high = split_at_gap(rep_of(GAPPY), 2, 1)
-    assert dict(high.coeffs) == {(0, 1, (1, 3)): 1}
-
-
-def test_merge_flags_overlap():
-    a = rep_of({(0, 1, (0, 0)): 1})
-    b = rep_of({(0, 1, (0, 0)): 2, (0, 1, (1, 0)): 1})
-    out, overlapped = merge(a, b)
-    assert overlapped
-    assert out.coeffs[(0, 1, (0, 0))] == 3
-
-
 # -------------------------------------------------------- numeric helpers
 
 
@@ -437,30 +379,6 @@ def test_monotone_quantity_counts_weight_not_sign():
     a = monotone_quantity(rep_of({(0, 1, (3, 1)): 2}))
     b = monotone_quantity(rep_of({(1, 1, (3, 1)): 2}))
     assert a == b
-
-
-def test_log2_enclosure_exact_powers():
-    lo, hi = log2_enclosure((Fraction(8), Fraction(8)), 32)
-    assert lo <= 3 <= hi
-    assert hi - lo <= Fraction(1, 2**30)
-    lo, hi = log2_enclosure((Fraction(1, 2), Fraction(1, 2)), 32)
-    assert lo <= -1 <= hi
-
-
-def test_log2_enclosure_narrows_with_precision():
-    iv = (Fraction(10), Fraction(10))
-    w1 = (lambda t: t[1] - t[0])(log2_enclosure(iv, 16))
-    w2 = (lambda t: t[1] - t[0])(log2_enclosure(iv, 48))
-    assert w2 < w1
-
-
-@given(st.fractions(min_value=Fraction(1, 1000), max_value=1000))
-def test_log2_enclosure_brackets_float_log(x):
-    import math
-
-    lo, hi = log2_enclosure((x, x), 40)
-    ref = math.log2(x)
-    assert float(lo) - 1e-6 <= ref <= float(hi) + 1e-6
 
 
 # ----------------------------------------------------------------- bounds
