@@ -94,8 +94,10 @@ def _cmd_expand_extended(args) -> int:
     base = _base(args)
     text = args.value
     if "/" in text:
-        n, d = text.split("/", 1)
-        value = Fraction(int(n), int(d))
+        n, d = (int(part) for part in text.split("/", 1))
+        if not d:
+            raise ValueError(f"zero denominator in {text}")
+        value = Fraction(n, d)
     else:
         value = Fraction(int(text))
     x = pq_rational(value, base)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import engine
 from .engine import Representation, UnitGroupBasis, UnitRelation
@@ -32,27 +32,19 @@ class CubicParams:
         object.__setattr__(self, "a", int(self.a))
 
 
-def _norm_coord(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    if isinstance(c, (int, Fraction)):
-        return c
-    return int(c)
-
-
 @dataclass(frozen=True, eq=False)
 class CubicElement:
-    """c0 + c1 alpha + c2 alpha^2 with exact coordinates.
+    """c0 + c1 alpha + c2 alpha^2, an element of the order Z[alpha].
 
-    Ring elements carry int coordinates; Fractions appear only in
-    intermediate inverse computations and collapse back to ints for
-    units.  Compares equal to plain numbers when c1 = c2 = 0.
+    Coordinates are ints; any other value must convert to an int exactly
+    (Fraction(4, 2) is stored as 2, Fraction(1, 2) and 2.5 raise
+    ValueError).  Compares equal to plain numbers when c1 = c2 = 0.
     """
 
     params: CubicParams
-    c0: object
-    c1: object
-    c2: object
+    c0: int
+    c1: int
+    c2: int
 
     def __eq__(self, other):
         if isinstance(other, CubicElement):
@@ -69,9 +61,13 @@ class CubicElement:
         return hash((self.params.a, self.coords))
 
     def __post_init__(self):
-        object.__setattr__(self, "c0", _norm_coord(self.c0))
-        object.__setattr__(self, "c1", _norm_coord(self.c1))
-        object.__setattr__(self, "c2", _norm_coord(self.c2))
+        for name in ("c0", "c1", "c2"):
+            c = getattr(self, name)
+            if type(c) is not int:
+                n = int(c)
+                if n != c:
+                    raise ValueError(f"coordinate {c!r} is not an integer")
+                object.__setattr__(self, name, n)
 
     def _coerce(self, other) -> "CubicElement":
         if isinstance(other, CubicElement):
@@ -80,17 +76,13 @@ class CubicElement:
                     f"cannot combine a = {self.params.a} with a = {other.params.a}"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return CubicElement(self.params, other, 0, 0)
         return NotImplemented
 
     @property
     def coords(self):
         return (self.c0, self.c1, self.c2)
-
-    @property
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.coords)
 
     def __bool__(self) -> bool:
         return any(self.coords)
@@ -118,7 +110,7 @@ class CubicElement:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return CubicElement(
                 self.params, self.c0 * other, self.c1 * other, self.c2 * other
             )
@@ -130,25 +122,22 @@ class CubicElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "CubicElement":
-        """Multiplicative inverse via the extended Euclidean algorithm in
-        Q[X] modulo the defining polynomial."""
+        """Inverse of a unit from its Galois conjugates.
+
+        The norm N(u) = u sigma(u) sigma^2(u) is a rational integer, and
+        u is a unit exactly when N(u) = +-1; then u^-1 = N(u) sigma(u)
+        sigma^2(u).  Zero raises ZeroDivisionError, any other non-unit
+        ValueError.
+        """
         if not self:
             raise ZeroDivisionError("zero has no inverse")
         a = self.params.a
-        minpoly = [Fraction(-1), Fraction(-(a + 2)), Fraction(-(a - 1)), Fraction(1)]
-        elem = _poly_trim([Fraction(c) for c in self.coords])
-        old_r, r = elem, minpoly
-        old_u, u = [Fraction(1)], []
-        while r:
-            quo, rem = _poly_divmod(old_r, r)
-            old_r, r = r, rem
-            old_u, u = u, _poly_sub(old_u, _poly_mul(quo, u))
-        # old_r is a nonzero constant: the defining polynomial is
-        # irreducible over Q (it has no rational roots for any integer a)
-        scale = 1 / old_r[0]
-        inv = [c * scale for c in old_u]
-        inv += [Fraction(0)] * (3 - len(inv))
-        return CubicElement(self.params, inv[0], inv[1], inv[2])
+        s1 = _conjugate(self.coords, a)
+        rest = _mul_coords(s1, _conjugate(s1, a), a)
+        norm = _mul_coords(self.coords, rest, a)[0]
+        if norm not in (1, -1):
+            raise ValueError(f"{self!r} is not a unit: its norm is {norm}")
+        return CubicElement(self.params, *(norm * c for c in rest))
 
     def __pow__(self, e: int) -> "CubicElement":
         if e < 0:
@@ -179,8 +168,7 @@ def _mul_coords(u, v, a: int):
 
 
 def _pow_coords(g, e: int, a: int):
-    """g^e for a coordinate triple g and e >= 0, by square-and-multiply;
-    g may hold Fractions."""
+    """g^e for a coordinate triple g and e >= 0, by square-and-multiply."""
     result = (1, 0, 0)
     while e:
         if e & 1:
@@ -191,40 +179,12 @@ def _pow_coords(g, e: int, a: int):
     return result
 
 
-def _poly_trim(p: List[Fraction]) -> List[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_sub(p, q):
-    n = max(len(p), len(q))
-    p = p + [Fraction(0)] * (n - len(p))
-    q = q + [Fraction(0)] * (n - len(q))
-    return _poly_trim([x - y for x, y in zip(p, q)])
-
-
-def _poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(num, den):
-    num = list(num)
-    quo = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    lead = den[-1]
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1] / lead
-        quo[k] = c
-        if c:
-            for idx, d in enumerate(den):
-                num[k + idx] -= c * d
-    return _poly_trim(quo), _poly_trim(num)
+def _conjugate(u, a: int):
+    """sigma(u) = c0 + c1 alpha2 + c2 alpha2^2 for the Galois map sigma:
+    alpha -> alpha2 = -1 - 1/alpha, whose coordinates are (a+1, a-1, -1)."""
+    s1 = (a + 1, a - 1, -1)
+    s2 = _mul_coords(s1, s1, a)
+    return tuple(u[0] * e + u[1] * x + u[2] * y for e, x, y in zip((1, 0, 0), s1, s2))
 
 
 def one(params: CubicParams) -> CubicElement:
@@ -359,9 +319,6 @@ def cubic_basis(params: CubicParams) -> UnitGroupBasis:
             lo, hi = real_roots(params, b)[-1]
         return (lo, hi)
 
-    def abs_alpha(bits: int) -> Interval:
-        return alpha_iv(bits)
-
     def abs_conj(bits: int) -> Interval:
         lo, hi = alpha_iv(bits + 32)
         return (1 + 1 / hi, 1 + 1 / lo)
@@ -369,7 +326,7 @@ def cubic_basis(params: CubicParams) -> UnitGroupBasis:
     return UnitGroupBasis(
         etas=(one(params),),
         epsilons=(alpha(params), alpha2(params)),
-        abs_val=(abs_alpha, abs_conj),
+        abs_val=(alpha_iv, abs_conj),
     )
 
 
@@ -390,8 +347,6 @@ def represent_unit_sums(beta: CubicElement, policy: Optional[engine.ReductionPol
     which are themselves unit monomials, and the three-unit relation
     drives the rewrite.  Round-trip evaluation is exact.
     """
-    if not beta.is_integral:
-        raise ValueError("representation requires integer coordinates")
     params = beta.params
     basis = cubic_basis(params)
     seeds = {}

@@ -65,6 +65,13 @@ def test_expand_extended_rejects_foreign_denominator(capsys):
     assert code == 3
 
 
+def test_expand_extended_rejects_zero_denominator(capsys):
+    code, out, err = run(capsys, "expand-extended", "--p", "5", "--q", "11", "1/0")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_verify_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "expand", "--p", "5", "--q", "23", "997", "--format", "json")
     doc = tmp_path / "exp.json"

@@ -62,8 +62,10 @@ def test_ring_laws(a, x0, x1, x2, y0, y1, y2):
 def test_scalar_mixing_with_ints_and_fractions():
     x = elem(P2, 1, 2, 3)
     assert 2 * x == x + x
-    assert x * Fraction(1, 2) + x * Fraction(1, 2) == x
     assert 1 + x == elem(P2, 2, 2, 3)
+    # elements of Z[alpha] take no fractional scalars
+    with pytest.raises(TypeError):
+        x * Fraction(1, 2)
 
 
 def test_params_mismatch_raises():
@@ -80,6 +82,21 @@ def test_alpha_inverse_closed_form():
         # the conjugate's inverse is -alpha^2 + a alpha + 1
         assert alpha2(params).inverse().coords == (1, a, -1)
         assert alpha2(params) * elem(params, 1, a, -1) == 1
+    # inverses through the conjugates agree with the negated exponents;
+    # unit monomials have norm 1, their negatives norm -1
+    for a in (0, 1, -1, 1000, -1000):
+        params = CubicParams(a)
+        for i in range(-4, 5):
+            for j in range(-4, 5):
+                u = unit_monomial(i, j, params)
+                assert u.inverse() == unit_monomial(-i, -j, params), (a, i, j)
+                assert (-u).inverse() == -unit_monomial(-i, -j, params), (a, i, j)
+    # norms 8 and 5: not units
+    for c in ((2, 0, 0), (2, 1, 0)):
+        with pytest.raises(ValueError):
+            elem(P2, *c).inverse()
+    with pytest.raises(ZeroDivisionError):
+        elem(P2, 0, 0, 0).inverse()
 
 
 def test_powers():
@@ -111,14 +128,14 @@ def test_root_product_is_one():
         params = CubicParams(a)
         third = (alpha(params) * alpha2(params)).inverse()
         assert third * alpha(params) * alpha2(params) == one(params)
-        assert third.is_integral
+        assert all(type(c) is int for c in third.coords)
 
 
 @given(small_a, st.integers(-6, 6), st.integers(-6, 6))
 def test_unit_monomials_are_integral_units(a, i, j):
     params = CubicParams(a)
     u = unit_monomial(i, j, params)
-    assert u.is_integral
+    assert all(type(c) is int for c in u.coords)
     v = unit_monomial(-i, -j, params)
     assert u * v == one(params)
 
@@ -156,33 +173,45 @@ def test_unit_monomial_matches_object_powers():
                 assert all(type(c) is int for c in got.coords)
 
 
+def _times_mod_minpoly(u, v, a):
+    # Schoolbook product of two coordinate triples, then X^k is replaced by
+    # (a-1) X^(k-1) + (a+2) X^(k-2) + X^(k-3) from the top degree down.
+    prod = [0] * 5
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            prod[i + j] += x * y
+    for k in (4, 3):
+        top = prod.pop()
+        prod[k - 1] += (a - 1) * top
+        prod[k - 2] += (a + 2) * top
+        prod[k - 3] += top
+    return tuple(prod)
+
+
 def test_unit_monomial_matches_polynomial_reduction():
-    # Independent of the inlined reduction in cubic._mul_coords: powers are
-    # products in Q[X] divided by the minimal polynomial, and the inverses
-    # come from the extended Euclidean algorithm.
+    # Independent of the inlined reduction in cubic._mul_coords and of
+    # CubicElement.inverse: powers are products of polynomials divided by
+    # the minimal polynomial, and the inverses are the literal closed forms.
     for a in (0, 1, 5, 10, 1000, -1000):
         params = CubicParams(a)
-        minpoly = [Fraction(-1), Fraction(-(a + 2)), Fraction(-(a - 1)), Fraction(1)]
 
-        def times(p, q):
-            return cubic._poly_divmod(cubic._poly_mul(p, q), minpoly)[1]
+        def times(u, v):
+            return _times_mod_minpoly(u, v, a)
 
-        def powers(g):
-            up = list(map(Fraction, g.coords))
-            down = list(map(Fraction, g.inverse().coords))
-            out = {0: [Fraction(1)]}
+        def powers(up, down):
+            assert times(up, down) == (1, 0, 0)
+            out = {0: (1, 0, 0)}
             for k in range(1, 13):
                 out[k] = times(out[k - 1], up)
                 out[-k] = times(out[-(k - 1)], down)
             return out
 
-        powers1, powers2 = powers(alpha(params)), powers(alpha2(params))
+        powers1 = powers((0, 1, 0), (-(a + 2), -(a - 1), 1))
+        powers2 = powers((a + 1, a - 1, -1), (1, a, -1))
         for i in range(-12, 13):
             for j in range(-12, 13):
-                want = times(powers1[i], powers2[j])
-                want += [Fraction(0)] * (3 - len(want))
                 got = unit_monomial.__wrapped__(i, j, params)
-                assert got.coords == tuple(want), (a, i, j)
+                assert got.coords == times(powers1[i], powers2[j]), (a, i, j)
 
 
 def test_three_relation_shape():
@@ -319,9 +348,13 @@ def test_represent_mixed_coordinates():
 
 
 def test_represent_rejects_non_integral_input():
-    beta = CubicElement(P2, Fraction(1, 2), 0, 0)
+    # elements of Z[alpha] cannot be built with non-integral coordinates
     with pytest.raises(ValueError):
-        represent_unit_sums(beta)
+        CubicElement(P2, Fraction(1, 2), 0, 0)
+    with pytest.raises(ValueError):
+        CubicElement(P2, 0, 2.5, 0)
+    beta = CubicElement(P2, Fraction(4, 2), 0, 0)
+    assert type(beta.c0) is int and beta.c0 == 2
 
 
 def test_represent_honors_policy():
