@@ -17,19 +17,20 @@ from typing import Dict, Optional, Tuple
 
 from . import engine
 from .engine import Representation, UnitGroupBasis, UnitRelation
-from .errors import ParamsMismatch, RelationBroken
+from .errors import ParamsMismatch, RelationBroken, exact_int
 
 Interval = Tuple[Fraction, Fraction]
 
 
 @dataclass(frozen=True)
 class CubicParams:
-    """The integer parameter selecting one order of the family."""
+    """The integer parameter selecting one order of the family; a value
+    that is not an integer raises ValueError, as for coordinates."""
 
     a: int
 
     def __post_init__(self):
-        object.__setattr__(self, "a", int(self.a))
+        object.__setattr__(self, "a", exact_int(self.a, "parameter"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,7 +38,7 @@ class CubicElement:
     """c0 + c1 alpha + c2 alpha^2, an element of the order Z[alpha].
 
     Coordinates are ints; any other value must convert to an int exactly
-    (Fraction(4, 2) is stored as 2, Fraction(1, 2) and 2.5 raise
+    (Fraction(4, 2) is stored as 2; Fraction(1, 2), 2.5, inf and nan raise
     ValueError).  Compares equal to plain numbers when c1 = c2 = 0.
     """
 
@@ -64,10 +65,7 @@ class CubicElement:
         for name in ("c0", "c1", "c2"):
             c = getattr(self, name)
             if type(c) is not int:
-                n = int(c)
-                if n != c:
-                    raise ValueError(f"coordinate {c!r} is not an integer")
-                object.__setattr__(self, name, n)
+                object.__setattr__(self, name, exact_int(c, "coordinate"))
 
     def _coerce(self, other) -> "CubicElement":
         if isinstance(other, CubicElement):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -19,21 +20,22 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import relations as _relations
 from .engine import UnitGroupBasis, UnitRelation
-from .errors import InvalidExpansion, NoRelationFound, RelationInvalid
+from .errors import InvalidExpansion, NoRelationFound, RelationInvalid, exact_int
 
 Term = Tuple[int, int, int]
 
 
 @dataclass(frozen=True)
 class BasePair:
-    """Two coprime distinct integer bases, both at least 2."""
+    """Two coprime distinct integer bases, both at least 2; a base that
+    is not an integer raises ValueError."""
 
     p: int
     q: int
 
     def __post_init__(self):
-        object.__setattr__(self, "p", int(self.p))
-        object.__setattr__(self, "q", int(self.q))
+        object.__setattr__(self, "p", exact_int(self.p, "base"))
+        object.__setattr__(self, "q", exact_int(self.q, "base"))
         if self.p < 2 or self.q < 2:
             raise ValueError("bases must be at least 2")
         if self.p == self.q:
@@ -167,6 +169,14 @@ def balanced_ternary(n: int) -> List[int]:
     return out
 
 
+def _powers_up_to(b: int, lim: int) -> List[int]:
+    """[1, b, b^2, ...] up to the last power at most lim (lim >= 1)."""
+    out = [1]
+    while out[-1] * b <= lim:
+        out.append(out[-1] * b)
+    return out
+
+
 def greedy_seed(v: int, base: BasePair) -> List[Term]:
     """Seed terms by repeatedly subtracting the signed base power closest
     to the remainder.
@@ -175,29 +185,48 @@ def greedy_seed(v: int, base: BasePair) -> List[Term]:
     prefer the smaller power, then smaller i, then smaller j.  Repeat
     picks accumulate, so coefficients may leave {-1,1}.  Terms come out
     in first-touch order with zero nets dropped.
+
+    The sign of the remainder r always wins, since ||r| - m| < |r| + m.
+    In row i the distance ||r| - p^i q^j| falls while p^i q^j <= |r| and
+    rises after, so only the two q-powers that bracket |r| / p^i can win
+    the row.  That bracket only moves down as i grows, so one staircase
+    walk over the rows finds each term with O(I + J) products instead of
+    scanning all I * J powers.  Coprime bases make the powers distinct,
+    so a tie in distance always falls to the smaller power.
     """
     p, q = base.p, base.q
+    ppow = _powers_up_to(p, 2 * abs(v))
+    qpow = _powers_up_to(q, 2 * abs(v))
     order: List[Tuple[int, int]] = []
     acc = {}
     r = v
     while r:
-        lim = 2 * abs(r)
+        s = 1 if r > 0 else -1
+        R = abs(r)
+        lim = 2 * R
         best = None
-        pi = 1
-        i = 0
-        while pi <= lim:
-            m = pi
-            j = 0
-            while m <= lim:
-                for s in (1, -1):
-                    cand = (abs(r - s * m), m, i, j, s)
-                    if best is None or cand[:4] < best[:4]:
-                        best = cand
+        j = bisect_right(qpow, R) - 1
+        for i, pi in enumerate(ppow):
+            if pi > lim:
+                break
+            while j >= 0:
+                m = pi * qpow[j]
+                if m <= R:
+                    break
+                j -= 1
+            # j is now the largest exponent with m = p^i q^j <= R, or -1
+            if j >= 0:
+                cand = (R - m, m, i, j)
+                if best is None or cand < best:
+                    best = cand
                 m *= q
-                j += 1
-            pi *= p
-            i += 1
-        _, m, i, j, s = best
+            else:
+                m = pi
+            if m <= lim:
+                cand = (m - R, m, i, j + 1)
+                if best is None or cand < best:
+                    best = cand
+        _, m, i, j = best
         r -= s * m
         if (i, j) not in acc:
             acc[(i, j)] = 0
@@ -307,7 +336,8 @@ def expand_with_stats(
     """
     if seed_method not in ("padic", "greedy"):
         raise ValueError("seed_method must be 'padic' or 'greedy'")
-    w_init = sum(p_adic_digits(abs(v), base.p))
+    digits = p_adic_digits(abs(v), base.p)
+    w_init = sum(digits)
     if v == 0:
         return ExpandStats(SignedExpansion(base, ()), 0, 0)
     for b, axis in ((base.p, 0), (base.q, 1)):
@@ -324,7 +354,7 @@ def expand_with_stats(
     if seed_method == "greedy":
         grid = {(i, j): d for d, i, j in greedy_seed(abs(v), base)}
     else:
-        grid = {(i, 0): d for i, d in enumerate(p_adic_digits(abs(v), base.p)) if d}
+        grid = {(i, 0): d for i, d in enumerate(digits) if d}
     steps = _claim_reduce(grid, _plain_credits(rel), on_step)
     sign = 1 if v > 0 else -1
     terms = [(sign * a, i, j) for (i, j), a in grid.items() if a]
@@ -383,16 +413,38 @@ def expand_extended(x: PQRational, base: BasePair, search_bound: int = 64, on_st
     return ExtendedExpansion(base, terms)
 
 
+def _shifted_sum(terms, p: int, q: int) -> Tuple[int, int, int]:
+    """(s, i0, j0) with sum d p^i q^j = s p^i0 q^j0 over nonempty terms
+    in descending (i, j) order, i0 and j0 being the least exponents.
+
+    Horner's rule in p over the rows i, and in q within each row, so only
+    powers of the gaps between exponents are computed and no table of
+    powers grows with the exponent span.
+    """
+    j0 = min(j for _, _, j in terms)
+    s = 0  # the finished rows, in units of p^row
+    row, col, r = terms[0][1], terms[0][2], 0  # r: this row, in units of q^col
+    for d, i, j in terms:
+        if i != row:
+            s = (s + r * q ** (col - j0)) * p ** (row - i)
+            row, col, r = i, j, 0
+        r = r * q ** (col - j) + d
+        col = j
+    return s + r * q ** (col - j0), row, j0
+
+
 def evaluate_expansion(exp):
     """Exact value: an int for SignedExpansion, a Fraction for
     ExtendedExpansion."""
+    signed = isinstance(exp, SignedExpansion)
+    if not exp.terms:
+        return 0 if signed else Fraction(0)
     p, q = exp.base.p, exp.base.q
-    if isinstance(exp, SignedExpansion):
-        return sum(d * p ** i * q ** j for d, i, j in exp.terms)
-    total = Fraction(0)
-    for d, i, j in exp.terms:
-        total += d * Fraction(p) ** i * Fraction(q) ** j
-    return total
+    s, i0, j0 = _shifted_sum(exp.terms, p, q)
+    if signed:
+        return s * p ** i0 * q ** j0
+    num = s * p ** max(i0, 0) * q ** max(j0, 0)
+    return Fraction(num, p ** max(-i0, 0) * q ** max(-j0, 0))
 
 
 def weight(exp) -> int:

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all unitsum modules."""
+"""Exception hierarchy and the integer check shared by all unitsum modules."""
 
 
 class UnitSumError(Exception):
@@ -43,3 +43,19 @@ class InvalidExpansion(UnitSumError):
 
 class VerificationFailed(UnitSumError):
     """An independent recheck of a computed result did not pass."""
+
+
+def exact_int(value, what: str) -> int:
+    """value as an int: an int passes untouched, anything else must
+    convert exactly (Fraction(4, 2) gives 2; 2.5, inf, nan and '3' raise
+    ValueError naming what)."""
+    if type(value) is int:
+        return value
+    try:
+        n = int(value)
+        exact = n == value
+    except (OverflowError, ValueError):
+        exact = False
+    if not exact:
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return n

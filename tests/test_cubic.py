@@ -357,6 +357,29 @@ def test_represent_rejects_non_integral_input():
     assert type(beta.c0) is int and beta.c0 == 2
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_coordinate_raises_value_error(bad):
+    # int(inf) raises OverflowError; the constructor reports a ValueError
+    # naming the coordinate, as for every other non-integral value
+    with pytest.raises(ValueError, match="coordinate"):
+        CubicElement(P2, bad, 0, 0)
+    with pytest.raises(ValueError, match="coordinate"):
+        CubicElement(P2, 0, 0, bad)
+
+
+@pytest.mark.parametrize("bad", [2.5, Fraction(5, 2), "2", float("inf"), float("nan")])
+def test_params_reject_non_integral_values(bad):
+    with pytest.raises(ValueError, match="parameter"):
+        CubicParams(bad)
+
+
+def test_params_keep_exact_integers():
+    assert CubicParams(Fraction(4, 2)) == P2
+    assert type(CubicParams(Fraction(4, 2)).a) is int
+    assert type(CubicParams(2.0).a) is int
+    assert CubicParams(-1000).a == -1000
+
+
 def test_represent_honors_policy():
     events = []
     pol = ReductionPolicy(on_step=lambda idx, t: events.append(t))

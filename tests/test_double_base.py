@@ -1,9 +1,12 @@
 """Signed and extended double-base expansions over integer base pairs."""
 
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+
+from db_reference import evaluate_by_power_sums, greedy_seed_by_grid_scan
 
 from unitsum import (
     BasePair,
@@ -38,6 +41,21 @@ def test_base_pair_validation():
         BasePair(6, 10)  # common factor
     with pytest.raises(ValueError):
         BasePair(1, 7)
+
+
+@pytest.mark.parametrize(
+    "p, q", [(5.5, 23), (5, 23.9), (Fraction(11, 2), 23), ("5", 23), (float("inf"), 23), (5, float("nan"))]
+)
+def test_base_pair_rejects_non_integral_bases(p, q):
+    # truncating would silently pick another pair: BasePair(5.5, 23.9) was (5, 23)
+    with pytest.raises(ValueError, match="base"):
+        BasePair(p, q)
+
+
+def test_base_pair_keeps_exact_integers():
+    b = BasePair(Fraction(10, 2), 23.0)
+    assert b == B523
+    assert type(b.p) is int and type(b.q) is int
 
 
 def test_p_adic_digits():
@@ -162,6 +180,76 @@ def test_greedy_seed_sums_to_value():
         terms = greedy_seed(v, B523)
         assert sum(c * 5**i * 23**j for c, i, j in terms) == v
         assert all(c for c, _, _ in terms)
+
+
+GREEDY_PAIRS = [(5, 23), (11, 13), (5, 7), (2, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("p, q", GREEDY_PAIRS)
+def test_greedy_seed_matches_grid_scan_on_small_values(p, q):
+    b = BasePair(p, q)
+    for v in range(-3000, 3001):
+        assert greedy_seed(v, b) == greedy_seed_by_grid_scan(v, b), v
+
+
+@pytest.mark.parametrize("p, q", GREEDY_PAIRS)
+def test_greedy_seed_matches_grid_scan_on_large_values(p, q):
+    rng = random.Random(f"greedy/{p}/{q}")
+    b = BasePair(p, q)
+    for bits in (64, 128, 256, 512):
+        v = rng.getrandbits(bits) | (1 << (bits - 1))
+        if rng.random() < 0.5:
+            v = -v
+        assert greedy_seed(v, b) == greedy_seed_by_grid_scan(v, b), v
+
+
+def test_greedy_expand_is_sparse_at_1024_bits():
+    v = random.Random("greedy/1024").getrandbits(1024) | (1 << 1023)
+    greedy = expand_with_stats(v, B523, seed_method="greedy")
+    padic = expand_with_stats(v, B523)
+    assert evaluate_expansion(greedy.expansion) == v
+    # weight 135 against 915 when this test was written
+    assert 4 * weight(greedy.expansion) < weight(padic.expansion) <= padic.w_init
+
+
+def test_padic_expand_round_trips_at_16384_bits():
+    v = -(random.Random("padic/16384").getrandbits(16384) | (1 << 16383))
+    assert evaluate_expansion(expand(v, B523)) == v
+
+
+# ------------------------------------------------------------- evaluation
+
+BASE_PAIRS = st.sampled_from([(5, 23), (11, 13), (5, 7), (2, 3), (3, 2), (5, 11)])
+DIGIT = st.sampled_from([-1, 1])
+
+
+def _terms(exponents):
+    return st.dictionaries(st.tuples(exponents, exponents), DIGIT, max_size=25).map(
+        lambda sites: [(d, i, j) for (i, j), d in sites.items()]
+    )
+
+
+@given(BASE_PAIRS, _terms(st.integers(0, 40)))
+@example((5, 23), [])
+@example((5, 23), [(-1, 7, 2)])
+@example((5, 23), [(1, 30, 0), (-1, 30, 4), (1, 2, 1), (-1, 0, 9)])  # gaps between rows
+def test_evaluate_signed_matches_power_sums(pq, terms):
+    exp = SignedExpansion(BasePair(*pq), terms)
+    got, want = evaluate_expansion(exp), evaluate_by_power_sums(exp)
+    assert type(got) is int
+    assert got == want
+
+
+@given(BASE_PAIRS, _terms(st.integers(-30, 30)))
+@example((5, 11), [])
+@example((5, 11), [(1, -3, -2)])
+@example((5, 11), [(1, 12, -5), (-1, -9, 0), (1, -9, 7)])  # gaps between rows
+@example((5, 11), [(1, 4, 3), (-1, 2, 6)])  # positive least exponents
+def test_evaluate_extended_matches_power_sums(pq, terms):
+    exp = ExtendedExpansion(BasePair(*pq), terms)
+    got, want = evaluate_expansion(exp), evaluate_by_power_sums(exp)
+    assert type(got) is Fraction
+    assert got == want
 
 
 # ---------------------------------------------------------------- rationals
