@@ -11,6 +11,7 @@ certificate), 3 invalid input, 4 an iteration or search budget was hit,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -18,8 +19,6 @@ from fractions import Fraction
 from . import cubic, engine, oracle, relations
 from .double_base import (
     BasePair,
-    ExtendedExpansion,
-    SignedExpansion,
     evaluate_expansion,
     expand_extended,
     expand_with_stats,
@@ -105,8 +104,7 @@ def _cmd_expand_extended(args) -> int:
     if args.format == "json":
         _print_json(expansion_to_json(exp))
     else:
-        shown = str(value) if value.denominator > 1 else str(value.numerator)
-        _print(_expansion_text(exp, shown))
+        _print(_expansion_text(exp, str(value)))
         _print(f"weight {weight(exp)}")
     return EXIT_OK
 
@@ -128,12 +126,7 @@ def _cmd_verify(args) -> int:
         _print(f"status invalid ({exc})")
         return EXIT_VERIFY
     value = evaluate_expansion(exp)
-    shown = (
-        str(value)
-        if isinstance(value, int) or value.denominator == 1
-        else f"{value.numerator}/{value.denominator}"
-    )
-    _print(f"value {shown}")
+    _print(f"value {value}")
     if Fraction(value) == claimed:
         _print("status valid")
         return EXIT_OK
@@ -141,77 +134,42 @@ def _cmd_verify(args) -> int:
     return EXIT_VERIFY
 
 
-def _plain_relation_json(rel) -> dict:
-    return {
-        "kind": "plain",
-        "x": str(rel.x),
-        "y": str(rel.y),
-        "sign": str(rel.sign),
-    }
-
-
-def _extended_relation_json(rel) -> dict:
-    return {
-        "kind": "extended",
-        "a": str(rel.a),
-        "b": str(rel.b),
-        "c": str(rel.c),
-        "d": str(rel.d),
-        "sign": str(rel.sign),
-        "form": rel.form,
-    }
-
-
-def _plain_relation_text(base: BasePair, rel) -> str:
-    if rel.sign == 1:
-        return f"2 = {_mono(base.p, base.q, rel.x, 0)} - {_mono(base.p, base.q, 0, rel.y)}"
-    return f"2 = {_mono(base.p, base.q, 0, rel.y)} - {_mono(base.p, base.q, rel.x, 0)}"
-
-
-def _extended_relation_text(base: BasePair, rel) -> str:
-    pos = _mono(base.p, base.q, rel.a, rel.b)
-    other = _mono(base.p, base.q, rel.c, rel.d)
+def _print_relation(args, base: BasePair, rel) -> None:
+    if args.format == "json":
+        kind = "plain" if isinstance(rel, relations.PlainRelation) else "extended"
+        _print_json({"kind": kind, **{k: str(v) for k, v in dataclasses.asdict(rel).items()}})
+        return
+    if isinstance(rel, relations.PlainRelation):
+        rel = rel.as_extended()
     op = "+" if rel.sign == 1 else "-"
-    return f"2 = {pos} {op} {other}"
+    _print(f"2 = {_mono(base.p, base.q, rel.a, rel.b)} {op} {_mono(base.p, base.q, rel.c, rel.d)}")
 
 
-def _certificate_text(cert) -> str:
-    lines = [
-        f"obstruction modulus {cert.modulus}",
-        "p_orbit " + " ".join(str(r) for r in cert.p_orbit),
-        "q_orbit " + " ".join(str(r) for r in cert.q_orbit),
-    ]
-    return "\n".join(lines)
+def _print_certificate(args, cert) -> None:
+    if args.format == "json":
+        _print_json(cert.to_json())
+    else:
+        _print(f"obstruction modulus {cert.modulus}")
+        _print("p_orbit " + " ".join(map(str, cert.p_orbit)))
+        _print("q_orbit " + " ".join(map(str, cert.q_orbit)))
 
 
 def _cmd_find_relation(args) -> int:
     base = _base(args)
     rel = relations.find_plain_relation(base, args.max_exp)
+    if rel is None and args.extended:
+        rel = relations.find_extended_relation(base, args.max_exp)
     if rel is not None:
-        if args.format == "json":
-            _print_json(_plain_relation_json(rel))
-        else:
-            _print(_plain_relation_text(base, rel))
+        _print_relation(args, base, rel)
         return EXIT_OK
-    if args.extended:
-        ext = relations.find_extended_relation(base, args.max_exp)
-        if ext is not None:
-            if args.format == "json":
-                _print_json(_extended_relation_json(ext))
-            else:
-                _print(_extended_relation_text(base, ext))
-            return EXIT_OK
     cert = relations.find_obstruction(base, args.max_modulus)
     if cert is not None:
-        if args.format == "json":
-            _print_json(cert.to_json())
-        else:
-            _print(_certificate_text(cert))
-        return EXIT_NOT_FOUND
-    _print(
-        f"no relation with exponents up to {args.max_exp}; "
-        f"no obstruction certificate with modulus up to {args.max_modulus}"
-    )
+        _print_certificate(args, cert)
+    else:
+        _print(
+            f"no relation with exponents up to {args.max_exp}; "
+            f"no obstruction certificate with modulus up to {args.max_modulus}"
+        )
     return EXIT_NOT_FOUND
 
 
@@ -221,10 +179,7 @@ def _cmd_obstruct(args) -> int:
     if cert is None:
         _print(f"no obstruction certificate with modulus up to {args.max_modulus}")
         return EXIT_NOT_FOUND
-    if args.format == "json":
-        _print_json(cert.to_json())
-    else:
-        _print(_certificate_text(cert))
+    _print_certificate(args, cert)
     return EXIT_OK
 
 
@@ -273,8 +228,7 @@ def _cmd_cubic_repr(args) -> int:
     if args.format == "json":
         _print_json(
             {
-                "a": str(params.a),
-                "coords": [str(c) for c in beta.coords],
+                **cubic.element_to_json(beta),
                 "max_coefficient": str(max_coeff),
                 "weight": str(sum(a for _, a in items)),
                 "steps": str(rep.steps),
@@ -317,11 +271,9 @@ def _cmd_bench_steps(args) -> int:
     if lo > hi:
         print("error: --from must not exceed --to", file=sys.stderr)
         return EXIT_BAD_INPUT
-    lines = ["n,w_init,steps,weight_final"]
-    for n in range(lo, hi + 1):
-        stats = expand_with_stats(n, base, args.search_bound)
-        lines.append(f"{n},{stats.w_init},{stats.steps},{weight(stats.expansion)}")
-    _print("\n".join(lines))
+    _print("n,w_init,steps,weight_final")
+    for n, _, w, _, steps, w_init in oracle.sweep_verify(lo, hi, base, args.search_bound).rows:
+        _print(f"{n},{w_init},{steps},{w}")
     return EXIT_OK
 
 
@@ -344,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("expand", help="signed expansion of an integer")
     _add_base_args(s)
     s.add_argument("value", help="integer to expand")
-    s.add_argument("--search-bound", type=int, default=64)
+    s.add_argument("--search-bound", type=int, default=relations.MAX_EXP)
     s.add_argument("--seed-method", choices=("padic", "greedy"), default="padic")
     _add_format_arg(s)
     s.set_defaults(func=_cmd_expand)
@@ -352,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("expand-extended", help="extended expansion of n or n/d")
     _add_base_args(s)
     s.add_argument("value", help="integer or fraction n/d whose d divides a base power product")
-    s.add_argument("--search-bound", type=int, default=64)
+    s.add_argument("--search-bound", type=int, default=relations.MAX_EXP)
     _add_format_arg(s)
     s.set_defaults(func=_cmd_expand_extended)
 
@@ -362,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("find-relation", help="search base-pair relations")
     _add_base_args(s)
-    s.add_argument("--max-exp", type=int, default=64)
+    s.add_argument("--max-exp", type=int, default=relations.MAX_EXP)
     s.add_argument("--max-modulus", type=int, default=1000)
     s.add_argument("--extended", action="store_true", help="also search inverse-power forms")
     _add_format_arg(s)
@@ -401,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_base_args(s)
     s.add_argument("--from", dest="lo", required=True)
     s.add_argument("--to", dest="hi", required=True)
-    s.add_argument("--search-bound", type=int, default=64)
+    s.add_argument("--search-bound", type=int, default=relations.MAX_EXP)
     s.set_defaults(func=_cmd_bench_steps)
 
     return parser

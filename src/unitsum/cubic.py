@@ -17,7 +17,7 @@ from typing import Dict, Optional, Tuple
 
 from . import engine
 from .engine import Representation, UnitGroupBasis, UnitRelation
-from .errors import ParamsMismatch, RelationBroken, exact_int
+from .errors import ParamsMismatch, RelationBroken, document_ints, exact_int
 
 Interval = Tuple[Fraction, Fraction]
 
@@ -365,6 +365,8 @@ def element_to_json(elem: CubicElement) -> dict:
 
 
 def element_from_json(data: dict) -> CubicElement:
-    params = CubicParams(int(data["a"]))
-    c0, c1, c2 = (int(c) for c in data["coords"])
-    return CubicElement(params, c0, c1, c2)
+    """Inverse of element_to_json; a field that is not a JSON integer or
+    a decimal string raises ValueError."""
+    (a,) = document_ints([data["a"]], "a")
+    c0, c1, c2 = document_ints(data["coords"], "coordinate")
+    return CubicElement(CubicParams(a), c0, c1, c2)

@@ -4,8 +4,9 @@ An expansion writes an integer (or a p-power-times-q-power denominator
 rational) as sum d * p^i * q^j with digits d in {-1, 1} over distinct
 exponent pairs.  Conversion works by seeding the p-adic digits of the
 value on a grid and repeatedly trading two copies of p^i q^j for the two
-terms of a base-pair relation, a direct instance of the generic
-unit-sum rewrite with n = 2.
+terms of a base-pair relation.  That is the unit-sum rewrite with n = 2,
+but signed and in a fixed firing order, so it runs in its own loop
+rather than in the generic engine.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import relations as _relations
 from .engine import UnitGroupBasis, UnitRelation
-from .errors import InvalidExpansion, NoRelationFound, RelationInvalid, exact_int
+from .errors import InvalidExpansion, NoRelationFound, RelationInvalid, document_ints, exact_int
+from .relations import MAX_EXP
 
 Term = Tuple[int, int, int]
 
@@ -48,7 +50,8 @@ def _canonical_terms(terms, allow_negative_exponents: bool) -> Tuple[Term, ...]:
     seen = set()
     clean = []
     for d, i, j in terms:
-        d, i, j = int(d), int(i), int(j)
+        if not (type(d) is int and type(i) is int and type(j) is int):
+            d, i, j = exact_int(d, "digit"), exact_int(i, "exponent"), exact_int(j, "exponent")
         if d not in (-1, 1):
             raise InvalidExpansion(f"digit {d} at ({i},{j}) is not -1 or 1")
         if not allow_negative_exponents and (i < 0 or j < 0):
@@ -100,7 +103,8 @@ class PQRational:
     a_q: int
 
     def __post_init__(self):
-        num, ap, aq = int(self.num), int(self.a_p), int(self.a_q)
+        num = exact_int(self.num, "numerator")
+        ap, aq = exact_int(self.a_p, "exponent"), exact_int(self.a_q, "exponent")
         if ap < 0 or aq < 0:
             raise ValueError("denominator exponents must be nonnegative")
         p, q = self.base.p, self.base.q
@@ -246,10 +250,8 @@ def _claim_reduce(grid: dict, credits, on_step=None) -> int:
     per-layer mass drop on every fire and guarantees termination.  Returns
     the number of fired pairs.
     """
-    if not any(dj == 0 for _, dj, _ in credits) or any(dj < 0 for _, dj, _ in credits):
-        raise RelationInvalid("credits must keep one term in layer and raise the rest")
-    if sum(1 for _, dj, _ in credits if dj == 0) != 1:
-        raise RelationInvalid("exactly one in-layer credit is required")
+    if [dj for _, dj, _ in credits if dj <= 0] != [0]:
+        raise RelationInvalid("credits must keep exactly one term in layer and raise the rest")
     steps = 0
     heap = [(j, i) for (i, j), a in grid.items() if abs(a) >= 2]
     heapq.heapify(heap)
@@ -279,11 +281,6 @@ def _claim_reduce(grid: dict, credits, on_step=None) -> int:
             if abs(old) < 2 <= abs(nv):
                 heapq.heappush(heap, (site[1], site[0]))
     return steps
-
-
-def _plain_credits(rel: "_relations.PlainRelation"):
-    # 2 p^i q^j = sign p^(i+x) q^j - sign p^i q^(j+y)
-    return ((rel.x, 0, rel.sign), (0, rel.y, -rel.sign))
 
 
 def _extended_credits(rel: "_relations.ExtendedRelation"):
@@ -320,7 +317,7 @@ def _single_base_terms(v: int, b: int, axis: int) -> Optional[List[Term]]:
 def expand_with_stats(
     v: int,
     base: BasePair,
-    search_bound: int = 64,
+    search_bound: int = MAX_EXP,
     seed_method: str = "padic",
     on_step=None,
 ) -> ExpandStats:
@@ -355,13 +352,13 @@ def expand_with_stats(
         grid = {(i, j): d for d, i, j in greedy_seed(abs(v), base)}
     else:
         grid = {(i, 0): d for i, d in enumerate(digits) if d}
-    steps = _claim_reduce(grid, _plain_credits(rel), on_step)
+    steps = _claim_reduce(grid, _extended_credits(rel.as_extended()), on_step)
     sign = 1 if v > 0 else -1
-    terms = [(sign * a, i, j) for (i, j), a in grid.items() if a]
+    terms = [(sign * a, i, j) for (i, j), a in grid.items()]
     return ExpandStats(SignedExpansion(base, terms), steps, w_init, rel)
 
 
-def expand(v: int, base: BasePair, search_bound: int = 64, seed_method: str = "padic") -> SignedExpansion:
+def expand(v: int, base: BasePair, search_bound: int = MAX_EXP, seed_method: str = "padic") -> SignedExpansion:
     """Signed double-base expansion of any integer.
 
     Values of either sign are handled (negation flips every digit).  When
@@ -373,7 +370,7 @@ def expand(v: int, base: BasePair, search_bound: int = 64, seed_method: str = "p
     return expand_with_stats(v, base, search_bound, seed_method).expansion
 
 
-def expand_extended(x: PQRational, base: BasePair, search_bound: int = 64, on_step=None) -> ExtendedExpansion:
+def expand_extended(x: PQRational, base: BasePair, search_bound: int = MAX_EXP, on_step=None) -> ExtendedExpansion:
     """Extended expansion of num / (p^a_p q^a_q).
 
     The numerator's p-adic digits are reduced with the best relation in
@@ -391,26 +388,18 @@ def expand_extended(x: PQRational, base: BasePair, search_bound: int = 64, on_st
         raise NoRelationFound(
             f"no relation for ({base.p},{base.q}) with exponents up to {search_bound}"
         )
+    credits = _extended_credits(rel)
+    p = base.p
     mirrored = rel.form == "q_inverse"
     if mirrored:
-        work_base = BasePair(base.q, base.p)
-        work_rel = _relations.ExtendedRelation(
-            rel.b, rel.a, rel.d, rel.c, rel.sign, "p_inverse"
-        )
-    else:
-        work_base = base
-        work_rel = rel
-    grid = {(i, 0): d for i, d in enumerate(p_adic_digits(abs(x.num), work_base.p)) if d}
-    _claim_reduce(grid, _extended_credits(work_rel), on_step)
+        credits = tuple((dj, di, c) for di, dj, c in credits)
+        p = base.q
+    grid = {(i, 0): d for i, d in enumerate(p_adic_digits(abs(x.num), p)) if d}
+    _claim_reduce(grid, credits, on_step)
+    if mirrored:
+        grid = {(j, i): a for (i, j), a in grid.items()}
     sign = 1 if x.num > 0 else -1
-    terms = []
-    for (i, j), a in grid.items():
-        if not a:
-            continue
-        if mirrored:
-            i, j = j, i
-        terms.append((sign * a, i - x.a_p, j - x.a_q))
-    return ExtendedExpansion(base, terms)
+    return ExtendedExpansion(base, [(sign * a, i - x.a_p, j - x.a_q) for (i, j), a in grid.items()])
 
 
 def _shifted_sum(terms, p: int, q: int) -> Tuple[int, int, int]:
@@ -498,30 +487,17 @@ def to_unit_relation(rel, base: BasePair) -> UnitRelation:
     """
     if not _relations.verify_relation(base, rel):
         raise RelationInvalid(f"{rel} is not a valid relation for {base}")
-    if rel.sign == 1:
-        terms = ((0, (rel.x, 0)), (1, (0, rel.y)))
-    else:
-        terms = ((0, (0, rel.y)), (1, (rel.x, 0)))
-    return UnitRelation(n=2, terms=terms)
+    ext = rel.as_extended()
+    return UnitRelation(n=2, terms=((0, (ext.a, ext.b)), (1, (ext.c, ext.d))))
 
 
 def expansion_to_json(exp) -> dict:
     """JSON-ready dict; big integers ride as decimal strings."""
-    value = evaluate_expansion(exp)
-    if isinstance(exp, SignedExpansion):
-        kind, value_str = "signed", str(value)
-    else:
-        kind = "extended"
-        value_str = (
-            str(value.numerator)
-            if value.denominator == 1
-            else f"{value.numerator}/{value.denominator}"
-        )
     return {
-        "kind": kind,
+        "kind": "signed" if isinstance(exp, SignedExpansion) else "extended",
         "p": str(exp.base.p),
         "q": str(exp.base.q),
-        "value": value_str,
+        "value": str(evaluate_expansion(exp)),
         "terms": [{"d": d, "i": str(i), "j": str(j)} for d, i, j in exp.terms],
     }
 
@@ -529,14 +505,24 @@ def expansion_to_json(exp) -> dict:
 def expansion_from_json(data: dict):
     """Parse the expansion schema back; returns (expansion, claimed value).
 
-    The claimed value is whatever the document asserts, as a Fraction; it
-    is not rechecked here.
+    Every integer field must be a JSON integer or a decimal string and the
+    value an integer or an "n" or "n/d" string; anything else, a float or
+    a boolean included, raises InvalidExpansion.  The claimed value is
+    whatever the document asserts, as a Fraction; it is not rechecked here.
     """
     try:
         kind = data["kind"]
-        base = BasePair(int(data["p"]), int(data["q"]))
-        terms = [(int(t["d"]), int(t["i"]), int(t["j"])) for t in data["terms"]]
-        claimed = Fraction(data["value"])
+        base = BasePair(*document_ints((data["p"], data["q"]), "base"))
+        rows = data["terms"]
+        terms = zip(
+            document_ints([t["d"] for t in rows], "digit"),
+            document_ints([t["i"] for t in rows], "exponent"),
+            document_ints([t["j"] for t in rows], "exponent"),
+        )
+        claimed = data["value"]
+        if type(claimed) not in (int, str):
+            raise ValueError(f"value {claimed!r} is not an integer or a string")
+        claimed = Fraction(claimed)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidExpansion(f"malformed expansion document: {exc}") from None
     if kind == "signed":

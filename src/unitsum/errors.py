@@ -1,4 +1,4 @@
-"""Exception hierarchy and the integer check shared by all unitsum modules."""
+"""Exception hierarchy and the integer checks shared by all unitsum modules."""
 
 
 class UnitSumError(Exception):
@@ -59,3 +59,14 @@ def exact_int(value, what: str) -> int:
     if not exact:
         raise ValueError(f"{what} {value!r} is not an integer")
     return n
+
+
+def document_ints(values, what: str) -> list:
+    """values read from a JSON document as ints: each must be a JSON
+    integer or a decimal string; a float, a boolean, null or anything
+    else raises ValueError naming what, so 2.7 is never read as 2."""
+    values = list(values)
+    if not set(map(type, values)) <= {int, str}:
+        bad = next(v for v in values if type(v) not in (int, str))
+        raise ValueError(f"{what} {bad!r} is not an integer or a decimal string")
+    return list(map(int, values))

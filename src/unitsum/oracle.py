@@ -20,6 +20,7 @@ from .double_base import (
     weight,
 )
 from .errors import BudgetExceeded, VerificationFailed
+from .relations import MAX_EXP
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,8 @@ def min_weight_bruteforce(
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Outcome of a verification sweep; rows feed the CSV interface."""
+    """Outcome of a verification sweep, one row
+    (v, status, weight, oracle weight, steps, w_init) per value."""
 
     lo: int
     hi: int
@@ -154,20 +156,12 @@ class SweepReport:
     max_weight: int
     rows: Tuple[tuple, ...]
 
-    CSV_HEADER = "v,status,weight_algo,weight_oracle,steps,w_init"
-
-    def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for row in self.rows:
-            lines.append(",".join(str(c) for c in row))
-        return "\n".join(lines) + "\n"
-
 
 def sweep_verify(
     lo: int,
     hi: int,
     base: BasePair,
-    search_bound: int = 64,
+    search_bound: int = MAX_EXP,
     oracle_max_weight: Optional[int] = None,
 ) -> SweepReport:
     """Expand every v in [lo, hi] and recheck all promised properties.

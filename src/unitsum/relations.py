@@ -20,6 +20,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _FORM_RANK = {"plain": 0, "p_inverse": 1, "q_inverse": 2}
 
+MAX_EXP = 64  # default exponent bound of every relation search
+
 
 @dataclass(frozen=True)
 class PlainRelation:
@@ -34,6 +36,12 @@ class PlainRelation:
             raise ValueError("sign must be -1 or 1")
         if self.x < 0 or self.y < 0:
             raise ValueError("exponents must be nonnegative")
+
+    def as_extended(self) -> "ExtendedRelation":
+        """The same relation as 2 = p^a q^b - p^c q^d, positive term first."""
+        if self.sign == 1:
+            return ExtendedRelation(self.x, 0, 0, self.y, -1, "plain")
+        return ExtendedRelation(0, self.y, self.x, 0, -1, "plain")
 
 
 @dataclass(frozen=True)
@@ -99,7 +107,7 @@ def verify_relation(base: "BasePair", rel) -> bool:
     return False
 
 
-def find_plain_relation(base: "BasePair", max_exp: int = 64) -> Optional[PlainRelation]:
+def find_plain_relation(base: "BasePair", max_exp: int = MAX_EXP) -> Optional[PlainRelation]:
     """Smallest plain relation, minimizing x + y and then x.
 
     Exponents range over [1, max_exp]; zero exponents are excluded so the
@@ -136,7 +144,7 @@ def _exact_log(value: int, b: int) -> Optional[int]:
     return e if value == 1 else None
 
 
-def find_extended_relation(base: "BasePair", max_exp: int = 64) -> Optional[ExtendedRelation]:
+def find_extended_relation(base: "BasePair", max_exp: int = MAX_EXP) -> Optional[ExtendedRelation]:
     """Best relation allowing negative exponents.
 
     Candidates are ranked by total absolute exponent sum, then by form
@@ -147,10 +155,7 @@ def find_extended_relation(base: "BasePair", max_exp: int = 64) -> Optional[Exte
     candidates = []
     plain = find_plain_relation(base, max_exp)
     if plain is not None:
-        if plain.sign == 1:
-            candidates.append(ExtendedRelation(plain.x, 0, 0, plain.y, -1, "plain"))
-        else:
-            candidates.append(ExtendedRelation(0, plain.y, plain.x, 0, -1, "plain"))
+        candidates.append(plain.as_extended())
     for u, v, form in ((p, q, "p_inverse"), (q, p, "q_inverse")):
         ua = 1
         for a in range(1, max_exp + 1):

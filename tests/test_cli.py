@@ -1,5 +1,7 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import hashlib
+import io
 import json
 
 import pytest
@@ -90,6 +92,15 @@ def test_verify_detects_tampering(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(doc))
     assert code == 5
     assert "invalid" in out
+
+
+def test_verify_rejects_fractional_exponent(capsys, monkeypatch):
+    # "i": 2.7 was read as 2, and the document certified as 5^2 = 25
+    doc = '{"kind":"signed","p":"5","q":"23","value":"25","terms":[{"d":1,"i":2.7,"j":"0"}]}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out, _ = run(capsys, "verify", "-")
+    assert code == 5
+    assert out.startswith("status invalid (malformed expansion document: exponent 2.7 ")
 
 
 def test_verify_rejects_malformed_json(tmp_path, capsys):
@@ -197,3 +208,87 @@ def test_missing_required_flag_is_invalid_input(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+# stdout of each invocation, pinned by sha256 so that refactors of the
+# writers keep every byte; stdin is fed to `verify -`
+EXTENDED_DOC = (
+    '{"kind": "extended", "p": "5", "q": "11", "value": "7/25", "terms": ['
+    '{"d": 1, "i": "-1", "j": "0"}, {"d": 1, "i": "-3", "j": "1"}, '
+    '{"d": -1, "i": "-3", "j": "0"}]}'
+)
+SIGNED_DOC = (
+    '{"kind": "signed", "p": "5", "q": "23", "value": "4", "terms": ['
+    '{"d": -1, "i": "4", "j": "1"}, {"d": 1, "i": "4", "j": "0"}, '
+    '{"d": 1, "i": "2", "j": "2"}, {"d": 1, "i": "0", "j": "2"}]}'
+)
+PINNED_STDOUT = [
+    (("find-relation", "--p", "5", "--q", "23"), None, 0,
+     "978f21e5f6cf0a49402b625403adcb828253d01f52168e98f78f8e5ed757de4d"),
+    (("find-relation", "--p", "5", "--q", "23", "--format", "json"), None, 0,
+     "e685d0acbfa04ee0fa9e5262fe6b07533c607c2b5e9d980a9bf81fd08c8f17e4"),
+    (("find-relation", "--p", "23", "--q", "5"), None, 0,
+     "978f21e5f6cf0a49402b625403adcb828253d01f52168e98f78f8e5ed757de4d"),
+    (("find-relation", "--p", "23", "--q", "5", "--format", "json"), None, 0,
+     "52c2698fb5e419b316f572600f312fb7e72463e547f891e1131554d64f14defe"),
+    (("find-relation", "--p", "5", "--q", "11", "--extended"), None, 0,
+     "2f26ba0cf59807d61f347e96f3de3fe17bf1b10edb679ea7e23ef8c04e207737"),
+    (("find-relation", "--p", "5", "--q", "11", "--extended", "--format", "json"), None, 0,
+     "cea071ec242ba98bf8646e65243e660a5c7f9c393770fb128801af1026a212e5"),
+    (("find-relation", "--p", "11", "--q", "5", "--extended"), None, 0,
+     "086f1ea26263688748d1f1efb6d23a312c3d375e09831a5f262de18780e3b2d9"),
+    (("find-relation", "--p", "11", "--q", "5", "--extended", "--format", "json"), None, 0,
+     "bf1fc04bce8d285bb66b6f016f54dec8dcd028ff71a115d8ac2a4a58f558f6f6"),
+    (("find-relation", "--p", "5", "--q", "11"), None, 2,
+     "07521a40ca3fd976167380285f1af5c14d39be91eacffbdb73f833a0987903ee"),
+    (("find-relation", "--p", "5", "--q", "11", "--format", "json"), None, 2,
+     "485c5d4c273697dfeffe4396954d1522fb13e9945cc06ce94ce254ac7469ef00"),
+    (("find-relation", "--p", "3", "--q", "13", "--max-exp", "1"), None, 2,
+     "3de6fab203e926de7dee51962e0c17d2a13f63b9dbaa934d2870b9924f782dd7"),
+    (("obstruct", "--p", "7", "--q", "13"), None, 0,
+     "848e1481b4bd6294d919ded93cfa28a3150d403638ca559f1e54d55b5ebfe119"),
+    (("obstruct", "--p", "7", "--q", "13", "--format", "json"), None, 0,
+     "6057aa4dc24abffdbe81c40ffee0c0271e8a8ccb24e2fa8fbdcd4db07d8a2271"),
+    (("obstruct", "--p", "3", "--q", "5"), None, 2,
+     "6c2f3f4705f807fbe376514a236353c91f7c942b973d63fad8d4201904bb8d2d"),
+    (("cubic-repr", "--a", "2", "7", "-4", "2"), None, 0,
+     "169f382e6a8a86adcb5a2a280d40b4ad65518bb3dc795d2d6239fcac9fae8694"),
+    (("cubic-repr", "--a", "2", "7", "-4", "2", "--format", "json"), None, 0,
+     "ef2d617467f3737e6ef24936aa53bb836c20b17c928d5d74eba3a81a8733b952"),
+    (("cubic-repr", "--a", "-1", "0", "0", "0", "--format", "json"), None, 0,
+     "208b410e0757c2f764b8c7ef09b699d51b8aa323e328d5aa51d658f36f85ecf7"),
+    (("verify", "-"), EXTENDED_DOC, 0,
+     "a7635e81e6ff37d9123e587ddce9e0832d81432fde2bd50d7157172854ec68e3"),
+    (("verify", "-"), EXTENDED_DOC.replace("7/25", "8/25"), 5,
+     "a504f70de8b971f7a130ce37ebd497121904cb034f58b80f804e21d6268f9fa1"),
+    (("verify", "-"), SIGNED_DOC, 0,
+     "58fae4bbd47ddb0652c3b1022b472aa307c236d767e872ec11d0a15c8b1b3e1a"),
+    (("expand", "--p", "5", "--q", "23", "-997"), None, 0,
+     "6ca0f7609e8b45e684dd12796b864c135602f13e8f021faba6c80c2e37de20d9"),
+    (("expand", "--p", "23", "--q", "5", "997", "--format", "json"), None, 0,
+     "f2412776045f23b92092fa86f9d5f6ec41dbee2b7f1928033f8875d3d10a0e18"),
+    (("expand", "--p", "5", "--q", "23", "0", "--format", "json"), None, 0,
+     "6fcb1f6879542ad10ce8f35c29ab9afdfbd4d049c6ba97f5a03e445fa5b56ab3"),
+    (("expand", "--p", "5", "--q", "23", "1000", "--seed-method", "greedy"), None, 0,
+     "e4dffb283bb5ebb0f5760a7122aec73ef078f82017f6735156fc7a3cebc6805c"),
+    (("expand-extended", "--p", "5", "--q", "11", "7/25"), None, 0,
+     "80230a926793fd901689bde778690a152965a593a53bef3a13485c0bf8065ae1"),
+    (("expand-extended", "--p", "11", "--q", "5", "--format", "json", "--", "-7/25"), None, 0,
+     "c068e151aed31c9df84f7dda36d22db647da80e94ecdbadba7cecbc1fb4123c9"),
+    (("expand-extended", "--p", "5", "--q", "23", "-50", "--format", "json"), None, 0,
+     "bddf2e5ade052ef8dbda3cb2981734a88ce50224962e8dfeffb6256d87228b12"),
+    (("min-weight", "--p", "5", "--q", "23", "4", "--format", "json"), None, 0,
+     "6676f2b8a7491f15970bbc8999487ecba46fd1f44b3b79ddaaa3504ce3823534"),
+    (("bench-steps", "--p", "5", "--q", "23", "--from", "-5", "--to", "30"), None, 0,
+     "4e398c3cfbb72bdbdd878258dfc441b9df3fb8ef1e392d9767405ba671029a36"),
+    (("bench-steps", "--p", "2", "--q", "3", "--from", "-3", "--to", "3"), None, 0,
+     "6860dea04dee2f3be1af1b0617944816e26100540e29ec0cb0ae3214bdd52004"),
+]
+
+
+@pytest.mark.parametrize("argv, stdin, code, digest", PINNED_STDOUT)
+def test_stdout_is_pinned(capsys, monkeypatch, argv, stdin, code, digest):
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    got, out, _ = run(capsys, *argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

@@ -404,3 +404,21 @@ def test_element_json_round_trip():
     doc = element_to_json(beta)
     assert doc == {"a": "2", "coords": ["7", "-4", "2"]}
     assert element_from_json(doc) == beta
+    assert element_from_json({"a": 2, "coords": [7, "-4", 2]}) == beta
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"a": 2.5, "coords": ["1", "0", "0"]},
+        {"a": True, "coords": ["1", "0", "0"]},
+        {"a": None, "coords": ["1", "0", "0"]},
+        {"a": "2", "coords": [1.5, "0", "0"]},
+        {"a": "2", "coords": ["1", 0.0, "0"]},
+        {"a": "2", "coords": ["1", "0", False]},
+    ],
+)
+def test_element_json_rejects_non_integer_fields(doc):
+    # {"a": 2.5, "coords": [1.5, 0, 0]} was read as a = 2, coordinates (1, 0, 0)
+    with pytest.raises(ValueError, match="not an integer"):
+        element_from_json(doc)

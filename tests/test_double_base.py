@@ -11,6 +11,8 @@ from db_reference import evaluate_by_power_sums, greedy_seed_by_grid_scan
 from unitsum import (
     BasePair,
     ExtendedExpansion,
+    PQRational,
+    RelationInvalid,
     InvalidExpansion,
     NoRelationFound,
     PlainRelation,
@@ -30,6 +32,8 @@ from unitsum import (
     to_unit_relation,
     weight,
 )
+from unitsum.double_base import _claim_reduce, _extended_credits
+from unitsum.relations import find_extended_relation
 
 B523 = BasePair(5, 23)
 
@@ -96,6 +100,20 @@ def test_expansion_rejects_bad_digits():
         SignedExpansion(B523, ((1, 1, 0), (-1, 1, 0)))  # duplicate site
     with pytest.raises(InvalidExpansion):
         SignedExpansion(B523, ((1, -1, 0),))  # negative exponent
+
+
+@pytest.mark.parametrize("term", [(1, 2.5, 0), (1, 2, 0.5), (1.5, 0, 0), (1, float("inf"), 0), (1, "2", 0)])
+@pytest.mark.parametrize("kind", [SignedExpansion, ExtendedExpansion])
+def test_expansion_rejects_non_integral_terms(kind, term):
+    # (1, 2.5, 0) was stored as (1, 2, 0)
+    with pytest.raises(ValueError, match="digit|exponent"):
+        kind(B523, [term])
+
+
+def test_expansion_keeps_exact_integral_terms():
+    exp = SignedExpansion(B523, [(1.0, Fraction(4, 2), 0)])
+    assert exp.terms == ((1, 2, 0),)
+    assert all(type(c) is int for c in exp.terms[0])
 
 
 def test_extended_expansion_allows_negative_exponents():
@@ -261,6 +279,21 @@ def test_pq_rational_normalizes_base_powers():
     assert x.value == Fraction(7, 25)
 
 
+@pytest.mark.parametrize(
+    "num, a_p, a_q", [(2.5, 0, 0), (7, 1.5, 0), (7, 0, 0.5), (float("nan"), 0, 0), ("7", 0, 0)]
+)
+def test_pq_rational_rejects_non_integral_fields(num, a_p, a_q):
+    # PQRational(B, 2.5, 1.5, 0) was num = 2, a_p = 1
+    with pytest.raises(ValueError, match="numerator|exponent"):
+        PQRational(B523, num, a_p, a_q)
+
+
+def test_pq_rational_keeps_exact_integral_fields():
+    x = PQRational(B523, Fraction(14, 2), 2.0, 0)
+    assert (x.num, x.a_p, x.a_q) == (7, 2, 0)
+    assert all(type(v) is int for v in (x.num, x.a_p, x.a_q))
+
+
 def test_pq_rational_rejects_foreign_denominator():
     with pytest.raises(ValueError):
         pq_rational(Fraction(1, 3), BasePair(5, 11))
@@ -371,3 +404,60 @@ def test_expansion_json_rejects_malformed_documents():
     bad_digit = dict(good, terms=[{"d": 2, "i": "0", "j": "0"}])
     with pytest.raises(InvalidExpansion):
         expansion_from_json(bad_digit)
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [("p", 5.9), ("q", 23.0), ("p", True), ("q", None), ("value", 25.0), ("value", None)]
+    + [(f"term.{k}", v) for k in "dij" for v in (2.7, 1.0, True, None)],
+)
+def test_expansion_json_rejects_non_integer_fields(field, bad):
+    # "i": 2.7 was read as 2, "d": true as 1 and "p": 5.9 as 5
+    doc = expansion_to_json(expand(25, B523))
+    if field.startswith("term."):
+        doc["terms"][0][field[5:]] = bad
+    else:
+        doc[field] = bad
+    with pytest.raises(InvalidExpansion, match="malformed"):
+        expansion_from_json(doc)
+
+
+def test_expansion_json_reads_integers_and_decimal_strings():
+    doc = {"kind": "signed", "p": 5, "q": "23", "value": 25, "terms": [{"d": 1, "i": 2, "j": "0"}]}
+    assert expansion_from_json(doc) == (SignedExpansion(B523, [(1, 2, 0)]), 25)
+
+
+# --------------------------------------------------------- claim reduction
+
+
+@pytest.mark.parametrize(
+    "credits",
+    [
+        ((1, 1, 1), (0, 2, -1)),  # no credit stays in layer
+        ((1, 0, 1), (2, 0, -1)),  # two credits stay in layer
+        ((1, 0, 1), (0, -1, 1)),  # a credit lowers j
+    ],
+)
+def test_claim_reduce_rejects_credits_that_may_not_terminate(credits):
+    grid = {(0, 0): 5}
+    with pytest.raises(RelationInvalid):
+        _claim_reduce(grid, credits)
+    assert grid == {(0, 0): 5}
+
+
+@pytest.mark.parametrize(
+    "base, rel",
+    [
+        (B523, PlainRelation(2, 1, 1).as_extended()),
+        (BasePair(23, 5), PlainRelation(1, 2, -1).as_extended()),
+        (BasePair(5, 11), find_extended_relation(BasePair(5, 11))),
+    ],
+)
+def test_claim_reduce_accepts_plain_and_p_inverse_credits(base, rel):
+    assert rel.form in ("plain", "p_inverse")
+    grid = {(0, 0): 9}
+    steps = _claim_reduce(grid, _extended_credits(rel))
+    assert steps > 0
+    assert all(a in (-1, 1) for a in grid.values())
+    exp = ExtendedExpansion(base, [(a, i, j) for (i, j), a in grid.items()])
+    assert evaluate_expansion(exp) == 9

@@ -105,11 +105,3 @@ def test_sweep_with_oracle_dominance():
 def test_sweep_aborts_without_a_relation():
     with pytest.raises(NoRelationFound):
         sweep_verify(1, 50, BasePair(5, 11))
-
-
-def test_sweep_csv_shape():
-    rep = sweep_verify(995, 997, B523)
-    lines = rep.to_csv().splitlines()
-    assert lines[0] == "v,status,weight_algo,weight_oracle,steps,w_init"
-    assert len(lines) == 4
-    assert lines[1].startswith("995,ok,")
