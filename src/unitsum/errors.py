@@ -1,5 +1,11 @@
 """Exception hierarchy and the integer checks shared by all unitsum modules."""
 
+import re
+
+# one or more decimal strings joined by commas, each an optional minus
+# sign and ASCII digits: no "+", spaces, underscores or other scripts' digits
+_DECIMALS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+
 
 class UnitSumError(Exception):
     """Base class for every error raised by this package."""
@@ -63,10 +69,18 @@ def exact_int(value, what: str) -> int:
 
 def document_ints(values, what: str) -> list:
     """values read from a JSON document as ints: each must be a JSON
-    integer or a decimal string; a float, a boolean, null or anything
-    else raises ValueError naming what, so 2.7 is never read as 2."""
+    integer or a decimal string, -?[0-9]+; a float, a boolean, null or
+    anything else, "+7", " 7 " and "1_000" included, raises ValueError
+    naming what, so 2.7 is never read as 2."""
     values = list(values)
-    if not set(map(type, values)) <= {int, str}:
+    types = set(map(type, values))
+    if not types <= {int, str}:
         bad = next(v for v in values if type(v) not in (int, str))
+        raise ValueError(f"{what} {bad!r} is not an integer or a decimal string")
+    # one match over the whole column rather than one call per value
+    if str in types and not _DECIMALS.fullmatch(
+        ",".join(values if types == {str} else map(str, values))
+    ):
+        bad = next(v for v in values if type(v) is str and not _DECIMALS.fullmatch(v))
         raise ValueError(f"{what} {bad!r} is not an integer or a decimal string")
     return list(map(int, values))

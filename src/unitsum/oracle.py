@@ -79,27 +79,71 @@ def _dfs(target: int, slots, idx: int, left: int, chosen: list, budget: _Budget)
     return False
 
 
+def _windowed_subsets(slots, k: int, lo: int, hi: int, budget: _Budget):
+    """Signed k-subsets of slots (by decreasing magnitude) whose sum lies
+    in [lo, hi].
+
+    Yields (sum, signs, chosen slots) in the order of
+    combinations(slots, k) times product((1, -1), repeat=k).  A prefix
+    whose sum cannot reach the window with the next magnitudes is
+    dropped, which never reorders the rest.  Each signed prefix sum
+    formed costs one budget node.
+    """
+    top = list(itertools.accumulate((m for m, _, _ in slots), initial=0))
+
+    def walk(start, left, partials, chosen):
+        if left == 0:
+            for s, signs in partials:
+                yield s, signs, chosen
+            return
+        # how far the prefix sum closest to the window is off it
+        gap = min(max(lo - s, s - hi) for s, _ in partials)
+        for idx in range(start, len(slots) - left + 1):
+            m = slots[idx][0]
+            # slots only get smaller, so once left copies of m cannot
+            # close the gap no later slot can either
+            if left * m < gap:
+                return
+            budget.spend(2 * len(partials))
+            # the most the other left - 1 terms can add or take away
+            rest = top[idx + left] - top[idx + 1]
+            lo_x, hi_x = lo - rest, hi + rest
+            nxt = []
+            for s, signs in partials:
+                if lo_x <= s + m <= hi_x:
+                    nxt.append((s + m, signs + (1,)))
+                if lo_x <= s - m <= hi_x:
+                    nxt.append((s - m, signs + (-1,)))
+            if nxt:
+                yield from walk(idx + 1, left - 1, nxt, chosen + (slots[idx],))
+
+    return walk(0, k, [(0, ())] if k or lo <= 0 <= hi else [], ())
+
+
 def _meet_in_middle(target: int, slots, t: int, budget: _Budget) -> Optional[List[Tuple[int, int, int]]]:
     half = len(slots) // 2
     first, second = slots[:half], slots[half:]
     for ta in range(max(0, t - len(second)), min(t, len(first)) + 1):
         tb = t - ta
+        # a second-half sum of tb terms is no larger than the tb largest
+        # second-half magnitudes, so only first-half sums this close to
+        # the target can ever meet one
+        reach = sum(m for m, _, _ in second[:tb])
         table = {}
-        for combo in itertools.combinations(range(len(first)), ta):
-            for signs in itertools.product((1, -1), repeat=ta):
-                budget.spend()
-                s = sum(sg * first[k][0] for sg, k in zip(signs, combo))
-                if s not in table:
-                    table[s] = [(sg, first[k][1], first[k][2]) for sg, k in zip(signs, combo)]
-        for combo in itertools.combinations(range(len(second)), tb):
-            for signs in itertools.product((1, -1), repeat=tb):
-                budget.spend()
-                s = sum(sg * second[k][0] for sg, k in zip(signs, combo))
-                hit = table.get(target - s)
-                if hit is not None:
-                    return hit + [
-                        (sg, second[k][1], second[k][2]) for sg, k in zip(signs, combo)
-                    ]
+        for s, signs, chosen in _windowed_subsets(
+            first, ta, target - reach, target + reach, budget
+        ):
+            if s not in table:
+                table[s] = (signs, chosen)
+        if not table:
+            continue
+        for s, signs, chosen in _windowed_subsets(
+            second, tb, target - max(table), target - min(table), budget
+        ):
+            hit = table.get(target - s)
+            if hit is not None:
+                pairs = zip(hit[0] + signs, hit[1] + chosen)
+                return [(sg, i, j) for sg, (_, i, j) in pairs]
     return None
 
 
@@ -114,9 +158,12 @@ def min_weight_bruteforce(
 
     Iterative deepening over the weight makes the first hit minimal
     within the box.  Direct search handles weights up to 4; beyond that
-    the subset sums of two slot halves meet in the middle.  Returns None
+    the subset sums of two slot halves meet in the middle, each half
+    walked only where its sums can still reach the target.  Returns None
     when no expansion of weight <= max_weight fits in the box; raises
-    BudgetExceeded when the node budget runs out first.
+    BudgetExceeded when the node budget runs out first.  One budget node
+    is one slot tried at one depth of the direct search, or one signed
+    partial sum formed in the meet-in-the-middle walk.
     """
     i_max, j_max = exp_box if exp_box is not None else default_box(v, base)
     slots = [

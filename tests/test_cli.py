@@ -103,6 +103,19 @@ def test_verify_rejects_fractional_exponent(capsys, monkeypatch):
     assert out.startswith("status invalid (malformed expansion document: exponent 2.7 ")
 
 
+@pytest.mark.parametrize("bad", ["1_000", " 2 ", "+2", "\u0662"])
+def test_verify_rejects_loose_decimal_strings(capsys, monkeypatch, bad):
+    # each of these was read as an exponent by int(), and "+2" certified 5^2 = 25
+    doc = json.dumps({
+        "kind": "signed", "p": "5", "q": "23", "value": "25",
+        "terms": [{"d": 1, "i": bad, "j": "0"}],
+    })
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out, _ = run(capsys, "verify", "-")
+    assert code == 5
+    assert out.startswith("status invalid (malformed expansion document: exponent ")
+
+
 def test_verify_rejects_malformed_json(tmp_path, capsys):
     doc = tmp_path / "broken.json"
     doc.write_text("{not json")

@@ -422,6 +422,20 @@ def test_expansion_json_rejects_non_integer_fields(field, bad):
         expansion_from_json(doc)
 
 
+@pytest.mark.parametrize("field", ["p", "term.d", "term.i", "term.j"])
+@pytest.mark.parametrize("bad", ["1_000", " 7 ", "+7", "\u0663", "", "-", "2,3"])
+def test_expansion_json_rejects_loose_decimal_strings(field, bad):
+    # int() reads "1_000", " 7 ", "+7" and the Arabic-Indic digit three;
+    # the schema's decimal strings are -?[0-9]+ only
+    doc = expansion_to_json(expand(25, B523))
+    if field.startswith("term."):
+        doc["terms"][0][field[5:]] = bad
+    else:
+        doc[field] = bad
+    with pytest.raises(InvalidExpansion, match="malformed"):
+        expansion_from_json(doc)
+
+
 def test_expansion_json_reads_integers_and_decimal_strings():
     doc = {"kind": "signed", "p": 5, "q": "23", "value": 25, "terms": [{"d": 1, "i": 2, "j": "0"}]}
     assert expansion_from_json(doc) == (SignedExpansion(B523, [(1, 2, 0)]), 25)
