@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from fractions import Fraction
 
 from . import cubic, engine, oracle, relations
 from .double_base import (
@@ -36,6 +35,7 @@ from .errors import (
     RelationInvalid,
     UnitSumError,
     VerificationFailed,
+    document_rational,
 )
 
 EXIT_OK = 0
@@ -79,7 +79,7 @@ def _expansion_text(exp, value_str: str) -> str:
 def _cmd_expand(args) -> int:
     base = _base(args)
     v = int(args.value)
-    stats = expand_with_stats(v, base, args.search_bound, args.seed_method)
+    stats = expand_with_stats(v, base, args.seed_method)
     exp = stats.expansion
     if args.format == "json":
         _print_json(expansion_to_json(exp))
@@ -91,16 +91,9 @@ def _cmd_expand(args) -> int:
 
 def _cmd_expand_extended(args) -> int:
     base = _base(args)
-    text = args.value
-    if "/" in text:
-        n, d = (int(part) for part in text.split("/", 1))
-        if not d:
-            raise ValueError(f"zero denominator in {text}")
-        value = Fraction(n, d)
-    else:
-        value = Fraction(int(text))
+    value = document_rational(args.value, "value")
     x = pq_rational(value, base)
-    exp = expand_extended(x, base, args.search_bound)
+    exp = expand_extended(x, base)
     if args.format == "json":
         _print_json(expansion_to_json(exp))
     else:
@@ -127,7 +120,7 @@ def _cmd_verify(args) -> int:
         return EXIT_VERIFY
     value = evaluate_expansion(exp)
     _print(f"value {value}")
-    if Fraction(value) == claimed:
+    if value == claimed:
         _print("status valid")
         return EXIT_OK
     _print(f"status invalid (document claims {claimed})")
@@ -272,7 +265,7 @@ def _cmd_bench_steps(args) -> int:
         print("error: --from must not exceed --to", file=sys.stderr)
         return EXIT_BAD_INPUT
     _print("n,w_init,steps,weight_final")
-    for n, _, w, _, steps, w_init in oracle.sweep_verify(lo, hi, base, args.search_bound).rows:
+    for n, _, w, _, steps, w_init in oracle.sweep_verify(lo, hi, base).rows:
         _print(f"{n},{w_init},{steps},{w}")
     return EXIT_OK
 
@@ -296,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("expand", help="signed expansion of an integer")
     _add_base_args(s)
     s.add_argument("value", help="integer to expand")
-    s.add_argument("--search-bound", type=int, default=relations.MAX_EXP)
     s.add_argument("--seed-method", choices=("padic", "greedy"), default="padic")
     _add_format_arg(s)
     s.set_defaults(func=_cmd_expand)
@@ -304,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("expand-extended", help="extended expansion of n or n/d")
     _add_base_args(s)
     s.add_argument("value", help="integer or fraction n/d whose d divides a base power product")
-    s.add_argument("--search-bound", type=int, default=relations.MAX_EXP)
     _add_format_arg(s)
     s.set_defaults(func=_cmd_expand_extended)
 
@@ -353,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_base_args(s)
     s.add_argument("--from", dest="lo", required=True)
     s.add_argument("--to", dest="hi", required=True)
-    s.add_argument("--search-bound", type=int, default=relations.MAX_EXP)
     s.set_defaults(func=_cmd_bench_steps)
 
     return parser

@@ -21,7 +21,14 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import relations as _relations
 from .engine import UnitGroupBasis, UnitRelation
-from .errors import InvalidExpansion, NoRelationFound, RelationInvalid, document_ints, exact_int
+from .errors import (
+    InvalidExpansion,
+    NoRelationFound,
+    RelationInvalid,
+    document_ints,
+    document_rational,
+    exact_int,
+)
 from .relations import MAX_EXP
 
 Term = Tuple[int, int, int]
@@ -317,7 +324,6 @@ def _single_base_terms(v: int, b: int, axis: int) -> Optional[List[Term]]:
 def expand_with_stats(
     v: int,
     base: BasePair,
-    search_bound: int = MAX_EXP,
     seed_method: str = "padic",
     on_step=None,
 ) -> ExpandStats:
@@ -341,10 +347,10 @@ def expand_with_stats(
         terms = _single_base_terms(v, b, axis)
         if terms is not None:
             return ExpandStats(SignedExpansion(base, terms), 0, w_init)
-    rel = _relations.find_plain_relation(base, search_bound)
+    rel = _relations.find_plain_relation(base)
     if rel is None:
         raise NoRelationFound(
-            f"no plain relation for ({base.p},{base.q}) with exponents up to {search_bound}"
+            f"no plain relation for ({base.p},{base.q}) with exponents up to {MAX_EXP}"
         )
     if not _relations.verify_relation(base, rel):
         raise RelationInvalid(f"{rel} is not a valid relation for {base}")
@@ -358,19 +364,19 @@ def expand_with_stats(
     return ExpandStats(SignedExpansion(base, terms), steps, w_init, rel)
 
 
-def expand(v: int, base: BasePair, search_bound: int = MAX_EXP, seed_method: str = "padic") -> SignedExpansion:
+def expand(v: int, base: BasePair, seed_method: str = "padic") -> SignedExpansion:
     """Signed double-base expansion of any integer.
 
     Values of either sign are handled (negation flips every digit).  When
     one base is 2 or 3 a single-base digit expansion is used directly, in
     the order p = 2, p = 3, q = 2, q = 3; otherwise a plain base-pair
-    relation within search_bound drives the digit reduction and
-    NoRelationFound is raised when there is none.
+    relation with exponents up to relations.MAX_EXP drives the digit
+    reduction and NoRelationFound is raised when there is none.
     """
-    return expand_with_stats(v, base, search_bound, seed_method).expansion
+    return expand_with_stats(v, base, seed_method).expansion
 
 
-def expand_extended(x: PQRational, base: BasePair, search_bound: int = MAX_EXP, on_step=None) -> ExtendedExpansion:
+def expand_extended(x: PQRational, base: BasePair, on_step=None) -> ExtendedExpansion:
     """Extended expansion of num / (p^a_p q^a_q).
 
     The numerator's p-adic digits are reduced with the best relation in
@@ -383,11 +389,13 @@ def expand_extended(x: PQRational, base: BasePair, search_bound: int = MAX_EXP, 
         raise ValueError("rational and expansion base pairs differ")
     if x.num == 0:
         return ExtendedExpansion(base, ())
-    rel = _relations.find_extended_relation(base, search_bound)
+    rel = _relations.find_extended_relation(base)
     if rel is None:
         raise NoRelationFound(
-            f"no relation for ({base.p},{base.q}) with exponents up to {search_bound}"
+            f"no relation for ({base.p},{base.q}) with exponents up to {MAX_EXP}"
         )
+    if not _relations.verify_relation(base, rel):
+        raise RelationInvalid(f"{rel} is not a valid relation for {base}")
     credits = _extended_credits(rel)
     p = base.p
     mirrored = rel.form == "q_inverse"
@@ -506,9 +514,10 @@ def expansion_from_json(data: dict):
     """Parse the expansion schema back; returns (expansion, claimed value).
 
     Every integer field must be a JSON integer or a decimal string and the
-    value an integer or an "n" or "n/d" string; anything else, a float or
-    a boolean included, raises InvalidExpansion.  The claimed value is
-    whatever the document asserts, as a Fraction; it is not rechecked here.
+    value an integer or an "n" or "n/d" string of decimal digits; anything
+    else, a float, a boolean or "2.5e1" included, raises InvalidExpansion.
+    The claimed value is whatever the document asserts, as a Fraction; it
+    is not rechecked here.
     """
     try:
         kind = data["kind"]
@@ -519,11 +528,8 @@ def expansion_from_json(data: dict):
             document_ints([t["i"] for t in rows], "exponent"),
             document_ints([t["j"] for t in rows], "exponent"),
         )
-        claimed = data["value"]
-        if type(claimed) not in (int, str):
-            raise ValueError(f"value {claimed!r} is not an integer or a string")
-        claimed = Fraction(claimed)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        claimed = document_rational(data["value"], "value")
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidExpansion(f"malformed expansion document: {exc}") from None
     if kind == "signed":
         return (SignedExpansion(base, terms), claimed)

@@ -1,10 +1,13 @@
 """Exception hierarchy and the integer checks shared by all unitsum modules."""
 
 import re
+from fractions import Fraction
 
 # one or more decimal strings joined by commas, each an optional minus
 # sign and ASCII digits: no "+", spaces, underscores or other scripts' digits
 _DECIMALS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+# a decimal string as above, then optionally "/" and a denominator of ASCII digits
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 class UnitSumError(Exception):
@@ -84,3 +87,18 @@ def document_ints(values, what: str) -> list:
         bad = next(v for v in values if type(v) is str and not _DECIMALS.fullmatch(v))
         raise ValueError(f"{what} {bad!r} is not an integer or a decimal string")
     return list(map(int, values))
+
+
+def document_rational(value, what: str) -> Fraction:
+    """value as a Fraction: a JSON integer, or a string "n" or "n/d" with
+    n matching -?[0-9]+ and d matching [0-9]+; anything else, a float, a
+    boolean, "2.5e1", " 25 ", "+25" and "2_5" included, raises ValueError
+    naming what; a zero denominator raises ValueError too."""
+    if type(value) is int:
+        return Fraction(value)
+    if type(value) is not str or not _RATIONAL.fullmatch(value):
+        raise ValueError(f"{what} {value!r} is not an integer or a fraction n/d")
+    n, _, d = value.partition("/")
+    if d and not int(d):
+        raise ValueError(f"zero denominator in {value}")
+    return Fraction(int(n), int(d or 1))

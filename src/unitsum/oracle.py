@@ -20,7 +20,6 @@ from .double_base import (
     weight,
 )
 from .errors import BudgetExceeded, VerificationFailed
-from .relations import MAX_EXP
 
 
 @dataclass(frozen=True)
@@ -208,7 +207,6 @@ def sweep_verify(
     lo: int,
     hi: int,
     base: BasePair,
-    search_bound: int = MAX_EXP,
     oracle_max_weight: Optional[int] = None,
 ) -> SweepReport:
     """Expand every v in [lo, hi] and recheck all promised properties.
@@ -226,7 +224,7 @@ def sweep_verify(
     max_steps = 0
     max_w = 0
     for v in range(lo, hi + 1):
-        stats = expand_with_stats(v, base, search_bound)
+        stats = expand_with_stats(v, base)
         exp = stats.expansion
         if evaluate_expansion(exp) != v:
             raise VerificationFailed(f"round trip failed at v = {v}")

@@ -20,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _FORM_RANK = {"plain": 0, "p_inverse": 1, "q_inverse": 2}
 
-MAX_EXP = 64  # default exponent bound of every relation search
+MAX_EXP = 64  # the converters' exponent bound and the finders' default
 
 
 @dataclass(frozen=True)
@@ -107,41 +107,41 @@ def verify_relation(base: "BasePair", rel) -> bool:
     return False
 
 
+def _power_table(b: int, max_exp: int) -> dict:
+    """{b^e: e} for 1 <= e <= max_exp, in increasing order."""
+    if max_exp < 1:
+        raise ValueError("max_exp must be at least 1")
+    table, power = {}, 1
+    for e in range(1, max_exp + 1):
+        power *= b
+        table[power] = e
+    return table
+
+
+def _plain_relation(p_pow: dict, q: int, max_exp: int) -> Optional[PlainRelation]:
+    # each q^y has one partner p^x = q^y + 2 sign to look up; a later y
+    # can only tie the best total with a smaller x, so stop past it
+    best, qy = None, 1
+    for y in range(1, max_exp + 1):
+        if best is not None and y + 1 > best.x + best.y:
+            break
+        qy *= q
+        for sign in (1, -1):
+            x = p_pow.get(qy + 2 * sign)
+            if x is not None and (best is None or (x + y, x) < (best.x + best.y, best.x)):
+                best = PlainRelation(x, y, sign)
+    return best
+
+
 def find_plain_relation(base: "BasePair", max_exp: int = MAX_EXP) -> Optional[PlainRelation]:
     """Smallest plain relation, minimizing x + y and then x.
 
     Exponents range over [1, max_exp]; zero exponents are excluded so the
     relation always mixes both bases.  Returns None when the box is empty
-    of solutions.
+    of solutions.  Each power q^y is matched against a table of the
+    powers of p, so the search costs O(max_exp) lookups.
     """
-    if max_exp < 1:
-        raise ValueError("max_exp must be at least 1")
-    p, q = base.p, base.q
-    p_pow = {0: 1}
-    q_pow = {0: 1}
-    for e in range(1, max_exp + 1):
-        p_pow[e] = p_pow[e - 1] * p
-        q_pow[e] = q_pow[e - 1] * q
-    for total in range(2, 2 * max_exp + 1):
-        for x in range(max(1, total - max_exp), min(max_exp, total - 1) + 1):
-            y = total - x
-            diff = p_pow[x] - q_pow[y]
-            if diff == 2:
-                return PlainRelation(x, y, 1)
-            if diff == -2:
-                return PlainRelation(x, y, -1)
-    return None
-
-
-def _exact_log(value: int, b: int) -> Optional[int]:
-    # exponent e >= 1 with b^e == value, else None
-    if value < b:
-        return None
-    e = 0
-    while value % b == 0:
-        value //= b
-        e += 1
-    return e if value == 1 else None
+    return _plain_relation(_power_table(base.p, max_exp), base.q, max_exp)
 
 
 def find_extended_relation(base: "BasePair", max_exp: int = MAX_EXP) -> Optional[ExtendedRelation]:
@@ -149,20 +149,19 @@ def find_extended_relation(base: "BasePair", max_exp: int = MAX_EXP) -> Optional
 
     Candidates are ranked by total absolute exponent sum, then by form
     (plain before p_inverse before q_inverse), then by field tuple.  The
-    inverse-form search solves 2 u^a = s + v^b exactly for s in {1, -1}.
+    inverse-form search solves 2 u^a = s + v^b exactly for s in {1, -1}
+    by looking 2 u^a - s up in the table of the powers of v.
     """
-    p, q = base.p, base.q
+    p_pow, q_pow = _power_table(base.p, max_exp), _power_table(base.q, max_exp)
     candidates = []
-    plain = find_plain_relation(base, max_exp)
+    plain = _plain_relation(p_pow, base.q, max_exp)
     if plain is not None:
         candidates.append(plain.as_extended())
-    for u, v, form in ((p, q, "p_inverse"), (q, p, "q_inverse")):
-        ua = 1
-        for a in range(1, max_exp + 1):
-            ua *= u
+    for u_pow, v_pow, form in ((p_pow, q_pow, "p_inverse"), (q_pow, p_pow, "q_inverse")):
+        for ua, a in u_pow.items():
             for s in (1, -1):
-                b = _exact_log(2 * ua - s, v)
-                if b is None or b > max_exp:
+                b = v_pow.get(2 * ua - s)
+                if b is None:
                     continue
                 # 2 = s * u^-a + u^-a v^b, positive term first
                 if form == "p_inverse":

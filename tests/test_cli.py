@@ -74,6 +74,21 @@ def test_expand_extended_rejects_zero_denominator(capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("bad", ["+7/25", "7/-25", " 7/25", "7 /25", "2.5", "1e3", "7_0/25", "7/25/1"])
+def test_expand_extended_rejects_loose_values(capsys, bad):
+    code, out, err = run(capsys, "expand-extended", "--p", "5", "--q", "11", "--", bad)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: value ")
+
+
+@pytest.mark.parametrize("command", ["expand", "expand-extended", "bench-steps"])
+def test_search_bound_flag_is_gone(capsys, command):
+    # converters always search relations with exponents up to 64
+    args = ("--from", "1", "--to", "2") if command == "bench-steps" else ("7",)
+    code, out, _ = run(capsys, command, "--p", "5", "--q", "23", *args, "--search-bound", "64")
+    assert (code, out) == (3, "")
+
+
 def test_verify_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "expand", "--p", "5", "--q", "23", "997", "--format", "json")
     doc = tmp_path / "exp.json"
@@ -114,6 +129,19 @@ def test_verify_rejects_loose_decimal_strings(capsys, monkeypatch, bad):
     code, out, _ = run(capsys, "verify", "-")
     assert code == 5
     assert out.startswith("status invalid (malformed expansion document: exponent ")
+
+
+@pytest.mark.parametrize("bad", ["2.5e1", " 25 ", "+25", "2_5"])
+def test_verify_rejects_loose_value_strings(capsys, monkeypatch, bad):
+    # Fraction() read each of these as 25, and the document certified as 5^2
+    doc = json.dumps({
+        "kind": "signed", "p": "5", "q": "23", "value": bad,
+        "terms": [{"d": 1, "i": "2", "j": "0"}],
+    })
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out, _ = run(capsys, "verify", "-")
+    assert code == 5
+    assert out.startswith("status invalid (malformed expansion document: value ")
 
 
 def test_verify_rejects_malformed_json(tmp_path, capsys):

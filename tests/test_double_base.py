@@ -11,6 +11,7 @@ from db_reference import evaluate_by_power_sums, greedy_seed_by_grid_scan
 from unitsum import (
     BasePair,
     ExtendedExpansion,
+    ExtendedRelation,
     PQRational,
     RelationInvalid,
     InvalidExpansion,
@@ -320,6 +321,15 @@ def test_expand_extended_mirrored_relation():
         assert evaluate_expansion(exp) == val
 
 
+def test_expand_extended_rechecks_its_relation(monkeypatch):
+    b = BasePair(5, 11)
+    rel = find_extended_relation(b)
+    wrong = ExtendedRelation(rel.a, rel.b, rel.c, rel.d, -rel.sign, rel.form)
+    monkeypatch.setattr("unitsum.relations.find_extended_relation", lambda *_: wrong)
+    with pytest.raises(RelationInvalid):
+        expand_extended(pq_rational(Fraction(7, 25), b), b)
+
+
 def test_expand_extended_zero():
     b = BasePair(5, 11)
     assert expand_extended(pq_rational(Fraction(0), b), b).terms == ()
@@ -434,6 +444,23 @@ def test_expansion_json_rejects_loose_decimal_strings(field, bad):
         doc[field] = bad
     with pytest.raises(InvalidExpansion, match="malformed"):
         expansion_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "bad", ["2.5e1", " 25 ", "+25", "2_5", "25.0", "\u0662\u0665", "50/2.0", "25/", "1/0", "", "-"]
+)
+def test_expansion_json_rejects_loose_value_strings(bad):
+    # Fraction() read "2.5e1", " 25 ", "+25" and "2_5" as 25
+    doc = expansion_to_json(expand(25, B523))
+    doc["value"] = bad
+    with pytest.raises(InvalidExpansion, match="malformed"):
+        expansion_from_json(doc)
+
+
+@pytest.mark.parametrize("value, claimed", [("-7/25", Fraction(-7, 25)), ("50/2", 25), ("007", 7), (-3, -3)])
+def test_expansion_json_reads_integer_and_fraction_values(value, claimed):
+    doc = dict(expansion_to_json(expand(25, B523)), value=value)
+    assert expansion_from_json(doc)[1] == claimed
 
 
 def test_expansion_json_reads_integers_and_decimal_strings():

@@ -1,10 +1,12 @@
 """Relation search and modular obstruction certificates."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+from relations_reference import reference_extended_relation, reference_plain_relation
 from unitsum import (
     BasePair,
     ExtendedRelation,
@@ -15,6 +17,7 @@ from unitsum import (
     find_plain_relation,
     verify_relation,
 )
+from unitsum.relations import _plain_relation
 
 
 def test_plain_relation_for_5_23():
@@ -69,6 +72,75 @@ def test_verify_extended_relation_rejects_tampering():
     rel = find_extended_relation(BasePair(5, 11))
     flipped = ExtendedRelation(rel.a, rel.b, rel.c, rel.d, -rel.sign, rel.form)
     assert not verify_relation(BasePair(5, 11), flipped)
+
+
+# -------------------------------------- differential: reference searches
+
+
+def _coprime_pairs(below):
+    return [
+        BasePair(p, q)
+        for p in range(2, below)
+        for q in range(2, below)
+        if p != q and gcd(p, q) == 1
+    ]
+
+
+def assert_same_as_reference(base, max_exp):
+    assert find_plain_relation(base, max_exp) == reference_plain_relation(base, max_exp)
+    assert find_extended_relation(base, max_exp) == reference_extended_relation(base, max_exp)
+
+
+@pytest.mark.parametrize("max_exp", [1, 2, 5])
+def test_lookup_matches_reference_on_small_bounds(max_exp):
+    for base in _coprime_pairs(120):
+        assert_same_as_reference(base, max_exp)
+
+
+def test_lookup_matches_reference_at_the_default_bound():
+    # the reference walks all 64^2 exponent pairs of a pair without a
+    # relation, so this sweep stays smaller than the one above
+    for base in _coprime_pairs(30):
+        assert_same_as_reference(base, 64)
+
+
+def test_plain_lookup_breaks_ties_by_least_x():
+    # no real base pair below 120 has two plain relations with the same
+    # x + y, so a made-up table stands in for p's powers: q = 5 meets
+    # 7 = "p^2" at y = 1 and 27 = "p^1" at y = 2, both with x + y = 3
+    assert _plain_relation({7: 2, 27: 1}, 5, 64) == PlainRelation(1, 2, 1)
+    assert _plain_relation({3: 2, 23: 1}, 5, 64) == PlainRelation(1, 2, -1)
+
+
+def _primes(lo, hi):
+    sieve = bytearray([1]) * hi
+    for n in range(2, int(hi ** 0.5) + 1):
+        if sieve[n]:
+            sieve[n * n :: n] = bytearray(len(range(n * n, hi, n)))
+    return [n for n in range(max(lo, 2), hi) if sieve[n]]
+
+
+_LARGER_PRIMES = _primes(101, 3000)
+
+
+@st.composite
+def larger_prime_pairs(draw):
+    """A prime p above 100 and a second base that is another prime or has
+    a relation with p: 2 = +-(q - p^k) or 2 = (q +- 1) p^-k."""
+    p = draw(st.sampled_from(_LARGER_PRIMES))
+    k = draw(st.integers(1, 4))
+    q = draw(
+        st.one_of(
+            st.sampled_from(_LARGER_PRIMES).filter(lambda q: q != p),
+            st.sampled_from([p**k + 2, p**k - 2, 2 * p**k - 1, 2 * p**k + 1]),
+        )
+    )
+    return BasePair(q, p) if draw(st.booleans()) else BasePair(p, q)
+
+
+@given(larger_prime_pairs(), st.integers(1, 64))
+def test_lookup_matches_reference_on_larger_primes(base, max_exp):
+    assert_same_as_reference(base, max_exp)
 
 
 # ------------------------------------------------------------ obstructions
