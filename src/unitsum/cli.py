@@ -35,6 +35,7 @@ from .errors import (
     RelationInvalid,
     UnitSumError,
     VerificationFailed,
+    document_ints,
     document_rational,
 )
 
@@ -53,8 +54,13 @@ def _print_json(obj) -> None:
     _print(json.dumps(obj, indent=2))
 
 
+def integer(text: str) -> int:
+    """An integer argument, read by the rule of JSON documents: -?[0-9]+."""
+    return document_ints([text], "integer")[0]
+
+
 def _base(args) -> BasePair:
-    return BasePair(int(args.p), int(args.q))
+    return BasePair(args.p, args.q)
 
 
 def _mono(p: int, q: int, i: int, j: int) -> str:
@@ -78,7 +84,7 @@ def _expansion_text(exp, value_str: str) -> str:
 
 def _cmd_expand(args) -> int:
     base = _base(args)
-    v = int(args.value)
+    v = args.value
     stats = expand_with_stats(v, base, args.seed_method)
     exp = stats.expansion
     if args.format == "json":
@@ -178,7 +184,7 @@ def _cmd_obstruct(args) -> int:
 
 def _cmd_min_weight(args) -> int:
     base = _base(args)
-    v = int(args.value)
+    v = args.value
     box = None
     if (args.i_max is None) != (args.j_max is None):
         print("error: give both --i-max and --j-max or neither", file=sys.stderr)
@@ -208,8 +214,8 @@ def _rep_terms_sorted(rep):
 
 
 def _cmd_cubic_repr(args) -> int:
-    params = cubic.CubicParams(int(args.a))
-    beta = cubic.CubicElement(params, int(args.c0), int(args.c1), int(args.c2))
+    params = cubic.CubicParams(args.a)
+    beta = cubic.CubicElement(params, args.c0, args.c1, args.c2)
     rep = cubic.represent_unit_sums(beta)
     back = engine.evaluate(rep, cubic.cubic_evaluator(params))
     if rep and back != beta:
@@ -246,7 +252,7 @@ def _cmd_cubic_repr(args) -> int:
 
 
 def _cmd_cubic_verify(args) -> int:
-    lo, hi = int(args.a_from), int(args.a_to)
+    lo, hi = args.a_from, args.a_to
     if lo > hi:
         print("error: --a-from must not exceed --a-to", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -260,7 +266,7 @@ def _cmd_cubic_verify(args) -> int:
 
 def _cmd_bench_steps(args) -> int:
     base = _base(args)
-    lo, hi = int(args.lo), int(args.hi)
+    lo, hi = args.lo, args.hi
     if lo > hi:
         print("error: --from must not exceed --to", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -271,8 +277,8 @@ def _cmd_bench_steps(args) -> int:
 
 
 def _add_base_args(sub) -> None:
-    sub.add_argument("--p", required=True, help="first base")
-    sub.add_argument("--q", required=True, help="second base")
+    sub.add_argument("--p", type=integer, required=True, help="first base")
+    sub.add_argument("--q", type=integer, required=True, help="second base")
 
 
 def _add_format_arg(sub) -> None:
@@ -288,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("expand", help="signed expansion of an integer")
     _add_base_args(s)
-    s.add_argument("value", help="integer to expand")
+    s.add_argument("value", type=integer, help="integer to expand")
     s.add_argument("--seed-method", choices=("padic", "greedy"), default="padic")
     _add_format_arg(s)
     s.set_defaults(func=_cmd_expand)
@@ -305,45 +311,45 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("find-relation", help="search base-pair relations")
     _add_base_args(s)
-    s.add_argument("--max-exp", type=int, default=relations.MAX_EXP)
-    s.add_argument("--max-modulus", type=int, default=1000)
+    s.add_argument("--max-exp", type=integer, default=relations.MAX_EXP)
+    s.add_argument("--max-modulus", type=integer, default=1000)
     s.add_argument("--extended", action="store_true", help="also search inverse-power forms")
     _add_format_arg(s)
     s.set_defaults(func=_cmd_find_relation)
 
     s = subs.add_parser("obstruct", help="search an obstruction certificate")
     _add_base_args(s)
-    s.add_argument("--max-modulus", type=int, default=1000)
+    s.add_argument("--max-modulus", type=integer, default=1000)
     _add_format_arg(s)
     s.set_defaults(func=_cmd_obstruct)
 
     s = subs.add_parser("min-weight", help="brute-force minimal-weight expansion")
     _add_base_args(s)
-    s.add_argument("value")
-    s.add_argument("--max-weight", type=int, default=8)
-    s.add_argument("--i-max", type=int, default=None)
-    s.add_argument("--j-max", type=int, default=None)
-    s.add_argument("--budget", type=int, default=20_000_000)
+    s.add_argument("value", type=integer)
+    s.add_argument("--max-weight", type=integer, default=8)
+    s.add_argument("--i-max", type=integer, default=None)
+    s.add_argument("--j-max", type=integer, default=None)
+    s.add_argument("--budget", type=integer, default=20_000_000)
     _add_format_arg(s)
     s.set_defaults(func=_cmd_min_weight)
 
     s = subs.add_parser("cubic-repr", help="coefficient-2 unit-sum representation")
-    s.add_argument("--a", required=True, help="family parameter")
-    s.add_argument("c0")
-    s.add_argument("c1")
-    s.add_argument("c2")
+    s.add_argument("--a", type=integer, required=True, help="family parameter")
+    s.add_argument("c0", type=integer)
+    s.add_argument("c1", type=integer)
+    s.add_argument("c2", type=integer)
     _add_format_arg(s)
     s.set_defaults(func=_cmd_cubic_repr)
 
     s = subs.add_parser("cubic-verify", help="check the three-unit identity over a range")
-    s.add_argument("--a-from", required=True)
-    s.add_argument("--a-to", required=True)
+    s.add_argument("--a-from", type=integer, required=True)
+    s.add_argument("--a-to", type=integer, required=True)
     s.set_defaults(func=_cmd_cubic_verify)
 
     s = subs.add_parser("bench-steps", help="CSV of rewrite counts over a range")
     _add_base_args(s)
-    s.add_argument("--from", dest="lo", required=True)
-    s.add_argument("--to", dest="hi", required=True)
+    s.add_argument("--from", dest="lo", type=integer, required=True)
+    s.add_argument("--to", dest="hi", type=integer, required=True)
     s.set_defaults(func=_cmd_bench_steps)
 
     return parser

@@ -10,10 +10,10 @@ with every coefficient at most 2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from . import engine
 from .engine import Representation, UnitGroupBasis, UnitRelation
@@ -211,13 +211,14 @@ def _alpha2_inverse(params: CubicParams) -> CubicElement:
     return CubicElement(params, 1, params.a, -1)
 
 
-@lru_cache(maxsize=None)
+# a cubic-units bench round fills 31,269 entries, criteria 7 and 8 together 41,939
+@functools.lru_cache(maxsize=1 << 16)
 def unit_monomial(i: int, j: int, params: CubicParams) -> CubicElement:
     """alpha^i * conjugate^j for any integer exponents; always integral.
 
     Powers are taken on integer coordinate triples; the inverses used for
     negative exponents have closed integer forms, so every product stays
-    integral.
+    integral.  The last 2^16 monomials are cached.
     """
     a = params.a
     g1 = alpha(params) if i >= 0 else _alpha_inverse(params)
@@ -226,34 +227,28 @@ def unit_monomial(i: int, j: int, params: CubicParams) -> CubicElement:
     return CubicElement(params, *out)
 
 
-@lru_cache(maxsize=None)
+_THREE = UnitRelation(n=3, terms=((0, (1, 2)), (0, (-2, -1)), (0, (1, -1))))
+
+
 def three_relation(params: CubicParams) -> UnitRelation:
     """The identity u1 + u2 + u3 = 3 over the unit monomials with
-    exponents (1,2), (-2,-1), (1,-1); validated exactly before use.
+    exponents (1,2), (-2,-1), (1,-1); checked exactly on every call.
 
     The three units are alpha^2 + (2-a) alpha - a,
     -2 alpha^2 + (2a-1) alpha + (a+4) and alpha^2 - (a+1) alpha - 1;
     their coordinates cancel columnwise to (3, 0, 0) for every a.
     """
     a = params.a
-    u1 = unit_monomial(1, 2, params)
-    u2 = unit_monomial(-2, -1, params)
-    u3 = unit_monomial(1, -1, params)
-    expected = (
-        CubicElement(params, -a, 2 - a, 1),
-        CubicElement(params, a + 4, 2 * a - 1, -2),
-        CubicElement(params, -1, -a - 1, 1),
-    )
-    if (u1, u2, u3) != expected or u1 + u2 + u3 != CubicElement(params, 3, 0, 0):
+    got = tuple(unit_monomial(i, j, params).coords for _, (i, j) in _THREE.terms)
+    expected = ((-a, 2 - a, 1), (a + 4, 2 * a - 1, -2), (-1, -a - 1, 1))
+    if got != expected or tuple(map(sum, zip(*got))) != (3, 0, 0):
         raise RelationBroken(f"three-unit identity failed for a = {a}")
-    return UnitRelation(n=3, terms=((0, (1, 2)), (0, (-2, -1)), (0, (1, -1))))
+    return _THREE
 
 
-def _poly_at(a: int, x: Fraction) -> Fraction:
-    return ((x - (a - 1)) * x - (a + 2)) * x - 1
-
-
-_ROOT_CACHE: Dict[int, Tuple[Interval, Interval, Interval]] = {}
+def _poly_at(a: int, x, s: int = 1):
+    """s^3 f(x/s) for the defining polynomial f: the sign of f(x/s)."""
+    return ((x - (a - 1) * s) * x - (a + 2) * s * s) * x - s * s * s
 
 
 def _isolate(a: int) -> Tuple[Interval, Interval, Interval]:
@@ -278,43 +273,44 @@ def _isolate(a: int) -> Tuple[Interval, Interval, Interval]:
     return tuple((Fraction(x), Fraction(x + 1)) for x in lows)
 
 
+def _bisect(a: int, bracket: Interval, bits: int) -> Interval:
+    """Bisect a unit bracket from _isolate to width exactly 2^-bits,
+    holding the endpoints as integers over the denominator 2^bits."""
+    s = 1 << bits
+    lo = int(bracket[0]) * s
+    hi = lo + s
+    neg_at_lo = _poly_at(a, lo, s) < 0
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if (_poly_at(a, mid, s) < 0) == neg_at_lo:
+            lo = mid
+        else:
+            hi = mid
+    return (Fraction(lo, s), Fraction(hi, s))
+
+
 def real_roots(params: CubicParams, precision_bits: int = 64) -> Tuple[Interval, Interval, Interval]:
     """Three disjoint rational enclosures of the roots, ascending; the
-    last one is alpha.  Enclosures shrink monotonically as precision
-    grows and are cached per parameter."""
+    last one is alpha.  Each has width exactly 2^-precision_bits and is
+    computed afresh, so equal calls give equal enclosures."""
     a = params.a
-    state = _ROOT_CACHE.get(a) or _isolate(a)
-    target = Fraction(1, 1 << precision_bits)
-    refined = []
-    for lo, hi in state:
-        if hi - lo > target:
-            neg_at_lo = _poly_at(a, lo) < 0
-            while hi - lo > target:
-                mid = (lo + hi) / 2
-                if (_poly_at(a, mid) < 0) == neg_at_lo:
-                    lo = mid
-                else:
-                    hi = mid
-        refined.append((lo, hi))
-    state = _ROOT_CACHE[a] = tuple(refined)
-    return state
+    return tuple(_bisect(a, bracket, precision_bits) for bracket in _isolate(a))
 
 
-@lru_cache(maxsize=None)
 def cubic_basis(params: CubicParams) -> UnitGroupBasis:
     """Engine basis with units (alpha, conjugate) over this order.
 
-    The conjugate's absolute value is derived from the alpha enclosure
-    through |conjugate| = 1 + 1/alpha, so one root refinement serves both
-    hooks.
+    The conjugate's absolute value is derived from an alpha enclosure
+    through |conjugate| = 1 + 1/alpha, so only alpha's bracket is ever
+    bisected.  Bases built for equal parameters compare equal.
     """
 
     def alpha_iv(bits: int) -> Interval:
-        b = bits
-        lo, hi = real_roots(params, b)[-1]
+        bracket = _isolate(params.a)[-1]
+        lo, hi = _bisect(params.a, bracket, bits)
         while lo <= 0:
-            b += 16
-            lo, hi = real_roots(params, b)[-1]
+            bits += 16
+            lo, hi = _bisect(params.a, bracket, bits)
         return (lo, hi)
 
     def abs_conj(bits: int) -> Interval:

@@ -16,7 +16,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import relations as _relations
@@ -460,7 +459,6 @@ def height(x) -> float:
     return max(vals)
 
 
-@lru_cache(maxsize=None)
 def rational_basis(p: int, q: int) -> UnitGroupBasis:
     """Order-two-sign basis whose units are the integer bases p and q.
 

@@ -10,7 +10,7 @@ rewrite until every coefficient is below n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 from types import MappingProxyType
@@ -22,7 +22,7 @@ Interval = Tuple[Fraction, Fraction]
 Index = Tuple[int, int, Tuple[int, ...]]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class UnitGroupBasis:
     """Ambient data for representations.
 
@@ -30,14 +30,14 @@ class UnitGroupBasis:
     layers, is the constant 2.  etas and epsilons carry the generator and
     unit values of the instantiating ring; abs_val holds one hook per
     epsilon mapping a bit count to a certified (lo, hi) Fraction
-    enclosure of |eps_m|.  Bases compare by identity.
+    enclosure of |eps_m|.  Bases compare and hash by etas and epsilons.
     """
 
     K = 2
 
     etas: tuple
     epsilons: tuple
-    abs_val: tuple
+    abs_val: tuple = field(compare=False)
 
     def __post_init__(self):
         if not self.etas or not self.epsilons:
@@ -143,10 +143,10 @@ class Representation:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Representation):
             return NotImplemented
-        return self.basis is other.basis and self._coeffs == other._coeffs
+        return self.basis == other.basis and self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash((id(self.basis), frozenset(self._coeffs.items())))
+        return hash((self.basis, frozenset(self._coeffs.items())))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{k}:{v}" for k, v in sorted(self._coeffs.items()))

@@ -218,10 +218,11 @@ def find_obstruction(base: "BasePair", max_modulus: int = 1000) -> Optional[Obst
 
     The bases themselves come first: reducing mod p collapses the whole
     p-orbit to 0, which is the tidiest certificate when it works and the
-    one matching hand calculations.
+    one matching hand calculations.  A pair with a plain relation returns
+    None without a scan: the relation holds modulo every m.
     """
     p, q = base.p, base.q
-    if p == 3 or q == 3:
+    if p == 3 or q == 3 or find_plain_relation(base) is not None:
         return None
     tried = set()
     for m in [p, q] + list(range(2, max_modulus + 1)):

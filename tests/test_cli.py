@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from unitsum import cubic
 from unitsum.cli import main
 
 
@@ -237,6 +238,49 @@ def test_bench_steps_csv(capsys):
     assert lines[0] == "n,w_init,steps,weight_final"
     assert len(lines) == 10
     assert lines[6] == "1000,4,1,4"
+
+
+def test_cubic_verify_rechecks_every_parameter(capsys, monkeypatch):
+    assert run(capsys, "cubic-verify", "--a-from", "0", "--a-to", "2")[0] == 0
+    monkeypatch.setattr(cubic, "unit_monomial", lambda i, j, params: cubic.one(params))
+    code, out, err = run(capsys, "cubic-verify", "--a-from", "0", "--a-to", "2")
+    assert (code, out) == (5, "")
+    assert "a = 0" in err
+
+
+# one argv per integer argument; "{}" marks the argument under test
+INTEGER_ARGS = [
+    ("expand", "--p", "{}", "--q", "23", "7"),
+    ("expand", "--p", "5", "--q", "{}", "7"),
+    ("expand", "--p", "5", "--q", "23", "{}"),
+    ("expand-extended", "--p", "{}", "--q", "11", "7/25"),
+    ("find-relation", "--p", "5", "--q", "23", "--max-exp", "{}"),
+    ("find-relation", "--p", "5", "--q", "23", "--max-modulus", "{}"),
+    ("obstruct", "--p", "7", "--q", "13", "--max-modulus", "{}"),
+    ("min-weight", "--p", "5", "--q", "23", "{}"),
+    ("min-weight", "--p", "5", "--q", "23", "4", "--max-weight", "{}"),
+    ("min-weight", "--p", "5", "--q", "23", "4", "--i-max", "{}", "--j-max", "3"),
+    ("min-weight", "--p", "5", "--q", "23", "4", "--i-max", "3", "--j-max", "{}"),
+    ("min-weight", "--p", "5", "--q", "23", "4", "--budget", "{}"),
+    ("cubic-repr", "--a", "{}", "1", "2", "3"),
+    ("cubic-repr", "--a", "2", "{}", "2", "3"),
+    ("cubic-repr", "--a", "2", "1", "{}", "3"),
+    ("cubic-repr", "--a", "2", "1", "2", "{}"),
+    ("cubic-verify", "--a-from", "{}", "--a-to", "9"),
+    ("cubic-verify", "--a-from", "1", "--a-to", "{}"),
+    ("bench-steps", "--p", "5", "--q", "23", "--from", "{}", "--to", "9"),
+    ("bench-steps", "--p", "5", "--q", "23", "--from", "1", "--to", "{}"),
+]
+
+
+@pytest.mark.parametrize("bad", ["1_000", "+7", " 7", "\u0665", "7.0"])
+@pytest.mark.parametrize("template", INTEGER_ARGS, ids=" ".join)
+def test_integer_arguments_follow_one_rule(capsys, template, bad):
+    # int() would read all of these; the CLI takes -?[0-9]+ only
+    argv = [bad if arg == "{}" else arg for arg in template]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "invalid integer value" in err
 
 
 def test_unknown_subcommand_is_invalid_input(capsys):

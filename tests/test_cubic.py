@@ -11,11 +11,13 @@ from unitsum import (
     CubicParams,
     ParamsMismatch,
     ReductionPolicy,
+    RelationBroken,
     cubic_basis,
     cubic_evaluator,
     element_from_json,
     element_to_json,
     evaluate,
+    monotone_quantity,
     real_roots,
     represent_unit_sums,
     three_relation,
@@ -231,6 +233,13 @@ def test_three_relation_sums_to_three():
         assert total == elem(params, 3, 0, 0)
 
 
+def test_three_relation_is_checked_on_every_call(monkeypatch):
+    three_relation(P2)
+    monkeypatch.setattr(cubic, "unit_monomial", lambda i, j, params: elem(params, 1, 0, 0))
+    with pytest.raises(RelationBroken, match="a = 2"):
+        three_relation(P2)
+
+
 # ------------------------------------------------------------------- roots
 
 
@@ -297,13 +306,37 @@ def test_real_roots_are_bracketing_intervals():
 
 
 def test_real_roots_refine_with_precision():
-    # cached intervals only ever narrow, so request widths are ceilings
     p = CubicParams(37)
-    w1 = (lambda iv: iv[1] - iv[0])(real_roots(p, 20)[2])
-    w2 = (lambda iv: iv[1] - iv[0])(real_roots(p, 80)[2])
-    assert w1 <= Fraction(1, 2**20)
-    assert w2 <= Fraction(1, 2**80)
-    assert w2 <= w1
+    first = real_roots(p, 20)
+    fine = real_roots(p, 80)
+    assert all(hi - lo == Fraction(1, 2**20) for lo, hi in first)
+    assert all(hi - lo == Fraction(1, 2**80) for lo, hi in fine)
+    assert all(f_lo <= lo <= hi <= f_hi for (lo, hi), (f_lo, f_hi) in zip(fine, first))
+    # no state carries over from the finer call
+    assert real_roots(p, 20) == first
+
+
+def _fraction_bisection(a, bits):
+    # Reference for cubic._bisect: halve each unit bracket in Fractions
+    # until it is no wider than 2^-bits.
+    target = Fraction(1, 2**bits)
+    out = []
+    for lo, hi in cubic._isolate(a):
+        neg_at_lo = cubic._poly_at(a, lo) < 0
+        while hi - lo > target:
+            mid = (lo + hi) / 2
+            if (cubic._poly_at(a, mid) < 0) == neg_at_lo:
+                lo = mid
+            else:
+                hi = mid
+        out.append((lo, hi))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 20, 64, 128, 160])
+def test_real_roots_match_fraction_bisection(bits):
+    for a in (*range(-60, 61), 1000, -1000, 10**6, -(10**6)):
+        assert real_roots(CubicParams(a), bits) == _fraction_bisection(a, bits), a
 
 
 def test_cubic_basis_interval_hooks():
@@ -315,7 +348,26 @@ def test_cubic_basis_interval_hooks():
     derived = (1 + 1 / a1_hi, 1 + 1 / a1_lo)
     assert max(a2_lo, derived[0]) <= min(a2_hi, derived[1])
     assert a2_hi - a2_lo < Fraction(1, 2**32)
-    assert cubic_basis(P2) is b
+    assert cubic_basis(P2) == b
+
+
+def test_cubic_bases_compare_by_their_units():
+    assert cubic_basis(P2) == cubic_basis(P2)
+    assert hash(cubic_basis(P2)) == hash(cubic_basis(P2))
+    assert cubic_basis(P2) != cubic_basis(CubicParams(3))
+    beta = elem(P2, 7, -4, 2)
+    first, second = represent_unit_sums(beta), represent_unit_sums(beta)
+    assert first.basis is not second.basis
+    assert first == second and hash(first) == hash(second)
+
+
+def test_monotone_quantity_does_not_depend_on_earlier_calls():
+    rep = represent_unit_sums(elem(CubicParams(3), 5, -4, 2))
+    first = monotone_quantity(rep, 128)
+    assert monotone_quantity(rep, 128) == first
+    monotone_quantity(rep, 512)
+    assert monotone_quantity(rep, 128) == first
+    assert first[0] < first[1]
 
 
 # --------------------------------------------------------- representations

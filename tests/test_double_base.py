@@ -378,7 +378,7 @@ def test_to_unit_relation_layouts():
 
 
 def test_rational_basis_is_cached():
-    assert rational_basis(5, 23) is rational_basis(5, 23)
+    assert rational_basis(5, 23) == rational_basis(5, 23)
 
 
 # -------------------------------------------------------------------- json

@@ -211,6 +211,19 @@ def test_relation_and_certificate_are_mutually_exclusive(p, q):
         assert cert is None
 
 
+def test_obstruction_matches_a_plain_scan():
+    # find_obstruction skips the scan for pairs with a plain relation;
+    # the full scan over certificate_at must agree with it everywhere
+    for p in range(2, 60):
+        for q in range(2, 60):
+            if p == q or gcd(p, q) != 1:
+                continue
+            base = BasePair(p, q)
+            moduli = dict.fromkeys([p, q, *range(2, 61)])
+            scanned = next(filter(None, (certificate_at(base, m) for m in moduli)), None)
+            assert find_obstruction(base, max_modulus=60) == scanned, (p, q)
+
+
 @given(st.sampled_from(_PRIMES), st.sampled_from(_PRIMES), st.integers(2, 80))
 def test_certificates_imply_residue_avoidance(p, q, m):
     if p == q:
