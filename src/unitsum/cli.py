@@ -31,8 +31,6 @@ from .errors import (
     InvalidExpansion,
     IterationCapExceeded,
     NoRelationFound,
-    RelationBroken,
-    RelationInvalid,
     UnitSumError,
     VerificationFailed,
     document_ints,
@@ -44,6 +42,14 @@ EXIT_NOT_FOUND = 2
 EXIT_BAD_INPUT = 3
 EXIT_CAP = 4
 EXIT_VERIFY = 5
+
+# main prints every error and exits with the code of its first matching row
+_EXIT_CODES = (
+    (NoRelationFound, EXIT_NOT_FOUND),
+    ((IterationCapExceeded, BudgetExceeded), EXIT_CAP),
+    ((InvalidExpansion, ValueError, OSError), EXIT_BAD_INPUT),
+    (UnitSumError, EXIT_VERIFY),
+)
 
 
 def _print(text: str) -> None:
@@ -117,8 +123,7 @@ def _cmd_verify(args) -> int:
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
-        print(f"error: not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError(f"not valid JSON: {exc}") from None
     try:
         exp, claimed = expansion_from_json(data)
     except InvalidExpansion as exc:
@@ -185,12 +190,9 @@ def _cmd_obstruct(args) -> int:
 def _cmd_min_weight(args) -> int:
     base = _base(args)
     v = args.value
-    box = None
     if (args.i_max is None) != (args.j_max is None):
-        print("error: give both --i-max and --j-max or neither", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if args.i_max is not None:
-        box = (args.i_max, args.j_max)
+        raise ValueError("give both --i-max and --j-max or neither")
+    box = None if args.i_max is None else (args.i_max, args.j_max)
     witness = oracle.min_weight_bruteforce(v, base, args.max_weight, box, args.budget)
     shown_box = box if box is not None else oracle.default_box(v, base)
     if witness is None:
@@ -254,8 +256,7 @@ def _cmd_cubic_repr(args) -> int:
 def _cmd_cubic_verify(args) -> int:
     lo, hi = args.a_from, args.a_to
     if lo > hi:
-        print("error: --a-from must not exceed --a-to", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError("--a-from must not exceed --a-to")
     count = 0
     for a in range(lo, hi + 1):
         cubic.three_relation(cubic.CubicParams(a))
@@ -268,10 +269,9 @@ def _cmd_bench_steps(args) -> int:
     base = _base(args)
     lo, hi = args.lo, args.hi
     if lo > hi:
-        print("error: --from must not exceed --to", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError("--from must not exceed --to")
     _print("n,w_init,steps,weight_final")
-    for n, _, w, _, steps, w_init in oracle.sweep_verify(lo, hi, base).rows:
+    for n, _, w, _, steps, w_init in oracle.sweep_verify(lo, hi, base):
         _print(f"{n},{w_init},{steps},{w}")
     return EXIT_OK
 
@@ -364,21 +364,9 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_BAD_INPUT
     try:
         return args.func(args)
-    except NoRelationFound as exc:
+    except (UnitSumError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_FOUND
-    except (IterationCapExceeded, BudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except (VerificationFailed, RelationBroken, RelationInvalid) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except (InvalidExpansion, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except UnitSumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -16,10 +16,8 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from . import engine
-from .engine import Representation, UnitGroupBasis, UnitRelation
+from .engine import Interval, Representation, UnitGroupBasis, UnitRelation
 from .errors import ParamsMismatch, RelationBroken, document_ints, exact_int
-
-Interval = Tuple[Fraction, Fraction]
 
 
 @dataclass(frozen=True)
@@ -251,34 +249,20 @@ def _poly_at(a: int, x, s: int = 1):
     return ((x - (a - 1) * s) * x - (a + 2) * s * s) * x - s * s * s
 
 
-def _isolate(a: int) -> Tuple[Interval, Interval, Interval]:
-    """Unit brackets of the three roots, ascending, in closed form.
-
-    With f the defining polynomial, f(-1) = 1 and f(0) = -1 for every a.
-    For a >= 0, f(-2) = -2a - 1; alpha lies in (a, a+1) for a >= 1, as
-    f(a) = -2a - 1 and f(a+1) = a(a+1) - 1, and in (1, 2) for a = 0.  For
-    a <= -1, f(1) = -2a - 1 > 0; the smallest root lies in (a-1, a) for
-    a <= -2, as f(a-1) = 1 - a - a^2 and f(a) = -2a - 1, and in (-3, -2)
-    for a = -1.  These are the integer-aligned unit intervals holding a
-    sign change, whatever the size of a.
-    """
-    if a >= 1:
-        lows = (-2, -1, a)
-    elif a == 0:
-        lows = (-2, -1, 1)
-    elif a == -1:
-        lows = (-3, -1, 0)
-    else:
-        lows = (a - 1, -1, 0)
-    return tuple((Fraction(x), Fraction(x + 1)) for x in lows)
+def _isolate(a: int) -> Tuple[Tuple[int, int], ...]:
+    """Integer brackets of the three roots, ascending, for every a: with
+    f the defining polynomial, f(-1) = 1 and f(0) = -1, and Cauchy's bound
+    puts every root within 1 + max(|a - 1|, |a + 2|, 1) <= |a| + 3 of 0."""
+    b = abs(a) + 3
+    return ((-b, -1), (-1, 0), (0, b))
 
 
-def _bisect(a: int, bracket: Interval, bits: int) -> Interval:
-    """Bisect a unit bracket from _isolate to width exactly 2^-bits,
-    holding the endpoints as integers over the denominator 2^bits."""
+def _bisect(a: int, bracket: Tuple[int, int], bits: int) -> Interval:
+    """Bisect an integer bracket to width exactly 2^-bits, on integers over
+    2^bits.  The root is irrational, so this ends in the one grid cell that
+    holds it, whatever the bracket; a wider one costs log2(width) halvings."""
     s = 1 << bits
-    lo = int(bracket[0]) * s
-    hi = lo + s
+    lo, hi = bracket[0] * s, bracket[1] * s
     neg_at_lo = _poly_at(a, lo, s) < 0
     while hi - lo > 1:
         mid = (lo + hi) >> 1
@@ -342,14 +326,9 @@ def represent_unit_sums(beta: CubicElement, policy: Optional[engine.ReductionPol
     drives the rewrite.  Round-trip evaluation is exact.
     """
     params = beta.params
-    basis = cubic_basis(params)
-    seeds = {}
-    for t, c in enumerate(beta.coords):
-        if c:
-            seeds[(0 if c > 0 else 1, 1, (t, 0))] = abs(c)
-    rep = Representation(basis, seeds)
-    if not rep:
-        return rep
+    # a zero coordinate seeds nothing: Representation drops zero coefficients
+    seeds = {(0 if c > 0 else 1, 1, (t, 0)): abs(c) for t, c in enumerate(beta.coords)}
+    rep = Representation(cubic_basis(params), seeds)
     return engine.reduce(rep, three_relation(params), policy)
 
 

@@ -289,6 +289,16 @@ def _claim_reduce(grid: dict, credits, on_step=None) -> int:
     return steps
 
 
+def _checked(rel, base: BasePair, kind: str):
+    """rel after its exact check against base: None raises
+    NoRelationFound naming the kind, a false identity RelationInvalid."""
+    if rel is None:
+        raise NoRelationFound(f"no {kind} for ({base.p},{base.q}) with exponents up to {MAX_EXP}")
+    if not _relations.verify_relation(base, rel):
+        raise RelationInvalid(f"{rel} is not a valid relation for {base}")
+    return rel
+
+
 def _extended_credits(rel: "_relations.ExtendedRelation"):
     # 2 p^i q^j = p^(i+a) q^(j+b) + sign p^(i+c) q^(j+d)
     return ((rel.a, rel.b, 1), (rel.c, rel.d, rel.sign))
@@ -296,7 +306,9 @@ def _extended_credits(rel: "_relations.ExtendedRelation"):
 
 @dataclass(frozen=True)
 class ExpandStats:
-    """expand output plus the bookkeeping the benchmarks report."""
+    """expand output plus the bookkeeping the benchmarks report; w_init
+    is the base-p digit sum of |v|, the padic seed's weight, whichever
+    seed was used."""
 
     expansion: "SignedExpansion | ExtendedExpansion"
     steps: int
@@ -326,15 +338,16 @@ def expand_with_stats(
     seed_method: str = "padic",
     on_step=None,
 ) -> ExpandStats:
-    """expand, but also reporting steps, the seeded digit sum and the
-    relation used (None on the single-base paths).
+    """expand, but also reporting steps, w_init and the relation used
+    (None on the single-base paths).
 
     Off the single-base paths, the seed places signed digits of |v| on
     the (i, j) grid: its base-p digits on the axis j = 0 for "padic",
     the terms of greedy_seed for "greedy".  One reduction with the plain
     relation then brings every grid coefficient into {-1, 0, 1}, and
-    steps counts its fired pairs.  For the padic seed that count is at
-    most (w^2 - w) / 2, w being w_init, the seeded digit sum.
+    steps counts its fired pairs.  w_init is the base-p digit sum of |v|,
+    the padic seed's weight, for either seed; the padic seed fires at
+    most (w^2 - w) / 2 pairs for w = w_init.
     """
     if seed_method not in ("padic", "greedy"):
         raise ValueError("seed_method must be 'padic' or 'greedy'")
@@ -346,13 +359,7 @@ def expand_with_stats(
         terms = _single_base_terms(v, b, axis)
         if terms is not None:
             return ExpandStats(SignedExpansion(base, terms), 0, w_init)
-    rel = _relations.find_plain_relation(base)
-    if rel is None:
-        raise NoRelationFound(
-            f"no plain relation for ({base.p},{base.q}) with exponents up to {MAX_EXP}"
-        )
-    if not _relations.verify_relation(base, rel):
-        raise RelationInvalid(f"{rel} is not a valid relation for {base}")
+    rel = _checked(_relations.find_plain_relation(base), base, "plain relation")
     if seed_method == "greedy":
         grid = {(i, j): d for d, i, j in greedy_seed(abs(v), base)}
     else:
@@ -388,13 +395,7 @@ def expand_extended(x: PQRational, base: BasePair, on_step=None) -> ExtendedExpa
         raise ValueError("rational and expansion base pairs differ")
     if x.num == 0:
         return ExtendedExpansion(base, ())
-    rel = _relations.find_extended_relation(base)
-    if rel is None:
-        raise NoRelationFound(
-            f"no relation for ({base.p},{base.q}) with exponents up to {MAX_EXP}"
-        )
-    if not _relations.verify_relation(base, rel):
-        raise RelationInvalid(f"{rel} is not a valid relation for {base}")
+    rel = _checked(_relations.find_extended_relation(base), base, "relation")
     credits = _extended_credits(rel)
     p = base.p
     mirrored = rel.form == "q_inverse"
@@ -489,11 +490,10 @@ def rational_evaluator(base: BasePair) -> Callable:
 def to_unit_relation(rel, base: BasePair) -> UnitRelation:
     """Encode a plain relation as an engine relation with n = 2.
 
-    2 = sign (p^x - q^y) becomes one term on each sign layer.
+    2 = sign (p^x - q^y) becomes one term on each sign layer.  None, as
+    returned when no relation exists, raises NoRelationFound.
     """
-    if not _relations.verify_relation(base, rel):
-        raise RelationInvalid(f"{rel} is not a valid relation for {base}")
-    ext = rel.as_extended()
+    ext = _checked(rel, base, "relation").as_extended()
     return UnitRelation(n=2, terms=((0, (ext.a, ext.b)), (1, (ext.c, ext.d))))
 
 

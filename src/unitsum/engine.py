@@ -16,7 +16,7 @@ from operator import add
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Tuple
 
-from .errors import BasisMismatch, IterationCapExceeded, TargetTooSmall
+from .errors import BasisMismatch, IterationCapExceeded, TargetTooSmall, exact_int
 
 Interval = Tuple[Fraction, Fraction]
 Index = Tuple[int, int, Tuple[int, ...]]
@@ -58,17 +58,20 @@ class UnitGroupBasis:
 class UnitRelation:
     """A verified identity n = sum_i zeta^{k_i} eps^{r_i}.
 
-    terms lists (k_i, r_i) pairs; the instantiating module is responsible
-    for checking that the sum really equals n in its ring.
+    terms lists (k_i, r_i) pairs of integers; the instantiating module is
+    responsible for checking that the sum really equals n in its ring.
     """
 
     n: int
     terms: Tuple[Tuple[int, Tuple[int, ...]], ...]
 
     def __post_init__(self):
-        terms = tuple((int(k), tuple(int(c) for c in r)) for k, r in self.terms)
+        terms = tuple(
+            (exact_int(k, "sign layer"), tuple(exact_int(c, "exponent") for c in r))
+            for k, r in self.terms
+        )
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", exact_int(self.n, "right-hand side"))
         if self.n < 2:
             raise ValueError("right-hand side must be at least 2")
         if not (self.n >= self.I >= 2):
@@ -88,10 +91,17 @@ class UnitRelation:
         return max(abs(c) for _, r in self.terms for c in r) if self.terms else 0
 
 
+def _exact_index(key) -> Index:
+    k, ell, x = key
+    x = tuple(exact_int(c, "exponent") for c in x)
+    return (exact_int(k, "sign layer"), exact_int(ell, "generator"), x)
+
+
 class Representation:
     """Sparse nonnegative coefficient map over a basis.
 
-    Zero coefficients are never stored.  steps is a bookkeeping counter
+    Indices and coefficients are integers (see errors.exact_int); zero
+    coefficients are never stored.  steps is a bookkeeping counter
     carried along by the rewrite operations; it does not take part in
     equality.
     """
@@ -104,14 +114,15 @@ class Representation:
         clean = {}
         for key, a in (coeffs or {}).items():
             k, ell, x = key
-            x = tuple(int(c) for c in x)
+            if not (type(k) is int and type(ell) is int and type(a) is int
+                    and type(x) is tuple and all(type(c) is int for c in x)):
+                (k, ell, x), a = _exact_index(key), exact_int(a, "coefficient")
             if not (0 <= k < K and 1 <= ell <= L and len(x) == M):
                 raise ValueError(f"index {key!r} does not fit the basis")
-            a = int(a)
             if a < 0:
                 raise ValueError("coefficients must be nonnegative")
             if a:
-                clean[(int(k), int(ell), x)] = a
+                clean[(k, ell, x)] = a
         self._coeffs = clean
         self.steps = int(steps)
         self._bbox = None
@@ -201,8 +212,7 @@ def replacement_step(rep: Representation, rel: UnitRelation, target) -> Represen
     term gains 1 at its shifted index.  Value is preserved exactly; total
     weight changes by I - n."""
     _check_relation(rep.basis, rel)
-    k, ell, x = target
-    target = (k, ell, tuple(x))
+    k, ell, x = target = _exact_index(target)
     have = rep._coeffs.get(target, 0)
     if have < rel.n:
         raise TargetTooSmall(f"coefficient {have} at {target} is below n = {rel.n}")
@@ -213,7 +223,7 @@ def replacement_step(rep: Representation, rel: UnitRelation, target) -> Represen
         out[target] = have - rel.n
     K = rep.basis.K
     for ki, r in rel.terms:
-        nk = ((k + ki) % K, ell, tuple(a + b for a, b in zip(target[2], r)))
+        nk = ((k + ki) % K, ell, tuple(a + b for a, b in zip(x, r)))
         out[nk] = out.get(nk, 0) + 1
     return Representation(rep.basis, out, steps=rep.steps + 1)
 
@@ -288,55 +298,35 @@ def bounds_f_T(params: BoundParams):
     return (f, T)
 
 
-def _normalized(coeffs: dict) -> dict:
-    # Opposite sign layers at the same (l, x) cancel exactly.
-    out = dict(coeffs)
-    for key in [key for key in out if key[0] == 0]:
-        _, ell, x = key
-        mate = (1, ell, x)
-        a = out.get(key, 0)
-        b = out.get(mate, 0)
-        if a and b:
-            c = min(a, b)
-            if a > c:
-                out[key] = a - c
-            else:
-                out.pop(key, None)
-            if b > c:
-                out[mate] = b - c
-            else:
-                out.pop(mate, None)
-    return out
-
-
 def reduce(rep: Representation, rel: UnitRelation, policy: Optional[ReductionPolicy] = None) -> Representation:
     """Rewrite until every coefficient lies in [1, n-1].
 
-    Firing is done in rounds: each round fires every site whose
-    coefficient has reached n, c // n times at once.  Stabilization is
-    abelian, so the final state, the total step count and the number of
-    rewrites made at each site do not depend on the firing order; they
-    match one-at-a-time targeting in any order.  The output carries the total
-    rewrite count in .steps.  Raises IterationCapExceeded, with no
-    partial result, if policy.max_steps is hit.
+    Opposite sign layers at the same (l, x) cancel first.  Firing is done
+    in rounds: each round fires every site whose coefficient has reached
+    n, c // n times at once.  Stabilization is abelian, so the final
+    state, the total step count and the number of rewrites made at each
+    site do not depend on the firing order; they match one-at-a-time
+    targeting in any order.  The output carries the total rewrite count
+    in .steps.  Raises IterationCapExceeded, with no partial result, if
+    policy.max_steps is hit.
     """
     policy = policy or ReductionPolicy()
     _check_relation(rep.basis, rel)
-    coeffs = _normalized(rep._coeffs)
-    out, steps = _stabilize(coeffs, rep.basis, rel, policy)
+    out, steps = _stabilize(rep._coeffs, rep.basis, rel, policy)
     return Representation(rep.basis, out, steps=steps)
 
 
 def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: ReductionPolicy):
     """Round kernel behind reduce; returns (stable coefficients, steps).
 
-    Sites are flat tuples (layer, x_1, ..., x_M) with layer = k*L + l - 1.
-    Firing a site adds, for each relation term, an offset precomputed per
-    layer that moves the layer to the term's sign layer and shifts x by
-    the term's exponent vector.  A site joins the next round when a
-    firing pushes it from below n to n or above, so a round lists each
-    site at most once and every listed site holds at least n when it
-    fires.
+    Sites are flat tuples (layer, x_1, ..., x_M) with layer = k*L + l - 1;
+    as they are built, the two sign layers at one (l, x) cancel to their
+    difference on the larger side.  Firing a site adds, for each relation
+    term, an offset precomputed per layer that moves the layer to the
+    term's sign layer and shifts x by the term's exponent vector.  A site
+    joins the next round when a firing pushes it from below n to n or
+    above, so a round lists each site at most once and every listed site
+    holds at least n when it fires.
     """
     n = rel.n
     K, L = basis.K, basis.L
@@ -347,7 +337,12 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
     # two exponents (every basis in this package) get the new site spelled
     # out: with tuple(map(...)) alone, cubic-units ran 32 % fewer ops/s
     pair = basis.M == 2
-    state = {(k * L + ell - 1, *x): a for (k, ell, x), a in coeffs.items()}
+    state = {}
+    for (k, ell, x), a in coeffs.items():
+        site, mate = (k * L + ell - 1, *x), ((1 - k) * L + ell - 1, *x)
+        b = state.pop(mate, 0)
+        if a != b:
+            state[site if a > b else mate] = abs(a - b)
     ready = [site for site, c in state.items() if c >= n]
     max_steps = policy.max_steps
     on_step = policy.on_step

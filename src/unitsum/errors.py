@@ -80,12 +80,15 @@ def document_ints(values, what: str) -> list:
     if not types <= {int, str}:
         bad = next(v for v in values if type(v) not in (int, str))
         raise ValueError(f"{what} {bad!r} is not an integer or a decimal string")
-    # one match over the whole column rather than one call per value
-    if str in types and not _DECIMALS.fullmatch(
-        ",".join(values if types == {str} else map(str, values))
-    ):
-        bad = next(v for v in values if type(v) is str and not _DECIMALS.fullmatch(v))
-        raise ValueError(f"{what} {bad!r} is not an integer or a decimal string")
+    # one match over the whole column rather than one call per value; a
+    # column holding one comma fewer than values splits into one part each
+    if str in types:
+        column = ",".join(values if types == {str} else map(str, values))
+        if column.count(",") != len(values) - 1 or not _DECIMALS.fullmatch(column):
+            bad = next(
+                v for v in values if type(v) is str and ("," in v or not _DECIMALS.fullmatch(v))
+            )
+            raise ValueError(f"{what} {bad!r} is not an integer or a decimal string")
     return list(map(int, values))
 
 

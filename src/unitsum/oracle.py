@@ -189,27 +189,15 @@ def min_weight_bruteforce(
     return None
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    """Outcome of a verification sweep, one row
-    (v, status, weight, oracle weight, steps, w_init) per value."""
-
-    lo: int
-    hi: int
-    base: BasePair
-    count: int
-    max_steps: int
-    max_weight: int
-    rows: Tuple[tuple, ...]
-
-
 def sweep_verify(
     lo: int,
     hi: int,
     base: BasePair,
     oracle_max_weight: Optional[int] = None,
-) -> SweepReport:
-    """Expand every v in [lo, hi] and recheck all promised properties.
+) -> Tuple[tuple, ...]:
+    """Expand every v in [lo, hi] and recheck all promised properties;
+    returns one row (v, status, weight, oracle weight, steps, w_init) per
+    value.
 
     For each value: digits lie in {-1,1} at distinct exponent pairs (the
     expansion type enforces this on construction), the expansion
@@ -221,8 +209,6 @@ def sweep_verify(
     offending v in the error message.
     """
     rows = []
-    max_steps = 0
-    max_w = 0
     for v in range(lo, hi + 1):
         stats = expand_with_stats(v, base)
         exp = stats.expansion
@@ -244,6 +230,4 @@ def sweep_verify(
                 )
             w_oracle = witness.weight
         rows.append((v, "ok", weight(exp), w_oracle, stats.steps, stats.w_init))
-        max_steps = max(max_steps, stats.steps)
-        max_w = max(max_w, weight(exp))
-    return SweepReport(lo, hi, base, len(rows), max_steps, max_w, tuple(rows))
+    return tuple(rows)

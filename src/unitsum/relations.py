@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Tuple
 
+from .errors import exact_int
+
 if TYPE_CHECKING:  # pragma: no cover
     from .double_base import BasePair
 
@@ -25,13 +27,16 @@ MAX_EXP = 64  # the converters' exponent bound and the finders' default
 
 @dataclass(frozen=True)
 class PlainRelation:
-    """2 = sign * (p^x - q^y) with nonnegative exponents."""
+    """2 = sign * (p^x - q^y) with nonnegative integer exponents."""
 
     x: int
     y: int
     sign: int
 
     def __post_init__(self):
+        if {type(self.x), type(self.y), type(self.sign)} != {int}:
+            for name in ("x", "y", "sign"):
+                object.__setattr__(self, name, exact_int(getattr(self, name), name))
         if self.sign not in (-1, 1):
             raise ValueError("sign must be -1 or 1")
         if self.x < 0 or self.y < 0:
@@ -60,6 +65,9 @@ class ExtendedRelation:
     form: str
 
     def __post_init__(self):
+        if {type(self.a), type(self.b), type(self.c), type(self.d), type(self.sign)} != {int}:
+            for name in ("a", "b", "c", "d", "sign"):
+                object.__setattr__(self, name, exact_int(getattr(self, name), name))
         if self.sign not in (-1, 1):
             raise ValueError("sign must be -1 or 1")
         if self.form not in _FORM_RANK:

@@ -12,7 +12,28 @@ shuffled_reduce, which fires in a random order.
 import heapq
 
 from unitsum import IterationCapExceeded
-from unitsum.engine import _normalized
+
+
+def _normalized(coeffs: dict) -> dict:
+    # Opposite sign layers at the same (l, x) cancel exactly; kept apart
+    # from the kernel, which cancels while it builds its sites.
+    out = dict(coeffs)
+    for key in [key for key in out if key[0] == 0]:
+        _, ell, x = key
+        mate = (1, ell, x)
+        a = out.get(key, 0)
+        b = out.get(mate, 0)
+        if a and b:
+            c = min(a, b)
+            if a > c:
+                out[key] = a - c
+            else:
+                out.pop(key, None)
+            if b > c:
+                out[mate] = b - c
+            else:
+                out.pop(mate, None)
+    return out
 
 
 def heap_reduce(rep, rel, max_steps=1_000_000):

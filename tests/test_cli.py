@@ -119,7 +119,7 @@ def test_verify_rejects_fractional_exponent(capsys, monkeypatch):
     assert out.startswith("status invalid (malformed expansion document: exponent 2.7 ")
 
 
-@pytest.mark.parametrize("bad", ["1_000", " 2 ", "+2", "\u0662"])
+@pytest.mark.parametrize("bad", ["1_000", " 2 ", "+2", "\u0662", "2,3"])
 def test_verify_rejects_loose_decimal_strings(capsys, monkeypatch, bad):
     # each of these was read as an exponent by int(), and "+2" certified 5^2 = 25
     doc = json.dumps({
@@ -227,6 +227,38 @@ def test_cubic_verify_range(capsys):
 def test_cubic_verify_rejects_reversed_range(capsys):
     code, _, _ = run(capsys, "cubic-verify", "--a-from", "5", "--a-to", "1")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, err",
+    [
+        (
+            ("verify", "-"),
+            "{not json",
+            "error: not valid JSON: Expecting property name enclosed in double quotes:"
+            " line 1 column 2 (char 1)\n",
+        ),
+        (
+            ("min-weight", "--p", "5", "--q", "23", "4", "--j-max", "3"),
+            "",
+            "error: give both --i-max and --j-max or neither\n",
+        ),
+        (
+            ("cubic-verify", "--a-from", "5", "--a-to", "1"),
+            "",
+            "error: --a-from must not exceed --a-to\n",
+        ),
+        (
+            ("bench-steps", "--p", "5", "--q", "23", "--from", "9", "--to", "1"),
+            "",
+            "error: --from must not exceed --to\n",
+        ),
+    ],
+    ids=["verify", "min-weight", "cubic-verify", "bench-steps"],
+)
+def test_invalid_input_is_reported_on_stderr(capsys, monkeypatch, argv, stdin, err):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert run(capsys, *argv) == (3, "", err)
 
 
 def test_bench_steps_csv(capsys):

@@ -269,9 +269,29 @@ def _scan_isolate(a):
         step /= 2
 
 
+def _unit_brackets(a):
+    # Reference unit brackets in closed form.  f(-1) = 1 and f(0) = -1.
+    # For a >= 0, f(-2) = -2a - 1; alpha lies in (a, a+1) for a >= 1, as
+    # f(a) = -2a - 1 and f(a+1) = a(a+1) - 1, and in (1, 2) for a = 0.
+    # For a <= -1, f(1) = -2a - 1 > 0; the smallest root lies in (a-1, a)
+    # for a <= -2, as f(a-1) = 1 - a - a^2 and f(a) = -2a - 1, and in
+    # (-3, -2) for a = -1.
+    if a >= 1:
+        lows = (-2, -1, a)
+    elif a == 0:
+        lows = (-2, -1, 1)
+    elif a == -1:
+        lows = (-3, -1, 0)
+    else:
+        lows = (a - 1, -1, 0)
+    return [(Fraction(x), Fraction(x + 1)) for x in lows]
+
+
 def test_root_brackets_match_the_grid_scan():
     for a in (*range(-200, 201), 1000, -1000):
-        assert list(cubic._isolate(a)) == _scan_isolate(a), a
+        assert _unit_brackets(a) == _scan_isolate(a), a
+        for (lo, hi), (u_lo, u_hi) in zip(cubic._isolate(a), _unit_brackets(a)):
+            assert lo <= u_lo < u_hi <= hi, a
 
 
 def test_root_brackets_change_sign_for_huge_parameters():
@@ -279,7 +299,6 @@ def test_root_brackets_change_sign_for_huge_parameters():
         brackets = cubic._isolate(a)
         assert brackets[0][1] <= brackets[1][0] and brackets[1][1] <= brackets[2][0]
         for lo, hi in brackets:
-            assert hi - lo == 1
             assert (cubic._poly_at(a, lo) < 0) != (cubic._poly_at(a, hi) < 0)
 
 
@@ -317,11 +336,11 @@ def test_real_roots_refine_with_precision():
 
 
 def _fraction_bisection(a, bits):
-    # Reference for cubic._bisect: halve each unit bracket in Fractions
-    # until it is no wider than 2^-bits.
+    # Reference for cubic._bisect: halve each reference unit bracket in
+    # Fractions until it is no wider than 2^-bits.
     target = Fraction(1, 2**bits)
     out = []
-    for lo, hi in cubic._isolate(a):
+    for lo, hi in _unit_brackets(a):
         neg_at_lo = cubic._poly_at(a, lo) < 0
         while hi - lo > target:
             mid = (lo + hi) / 2
@@ -333,7 +352,7 @@ def _fraction_bisection(a, bits):
     return tuple(out)
 
 
-@pytest.mark.parametrize("bits", [1, 2, 20, 64, 128, 160])
+@pytest.mark.parametrize("bits", [0, 1, 2, 20, 64, 128, 160])
 def test_real_roots_match_fraction_bisection(bits):
     for a in (*range(-60, 61), 1000, -1000, 10**6, -(10**6)):
         assert real_roots(CubicParams(a), bits) == _fraction_bisection(a, bits), a

@@ -34,6 +34,7 @@ from unitsum import (
     weight,
 )
 from unitsum.double_base import _claim_reduce, _extended_credits
+from unitsum.errors import document_ints
 from unitsum.relations import find_extended_relation
 
 B523 = BasePair(5, 23)
@@ -330,6 +331,23 @@ def test_expand_extended_rechecks_its_relation(monkeypatch):
         expand_extended(pq_rational(Fraction(7, 25), b), b)
 
 
+def test_plain_converters_recheck_their_relation(monkeypatch):
+    wrong = PlainRelation(2, 1, -1)
+    message = r"PlainRelation\(x=2, y=1, sign=-1\) is not a valid relation for BasePair\(p=5, q=23\)"
+    with pytest.raises(RelationInvalid, match=message):
+        to_unit_relation(wrong, B523)
+    monkeypatch.setattr("unitsum.relations.find_plain_relation", lambda *_: wrong)
+    with pytest.raises(RelationInvalid, match=message):
+        expand(997, B523)
+
+
+def test_missing_relations_name_the_search():
+    with pytest.raises(NoRelationFound, match=r"^no plain relation for \(5,11\) with exponents up to 64$"):
+        expand(10, BasePair(5, 11))
+    with pytest.raises(NoRelationFound, match=r"^no relation for \(5,11\) with exponents up to 64$"):
+        to_unit_relation(None, BasePair(5, 11))
+
+
 def test_expand_extended_zero():
     b = BasePair(5, 11)
     assert expand_extended(pq_rational(Fraction(0), b), b).terms == ()
@@ -444,6 +462,13 @@ def test_expansion_json_rejects_loose_decimal_strings(field, bad):
         doc[field] = bad
     with pytest.raises(InvalidExpansion, match="malformed"):
         expansion_from_json(doc)
+
+
+def test_document_ints_names_the_field_of_a_value_with_a_comma():
+    # the joined column "1,2,3" matched, and int("2,3") then failed with
+    # Python's own message
+    with pytest.raises(ValueError, match="^exponent '2,3' is not an integer"):
+        document_ints(["1", "2,3"], "exponent")
 
 
 @pytest.mark.parametrize(

@@ -106,6 +106,27 @@ def test_relation_rejects_underdetermined():
         UnitRelation(n=2, terms=((0, (1, 0)), (0, (0, 1)), (1, (1, 1))))
 
 
+@pytest.mark.parametrize(
+    "n, terms, field",
+    [
+        (3.7, ((0, (1, 0)), (1, (0, 1))), "right-hand side"),
+        (Fraction(7, 2), ((0, (1, 0)), (1, (0, 1))), "right-hand side"),
+        (2, ((0, (1.5, 0)), (1, (0, 1))), "exponent"),
+        (2, ((0.5, (1, 0)), (1, (0, 1))), "sign layer"),
+    ],
+)
+def test_relation_rejects_non_integral_fields(n, terms, field):
+    # n = 3.7 and n = 7/2 were read as 3, an exponent 1.5 as 1
+    with pytest.raises(ValueError, match=f"{field} .* is not an integer"):
+        UnitRelation(n=n, terms=terms)
+
+
+def test_relation_keeps_exact_integers():
+    rel = UnitRelation(n=Fraction(4, 2), terms=((0.0, (2.0, 0)), (1, (0, 1))))
+    assert (rel.n, rel.terms) == (2, ((0, (2, 0)), (1, (0, 1))))
+    assert all(type(v) is int for v in (rel.n, rel.terms[0][0], *rel.terms[0][1]))
+
+
 def test_relation_rejects_mixed_dimensions():
     with pytest.raises(ValueError):
         UnitRelation(n=2, terms=((0, (1, 0)), (1, (0, 1, 0))))
@@ -120,6 +141,30 @@ def test_representation_validates_indices():
         rep_of({(0, 1, (0,)): 1})  # wrong exponent arity
     with pytest.raises(ValueError):
         rep_of({(0, 1, (0, 0)): -1})
+
+
+@pytest.mark.parametrize(
+    "coeffs, field",
+    [
+        ({(0, 1, (0, 0)): 2.5}, "coefficient"),
+        ({(0, 1, (0, 0)): float("inf")}, "coefficient"),
+        ({(0, 1, (1.5, 0)): 1}, "exponent"),
+        ({(0, 1, (0, float("inf"))): 1}, "exponent"),
+        ({(0.5, 1, (0, 0)): 1}, "sign layer"),
+        ({(0, 1.5, (0, 0)): 1}, "generator"),
+    ],
+)
+def test_representation_rejects_non_integral_entries(coeffs, field):
+    # 2.5 was stored as 2, an exponent 1.5 as 1, and inf raised OverflowError
+    with pytest.raises(ValueError, match=f"{field} .* is not an integer"):
+        rep_of(coeffs)
+
+
+def test_representation_keeps_exact_integers():
+    r = rep_of({(0.0, Fraction(2, 2), (Fraction(4, 2), 3.0)): 2.0})
+    assert dict(r.coeffs) == {(0, 1, (2, 3)): 2}
+    ((k, ell, x), a), = r.items()
+    assert all(type(v) is int for v in (k, ell, *x, a))
 
 
 def test_representation_drops_zeros_and_is_readonly():
@@ -178,6 +223,20 @@ def test_replacement_step_needs_a_big_enough_coefficient():
         replacement_step(r, REL, (0, 1, (9, 9)))
 
 
+@pytest.mark.parametrize("target", [(0, 1, (0.5, 0)), (0.5, 1, (0, 0)), (0, 1, (0, float("nan")))])
+def test_replacement_step_rejects_non_integral_targets(target):
+    # each was looked up as it stood and reported as a coefficient below n
+    with pytest.raises(ValueError, match="is not an integer"):
+        replacement_step(rep_of({(0, 1, (0, 0)): 4}), REL, target)
+
+
+def test_replacement_step_reads_exact_targets():
+    r = rep_of({(0, 1, (0, 0)): 4})
+    out = replacement_step(r, REL, (0.0, Fraction(1), [0, 0.0]))
+    assert out == replacement_step(r, REL, (0, 1, (0, 0)))
+    assert all(type(k) is int and type(ell) is int for k, ell, _ in out.coeffs)
+
+
 def test_basis_mismatch_is_detected():
     # a relation whose terms cannot fit the basis shape is rejected
     bad = UnitRelation(n=2, terms=((0, (1, 0, 0)), (1, (0, 1, 0))))
@@ -222,6 +281,36 @@ def test_reduce_cancels_opposite_layers_first():
     out = reduce(r, REL)
     assert evaluate(out, EVAL) == 2
     assert out.steps == 1  # single replacement of the netted 2
+
+
+@pytest.mark.parametrize(
+    "rep, rel",
+    [
+        (
+            rep_of({
+                (0, 1, (0, 0)): 7, (1, 1, (0, 0)): 2,
+                (1, 1, (1, 0)): 9, (0, 1, (1, 0)): 3,
+                (0, 1, (0, 1)): 5, (1, 1, (0, 1)): 5,
+                (1, 1, (2, 2)): 1, (0, 1, (2, 2)): 6,
+            }),
+            REL,
+        ),
+        (
+            Representation(WIDE, {
+                (1, 2, (0, 0, 0)): 4, (0, 2, (0, 0, 0)): 9,
+                (0, 2, (1, 0, 0)): 2, (1, 2, (1, 0, 0)): 8,
+                (1, 1, (0, 1, 0)): 3, (0, 1, (0, 1, 0)): 3,
+                (0, 1, (0, 0, 0)): 5, (1, 2, (0, 0, 1)): 6,
+            }),
+            WIDE_REL,
+        ),
+    ],
+    ids=["rational", "generic-shape"],
+)
+def test_reduce_cancels_shared_sites_like_the_reference(rep, rel):
+    # both sign layers hold coefficients at one (l, x) with a > b, a < b
+    # and a == b, each layer coming first in the input at some site
+    assert_agrees_with(heap_reduce(rep, rel), rep, rel)
 
 
 def test_reduce_step_cap():

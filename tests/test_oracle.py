@@ -155,19 +155,21 @@ def test_windowed_search_matches_reference_with_first_half_terms(
 
 
 def test_sweep_of_the_reference_window():
-    rep = sweep_verify(995, 1003, B523)
-    assert rep.count == 9
-    assert all(row[1] == "ok" for row in rep.rows)
+    rows = sweep_verify(995, 1003, B523)
+    assert len(rows) == 9
+    assert [row[0] for row in rows] == list(range(995, 1004))
+    assert all(row[1] == "ok" for row in rows)
 
 
 def test_sweep_symmetric_window():
-    rep = sweep_verify(-100, 100, B523)
-    assert rep.count == 201
+    rows = sweep_verify(-100, 100, B523)
+    assert len(rows) == 201
+    assert [row[0] for row in rows] == list(range(-100, 101))
 
 
 def test_sweep_with_oracle_dominance():
-    rep = sweep_verify(-30, 30, B523, oracle_max_weight=6)
-    for v, status, w_algo, w_oracle, steps, w_init in rep.rows:
+    rows = sweep_verify(-30, 30, B523, oracle_max_weight=6)
+    for v, status, w_algo, w_oracle, steps, w_init in rows:
         assert status == "ok"
         assert w_oracle <= w_algo
 

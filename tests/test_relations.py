@@ -20,6 +20,30 @@ from unitsum import (
 from unitsum.relations import _plain_relation
 
 
+@pytest.mark.parametrize(
+    "cls, args, field",
+    [
+        (PlainRelation, (2.5, 1, 1), "x"),
+        (PlainRelation, (2, Fraction(3, 2), 1), "y"),
+        (PlainRelation, (2, 1, float("nan")), "sign"),
+        (ExtendedRelation, (1.5, 0, 0, 1, -1, "plain"), "a"),
+        (ExtendedRelation, (2, 0, 0, float("inf"), -1, "plain"), "d"),
+    ],
+)
+def test_relations_reject_non_integral_fields(cls, args, field):
+    # PlainRelation(2.5, 1, 1) and ExtendedRelation(1.5, ...) were kept as given
+    with pytest.raises(ValueError, match=f"^{field} .* is not an integer"):
+        cls(*args)
+
+
+def test_relations_keep_exact_integers():
+    plain = PlainRelation(2.0, Fraction(2, 2), 1.0)
+    ext = ExtendedRelation(Fraction(-2, 2), 2.0, -1, 0, 1.0, "p_inverse")
+    assert all(type(v) is int for v in (plain.x, plain.y, plain.sign))
+    assert all(type(v) is int for v in (ext.a, ext.b, ext.c, ext.d, ext.sign))
+    assert verify_relation(BasePair(5, 23), plain)
+
+
 def test_plain_relation_for_5_23():
     rel = find_plain_relation(BasePair(5, 23))
     assert (rel.x, rel.y, rel.sign) == (2, 1, 1)
