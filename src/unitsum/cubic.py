@@ -191,22 +191,30 @@ def alpha(params: CubicParams) -> CubicElement:
     return CubicElement(params, 0, 1, 0)
 
 
-def _alpha_inverse(params: CubicParams) -> CubicElement:
-    # constant term -1 makes this exact: alpha * (alpha^2 - (a-1) alpha - (a+2)) = 1
-    a = params.a
-    return CubicElement(params, -(a + 2), -(a - 1), 1)
-
-
 def alpha2(params: CubicParams) -> CubicElement:
     """The conjugate -1 - 1/alpha, with integer coordinates (a+1, a-1, -1)."""
     a = params.a
     return CubicElement(params, a + 1, a - 1, -1)
 
 
-def _alpha2_inverse(params: CubicParams) -> CubicElement:
-    # f(x) = (x+1)(x^2 - a x - 2) + 1 gives 1/(alpha+1) = -(alpha^2 - a alpha - 2),
-    # so (-1 - 1/alpha)^-1 = -alpha/(alpha+1) = -alpha^2 + a alpha + 1
-    return CubicElement(params, 1, params.a, -1)
+# one cubic-units bench round fills about 1,600 entries
+@functools.lru_cache(maxsize=1 << 12)
+def _generator_power(conjugate: bool, e: int, a: int):
+    """Coordinates of alpha^e, or of the conjugate's e-th power, for any
+    integer e: square-and-multiply on the generator, or on its closed-form
+    inverse when e < 0, so a cold exponent costs O(log |e|) products.
+    The last 2^12 powers are cached.
+    """
+    if e >= 0:
+        g = (a + 1, a - 1, -1) if conjugate else (0, 1, 0)
+    elif conjugate:
+        # f(x) = (x+1)(x^2 - a x - 2) + 1 gives 1/(alpha+1) = -(alpha^2 - a alpha - 2),
+        # so (-1 - 1/alpha)^-1 = -alpha/(alpha+1) = -alpha^2 + a alpha + 1
+        g = (1, a, -1)
+    else:
+        # constant term -1 makes this exact: alpha * (alpha^2 - (a-1) alpha - (a+2)) = 1
+        g = (-(a + 2), -(a - 1), 1)
+    return _pow_coords(g, abs(e), a)
 
 
 # a cubic-units bench round fills 31,269 entries, criteria 7 and 8 together 41,939
@@ -214,14 +222,13 @@ def _alpha2_inverse(params: CubicParams) -> CubicElement:
 def unit_monomial(i: int, j: int, params: CubicParams) -> CubicElement:
     """alpha^i * conjugate^j for any integer exponents; always integral.
 
-    Powers are taken on integer coordinate triples; the inverses used for
-    negative exponents have closed integer forms, so every product stays
-    integral.  The last 2^16 monomials are cached.
+    The product of two cached generator powers, taken on integer
+    coordinate triples; the inverses used for negative exponents have
+    closed integer forms, so every product stays integral.  The last
+    2^16 monomials are cached.
     """
     a = params.a
-    g1 = alpha(params) if i >= 0 else _alpha_inverse(params)
-    g2 = alpha2(params) if j >= 0 else _alpha2_inverse(params)
-    out = _mul_coords(_pow_coords(g1.coords, abs(i), a), _pow_coords(g2.coords, abs(j), a), a)
+    out = _mul_coords(_generator_power(False, i, a), _generator_power(True, j, a), a)
     return CubicElement(params, *out)
 
 

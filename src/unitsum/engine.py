@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Tuple
 
@@ -101,7 +100,7 @@ class Representation:
     """Sparse nonnegative coefficient map over a basis.
 
     Indices and coefficients are integers (see errors.exact_int); zero
-    coefficients are never stored.  steps is a bookkeeping counter
+    coefficients are never stored.  steps is an integer bookkeeping counter
     carried along by the rewrite operations; it does not take part in
     equality.
     """
@@ -124,7 +123,7 @@ class Representation:
             if a:
                 clean[(k, ell, x)] = a
         self._coeffs = clean
-        self.steps = int(steps)
+        self.steps = exact_int(steps, "steps")
         self._bbox = None
 
     @property
@@ -166,7 +165,8 @@ class Representation:
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Inputs of the theoretical step-count recurrences."""
+    """Inputs of the theoretical step-count recurrences; every field is
+    an integer (see errors.exact_int)."""
 
     M: int
     K: int
@@ -175,6 +175,8 @@ class BoundParams:
     w: int
 
     def __post_init__(self):
+        for name in ("M", "K", "L", "r", "w"):
+            object.__setattr__(self, name, exact_int(getattr(self, name), name))
         if min(self.M, self.K, self.L, self.w) < 1 or self.r < 0:
             raise ValueError("require M, K, L, w >= 1 and r >= 0")
 
@@ -183,7 +185,8 @@ class BoundParams:
 class ReductionPolicy:
     """Tuning for reduce.
 
-    max_steps caps the total rewrite count.  The cap is checked after
+    max_steps, an integer (see errors.exact_int; nan, inf and 2.5 raise
+    ValueError), caps the total rewrite count.  The cap is checked after
     each firing, and one firing at a site holding c performs c // n
     rewrites at once, so the count may overshoot the cap by at most one
     firing before the error fires.  on_step, when given, receives
@@ -194,6 +197,9 @@ class ReductionPolicy:
 
     max_steps: int = 1_000_000
     on_step: Optional[Callable[[Index, int], None]] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "max_steps", exact_int(self.max_steps, "max_steps"))
 
 
 def total_weight(rep: Representation) -> int:
@@ -319,33 +325,55 @@ def reduce(rep: Representation, rel: UnitRelation, policy: Optional[ReductionPol
 def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: ReductionPolicy):
     """Round kernel behind reduce; returns (stable coefficients, steps).
 
-    Sites are flat tuples (layer, x_1, ..., x_M) with layer = k*L + l - 1;
-    as they are built, the two sign layers at one (l, x) cancel to their
-    difference on the larger side.  Firing a site adds, for each relation
-    term, an offset precomputed per layer that moves the layer to the
-    term's sign layer and shifts x by the term's exponent vector.  A site
-    joins the next round when a firing pushes it from below n to n or
-    above, so a round lists each site at most once and every listed site
-    holds at least n when it fires.
+    A site (k, l, x) is packed into the int layer + K*L * sum (x_m + B) S^m
+    with layer = k*L + l - 1 and S = 2B + 1.  The width comes from the
+    call: B exceeds every |x_m| of the input by r_max * (max_steps + 1),
+    and a site d hops from the input takes d firings of at least one step
+    each, while the cap raises before the firing that passes it moves any
+    chips; so every digit x_m + B stays in [0, S) and the packing is
+    exact at any size.  As the sites are built, the two sign layers at
+    one (l, x) cancel to their difference on the larger side.  Firing a
+    site adds, for each relation term, an int offset precomputed per
+    layer.  A site joins the next round when a firing pushes it from
+    below n to n or above, so a round lists each site at most once and
+    every listed site holds at least n when it fires.
     """
     n = rel.n
-    K, L = basis.K, basis.L
+    K, L, M = basis.K, basis.L, basis.M
+    KL = K * L
+    max_steps = policy.max_steps
+    B = max((abs(c) for _, _, x in coeffs for c in x), default=0)
+    B += rel.r_max * (max(max_steps, 0) + 1) + 1
+    S = 2 * B + 1
+    scales = [KL * S ** m for m in range(M)]
+
+    def shift(x):
+        return sum(c * s for c, s in zip(x, scales))
+
+    def unpack(site):
+        q, layer = divmod(site, KL)
+        x = []
+        for _ in range(M):
+            q, c = divmod(q, S)
+            x.append(c - B)
+        return (layer // L, layer % L + 1, tuple(x))
+
     offsets = [
-        [(((layer // L + ki) % K) * L + layer % L - layer, *r) for ki, r in rel.terms]
-        for layer in range(K * L)
+        [((layer // L + ki) % K) * L + layer % L - layer + shift(r) for ki, r in rel.terms]
+        for layer in range(KL)
     ]
-    # two exponents (every basis in this package) get the new site spelled
-    # out: with tuple(map(...)) alone, cubic-units ran 32 % fewer ops/s
-    pair = basis.M == 2
+    origin = shift([B] * M)
     state = {}
     for (k, ell, x), a in coeffs.items():
-        site, mate = (k * L + ell - 1, *x), ((1 - k) * L + ell - 1, *x)
+        at = origin + shift(x) + ell - 1
+        site, mate = at + k * L, at + (1 - k) * L
         b = state.pop(mate, 0)
         if a != b:
             state[site if a > b else mate] = abs(a - b)
     ready = [site for site, c in state.items() if c >= n]
-    max_steps = policy.max_steps
     on_step = policy.on_step
+    # each distinct site is unpacked once, however often it fires
+    seen = {}
     steps = 0
     while ready:
         following = []
@@ -360,16 +388,16 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
             steps += t
             if steps > max_steps:
                 raise IterationCapExceeded(f"reduction exceeded {max_steps} replacement steps")
-            layer = site[0]
             if on_step is not None:
-                on_step((layer // L, layer % L + 1, site[1:]), t)
-            if pair:
-                _, x0, x1 = site
-            for d in offsets[layer]:
-                nk = (layer + d[0], x0 + d[1], x1 + d[2]) if pair else tuple(map(add, site, d))
+                index = seen.get(site)
+                if index is None:
+                    index = seen[site] = unpack(site)
+                on_step(index, t)
+            for d in offsets[site % KL]:
+                nk = site + d
                 old = state.get(nk, 0)
                 state[nk] = old + t
                 if old < n <= old + t:
                     following.append(nk)
         ready = following
-    return {(site[0] // L, site[0] % L + 1, site[1:]): a for site, a in state.items()}, steps
+    return {unpack(site): a for site, a in state.items()}, steps

@@ -162,8 +162,9 @@ def test_unit_monomial_anchor():
                 assert unit_monomial(i, j, params) * unit_monomial(-i, -j, params) == 1, (a, i, j)
 
 
-def test_unit_monomial_matches_object_powers():
-    # __wrapped__ skips the cache, so every pair is computed afresh
+def test_unit_monomial_matches_object_powers(monkeypatch):
+    # __wrapped__ skips both caches, so every pair is computed afresh
+    monkeypatch.setattr(cubic, "_generator_power", cubic._generator_power.__wrapped__)
     for a in (0, 1, 5, 10, 1000, -1000):
         params = CubicParams(a)
         powers1 = {i: alpha(params) ** i for i in range(-12, 13)}
@@ -173,6 +174,11 @@ def test_unit_monomial_matches_object_powers():
                 got = unit_monomial.__wrapped__(i, j, params)
                 assert got == powers1[i] * powers2[j], (a, i, j)
                 assert all(type(c) is int for c in got.coords)
+
+
+def test_power_caches_are_bounded():
+    assert cubic.unit_monomial.cache_info().maxsize == 1 << 16
+    assert cubic._generator_power.cache_info().maxsize == 1 << 12
 
 
 def _times_mod_minpoly(u, v, a):

@@ -47,7 +47,7 @@ def _point(value):
 
 
 # two torsion generators and three exponents: the shape no basis in the
-# package has, where reduce takes its generic path
+# package has
 WIDE = UnitGroupBasis(
     etas=(1, 2),
     epsilons=(5, 23, 7),
@@ -69,7 +69,7 @@ def seeds(ells, coord, dims, most):
     )
 
 
-def assert_agrees_with(reference, rep, rel):
+def assert_agrees_with(reference, rep, rel, max_steps=1_000_000):
     """reduce gives the reference's (coefficients, steps, odometer); its
     odometer is the per-index sums of the on_step multiplicities."""
     odometer = {}
@@ -77,7 +77,7 @@ def assert_agrees_with(reference, rep, rel):
     def record(idx, t):
         odometer[idx] = odometer.get(idx, 0) + t
 
-    out = reduce(rep, rel, ReductionPolicy(on_step=record))
+    out = reduce(rep, rel, ReductionPolicy(max_steps=max_steps, on_step=record))
     assert (dict(out.coeffs), out.steps, odometer) == reference
 
 
@@ -165,6 +165,15 @@ def test_representation_keeps_exact_integers():
     assert dict(r.coeffs) == {(0, 1, (2, 3)): 2}
     ((k, ell, x), a), = r.items()
     assert all(type(v) is int for v in (k, ell, *x, a))
+
+
+def test_representation_step_counter_is_an_exact_integer():
+    # 2.5 was stored as 2
+    for steps in (2.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="steps .* is not an integer"):
+            Representation(BASE, {}, steps=steps)
+    r = Representation(BASE, {}, steps=Fraction(4, 2))
+    assert r.steps == 2 and type(r.steps) is int
 
 
 def test_representation_drops_zeros_and_is_readonly():
@@ -327,6 +336,30 @@ def test_reduce_step_cap_leaves_input_untouched():
     assert dict(r.coeffs) == before
 
 
+@pytest.mark.parametrize("cap", [float("nan"), float("inf"), 2.5, Fraction(5, 2)])
+def test_step_cap_is_an_exact_integer(cap):
+    # a nan cap compared false against every count and switched the cap off
+    with pytest.raises(ValueError, match="max_steps .* is not an integer"):
+        ReductionPolicy(max_steps=cap)
+
+
+def test_step_cap_keeps_exact_integers():
+    policy = ReductionPolicy(max_steps=Fraction(10, 2))
+    assert policy.max_steps == 5 and type(policy.max_steps) is int
+    assert ReductionPolicy(max_steps=10**13).max_steps == 10**13
+
+
+def test_negative_step_cap_raises_on_the_first_firing():
+    events = []
+    policy = ReductionPolicy(max_steps=-5, on_step=lambda idx, t: events.append(t))
+    with pytest.raises(IterationCapExceeded):
+        reduce(rep_of({(0, 1, (0, 0)): 2}), REL, policy)
+    assert events == []
+    # nothing to fire: the cap is never consulted
+    out = reduce(rep_of({(0, 1, (3, -4)): 1}), REL, policy)
+    assert (dict(out.coeffs), out.steps) == ({(0, 1, (3, -4)): 1}, 0)
+
+
 def test_reduce_on_step_ledger_matches_counter():
     events = []
     policy = ReductionPolicy(on_step=lambda idx, t: events.append((idx, t)))
@@ -393,6 +426,48 @@ def test_reduce_matches_heap_reference_cubic(params, coeffs):
 def test_reduce_matches_heap_reference_generic_shape(coeffs):
     rep = Representation(WIDE, coeffs)
     assert_agrees_with(heap_reduce(rep, WIDE_REL), rep, WIDE_REL)
+
+
+# One exponent and two torsion generators; the relations below lose weight
+# on every firing (I < n), so they stop whatever the seed, and their terms
+# move sites both ways and across the sign layers.
+LINE = UnitGroupBasis(etas=(1, 2), epsilons=(3,), abs_val=(_point(3),))
+EDGE_SHAPES = [
+    (BASE, REL),
+    (LINE, UnitRelation(n=3, terms=((0, (-2,)), (1, (1,))))),
+    (WIDE, WIDE_REL),
+    (WIDE, UnitRelation(n=3, terms=((1, (-1, 0, 2)), (0, (0, -2, -1))))),
+]
+FAR = 2**70
+
+
+@st.composite
+def far_seeds(draw):
+    """A shape, and seeds clustered around a centre anywhere in
+    [-2^70, 2^70]^M, the extremes included."""
+    basis, rel = draw(st.sampled_from(EDGE_SHAPES))
+    centre = draw(st.tuples(*[st.one_of(st.sampled_from([-FAR, FAR]), st.integers(-FAR, FAR))] * basis.M))
+    local = draw(seeds(basis.L, 2, basis.M, 30))
+    coeffs = {(k, ell, tuple(c + d for c, d in zip(centre, x))): a for (k, ell, x), a in local.items()}
+    return Representation(basis, coeffs), rel
+
+
+@given(far_seeds(), st.sampled_from([None, -1, 0, 1]))
+def test_reduce_matches_heap_reference_at_the_packing_edges(case, slack):
+    """The kernel packs sites into ints whose width it derives from the
+    input's largest exponent and the cap; a cap of exactly the total step
+    count lets the sites travel as far as that width allows."""
+    rep, rel = case
+    cap = 1_000_000
+    if slack is not None:
+        cap = heap_reduce(rep, rel)[1] + slack
+    try:
+        expected = heap_reduce(rep, rel, cap)
+    except IterationCapExceeded:
+        with pytest.raises(IterationCapExceeded):
+            reduce(rep, rel, ReductionPolicy(max_steps=cap))
+    else:
+        assert_agrees_with(expected, rep, rel, cap)
 
 
 @given(st.sampled_from([None, *CUBIC_PARAMS[:3]]), seeds(1, 3, 2, 40), st.randoms(use_true_random=False))
@@ -471,6 +546,18 @@ def test_monotone_quantity_counts_weight_not_sign():
 
 
 # ----------------------------------------------------------------- bounds
+
+
+@pytest.mark.parametrize("field", ["M", "K", "L", "r", "w"])
+def test_bound_params_are_exact_integers(field):
+    # 2.5 gave float bounds, and a float w failed inside range()
+    fields = dict(M=2, K=2, L=1, r=2, w=3)
+    with pytest.raises(ValueError, match=f"{field} .* is not an integer"):
+        BoundParams(**{**fields, field: 2.5})
+    exact = BoundParams(**{**fields, field: float(fields[field])})
+    assert getattr(exact, field) == fields[field]
+    assert bounds_f_T(exact) == bounds_f_T(BoundParams(**fields))
+    assert all(type(v) is int for v in bounds_f_T(exact))
 
 
 def test_bound_base_cases():
