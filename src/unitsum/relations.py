@@ -11,8 +11,10 @@ relation out at once.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from .errors import exact_int
@@ -23,6 +25,11 @@ if TYPE_CHECKING:  # pragma: no cover
 _FORM_RANK = {"plain": 0, "p_inverse": 1, "q_inverse": 2}
 
 MAX_EXP = 64  # the converters' exponent bound and the finders' default
+
+# Each finder keeps its last results, which are frozen and safe to share;
+# one sweep-small bench run asks about 55 base pairs.  typed, so that a
+# float bound still raises instead of finding the int bound's entry.
+_relation_cache = functools.lru_cache(maxsize=256, typed=True)
 
 
 @dataclass(frozen=True)
@@ -141,24 +148,28 @@ def _plain_relation(p_pow: dict, q: int, max_exp: int) -> Optional[PlainRelation
     return best
 
 
+@_relation_cache
 def find_plain_relation(base: "BasePair", max_exp: int = MAX_EXP) -> Optional[PlainRelation]:
     """Smallest plain relation, minimizing x + y and then x.
 
     Exponents range over [1, max_exp]; zero exponents are excluded so the
     relation always mixes both bases.  Returns None when the box is empty
     of solutions.  Each power q^y is matched against a table of the
-    powers of p, so the search costs O(max_exp) lookups.
+    powers of p, so the search costs O(max_exp) lookups.  Results are
+    cached per (base, max_exp), 256 entries at most.
     """
     return _plain_relation(_power_table(base.p, max_exp), base.q, max_exp)
 
 
+@_relation_cache
 def find_extended_relation(base: "BasePair", max_exp: int = MAX_EXP) -> Optional[ExtendedRelation]:
     """Best relation allowing negative exponents.
 
     Candidates are ranked by total absolute exponent sum, then by form
     (plain before p_inverse before q_inverse), then by field tuple.  The
     inverse-form search solves 2 u^a = s + v^b exactly for s in {1, -1}
-    by looking 2 u^a - s up in the table of the powers of v.
+    by looking 2 u^a - s up in the table of the powers of v.  Results
+    are cached per (base, max_exp), 256 entries at most.
     """
     p_pow, q_pow = _power_table(base.p, max_exp), _power_table(base.q, max_exp)
     candidates = []
@@ -227,16 +238,15 @@ def find_obstruction(base: "BasePair", max_modulus: int = 1000) -> Optional[Obst
     The bases themselves come first: reducing mod p collapses the whole
     p-orbit to 0, which is the tidiest certificate when it works and the
     one matching hand calculations.  A pair with a plain relation returns
-    None without a scan: the relation holds modulo every m.
+    None without a scan: the relation holds modulo every m.  The moduli
+    are generated one at a time, so a huge max_modulus costs nothing
+    until the scan reaches it.
     """
     p, q = base.p, base.q
     if p == 3 or q == 3 or find_plain_relation(base) is not None:
         return None
-    tried = set()
-    for m in [p, q] + list(range(2, max_modulus + 1)):
-        if m < 2 or m in tried:
-            continue
-        tried.add(m)
+    rest = (m for m in range(2, max_modulus + 1) if m != p and m != q)
+    for m in chain((p, q), rest):
         cert = certificate_at(base, m)
         if cert is not None:
             return cert

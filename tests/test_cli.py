@@ -409,3 +409,36 @@ def test_stdout_is_pinned(capsys, monkeypatch, argv, stdin, code, digest):
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     got, out, _ = run(capsys, *argv)
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+def test_stdout_pins_hold_in_any_order(capsys, monkeypatch):
+    # main reuses one parser per process: every pinned call, run forward
+    # and then backward in one process, must print the same bytes
+    for argv, stdin, code, digest in PINNED_STDOUT + PINNED_STDOUT[::-1]:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
+        got, out, _ = run(capsys, *argv)
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), argv
+
+
+def test_format_flag_does_not_stick(capsys):
+    assert json.loads(run(capsys, "expand", "--p", "5", "--q", "23", "--format", "json", "997")[1])
+    code, out, _ = run(capsys, "expand", "--p", "5", "--q", "23", "997")
+    assert code == 0
+    assert out.startswith("997 = ")
+
+
+@pytest.mark.parametrize("first, code", [(("expand", "--p", "5", "997"), 3), (("--help",), 0)])
+def test_parser_exit_does_not_break_the_next_call(capsys, first, code):
+    assert run(capsys, *first)[0] == code
+    got, out, _ = run(capsys, "find-relation", "--p", "5", "--q", "23")
+    assert (got, out) == (0, "2 = 5^2 - 23^1\n")
+
+
+def test_max_exp_flag_does_not_stick(capsys):
+    # 2 = 3^6 - 727 needs an exponent above 5
+    code, out, _ = run(capsys, "find-relation", "--p", "3", "--q", "727", "--max-exp", "5")
+    assert (code, out) == (
+        2,
+        "no relation with exponents up to 5; no obstruction certificate with modulus up to 1000\n",
+    )
+    assert run(capsys, "find-relation", "--p", "3", "--q", "727")[:2] == (0, "2 = 3^6 - 727^1\n")

@@ -79,6 +79,35 @@ def test_p_adic_digits_round_trip(n, p):
         assert ds[-1] != 0
 
 
+def test_p_adic_digits_rejects_bad_input():
+    with pytest.raises(ValueError, match="nonnegative"):
+        p_adic_digits(-1, 5)
+    with pytest.raises(ValueError, match="base must be at least 2"):
+        p_adic_digits(7, 1)
+
+
+def _digits_by_division(n, p):
+    # one divmod per digit: the digits the split must reproduce
+    out = []
+    while n:
+        n, r = divmod(n, p)
+        out.append(r)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 11, 23, 10**6 + 3])
+def test_p_adic_digits_match_division(p):
+    # exponents around the split points p^(2^k) and the loop's bit limit,
+    # then random sizes past 65536 bits
+    rng = random.Random(p)
+    exponents = {1, 2, 3} | {2**j + e for j in range(2, 15) for e in (-1, 0, 1)}
+    exponents |= {rng.randrange(1, 1 << 14) for _ in range(8)}
+    values = [p**k + d for k in sorted(exponents) if (p**k).bit_length() <= 8192 for d in (-1, 0, 1)]
+    values += [rng.getrandbits(rng.randrange(1, 70_001)) for _ in range(2)] + [rng.getrandbits(70_000)]
+    for n in values:
+        assert p_adic_digits(n, p) == _digits_by_division(n, p), (p, n.bit_length())
+
+
 def test_balanced_ternary():
     assert balanced_ternary(5) == [-1, -1, 1]
     assert balanced_ternary(0) == []

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import gcd
+import timeit
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +18,7 @@ from unitsum import (
     find_plain_relation,
     verify_relation,
 )
-from unitsum.relations import _plain_relation
+from unitsum.relations import MAX_EXP, _plain_relation
 
 
 @pytest.mark.parametrize(
@@ -167,6 +168,40 @@ def test_lookup_matches_reference_on_larger_primes(base, max_exp):
     assert_same_as_reference(base, max_exp)
 
 
+# ----------------------------------------------------------------- caching
+
+FINDERS = [
+    (find_plain_relation, reference_plain_relation),
+    (find_extended_relation, reference_extended_relation),
+]
+
+
+def test_relation_caches_are_bounded():
+    assert find_plain_relation.cache_info().maxsize == 256
+    assert find_extended_relation.cache_info().maxsize == 256
+
+
+# the reference walks max_exp^2 exponent pairs, so the full bound runs
+# on the smaller sweep only
+@pytest.mark.parametrize("below, max_exp", [(100, 8), (30, MAX_EXP)])
+@pytest.mark.parametrize("finder, reference", FINDERS, ids=["plain", "extended"])
+def test_cached_relations_match_reference_cold_and_warm(finder, reference, below, max_exp):
+    for base in _coprime_pairs(below):
+        want = reference(base, max_exp)
+        finder.cache_clear()
+        assert finder(base, max_exp) == want, base
+        assert finder(base, max_exp) == want, base
+        info = finder.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+
+@pytest.mark.parametrize("finder", [find_plain_relation, find_extended_relation])
+def test_cached_relations_still_reject_a_float_bound(finder):
+    assert finder(BasePair(5, 23), 64) is not None
+    with pytest.raises(TypeError):
+        finder(BasePair(5, 23), 64.0)
+
+
 # ------------------------------------------------------------ obstructions
 
 
@@ -233,6 +268,18 @@ def test_relation_and_certificate_are_mutually_exclusive(p, q):
     if rel is not None:
         assert verify_relation(base, rel)
         assert cert is None
+
+
+def test_obstruction_scan_is_lazy():
+    # the first modulus tried, p = 7, certifies (7, 13), so the bound must
+    # cost nothing; 10^30 comes first because a scan that listed its
+    # moduli up front fails on it at once, but fills gigabytes at 10^9
+    want = find_obstruction(BasePair(7, 13), 1000)
+    assert want.modulus == 7
+    for bound in (10**30, 10**9):
+        assert find_obstruction(BasePair(7, 13), bound) == want
+        seconds = min(timeit.repeat(lambda: find_obstruction(BasePair(7, 13), bound), number=1, repeat=3))
+        assert seconds < 1e-3
 
 
 def test_obstruction_matches_a_plain_scan():
