@@ -67,7 +67,7 @@ class CubicElement:
 
     def _coerce(self, other) -> "CubicElement":
         if isinstance(other, CubicElement):
-            if other.params != self.params:
+            if other.params is not self.params and other.params != self.params:
                 raise ParamsMismatch(
                     f"cannot combine a = {self.params.a} with a = {other.params.a}"
                 )
@@ -87,14 +87,12 @@ class CubicElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CubicElement(
-            self.params, self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2
-        )
+        return _element(self.params, self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CubicElement(self.params, -self.c0, -self.c1, -self.c2)
+        return _element(self.params, -self.c0, -self.c1, -self.c2)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -107,13 +105,11 @@ class CubicElement:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return CubicElement(
-                self.params, self.c0 * other, self.c1 * other, self.c2 * other
-            )
+            return _element(self.params, self.c0 * other, self.c1 * other, self.c2 * other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CubicElement(self.params, *_mul_coords(self.coords, other.coords, self.params.a))
+        return _element(self.params, *_mul_coords(self.coords, other.coords, self.params.a))
 
     __rmul__ = __mul__
 
@@ -142,6 +138,22 @@ class CubicElement:
 
     def __repr__(self):
         return f"CubicElement(a={self.params.a}, {self.c0}, {self.c1}, {self.c2})"
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _element(params: CubicParams, c0: int, c1: int, c2: int) -> CubicElement:
+    """CubicElement from coordinates that are ints already, without the
+    checks of __post_init__.  The fields are set one by one, in the order
+    __init__ sets them, so instances keep sharing their dict keys."""
+    elem = _new(CubicElement)
+    _set(elem, "params", params)
+    _set(elem, "c0", c0)
+    _set(elem, "c1", c1)
+    _set(elem, "c2", c2)
+    return elem
 
 
 def _mul_coords(u, v, a: int):
@@ -229,7 +241,7 @@ def unit_monomial(i: int, j: int, params: CubicParams) -> CubicElement:
     """
     a = params.a
     out = _mul_coords(_generator_power(False, i, a), _generator_power(True, j, a), a)
-    return CubicElement(params, *out)
+    return _element(params, *out)
 
 
 _THREE = UnitRelation(n=3, terms=((0, (1, 2)), (0, (-2, -1)), (0, (1, -1))))

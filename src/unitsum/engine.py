@@ -5,13 +5,18 @@ A representation stores sparse nonnegative coefficients indexed by
 sum a * zeta^k * eta_l * eps^x, computed exactly by whichever ring
 instantiates the basis.  The central rewrite replaces n copies of a
 unit with the I units of a fixed relation, and `reduce` iterates that
-rewrite until every coefficient is below n.
+rewrite until every coefficient is below n.  Its kernel keeps the counts
+in a flat list over a box around the input that grows as the support
+spreads, or, for an input whose sites lie far apart, in a dict.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
+from math import isqrt, prod
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Tuple
 
@@ -322,82 +327,158 @@ def reduce(rep: Representation, rel: UnitRelation, policy: Optional[ReductionPol
     return Representation(rep.basis, out, steps=steps)
 
 
+# The list storage is used while the first box has at most _DENSE_CELLS
+# cells per input chip and site, chips counted up to _CHIP_CEILING: that
+# bounds the first list at about 8 MB, however heavy the input
+_DENSE_CELLS = 64
+_CHIP_CEILING = 1 << 14
+
+
+class _Box:
+    """Packing of the sites (k, l, x) with lo <= x <= hi componentwise
+    into the ints layer + K*L * sum (x_m - lo_m) * stride_m, with layer =
+    k*L + l - 1 and stride_m the product of the widths below m."""
+
+    def __init__(self, basis: UnitGroupBasis, rel: UnitRelation, lo, hi):
+        K, L = basis.K, basis.L
+        KL = K * L
+        self.basis, self.rel, self.lo, self.hi = basis, rel, lo, hi
+        self.KL, self.L = KL, L
+        self.widths = [b - a + 1 for a, b in zip(lo, hi)]
+        self.scales = [KL * prod(self.widths[:m]) for m in range(basis.M)]
+        self.cells = KL * prod(self.widths)
+        self.origin = -self.shift(lo)
+        self.offsets = [
+            [((layer // L + ki) % K) * L + layer % L - layer + self.shift(r) for ki, r in rel.terms]
+            for layer in range(KL)
+        ]
+
+    def shift(self, x) -> int:
+        return sum(c * s for c, s in zip(x, self.scales))
+
+    def pack(self, index: Index) -> int:
+        k, ell, x = index
+        return self.origin + self.shift(x) + k * self.L + ell - 1
+
+    def unpack(self, site: int) -> Index:
+        q, layer = divmod(site, self.KL)
+        x = []
+        for lo, w in zip(self.lo, self.widths):
+            q, c = divmod(q, w)
+            x.append(c + lo)
+        return (layer // self.L, layer % self.L + 1, tuple(x))
+
+    def edge(self) -> bytes:
+        """One byte per site: 1 when some x_m lies within r_max of a face."""
+        r = self.rel.r_max
+        row = bytes(self.KL)
+        for w in self.widths:
+            full = b"\x01" * len(row)
+            row = b"".join(full if d < r or d >= w - r else row for d in range(w))
+        return row
+
+    def grown(self, indices) -> "_Box":
+        """This box with every face that lies within r_max of one of the
+        indices pushed out by the box's width in that direction."""
+        r = self.rel.r_max
+        lo, hi = list(self.lo), list(self.hi)
+        for _, _, x in indices:
+            for m, c in enumerate(x):
+                if c - self.lo[m] < r:
+                    lo[m] = self.lo[m] - self.widths[m]
+                if self.hi[m] - c < r:
+                    hi[m] = self.hi[m] + self.widths[m]
+        return _Box(self.basis, self.rel, lo, hi)
+
+
 def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: ReductionPolicy):
     """Round kernel behind reduce; returns (stable coefficients, steps).
 
-    A site (k, l, x) is packed into the int layer + K*L * sum (x_m + B) S^m
-    with layer = k*L + l - 1 and S = 2B + 1.  The width comes from the
-    call: B exceeds every |x_m| of the input by r_max * (max_steps + 1),
-    and a site d hops from the input takes d firings of at least one step
-    each, while the cap raises before the firing that passes it moves any
-    chips; so every digit x_m + B stays in [0, S) and the packing is
-    exact at any size.  As the sites are built, the two sign layers at
-    one (l, x) cancel to their difference on the larger side.  Firing a
-    site adds, for each relation term, an int offset precomputed per
-    layer.  A site joins the next round when a firing pushes it from
-    below n to n or above, so a round lists each site at most once and
-    every listed site holds at least n when it fires.
+    Sites are packed into ints over a box (see _Box), and their counts
+    are kept in one of two storages chosen from the input.  When the
+    first box, the input's hull widened by r_max * (isqrt(w) // 2 + 2)
+    for the input weight w (at most _CHIP_CEILING), has at most
+    _DENSE_CELLS * (w + number of sites) cells, the counts live in a
+    flat list over the box.  Before each round, if a site about to fire
+    lies within r_max of a face, the faces it nears move out and the
+    counts are repacked; every target of a firing then lies inside the
+    box.  Otherwise, as for sites 10^9 apart, no box cell is allocated:
+    the counts live in a dict over a box that exceeds the input's hull
+    by r_max * (max_steps + 1) on every side.  A site d hops from the
+    input takes d firings of at least one step each, and the cap raises
+    before the firing that passes it moves any chips, so no site leaves
+    that box and it never grows.
+
+    As the sites are built, the two sign layers at one (l, x) cancel to
+    their difference on the larger side.  Firing a site adds, for each
+    relation term, an int offset precomputed per layer.  A site joins
+    the next round when a firing pushes it from below n to n or above,
+    so a round lists each site at most once and every listed site holds
+    at least n when it fires.
     """
-    n = rel.n
-    K, L, M = basis.K, basis.L, basis.M
-    KL = K * L
+    if not coeffs:
+        return {}, 0
+    n, L, r = rel.n, basis.L, rel.r_max
     max_steps = policy.max_steps
-    B = max((abs(c) for _, _, x in coeffs for c in x), default=0)
-    B += rel.r_max * (max(max_steps, 0) + 1) + 1
-    S = 2 * B + 1
-    scales = [KL * S ** m for m in range(M)]
+    chips = min(sum(coeffs.values()), _CHIP_CEILING)
+    cols = list(zip(*(x for _, _, x in coeffs)))
 
-    def shift(x):
-        return sum(c * s for c, s in zip(x, scales))
+    def around(reach):
+        return _Box(basis, rel, [min(c) - reach for c in cols], [max(c) + reach for c in cols])
 
-    def unpack(site):
-        q, layer = divmod(site, KL)
-        x = []
-        for _ in range(M):
-            q, c = divmod(q, S)
-            x.append(c - B)
-        return (layer // L, layer % L + 1, tuple(x))
-
-    offsets = [
-        [((layer // L + ki) % K) * L + layer % L - layer + shift(r) for ki, r in rel.terms]
-        for layer in range(KL)
-    ]
-    origin = shift([B] * M)
-    state = {}
+    box = around(r * (isqrt(chips) // 2 + 2))
+    dense = box.cells <= _DENSE_CELLS * (chips + len(coeffs))
+    if not dense:
+        box = around(r * (max(max_steps, 0) + 1))
+    first = {}
     for (k, ell, x), a in coeffs.items():
-        at = origin + shift(x) + ell - 1
+        at = box.pack((0, ell, x))
         site, mate = at + k * L, at + (1 - k) * L
-        b = state.pop(mate, 0)
+        b = first.pop(mate, 0)
         if a != b:
-            state[site if a > b else mate] = abs(a - b)
-    ready = [site for site, c in state.items() if c >= n]
+            first[site if a > b else mate] = abs(a - b)
+    ready = [site for site, c in first.items() if c >= n]
+    if dense:
+        state = [0] * box.cells
+        for site, c in first.items():
+            state[site] = c
+        edge = box.edge()
+    else:
+        state = defaultdict(int, first)
+    KL, offsets = box.KL, box.offsets
     on_step = policy.on_step
     # each distinct site is unpacked once, however often it fires
     seen = {}
     steps = 0
     while ready:
+        if dense and any(map(edge.__getitem__, ready)):
+            held = [(box.unpack(site), c) for site, c in compress(enumerate(state), state)]
+            due = [box.unpack(site) for site in ready]
+            box = box.grown([index for index, site in zip(due, ready) if edge[site]])
+            state = [0] * box.cells
+            for index, c in held:
+                state[box.pack(index)] = c
+            ready = [box.pack(index) for index in due]
+            edge, offsets, seen = box.edge(), box.offsets, {}
         following = []
         for site in ready:
             c = state[site]
             t = c // n
-            rem = c - n * t
-            if rem:
-                state[site] = rem
-            else:
-                del state[site]
+            state[site] = c - n * t
             steps += t
             if steps > max_steps:
                 raise IterationCapExceeded(f"reduction exceeded {max_steps} replacement steps")
             if on_step is not None:
                 index = seen.get(site)
                 if index is None:
-                    index = seen[site] = unpack(site)
+                    index = seen[site] = box.unpack(site)
                 on_step(index, t)
             for d in offsets[site % KL]:
                 nk = site + d
-                old = state.get(nk, 0)
-                state[nk] = old + t
-                if old < n <= old + t:
+                old = state[nk]
+                state[nk] = new = old + t
+                if old < n <= new:
                     following.append(nk)
         ready = following
-    return {unpack(site): a for site, a in state.items()}, steps
+    held = compress(enumerate(state), state) if dense else state.items()
+    return {box.unpack(site): c for site, c in held if c}, steps

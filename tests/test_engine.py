@@ -1,6 +1,7 @@
 """Core rewrite engine: representations, the replacement step, reduce,
 and the certified numeric helpers."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from unitsum import (
     to_unit_relation,
     total_weight,
 )
+from unitsum import engine
 from unitsum.double_base import BasePair
 
 BASE = rational_basis(5, 23)
@@ -444,19 +446,28 @@ FAR = 2**70
 @st.composite
 def far_seeds(draw):
     """A shape, and seeds clustered around a centre anywhere in
-    [-2^70, 2^70]^M, the extremes included."""
+    [-2^70, 2^70]^M, the extremes included, with an optional second
+    cluster between 10^9 and 2^70 away along one axis."""
     basis, rel = draw(st.sampled_from(EDGE_SHAPES))
     centre = draw(st.tuples(*[st.one_of(st.sampled_from([-FAR, FAR]), st.integers(-FAR, FAR))] * basis.M))
-    local = draw(seeds(basis.L, 2, basis.M, 30))
-    coeffs = {(k, ell, tuple(c + d for c, d in zip(centre, x))): a for (k, ell, x), a in local.items()}
+    centres = [centre]
+    if draw(st.booleans()):
+        axis = draw(st.integers(0, basis.M - 1))
+        gap = draw(st.sampled_from([-1, 1])) * draw(st.one_of(st.sampled_from([10**9, FAR]), st.integers(10**9, FAR)))
+        centres.append(tuple(c + gap * (m == axis) for m, c in enumerate(centre)))
+    coeffs = {}
+    for at in centres:
+        local = draw(seeds(basis.L, 2, basis.M, 30))
+        coeffs.update({(k, ell, tuple(c + d for c, d in zip(at, x))): a for (k, ell, x), a in local.items()})
     return Representation(basis, coeffs), rel
 
 
 @given(far_seeds(), st.sampled_from([None, -1, 0, 1]))
 def test_reduce_matches_heap_reference_at_the_packing_edges(case, slack):
-    """The kernel packs sites into ints whose width it derives from the
-    input's largest exponent and the cap; a cap of exactly the total step
-    count lets the sites travel as far as that width allows."""
+    """Sites pack into ints over a box around the input: a list box that
+    grows, or, for clusters 10^9 or more apart, a dict box whose width
+    comes from the cap.  A cap of exactly the total step count lets the
+    sites travel as far as that width allows."""
     rep, rel = case
     cap = 1_000_000
     if slack is not None:
@@ -468,6 +479,32 @@ def test_reduce_matches_heap_reference_at_the_packing_edges(case, slack):
             reduce(rep, rel, ReductionPolicy(max_steps=cap))
     else:
         assert_agrees_with(expected, rep, rel, cap)
+
+
+def test_reduce_grows_its_box_as_the_support_spreads(monkeypatch):
+    """Chip-firing on a line spreads 63 chips over about 60 sites, far
+    past the first box, which is sized for about the square root of the
+    weight; the box grows at least twice and the result is the
+    reference's."""
+    grown = []
+    original = engine._Box.grown
+    monkeypatch.setattr(engine._Box, "grown", lambda box, *args: grown.append(box) or original(box, *args))
+    rep = Representation(LINE, {(0, 1, (0,)): 60, (1, 2, (5,)): 3})
+    rel = UnitRelation(n=2, terms=((0, (1,)), (0, (-1,))))
+    assert_agrees_with(heap_reduce(rep, rel), rep, rel)
+    assert len(grown) >= 2
+
+
+def test_reduce_of_far_apart_sites_allocates_no_box():
+    seed = rep_of({(0, 1, (0, 0)): 9, (1, 1, (10**9, 0)): 7})
+    tracemalloc.start()
+    try:
+        out = reduce(seed, REL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert (dict(out.coeffs), out.steps) == heap_reduce(seed, REL)[:2]
 
 
 @given(st.sampled_from([None, *CUBIC_PARAMS[:3]]), seeds(1, 3, 2, 40), st.randoms(use_true_random=False))
