@@ -7,8 +7,8 @@ on stdout.  Exit codes: 0 success, 2 nothing found (no relation or
 certificate), 3 invalid input, 4 an iteration or search budget was hit,
 5 an internal verification failed.
 
-main parses with one parser per process, built on its first call by
-_parser(); build_parser() returns a fresh one.  Each subcommand's
+build_parser() builds the parser once per process and returns that one
+parser on every later call; main parses with it.  Each subcommand's
 handler is bound into the parser when it is built, so replacing a
 _cmd_* function afterwards does not change what main runs.
 """
@@ -291,6 +291,9 @@ def _add_format_arg(sub) -> None:
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
 
+# parse_args keeps no state between calls: each call fills a new
+# namespace from the defaults, so one parser serves every call
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unitsum",
@@ -361,16 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    # parse_args keeps no state between calls: each call fills a new
-    # namespace from the defaults
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags and 0 on --help
         return EXIT_OK if exc.code == 0 else EXIT_BAD_INPUT

@@ -61,9 +61,7 @@ class CubicElement:
 
     def __post_init__(self):
         for name in ("c0", "c1", "c2"):
-            c = getattr(self, name)
-            if type(c) is not int:
-                object.__setattr__(self, name, exact_int(c, "coordinate"))
+            object.__setattr__(self, name, exact_int(getattr(self, name), "coordinate"))
 
     def _coerce(self, other) -> "CubicElement":
         if isinstance(other, CubicElement):
@@ -114,22 +112,11 @@ class CubicElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "CubicElement":
-        """Inverse of a unit from its Galois conjugates.
-
-        The norm N(u) = u sigma(u) sigma^2(u) is a rational integer, and
-        u is a unit exactly when N(u) = +-1; then u^-1 = N(u) sigma(u)
-        sigma^2(u).  Zero raises ZeroDivisionError, any other non-unit
-        ValueError.
-        """
+        """Inverse of a unit (see _unit_inverse).  Zero raises
+        ZeroDivisionError, any other non-unit ValueError."""
         if not self:
             raise ZeroDivisionError("zero has no inverse")
-        a = self.params.a
-        s1 = _conjugate(self.coords, a)
-        rest = _mul_coords(s1, _conjugate(s1, a), a)
-        norm = _mul_coords(self.coords, rest, a)[0]
-        if norm not in (1, -1):
-            raise ValueError(f"{self!r} is not a unit: its norm is {norm}")
-        return CubicElement(self.params, *(norm * c for c in rest))
+        return _element(self.params, *_unit_inverse(self.coords, self.params.a))
 
     def __pow__(self, e: int) -> "CubicElement":
         if e < 0:
@@ -195,6 +182,21 @@ def _conjugate(u, a: int):
     return tuple(u[0] * e + u[1] * x + u[2] * y for e, x, y in zip((1, 0, 0), s1, s2))
 
 
+def _unit_inverse(u, a: int):
+    """Coordinates of u^-1 for a unit u, from its Galois conjugates.
+
+    The norm N(u) = u sigma(u) sigma^2(u) is a rational integer, and u
+    is a unit exactly when N(u) = +-1; then u^-1 = N(u) sigma(u)
+    sigma^2(u).  A nonzero u of any other norm raises ValueError.
+    """
+    s1 = _conjugate(u, a)
+    rest = _mul_coords(s1, _conjugate(s1, a), a)
+    norm = _mul_coords(u, rest, a)[0]
+    if norm not in (1, -1):
+        raise ValueError(f"{u} is not a unit for a = {a}: its norm is {norm}")
+    return tuple(norm * c for c in rest)
+
+
 def one(params: CubicParams) -> CubicElement:
     return CubicElement(params, 1, 0, 0)
 
@@ -213,19 +215,14 @@ def alpha2(params: CubicParams) -> CubicElement:
 @functools.lru_cache(maxsize=1 << 12)
 def _generator_power(conjugate: bool, e: int, a: int):
     """Coordinates of alpha^e, or of the conjugate's e-th power, for any
-    integer e: square-and-multiply on the generator, or on its closed-form
-    inverse when e < 0, so a cold exponent costs O(log |e|) products.
-    The last 2^12 powers are cached.
+    integer e: square-and-multiply on the generator, or on its inverse
+    when e < 0, so a cold exponent costs O(log |e|) products.  The last
+    2^12 powers are cached.
     """
-    if e >= 0:
-        g = (a + 1, a - 1, -1) if conjugate else (0, 1, 0)
-    elif conjugate:
-        # f(x) = (x+1)(x^2 - a x - 2) + 1 gives 1/(alpha+1) = -(alpha^2 - a alpha - 2),
-        # so (-1 - 1/alpha)^-1 = -alpha/(alpha+1) = -alpha^2 + a alpha + 1
-        g = (1, a, -1)
-    else:
-        # constant term -1 makes this exact: alpha * (alpha^2 - (a-1) alpha - (a+2)) = 1
-        g = (-(a + 2), -(a - 1), 1)
+    e = exact_int(e, "exponent")
+    g = (a + 1, a - 1, -1) if conjugate else (0, 1, 0)
+    if e < 0:
+        g = _unit_inverse(g, a)
     return _pow_coords(g, abs(e), a)
 
 
@@ -235,9 +232,9 @@ def unit_monomial(i: int, j: int, params: CubicParams) -> CubicElement:
     """alpha^i * conjugate^j for any integer exponents; always integral.
 
     The product of two cached generator powers, taken on integer
-    coordinate triples; the inverses used for negative exponents have
-    closed integer forms, so every product stays integral.  The last
-    2^16 monomials are cached.
+    coordinate triples; the generators are units, so their inverses are
+    integral too and every product stays integral.  The last 2^16
+    monomials are cached.
     """
     a = params.a
     out = _mul_coords(_generator_power(False, i, a), _generator_power(True, j, a), a)
@@ -296,6 +293,9 @@ def real_roots(params: CubicParams, precision_bits: int = 64) -> Tuple[Interval,
     """Three disjoint rational enclosures of the roots, ascending; the
     last one is alpha.  Each has width exactly 2^-precision_bits and is
     computed afresh, so equal calls give equal enclosures."""
+    precision_bits = exact_int(precision_bits, "precision_bits")
+    if precision_bits < 0:
+        raise ValueError("precision_bits must be nonnegative")
     a = params.a
     return tuple(_bisect(a, bracket, precision_bits) for bracket in _isolate(a))
 

@@ -156,24 +156,20 @@ def pq_rational(x: Fraction, base: BasePair) -> PQRational:
 _DIGIT_LOOP_BITS = 512
 
 
-def _digits_into(out: List[int], n: int, p: int, pows: List[int], k: int, pad: bool) -> None:
-    """Append the base-p digits of n < p^(2^k) to out, least significant
-    first: exactly 2^k of them if pad, else up to the leading nonzero one.
-    pows[i] is p^(2^i) for i < k."""
+def _digits_into(out: List[int], n: int, p: int, pows: List[int], k: int) -> None:
+    """Append the base-p digits of n to out, least significant first, with
+    zeros up to 2^k of them: exactly 2^k when n < p^(2^k), as in every
+    recursive call.  pows[i] is p^(2^i) for i < k."""
     if k == 0 or n.bit_length() <= _DIGIT_LOOP_BITS:
         start = len(out)
         while n:
             n, r = divmod(n, p)
             out.append(r)
-        if pad:
-            out.extend([0] * ((1 << k) - (len(out) - start)))
+        out.extend([0] * ((1 << k) - (len(out) - start)))
         return
     hi, lo = divmod(n, pows[k - 1])
-    if hi or pad:
-        _digits_into(out, lo, p, pows, k - 1, True)
-        _digits_into(out, hi, p, pows, k - 1, pad)
-    else:
-        _digits_into(out, lo, p, pows, k - 1, False)
+    _digits_into(out, lo, p, pows, k - 1)
+    _digits_into(out, hi, p, pows, k - 1)
 
 
 def p_adic_digits(n: int, p: int) -> List[int]:
@@ -184,6 +180,7 @@ def p_adic_digits(n: int, p: int) -> List[int]:
     Arithmetic*, 2010, section 1.7), instead of dividing the whole
     number once per digit.
     """
+    n, p = exact_int(n, "value"), exact_int(p, "base")
     if n < 0:
         raise ValueError("digits are defined for nonnegative integers")
     if p < 2:
@@ -194,13 +191,16 @@ def p_adic_digits(n: int, p: int) -> List[int]:
         while 2 * pows[-1].bit_length() - 1 <= n.bit_length():
             pows.append(pows[-1] * pows[-1])
     out: List[int] = []
-    _digits_into(out, n, p, pows, len(pows), False)
+    _digits_into(out, n, p, pows, len(pows))
+    while out and not out[-1]:
+        out.pop()
     return out
 
 
 def balanced_ternary(n: int) -> List[int]:
     """Digits in {-1,0,1} with n = sum digit * 3^index, least significant
     first.  Works for either sign; 0 gives []."""
+    n = exact_int(n, "value")
     out = []
     while n:
         r = n % 3
@@ -238,6 +238,7 @@ def greedy_seed(v: int, base: BasePair) -> List[Term]:
     scanning all I * J powers.  Coprime bases make the powers distinct,
     so a tie in distance always falls to the smaller power.
     """
+    v = exact_int(v, "value")
     p, q = base.p, base.q
     ppow = _powers_up_to(p, 2 * abs(v))
     qpow = _powers_up_to(q, 2 * abs(v))
@@ -347,7 +348,6 @@ class ExpandStats:
     expansion: "SignedExpansion | ExtendedExpansion"
     steps: int
     w_init: int
-    relation: object = None
 
 
 def _single_base_terms(v: int, b: int, axis: int) -> Optional[List[Term]]:
@@ -372,17 +372,20 @@ def expand_with_stats(
     seed_method: str = "padic",
     on_step=None,
 ) -> ExpandStats:
-    """expand, but also reporting steps, w_init and the relation used
-    (None on the single-base paths).
+    """expand, but also reporting steps and w_init.
 
-    Off the single-base paths, the seed places signed digits of |v| on
-    the (i, j) grid: its base-p digits on the axis j = 0 for "padic",
-    the terms of greedy_seed for "greedy".  One reduction with the plain
-    relation then brings every grid coefficient into {-1, 0, 1}, and
-    steps counts its fired pairs.  w_init is the base-p digit sum of |v|,
-    the padic seed's weight, for either seed; the padic seed fires at
-    most (w^2 - w) / 2 pairs for w = w_init.
+    v follows the package's integer rule (errors.exact_int): 7.0 expands
+    as 7, and 2.5 raises ValueError.  Off the single-base paths, the seed
+    places signed digits of |v| on the (i, j) grid: its base-p digits on
+    the axis j = 0 for "padic", the terms of greedy_seed for "greedy".
+    One reduction with the plain relation then brings every grid
+    coefficient into {-1, 0, 1}, and steps counts its fired pairs.
+    w_init is the base-p digit sum of |v|, the padic seed's weight, for
+    either seed; the padic seed fires at most (w^2 - w) / 2 pairs for
+    w = w_init.  on_step, when given, receives ((i, j), t) for each
+    firing of t pairs at (i, j).
     """
+    v = exact_int(v, "value")
     if seed_method not in ("padic", "greedy"):
         raise ValueError("seed_method must be 'padic' or 'greedy'")
     digits = p_adic_digits(abs(v), base.p)
@@ -401,7 +404,7 @@ def expand_with_stats(
     steps = _claim_reduce(grid, _extended_credits(rel.as_extended()), on_step)
     sign = 1 if v > 0 else -1
     terms = [(sign * a, i, j) for (i, j), a in grid.items()]
-    return ExpandStats(SignedExpansion(base, terms), steps, w_init, rel)
+    return ExpandStats(SignedExpansion(base, terms), steps, w_init)
 
 
 def expand(v: int, base: BasePair, seed_method: str = "padic") -> SignedExpansion:

@@ -110,7 +110,7 @@ class Representation:
     equality.
     """
 
-    __slots__ = ("basis", "_coeffs", "steps", "_bbox")
+    __slots__ = ("basis", "_coeffs", "steps")
 
     def __init__(self, basis: UnitGroupBasis, coeffs: Optional[Mapping] = None, steps: int = 0):
         self.basis = basis
@@ -129,7 +129,6 @@ class Representation:
                 clean[(k, ell, x)] = a
         self._coeffs = clean
         self.steps = exact_int(steps, "steps")
-        self._bbox = None
 
     @property
     def coeffs(self):
@@ -143,17 +142,6 @@ class Representation:
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
-
-    @property
-    def bbox(self):
-        """Componentwise exponent hull as ((lo, hi), ...); None when empty."""
-        if not self._coeffs:
-            return None
-        if self._bbox is None:
-            M = self.basis.M
-            cols = [[x[m] for _, _, x in self._coeffs] for m in range(M)]
-            self._bbox = tuple((min(col), max(col)) for col in cols)
-        return self._bbox
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Representation):
@@ -246,6 +234,9 @@ def monotone_quantity(rep: Representation, precision_bits: int = 64) -> Interval
     as they do for integer bases.  Strictly increases under every rewrite
     drawn from a valid relation.
     """
+    precision_bits = exact_int(precision_bits, "precision_bits")
+    if precision_bits < 0:
+        raise ValueError("precision_bits must be nonnegative")
     basis = rep.basis
     abs_ivs = [basis.abs_val[m](precision_bits) for m in range(basis.M)]
     for lo, hi in abs_ivs:

@@ -19,7 +19,7 @@ from .double_base import (
     expand_with_stats,
     weight,
 )
-from .errors import BudgetExceeded, VerificationFailed
+from .errors import BudgetExceeded, VerificationFailed, exact_int
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ def _ceil_log(v: int, b: int) -> int:
 
 def default_box(v: int, base: BasePair) -> Tuple[int, int]:
     """Exponent box (I_max, J_max) sized a little past |v| in each base."""
-    v = abs(v)
+    v = abs(exact_int(v, "value"))
     if v < 2:
         return (2, 2)
     return (_ceil_log(v, base.p) + 2, _ceil_log(v, base.q) + 2)
@@ -164,7 +164,10 @@ def min_weight_bruteforce(
     is one slot tried at one depth of the direct search, or one signed
     partial sum formed in the meet-in-the-middle walk.
     """
+    v, max_weight = exact_int(v, "value"), exact_int(max_weight, "max_weight")
+    node_budget = exact_int(node_budget, "node_budget")
     i_max, j_max = exp_box if exp_box is not None else default_box(v, base)
+    i_max, j_max = exact_int(i_max, "I_max"), exact_int(j_max, "J_max")
     slots = [
         (base.p ** i * base.q ** j, i, j)
         for i in range(i_max + 1)
@@ -208,6 +211,9 @@ def sweep_verify(
     witness must evaluate to v.  The first failure aborts with the
     offending v in the error message.
     """
+    lo, hi = exact_int(lo, "lo"), exact_int(hi, "hi")
+    if oracle_max_weight is not None:
+        oracle_max_weight = exact_int(oracle_max_weight, "oracle_max_weight")
     rows = []
     for v in range(lo, hi + 1):
         stats = expand_with_stats(v, base)

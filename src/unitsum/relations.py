@@ -41,9 +41,8 @@ class PlainRelation:
     sign: int
 
     def __post_init__(self):
-        if {type(self.x), type(self.y), type(self.sign)} != {int}:
-            for name in ("x", "y", "sign"):
-                object.__setattr__(self, name, exact_int(getattr(self, name), name))
+        for name in ("x", "y", "sign"):
+            object.__setattr__(self, name, exact_int(getattr(self, name), name))
         if self.sign not in (-1, 1):
             raise ValueError("sign must be -1 or 1")
         if self.x < 0 or self.y < 0:
@@ -72,9 +71,8 @@ class ExtendedRelation:
     form: str
 
     def __post_init__(self):
-        if {type(self.a), type(self.b), type(self.c), type(self.d), type(self.sign)} != {int}:
-            for name in ("a", "b", "c", "d", "sign"):
-                object.__setattr__(self, name, exact_int(getattr(self, name), name))
+        for name in ("a", "b", "c", "d", "sign"):
+            object.__setattr__(self, name, exact_int(getattr(self, name), name))
         if self.sign not in (-1, 1):
             raise ValueError("sign must be -1 or 1")
         if self.form not in _FORM_RANK:
@@ -124,6 +122,8 @@ def verify_relation(base: "BasePair", rel) -> bool:
 
 def _power_table(b: int, max_exp: int) -> dict:
     """{b^e: e} for 1 <= e <= max_exp, in increasing order."""
+    if type(max_exp) is not int:
+        raise TypeError(f"max_exp {max_exp!r} is not an int")
     if max_exp < 1:
         raise ValueError("max_exp must be at least 1")
     table, power = {}, 1
@@ -220,6 +220,7 @@ def certificate_at(base: "BasePair", m: int) -> Optional[ObstructionCertificate]
     Base pairs containing 3 never certify: 2 = |3^1 - q^0| is a genuine
     solution, so no modulus can rule everything out.
     """
+    m = exact_int(m, "modulus")
     if m < 2:
         raise ValueError("modulus must be at least 2")
     p, q = base.p, base.q
@@ -242,6 +243,7 @@ def find_obstruction(base: "BasePair", max_modulus: int = 1000) -> Optional[Obst
     are generated one at a time, so a huge max_modulus costs nothing
     until the scan reaches it.
     """
+    max_modulus = exact_int(max_modulus, "max_modulus")
     p, q = base.p, base.q
     if p == 3 or q == 3 or find_plain_relation(base) is not None:
         return None

@@ -198,7 +198,7 @@ def _times_mod_minpoly(u, v, a):
 
 def test_unit_monomial_matches_polynomial_reduction():
     # Independent of the inlined reduction in cubic._mul_coords and of
-    # CubicElement.inverse: powers are products of polynomials divided by
+    # cubic._unit_inverse: powers are products of polynomials divided by
     # the minimal polynomial, and the inverses are the literal closed forms.
     for a in (0, 1, 5, 10, 1000, -1000):
         params = CubicParams(a)

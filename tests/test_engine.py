@@ -197,12 +197,6 @@ def test_empty_representation_is_zero():
     assert not r
     assert evaluate(r, EVAL) == 0
     assert total_weight(r) == 0
-    assert r.bbox is None
-
-
-def test_bbox_is_coordinatewise_hull():
-    r = rep_of({(0, 1, (0, 5)): 1, (1, 1, (3, -2)): 2})
-    assert r.bbox == ((0, 3), (-2, 5))
 
 
 # ------------------------------------------------------ replacement step

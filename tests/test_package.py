@@ -1,9 +1,18 @@
-"""The package's export list and the README examples."""
+"""The package's export list, the README examples and the integer rule
+on the arguments of the public helpers."""
 
 import doctest
 from pathlib import Path
 
+import pytest
+
 import unitsum
+from unitsum import BasePair, CubicParams, Representation, rational_basis
+
+B523 = BasePair(5, 23)
+B511 = BasePair(5, 11)
+P2 = CubicParams(2)
+REP = Representation(rational_basis(5, 23), {(0, 1, (1, 1)): 1})
 
 
 def test_all_names_resolve_sorted_and_unique():
@@ -18,3 +27,48 @@ def test_readme_examples_run():
     result = doctest.testfile(str(readme), module_relative=False, verbose=False)
     assert result.attempted > 0
     assert result.failed == 0
+
+
+# Each call passes 2.5, or a negative bit count, where the helper takes an
+# integer.  greedy_seed(2.5, B523) used to loop forever, and
+# certificate_at(B511, 7.5) returned a certificate with float orbits: a
+# false proof that no relation exists.
+@pytest.mark.parametrize(
+    "call, error, what",
+    [
+        pytest.param(lambda: unitsum.greedy_seed(2.5, B523), ValueError, "value", id="greedy_seed"),
+        pytest.param(lambda: unitsum.balanced_ternary(2.5), ValueError, "value", id="balanced_ternary"),
+        pytest.param(lambda: unitsum.p_adic_digits(2.5, 5), ValueError, "value", id="p_adic_digits"),
+        pytest.param(lambda: unitsum.p_adic_digits(25, 5.5), ValueError, "base", id="p_adic_digits-base"),
+        pytest.param(lambda: unitsum.expand(7.5, B523), ValueError, "value", id="expand"),
+        pytest.param(lambda: unitsum.expand_with_stats(7.5, B523), ValueError, "value", id="expand_with_stats"),
+        pytest.param(lambda: unitsum.certificate_at(B511, 7.5), ValueError, "modulus", id="certificate_at"),
+        pytest.param(lambda: unitsum.find_obstruction(B511, 2.5), ValueError, "max_modulus", id="find_obstruction"),
+        # the finders take only an int bound, as their caches key on it
+        pytest.param(lambda: unitsum.find_plain_relation(B523, 2.5), TypeError, "max_exp", id="find_plain_relation"),
+        pytest.param(lambda: unitsum.find_extended_relation(B523, 2.5), TypeError, "max_exp", id="find_extended_relation"),
+        pytest.param(lambda: unitsum.min_weight_bruteforce(2.5, B523, 4), ValueError, "value", id="min_weight-value"),
+        pytest.param(lambda: unitsum.min_weight_bruteforce(7, B523, 2.5), ValueError, "max_weight", id="min_weight-max_weight"),
+        pytest.param(lambda: unitsum.min_weight_bruteforce(7, B523, 4, (2.5, 2)), ValueError, "I_max", id="min_weight-box"),
+        pytest.param(lambda: unitsum.min_weight_bruteforce(7, B523, 4, None, 2.5), ValueError, "node_budget", id="min_weight-budget"),
+        pytest.param(lambda: unitsum.default_box(2.5, B523), ValueError, "value", id="default_box"),
+        pytest.param(lambda: unitsum.sweep_verify(1, 2.5, B523), ValueError, "hi", id="sweep_verify"),
+        pytest.param(lambda: unitsum.sweep_verify(1, 2, B523, 2.5), ValueError, "oracle_max_weight", id="sweep_verify-oracle"),
+        pytest.param(lambda: unitsum.unit_monomial(2.5, 0, P2), ValueError, "exponent", id="unit_monomial"),
+        pytest.param(lambda: unitsum.real_roots(P2, 2.5), ValueError, "precision_bits", id="real_roots"),
+        pytest.param(lambda: unitsum.real_roots(P2, -1), ValueError, "precision_bits", id="real_roots-negative"),
+        pytest.param(lambda: unitsum.monotone_quantity(REP, 2.5), ValueError, "precision_bits", id="monotone_quantity"),
+        pytest.param(lambda: unitsum.monotone_quantity(REP, -1), ValueError, "precision_bits", id="monotone_quantity-negative"),
+    ],
+)
+def test_helpers_reject_non_integral_arguments_by_name(call, error, what):
+    with pytest.raises(error, match=f"^{what} "):
+        call()
+
+
+def test_helpers_read_exact_values_as_integers():
+    assert unitsum.expand(7.0, B523) == unitsum.expand(7, B523)
+    assert unitsum.greedy_seed(997.0, B523) == unitsum.greedy_seed(997, B523)
+    assert unitsum.balanced_ternary(8.0) == unitsum.balanced_ternary(8)
+    assert unitsum.certificate_at(B511, 5.0) == unitsum.certificate_at(B511, 5)
+    assert unitsum.real_roots(P2, 16.0) == unitsum.real_roots(P2, 16)
