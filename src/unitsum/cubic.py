@@ -119,6 +119,7 @@ class CubicElement:
         return _element(self.params, *_unit_inverse(self.coords, self.params.a))
 
     def __pow__(self, e: int) -> "CubicElement":
+        e = exact_int(e, "exponent")
         if e < 0:
             return self.inverse() ** (-e)
         return CubicElement(self.params, *_pow_coords(self.coords, e, self.params.a))

@@ -131,13 +131,20 @@ class PQRational:
         return Fraction(self.num, self.base.p ** self.a_p * self.base.q ** self.a_q)
 
 
+def _exact_rational(x):
+    """x itself when it is an int or a Fraction; anything else must equal
+    an integer exactly (errors.exact_int: 7.0 reads as 7, while 0.1 and
+    '7/9' raise ValueError naming the value)."""
+    return x if type(x) is int or type(x) is Fraction else exact_int(x, "value")
+
+
 def pq_rational(x: Fraction, base: BasePair) -> PQRational:
-    """Factor a fraction's denominator into base powers.
+    """Factor the denominator of x, an int or a Fraction, into base powers.
 
     Raises ValueError when the denominator has a factor foreign to both
     bases.
     """
-    x = Fraction(x)
+    x = _exact_rational(x)
     den = x.denominator
     ap = aq = 0
     while den % base.p == 0:
@@ -487,8 +494,9 @@ def weight(exp) -> int:
 
 
 def height(x) -> float:
-    """max(log|n|, log d, 1) for x = n/d in lowest terms; height(0) = 1."""
-    x = Fraction(x)
+    """max(log|n|, log d, 1) for x = n/d, an int or a Fraction, in lowest
+    terms; height(0) = 1."""
+    x = _exact_rational(x)
     vals = [1.0]
     if x.numerator:
         vals.append(math.log(abs(x.numerator)))

@@ -6,8 +6,8 @@ sum a * zeta^k * eta_l * eps^x, computed exactly by whichever ring
 instantiates the basis.  The central rewrite replaces n copies of a
 unit with the I units of a fixed relation, and `reduce` iterates that
 rewrite until every coefficient is below n.  Its kernel keeps the counts
-in a flat list over a box around the input that grows as the support
-spreads, or, for an input whose sites lie far apart, in a dict.
+in a flat list over a box around the input, or, for an input whose sites
+lie far apart or whose run outgrows that box, in a dict.
 """
 
 from __future__ import annotations
@@ -333,7 +333,7 @@ class _Box:
     def __init__(self, basis: UnitGroupBasis, rel: UnitRelation, lo, hi):
         K, L = basis.K, basis.L
         KL = K * L
-        self.basis, self.rel, self.lo, self.hi = basis, rel, lo, hi
+        self.rel, self.lo = rel, lo
         self.KL, self.L = KL, L
         self.widths = [b - a + 1 for a, b in zip(lo, hi)]
         self.scales = [KL * prod(self.widths[:m]) for m in range(basis.M)]
@@ -368,37 +368,23 @@ class _Box:
             row = b"".join(full if d < r or d >= w - r else row for d in range(w))
         return row
 
-    def grown(self, indices) -> "_Box":
-        """This box with every face that lies within r_max of one of the
-        indices pushed out by the box's width in that direction."""
-        r = self.rel.r_max
-        lo, hi = list(self.lo), list(self.hi)
-        for _, _, x in indices:
-            for m, c in enumerate(x):
-                if c - self.lo[m] < r:
-                    lo[m] = self.lo[m] - self.widths[m]
-                if self.hi[m] - c < r:
-                    hi[m] = self.hi[m] + self.widths[m]
-        return _Box(self.basis, self.rel, lo, hi)
-
 
 def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: ReductionPolicy):
     """Round kernel behind reduce; returns (stable coefficients, steps).
 
     Sites are packed into ints over a box (see _Box), and their counts
-    are kept in one of two storages chosen from the input.  When the
-    first box, the input's hull widened by r_max * (isqrt(w) // 2 + 2)
-    for the input weight w (at most _CHIP_CEILING), has at most
-    _DENSE_CELLS * (w + number of sites) cells, the counts live in a
-    flat list over the box.  Before each round, if a site about to fire
-    lies within r_max of a face, the faces it nears move out and the
-    counts are repacked; every target of a firing then lies inside the
-    box.  Otherwise, as for sites 10^9 apart, no box cell is allocated:
-    the counts live in a dict over a box that exceeds the input's hull
-    by r_max * (max_steps + 1) on every side.  A site d hops from the
-    input takes d firings of at least one step each, and the cap raises
-    before the firing that passes it moves any chips, so no site leaves
-    that box and it never grows.
+    are kept in one of two storages.  The first box is the input's hull
+    widened by r_max * (isqrt(w) // 2 + 2) for the input weight w (at
+    most _CHIP_CEILING).  If it has at most _DENSE_CELLS * (w + number
+    of sites) cells, the counts live in a flat list over it for as long
+    as no site about to fire lies within r_max of one of its faces, so
+    every target of a firing lies inside it.  Otherwise, as for sites
+    10^9 apart, or once such a site is about to fire, the counts move
+    once into a dict over a box that exceeds the input's hull by r_max *
+    (max_steps + 1) on every side, and no box cell is allocated.  A site
+    d hops from the input takes d firings of at least one step each, and
+    the cap raises before the firing that passes it moves any chips, so
+    no site leaves that box.
 
     As the sites are built, the two sign layers at one (l, x) cancel to
     their difference on the larger side.  Firing a site adds, for each
@@ -418,9 +404,6 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
         return _Box(basis, rel, [min(c) - reach for c in cols], [max(c) + reach for c in cols])
 
     box = around(r * (isqrt(chips) // 2 + 2))
-    dense = box.cells <= _DENSE_CELLS * (chips + len(coeffs))
-    if not dense:
-        box = around(r * (max(max_steps, 0) + 1))
     first = {}
     for (k, ell, x), a in coeffs.items():
         at = box.pack((0, ell, x))
@@ -429,28 +412,25 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
         if a != b:
             first[site if a > b else mate] = abs(a - b)
     ready = [site for site, c in first.items() if c >= n]
+    state, dense = first, box.cells <= _DENSE_CELLS * (chips + len(coeffs))
     if dense:
         state = [0] * box.cells
         for site, c in first.items():
             state[site] = c
         edge = box.edge()
-    else:
-        state = defaultdict(int, first)
     KL, offsets = box.KL, box.offsets
     on_step = policy.on_step
     # each distinct site is unpacked once, however often it fires
     seen = {}
     steps = 0
     while ready:
-        if dense and any(map(edge.__getitem__, ready)):
-            held = [(box.unpack(site), c) for site, c in compress(enumerate(state), state)]
-            due = [box.unpack(site) for site in ready]
-            box = box.grown([index for index, site in zip(due, ready) if edge[site]])
-            state = [0] * box.cells
-            for index, c in held:
-                state[box.pack(index)] = c
-            ready = [box.pack(index) for index in due]
-            edge, offsets, seen = box.edge(), box.offsets, {}
+        # spill once: the first box got no list, or a firing could leave it
+        if state is first or dense and any(map(edge.__getitem__, ready)):
+            wide = around(r * (max(max_steps, 0) + 1))
+            held = compress(enumerate(state), state) if dense else state.items()
+            state = defaultdict(int, {wide.pack(box.unpack(site)): c for site, c in held})
+            ready = [wide.pack(box.unpack(site)) for site in ready]
+            box, dense, offsets, seen = wide, False, wide.offsets, {}
         following = []
         for site in ready:
             c = state[site]

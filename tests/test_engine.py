@@ -458,10 +458,11 @@ def far_seeds(draw):
 
 @given(far_seeds(), st.sampled_from([None, -1, 0, 1]))
 def test_reduce_matches_heap_reference_at_the_packing_edges(case, slack):
-    """Sites pack into ints over a box around the input: a list box that
-    grows, or, for clusters 10^9 or more apart, a dict box whose width
-    comes from the cap.  A cap of exactly the total step count lets the
-    sites travel as far as that width allows."""
+    """Sites pack into ints over a box around the input: a list over
+    the first box while the run fits it, or, for clusters 10^9 or more
+    apart, a dict over a box whose width comes from the cap.  A cap of
+    exactly the total step count lets the sites travel as far as that
+    width allows."""
     rep, rel = case
     cap = 1_000_000
     if slack is not None:
@@ -475,18 +476,32 @@ def test_reduce_matches_heap_reference_at_the_packing_edges(case, slack):
         assert_agrees_with(expected, rep, rel, cap)
 
 
-def test_reduce_grows_its_box_as_the_support_spreads(monkeypatch):
+def test_reduce_spills_to_the_dict_as_the_support_spreads(monkeypatch):
     """Chip-firing on a line spreads 63 chips over about 60 sites, far
     past the first box, which is sized for about the square root of the
-    weight; the box grows at least twice and the result is the
-    reference's."""
-    grown = []
-    original = engine._Box.grown
-    monkeypatch.setattr(engine._Box, "grown", lambda box, *args: grown.append(box) or original(box, *args))
+    weight.  At caps one below, at and one above the step count, the run
+    moves once from the list over that box to the dict over the box whose
+    width comes from the cap, and raises or gives the reference's result."""
+    built = []
+
+    class Counted(engine._Box):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(engine, "_Box", Counted)
     rep = Representation(LINE, {(0, 1, (0,)): 60, (1, 2, (5,)): 3})
     rel = UnitRelation(n=2, terms=((0, (1,)), (0, (-1,))))
-    assert_agrees_with(heap_reduce(rep, rel), rep, rel)
-    assert len(grown) >= 2
+    steps = heap_reduce(rep, rel)[1]
+    for cap in (steps - 1, steps, steps + 1):
+        built.clear()
+        if cap < steps:
+            with pytest.raises(IterationCapExceeded):
+                reduce(rep, rel, ReductionPolicy(max_steps=cap))
+        else:
+            assert_agrees_with(heap_reduce(rep, rel, cap), rep, rel, cap)
+        # the first box reaches isqrt(63) // 2 + 2 hops past the input
+        assert [box.lo for box in built] == [[-5], [-(cap + 1)]]
 
 
 def test_reduce_of_far_apart_sites_allocates_no_box():
