@@ -116,12 +116,11 @@ class PQRational:
         p, q = self.base.p, self.base.q
         if num == 0:
             ap = aq = 0
-        while ap and num % p == 0:
-            num //= p
-            ap -= 1
-        while aq and num % q == 0:
-            num //= q
-            aq -= 1
+        # at most a_p factors of p and a_q of q cancel
+        sp = min(ap, _valuation(num, p)) if ap else 0
+        sq = min(aq, _valuation(num, q)) if aq else 0
+        num //= p ** sp * q ** sq
+        ap, aq = ap - sp, aq - sq
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "a_p", ap)
         object.__setattr__(self, "a_q", aq)
@@ -141,18 +140,13 @@ def _exact_rational(x):
 def pq_rational(x: Fraction, base: BasePair) -> PQRational:
     """Factor the denominator of x, an int or a Fraction, into base powers.
 
-    Raises ValueError when the denominator has a factor foreign to both
-    bases.
+    The exponent of each base is a valuation, read from the denominator's
+    digits in that base.  Raises ValueError when the denominator has a
+    factor foreign to both bases.
     """
     x = _exact_rational(x)
-    den = x.denominator
-    ap = aq = 0
-    while den % base.p == 0:
-        den //= base.p
-        ap += 1
-    while den % base.q == 0:
-        den //= base.q
-        aq += 1
+    ap, aq = _valuation(x.denominator, base.p), _valuation(x.denominator, base.q)
+    den = x.denominator // (base.p ** ap * base.q ** aq)
     if den != 1:
         raise ValueError(f"denominator factor {den} is not a product of base powers")
     return PQRational(base, x.numerator, ap, aq)
@@ -204,20 +198,26 @@ def p_adic_digits(n: int, p: int) -> List[int]:
     return out
 
 
+def _valuation(n: int, p: int) -> int:
+    """Exponent of p in n != 0: the number of low zero digits of |n| in base p."""
+    if n % p:
+        return 0
+    return next(e for e, d in enumerate(p_adic_digits(abs(n), p)) if d)
+
+
 def balanced_ternary(n: int) -> List[int]:
     """Digits in {-1,0,1} with n = sum digit * 3^index, least significant
-    first.  Works for either sign; 0 gives []."""
+    first; 0 gives [].  One carry pass over the base-3 digits of |n| turns
+    each 2 or 3 into -1 or 0 and a carry; the sign of n is applied last."""
     n = exact_int(n, "value")
-    out = []
-    while n:
-        r = n % 3
-        if r == 2:
-            out.append(-1)
-            n = (n + 1) // 3
-        else:
-            out.append(r)
-            n //= 3
-    return out
+    out, carry = [], 0
+    for d in p_adic_digits(abs(n), 3):
+        d += carry
+        carry = d > 1
+        out.append(d - 3 * carry)
+    if carry:
+        out.append(1)
+    return out if n >= 0 else [-d for d in out]
 
 
 def _powers_up_to(b: int, lim: int) -> List[int]:
@@ -357,20 +357,14 @@ class ExpandStats:
     w_init: int
 
 
-def _single_base_terms(v: int, b: int, axis: int) -> Optional[List[Term]]:
-    # Expansions that need only one base: powers of 2 via plain binary
-    # digits, powers of 3 via balanced ternary.
-    if b == 2:
-        digits = [(1, e) for e, d in enumerate(p_adic_digits(abs(v), 2)) if d]
-        if v < 0:
-            digits = [(-d, e) for d, e in digits]
-    elif b == 3:
-        digits = [(d, e) for e, d in enumerate(balanced_ternary(v)) if d]
-    else:
+def _single_base_grid(v: int, base: BasePair) -> Optional[dict]:
+    # v > 0 in one base, when p (else q) is 2 or 3: binary digits or
+    # balanced ternary on that base's axis
+    b, axis = (base.p, 0) if base.p <= 3 else (base.q, 1)
+    if b > 3:
         return None
-    if axis == 0:
-        return [(d, e, 0) for d, e in digits]
-    return [(d, 0, e) for d, e in digits]
+    digits = p_adic_digits(v, 2) if b == 2 else balanced_ternary(v)
+    return {(e, 0) if axis == 0 else (0, e): d for e, d in enumerate(digits) if d}
 
 
 def expand_with_stats(
@@ -399,16 +393,14 @@ def expand_with_stats(
     w_init = sum(digits)
     if v == 0:
         return ExpandStats(SignedExpansion(base, ()), 0, 0)
-    for b, axis in ((base.p, 0), (base.q, 1)):
-        terms = _single_base_terms(v, b, axis)
-        if terms is not None:
-            return ExpandStats(SignedExpansion(base, terms), 0, w_init)
-    rel = _checked(_relations.find_plain_relation(base), base, "plain relation")
-    if seed_method == "greedy":
-        grid = {(i, j): d for d, i, j in greedy_seed(abs(v), base)}
-    else:
-        grid = {(i, 0): d for i, d in enumerate(digits) if d}
-    steps = _claim_reduce(grid, _extended_credits(rel.as_extended()), on_step)
+    grid, steps = _single_base_grid(abs(v), base), 0
+    if grid is None:
+        rel = _checked(_relations.find_plain_relation(base), base, "plain relation")
+        if seed_method == "greedy":
+            grid = {(i, j): d for d, i, j in greedy_seed(abs(v), base)}
+        else:
+            grid = {(i, 0): d for i, d in enumerate(digits) if d}
+        steps = _claim_reduce(grid, _extended_credits(rel.as_extended()), on_step)
     sign = 1 if v > 0 else -1
     terms = [(sign * a, i, j) for (i, j), a in grid.items()]
     return ExpandStats(SignedExpansion(base, terms), steps, w_init)

@@ -17,6 +17,7 @@ from .double_base import (
     SignedExpansion,
     evaluate_expansion,
     expand_with_stats,
+    p_adic_digits,
     weight,
 )
 from .errors import BudgetExceeded, VerificationFailed, exact_int
@@ -30,21 +31,12 @@ class WeightWitness:
     expansion: SignedExpansion
 
 
-def _ceil_log(v: int, b: int) -> int:
-    e = 0
-    t = 1
-    while t < v:
-        t *= b
-        e += 1
-    return e
-
-
 def default_box(v: int, base: BasePair) -> Tuple[int, int]:
-    """Exponent box (I_max, J_max) sized a little past |v| in each base."""
-    v = abs(exact_int(v, "value"))
-    if v < 2:
-        return (2, 2)
-    return (_ceil_log(v, base.p) + 2, _ceil_log(v, base.q) + 2)
+    """Exponent box (I_max, J_max) sized a little past |v| in each base b:
+    2 more than the least e with b^e >= |v|, which is the number of
+    base-b digits of |v| - 1 (0 for v = 0)."""
+    v = max(abs(exact_int(v, "value")) - 1, 0)
+    return tuple(len(p_adic_digits(v, b)) + 2 for b in (base.p, base.q))
 
 
 class _Budget:

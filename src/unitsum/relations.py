@@ -27,9 +27,9 @@ _FORM_RANK = {"plain": 0, "p_inverse": 1, "q_inverse": 2}
 MAX_EXP = 64  # the converters' exponent bound and the finders' default
 
 # Each finder keeps its last results, which are frozen and safe to share;
-# one sweep-small bench run asks about 55 base pairs.  typed, so that a
-# float bound still raises instead of finding the int bound's entry.
-_relation_cache = functools.lru_cache(maxsize=256, typed=True)
+# one sweep-small bench run asks about 55 base pairs.  A bound of 64.0
+# shares the entry of 64, as the finders read it as that int.
+_relation_cache = functools.lru_cache(maxsize=256)
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,6 @@ def verify_relation(base: "BasePair", rel) -> bool:
 
 def _power_table(b: int, max_exp: int) -> dict:
     """{b^e: e} for 1 <= e <= max_exp, in increasing order."""
-    if type(max_exp) is not int:
-        raise TypeError(f"max_exp {max_exp!r} is not an int")
     if max_exp < 1:
         raise ValueError("max_exp must be at least 1")
     table, power = {}, 1
@@ -158,6 +156,7 @@ def find_plain_relation(base: "BasePair", max_exp: int = MAX_EXP) -> Optional[Pl
     powers of p, so the search costs O(max_exp) lookups.  Results are
     cached per (base, max_exp), 256 entries at most.
     """
+    max_exp = exact_int(max_exp, "max_exp")
     return _plain_relation(_power_table(base.p, max_exp), base.q, max_exp)
 
 
@@ -171,6 +170,7 @@ def find_extended_relation(base: "BasePair", max_exp: int = MAX_EXP) -> Optional
     by looking 2 u^a - s up in the table of the powers of v.  Results
     are cached per (base, max_exp), 256 entries at most.
     """
+    max_exp = exact_int(max_exp, "max_exp")
     p_pow, q_pow = _power_table(base.p, max_exp), _power_table(base.q, max_exp)
     candidates = []
     plain = _plain_relation(p_pow, base.q, max_exp)

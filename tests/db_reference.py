@@ -1,8 +1,10 @@
-"""Reference implementations for the double-base evaluation and greedy seed.
+"""Reference implementations for the double-base evaluation, greedy seed
+and base-power questions.
 
-These are the straightforward versions that unitsum.double_base ran
-before its Horner evaluation and staircase greedy search: a power product
-per term, and a scan of the whole (i, j) grid for every greedy term.  The
+These are the straightforward versions that unitsum ran before its Horner
+evaluation, staircase greedy search and digit split: a power product per
+term, a scan of the whole (i, j) grid for every greedy term, and one
+division or multiplication by the base per digit, factor or power.  The
 differential tests compare the library against them term for term.
 """
 
@@ -55,3 +57,51 @@ def greedy_seed_by_grid_scan(v, base):
             order.append((i, j))
         acc[(i, j)] += s
     return [(acc[ij], ij[0], ij[1]) for ij in order if acc[ij]]
+
+
+def balanced_ternary_by_division(n):
+    """Digits in {-1, 0, 1} of n, either sign, least significant first:
+    one division by 3 per digit, a remainder of 2 read as -1."""
+    out = []
+    while n:
+        r = n % 3
+        if r == 2:
+            out.append(-1)
+            n = (n + 1) // 3
+        else:
+            out.append(r)
+            n //= 3
+    return out
+
+
+def valuation_by_division(n, p):
+    """Exponent of p in n != 0, one division by p per factor."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
+def lowest_terms_by_division(num, a_p, a_q, p, q):
+    """PQRational's fields for num / (p^a_p q^a_q): a zero numerator drops
+    the denominator, then common factors of p and of q cancel one at a
+    time."""
+    if num == 0:
+        a_p = a_q = 0
+    while a_p and num % p == 0:
+        num //= p
+        a_p -= 1
+    while a_q and num % q == 0:
+        num //= q
+        a_q -= 1
+    return num, a_p, a_q
+
+
+def ceil_log_by_multiplication(v, b):
+    """Least e >= 0 with b^e >= v, multiplying up one power at a time."""
+    e, t = 0, 1
+    while t < v:
+        t *= b
+        e += 1
+    return e

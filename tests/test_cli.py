@@ -388,11 +388,6 @@ PINNED_STDOUT = [
      "6fcb1f6879542ad10ce8f35c29ab9afdfbd4d049c6ba97f5a03e445fa5b56ab3"),
     (("expand", "--p", "5", "--q", "23", "1000", "--seed-method", "greedy"), None, 0,
      "e4dffb283bb5ebb0f5760a7122aec73ef078f82017f6735156fc7a3cebc6805c"),
-    # single-base shortcuts: binary on the p axis, balanced ternary on the q axis
-    (("expand", "--p", "2", "--q", "7", "-997"), None, 0,
-     "6fefcd9fe1ffd55ca5a50a1f84f71df729a001e5912cf6ae8e8b3734fefde6bf"),
-    (("expand", "--p", "7", "--q", "3", "--format", "json", "--", "-997"), None, 0,
-     "43e5c1a0d426dcb37f4fa017c03af60e838b2381b76ee946a890a52837442200"),
     (("expand-extended", "--p", "5", "--q", "11", "7/25"), None, 0,
      "80230a926793fd901689bde778690a152965a593a53bef3a13485c0bf8065ae1"),
     (("expand-extended", "--p", "11", "--q", "5", "--format", "json", "--", "-7/25"), None, 0,
@@ -405,6 +400,11 @@ PINNED_STDOUT = [
      "4e398c3cfbb72bdbdd878258dfc441b9df3fb8ef1e392d9767405ba671029a36"),
     (("bench-steps", "--p", "2", "--q", "3", "--from", "-3", "--to", "3"), None, 0,
      "6860dea04dee2f3be1af1b0617944816e26100540e29ec0cb0ae3214bdd52004"),
+    # single-base shortcuts: binary on the p axis, balanced ternary on the q axis
+    (("expand", "--p", "2", "--q", "7", "-997"), None, 0,
+     "6fefcd9fe1ffd55ca5a50a1f84f71df729a001e5912cf6ae8e8b3734fefde6bf"),
+    (("expand", "--p", "7", "--q", "3", "--format", "json", "--", "-997"), None, 0,
+     "43e5c1a0d426dcb37f4fa017c03af60e838b2381b76ee946a890a52837442200"),
 ]
 
 

@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from db_reference import evaluate_by_power_sums, greedy_seed_by_grid_scan
+from db_reference import (
+    balanced_ternary_by_division,
+    evaluate_by_power_sums,
+    greedy_seed_by_grid_scan,
+    lowest_terms_by_division,
+    valuation_by_division,
+)
 
 from unitsum import (
     BasePair,
@@ -33,7 +39,7 @@ from unitsum import (
     to_unit_relation,
     weight,
 )
-from unitsum.double_base import _claim_reduce, _extended_credits
+from unitsum.double_base import _claim_reduce, _extended_credits, _valuation
 from unitsum.errors import document_ints
 from unitsum.relations import find_extended_relation
 
@@ -119,6 +125,63 @@ def test_balanced_ternary_round_trip(n):
     ds = balanced_ternary(n)
     assert all(d in (-1, 0, 1) for d in ds)
     assert sum(d * 3**i for i, d in enumerate(ds)) == n
+
+
+@given(st.integers(-(10**40), 10**40))
+@example(3**40 - 1)  # all 2s: the carry runs the whole length
+@example(-(3**40 - 1) // 2)  # all 1s
+def test_balanced_ternary_matches_division(n):
+    assert balanced_ternary(n) == balanced_ternary_by_division(n)
+
+
+@pytest.mark.parametrize("bits", [1 << 12, 1 << 16])
+def test_balanced_ternary_matches_division_at_scale(bits):
+    rng = random.Random(bits)
+    k = int(bits / 1.585)  # 3^k has about this many bits
+    # the reference takes about 0.9 s per value at 2^16 bits
+    values = [-rng.getrandbits(bits)]
+    if bits <= 1 << 12:
+        values += [rng.getrandbits(bits), (3**k - 1) // 2, -(3**k - 1) // 2]
+        values += [s * (3**k + d) for s in (1, -1) for d in (-1, 0, 1)]
+    for n in values:
+        assert balanced_ternary(n) == balanced_ternary_by_division(n), n.bit_length()
+
+
+def _from_digits(ds, b):
+    # sum d * b^i over the digit list by halves: Horner's rule is
+    # quadratic at 2^18 bits
+    if len(ds) <= 32:
+        return sum(d * b**i for i, d in enumerate(ds))
+    half = len(ds) // 2
+    return _from_digits(ds[:half], b) + b**half * _from_digits(ds[half:], b)
+
+
+def test_balanced_ternary_round_trip_at_2_18_bits():
+    bits = 1 << 18
+    n = random.Random(bits).getrandbits(bits) | 1 << (bits - 1)
+    for v in (n, -n):
+        ds = balanced_ternary(v)
+        assert set(ds) <= {-1, 0, 1} and ds[-1] != 0
+        assert _from_digits(ds, 3) == v
+
+
+@given(
+    st.integers(-(10**20), 10**20).filter(bool),
+    st.sampled_from([2, 3, 5, 7, 23]),
+    st.integers(0, 80),
+)
+def test_valuation_matches_division(m, p, k):
+    n = m * p**k
+    assert _valuation(n, p) == valuation_by_division(n, p)
+
+
+@pytest.mark.parametrize("bits", [1 << 12, 1 << 16])
+def test_valuation_matches_division_at_scale(bits):
+    rng = random.Random(bits)
+    for s, p in ((1, 2), (-1, 3), (1, 5), (-1, 23)):
+        k = bits // (4 * p.bit_length())  # p^k fills about a quarter of the bits
+        n = s * p**k * (rng.getrandbits(bits - k * p.bit_length()) | 1)
+        assert _valuation(n, p) == valuation_by_division(n, p), (p, bits)
 
 
 # ------------------------------------------------------------- expansions
@@ -328,6 +391,55 @@ def test_pq_rational_keeps_exact_integral_fields():
 def test_pq_rational_rejects_foreign_denominator():
     with pytest.raises(ValueError):
         pq_rational(Fraction(1, 3), BasePair(5, 11))
+
+
+@given(
+    st.integers(-(10**20), 10**20),
+    st.tuples(*[st.integers(0, 40)] * 4),
+)
+def test_pq_rational_fields_match_division(m, exps):
+    # a numerator with i factors of 5 and j of 11 over 5^a_p 11^a_q
+    i, j, a_p, a_q = exps
+    num = m * 5**i * 11**j
+    x = PQRational(BasePair(5, 11), num, a_p, a_q)
+    assert (x.num, x.a_p, x.a_q) == lowest_terms_by_division(num, a_p, a_q, 5, 11)
+
+
+@given(
+    st.integers(-(10**20), 10**20),
+    st.integers(0, 40),
+    st.integers(0, 40),
+    st.sampled_from([1, 3, 7 * 5**3]),
+)
+def test_pq_rational_matches_division(m, a, b, foreign):
+    x = Fraction(m, 5**a * 11**b * foreign)
+    ap, aq = valuation_by_division(x.denominator, 5), valuation_by_division(x.denominator, 11)
+    rest = x.denominator // (5**ap * 11**aq)
+    if rest != 1:
+        with pytest.raises(ValueError, match=f"denominator factor {rest} "):
+            pq_rational(x, BasePair(5, 11))
+    else:
+        y = pq_rational(x, BasePair(5, 11))
+        assert (y.num, y.a_p, y.a_q) == (x.numerator, ap, aq)
+
+
+@pytest.mark.parametrize("bits", [1 << 12, 1 << 16])
+def test_pq_rational_matches_division_at_scale(bits):
+    e = int(bits / 5.78)  # 5^e 11^e has about this many bits
+    x = Fraction(-7, 5 ** (e + 3) * 11 ** (e - 3))
+    y = pq_rational(x, BasePair(5, 11))
+    den = x.denominator
+    assert (y.num, y.a_p, y.a_q) == (-7, valuation_by_division(den, 5), valuation_by_division(den, 11))
+
+
+def test_pq_rational_zero_and_coprime_numerators_skip_the_denominator():
+    # neither forms 5^(10^9): a zero numerator drops the denominator, and
+    # 7 shares no factor with it
+    b = BasePair(5, 11)
+    x = PQRational(b, 0, 10**9, 0)
+    assert (x.num, x.a_p, x.a_q) == (0, 0, 0)
+    y = PQRational(b, 7, 10**9, 0)
+    assert (y.num, y.a_p, y.a_q) == (7, 10**9, 0)
 
 
 def test_expand_extended_single_inverse_power():

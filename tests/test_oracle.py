@@ -1,5 +1,7 @@
 """Brute-force minimal-weight oracle and the verification sweep."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from unitsum import (
     sweep_verify,
     weight,
 )
+from db_reference import ceil_log_by_multiplication
 from oracle_reference import reference_min_weight
 
 B523 = BasePair(5, 23)
@@ -43,6 +46,23 @@ def test_default_box_grows_with_the_value():
     assert default_box(1, B523) == (2, 2)
     assert default_box(997, B523) == (7, 5)
     assert default_box(-997, B523) == (7, 5)
+
+
+@given(st.integers(-(10**40), 10**40), st.sampled_from([(5, 23), (2, 3), (7, 3)]))
+@example(5**20, (5, 23))
+@example(5**20 + 1, (5, 23))
+def test_default_box_matches_multiplication(v, pq):
+    want = tuple(ceil_log_by_multiplication(abs(v), b) + 2 for b in pq)
+    assert default_box(v, BasePair(*pq)) == want
+
+
+@pytest.mark.parametrize("bits", [1 << 12, 1 << 16])
+def test_default_box_matches_multiplication_at_scale(bits):
+    k = int(bits / 2.33)  # 5^k has about this many bits
+    values = [5**k, 5**k + 1, -(23 ** (k // 2)) - 1, random.Random(bits).getrandbits(bits)]
+    for v in values:
+        want = tuple(ceil_log_by_multiplication(abs(v), b) + 2 for b in (5, 23))
+        assert default_box(v, B523) == want, v.bit_length()
 
 
 def test_unreachable_weight_returns_none():

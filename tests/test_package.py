@@ -44,9 +44,8 @@ def test_readme_examples_run():
         pytest.param(lambda: unitsum.expand_with_stats(7.5, B523), ValueError, "value", id="expand_with_stats"),
         pytest.param(lambda: unitsum.certificate_at(B511, 7.5), ValueError, "modulus", id="certificate_at"),
         pytest.param(lambda: unitsum.find_obstruction(B511, 2.5), ValueError, "max_modulus", id="find_obstruction"),
-        # the finders take only an int bound, as their caches key on it
-        pytest.param(lambda: unitsum.find_plain_relation(B523, 2.5), TypeError, "max_exp", id="find_plain_relation"),
-        pytest.param(lambda: unitsum.find_extended_relation(B523, 2.5), TypeError, "max_exp", id="find_extended_relation"),
+        pytest.param(lambda: unitsum.find_plain_relation(B523, 2.5), ValueError, "max_exp", id="find_plain_relation"),
+        pytest.param(lambda: unitsum.find_extended_relation(B523, 2.5), ValueError, "max_exp", id="find_extended_relation"),
         pytest.param(lambda: unitsum.min_weight_bruteforce(2.5, B523, 4), ValueError, "value", id="min_weight-value"),
         pytest.param(lambda: unitsum.min_weight_bruteforce(7, B523, 2.5), ValueError, "max_weight", id="min_weight-max_weight"),
         pytest.param(lambda: unitsum.min_weight_bruteforce(7, B523, 4, (2.5, 2)), ValueError, "I_max", id="min_weight-box"),

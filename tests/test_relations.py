@@ -197,9 +197,15 @@ def test_cached_relations_match_reference_cold_and_warm(finder, reference, below
 
 @pytest.mark.parametrize("finder", [find_plain_relation, find_extended_relation])
 def test_cached_relations_still_reject_a_float_bound(finder):
-    assert finder(BasePair(5, 23), 64) is not None
-    with pytest.raises(TypeError):
-        finder(BasePair(5, 23), 64.0)
+    # an integral float reads as its int, cold or from the int's cache
+    # entry; 2.5 raises
+    finder.cache_clear()
+    cold = finder(BasePair(5, 23), 64.0)
+    finder.cache_clear()
+    assert finder(BasePair(5, 23), 64) == cold is not None
+    assert finder(BasePair(5, 23), 64.0) == finder(BasePair(5, 23), 64)
+    with pytest.raises(ValueError, match="max_exp"):
+        finder(BasePair(5, 23), 2.5)
 
 
 # ------------------------------------------------------------ obstructions
