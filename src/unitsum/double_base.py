@@ -16,6 +16,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import relations as _relations
@@ -66,7 +67,9 @@ def _canonical_terms(terms, allow_negative_exponents: bool) -> Tuple[Term, ...]:
             raise InvalidExpansion(f"duplicate exponent pair ({i},{j})")
         seen.add((i, j))
         clean.append((d, i, j))
-    clean.sort(key=lambda t: (t[1], t[2]), reverse=True)
+    # descending (i, j) as two stable sorts on int keys, j then i
+    clean.sort(key=itemgetter(2), reverse=True)
+    clean.sort(key=itemgetter(1), reverse=True)
     return tuple(clean)
 
 
@@ -199,10 +202,19 @@ def p_adic_digits(n: int, p: int) -> List[int]:
 
 
 def _valuation(n: int, p: int) -> int:
-    """Exponent of p in n != 0: the number of low zero digits of |n| in base p."""
-    if n % p:
-        return 0
-    return next(e for e, d in enumerate(p_adic_digits(abs(n), p)) if d)
+    """Exponent of p in n != 0: the number of low zero digits of |n| in base p.
+
+    p, p^2, p^4, ... are divided out of |n| while they divide it, so when
+    p^(2^k) first does not, p^(2^k - 1) is out and fewer than 2^k low zero
+    digits are left.  Only the remainder modulo p^(2^k), which keeps them,
+    is split into digits: its size follows the valuation, not n.
+    """
+    n, pk, e = abs(n), p, 0
+    while True:
+        n, r = divmod(n, pk)
+        if r:
+            return e + next(i for i, d in enumerate(p_adic_digits(r, p)) if d)
+        e, pk = 2 * e + 1, pk * pk
 
 
 def balanced_ternary(n: int) -> List[int]:
@@ -287,47 +299,71 @@ def greedy_seed(v: int, base: BasePair) -> List[Term]:
     return [(acc[ij], ij[0], ij[1]) for ij in order if acc[ij]]
 
 
-def _claim_reduce(grid: dict, credits, on_step=None) -> int:
-    """Drive every grid coefficient into {-1,0,1}.
+def _claim_reduce(rows: dict, credits, on_step=None) -> int:
+    """Drive every coefficient into {-1,0,1}.
 
-    grid maps (i, j) to a signed net coefficient.  A site with |a| >= 2 is
-    fired t = |a| // 2 times at once: 2t copies move through the credit
-    list ((di, dj, c) meaning a gain of c at the shifted site per fired
-    pair).  Sites fire in ascending (j, i) order.  Exactly one credit must
-    stay in layer (dj == 0) and the rest must raise j, which makes the
-    per-layer mass drop on every fire and guarantees termination.  Returns
-    the number of fired pairs.
+    rows maps a layer j to its row {i: a}, the signed net coefficient at
+    p^i q^j.  A site with |a| >= 2 is fired t = |a| // 2 times at once:
+    2t copies move through the credit list ((di, dj, c) meaning a gain of
+    c at (i + di, j + dj) per fired pair).  Exactly one credit must stay
+    in layer (dj == 0) and the rest must raise j, which makes the
+    per-layer mass drop on every fire and guarantees termination.
+
+    Since no credit lowers j, a layer is final once the layers below it
+    have fired.  So the layers fire in ascending j, taken from a heap of
+    ints, and each layer fires its ready sites in ascending i from its own
+    heap of ints; together that is ascending (j, i) order, stale and
+    repeated heap entries included.  A layer is scheduled when its first
+    site becomes ready.  on_step, when given, receives ((i, j), t) for
+    each firing.  Returns the number of fired pairs.
     """
     if [dj for _, dj, _ in credits if dj <= 0] != [0]:
         raise RelationInvalid("credits must keep exactly one term in layer and raise the rest")
+    heappush, heappop = heapq.heappush, heapq.heappop
+    ready = {}
+    for j, row in rows.items():
+        heap = [i for i, a in row.items() if a >= 2 or a <= -2]
+        if heap:
+            heapq.heapify(heap)
+            ready[j] = heap
+    layers = list(ready)
+    heapq.heapify(layers)
     steps = 0
-    heap = [(j, i) for (i, j), a in grid.items() if abs(a) >= 2]
-    heapq.heapify(heap)
-    while heap:
-        j, i = heapq.heappop(heap)
-        a = grid.get((i, j), 0)
-        if abs(a) < 2:
-            continue
-        s = 1 if a > 0 else -1
-        t = abs(a) // 2
-        rem = a - s * 2 * t
-        if rem:
-            grid[(i, j)] = rem
-        else:
-            del grid[(i, j)]
-        steps += t
-        if on_step is not None:
-            on_step((i, j), t)
+    while layers:
+        j = heappop(layers)
+        heap = ready.pop(j)
+        row = rows[j]
+        targets = []  # (di, c, target row, its ready heap, its layer) per credit
         for di, dj, c in credits:
-            site = (i + di, j + dj)
-            old = grid.get(site, 0)
-            nv = old + s * c * t
-            if nv:
-                grid[site] = nv
+            tj = j + dj
+            targets.append((di, c, rows.setdefault(tj, {}), ready.setdefault(tj, []) if dj else heap, tj))
+        while heap:
+            i = heappop(heap)
+            a = row.get(i, 0)
+            if -2 < a < 2:
+                continue
+            t = abs(a) >> 1
+            st = t if a > 0 else -t
+            rem = a - 2 * st
+            if rem:
+                row[i] = rem
             else:
-                grid.pop(site, None)
-            if abs(old) < 2 <= abs(nv):
-                heapq.heappush(heap, (site[1], site[0]))
+                del row[i]
+            steps += t
+            if on_step is not None:
+                on_step((i, j), t)
+            for di, c, trow, theap, tj in targets:
+                k = i + di
+                old = trow.get(k, 0)
+                nv = old + c * st
+                if nv:
+                    trow[k] = nv
+                else:
+                    trow.pop(k, None)
+                if -2 < old < 2 and not -2 < nv < 2:
+                    if not theap and tj != j:  # j's own heap is being drained
+                        heappush(layers, tj)
+                    heappush(theap, k)
     return steps
 
 
@@ -357,14 +393,16 @@ class ExpandStats:
     w_init: int
 
 
-def _single_base_grid(v: int, base: BasePair) -> Optional[dict]:
+def _single_base_rows(v: int, base: BasePair) -> Optional[dict]:
     # v > 0 in one base, when p (else q) is 2 or 3: binary digits or
-    # balanced ternary on that base's axis
-    b, axis = (base.p, 0) if base.p <= 3 else (base.q, 1)
+    # balanced ternary on that base's axis, as rows {j: {i: d}}
+    b = base.p if base.p <= 3 else base.q
     if b > 3:
         return None
     digits = p_adic_digits(v, 2) if b == 2 else balanced_ternary(v)
-    return {(e, 0) if axis == 0 else (0, e): d for e, d in enumerate(digits) if d}
+    if b == base.p:
+        return {0: {e: d for e, d in enumerate(digits) if d}}
+    return {e: {0: d} for e, d in enumerate(digits) if d}
 
 
 def expand_with_stats(
@@ -393,16 +431,18 @@ def expand_with_stats(
     w_init = sum(digits)
     if v == 0:
         return ExpandStats(SignedExpansion(base, ()), 0, 0)
-    grid, steps = _single_base_grid(abs(v), base), 0
-    if grid is None:
+    rows, steps = _single_base_rows(abs(v), base), 0
+    if rows is None:
         rel = _checked(_relations.find_plain_relation(base), base, "plain relation")
         if seed_method == "greedy":
-            grid = {(i, j): d for d, i, j in greedy_seed(abs(v), base)}
+            rows = {}
+            for d, i, j in greedy_seed(abs(v), base):
+                rows.setdefault(j, {})[i] = d
         else:
-            grid = {(i, 0): d for i, d in enumerate(digits) if d}
-        steps = _claim_reduce(grid, _extended_credits(rel.as_extended()), on_step)
+            rows = {0: {i: d for i, d in enumerate(digits) if d}}
+        steps = _claim_reduce(rows, _extended_credits(rel.as_extended()), on_step)
     sign = 1 if v > 0 else -1
-    terms = [(sign * a, i, j) for (i, j), a in grid.items()]
+    terms = [(sign * a, i, j) for j, row in rows.items() for i, a in row.items()]
     return ExpandStats(SignedExpansion(base, terms), steps, w_init)
 
 
@@ -438,12 +478,14 @@ def expand_extended(x: PQRational, base: BasePair, on_step=None) -> ExtendedExpa
     if mirrored:
         credits = tuple((dj, di, c) for di, dj, c in credits)
         p = base.q
-    grid = {(i, 0): d for i, d in enumerate(p_adic_digits(abs(x.num), p)) if d}
-    _claim_reduce(grid, credits, on_step)
-    if mirrored:
-        grid = {(j, i): a for (i, j), a in grid.items()}
+    rows = {0: {i: d for i, d in enumerate(p_adic_digits(abs(x.num), p)) if d}}
+    _claim_reduce(rows, credits, on_step)
     sign = 1 if x.num > 0 else -1
-    return ExtendedExpansion(base, [(sign * a, i - x.a_p, j - x.a_q) for (i, j), a in grid.items()])
+    if mirrored:
+        terms = [(sign * a, j - x.a_p, i - x.a_q) for j, row in rows.items() for i, a in row.items()]
+    else:
+        terms = [(sign * a, i - x.a_p, j - x.a_q) for j, row in rows.items() for i, a in row.items()]
+    return ExtendedExpansion(base, terms)
 
 
 def _shifted_sum(terms, p: int, q: int) -> Tuple[int, int, int]:

@@ -2,12 +2,14 @@
 and base-power questions.
 
 These are the straightforward versions that unitsum ran before its Horner
-evaluation, staircase greedy search and digit split: a power product per
-term, a scan of the whole (i, j) grid for every greedy term, and one
-division or multiplication by the base per digit, factor or power.  The
+evaluation, staircase greedy search, digit split and per-layer firing
+loop: a power product per term, a scan of the whole (i, j) grid for every
+greedy term, one division or multiplication by the base per digit, factor
+or power, and one heap of (j, i) tuples over a grid keyed by (i, j).  The
 differential tests compare the library against them term for term.
 """
 
+import heapq
 from fractions import Fraction
 
 from unitsum.double_base import SignedExpansion
@@ -105,3 +107,39 @@ def ceil_log_by_multiplication(v, b):
         t *= b
         e += 1
     return e
+
+
+def claim_reduce_by_heap(grid, credits, on_step=None):
+    """_claim_reduce over grid {(i, j): a} with one heap of (j, i) tuples:
+    the smallest ready site fires |a| // 2 pairs, each credit (di, dj, c)
+    adds c per pair at the shifted site, and a site is pushed when it
+    turns ready.  Returns the number of fired pairs."""
+    steps = 0
+    heap = [(j, i) for (i, j), a in grid.items() if abs(a) >= 2]
+    heapq.heapify(heap)
+    while heap:
+        j, i = heapq.heappop(heap)
+        a = grid.get((i, j), 0)
+        if abs(a) < 2:
+            continue
+        s = 1 if a > 0 else -1
+        t = abs(a) // 2
+        rem = a - s * 2 * t
+        if rem:
+            grid[(i, j)] = rem
+        else:
+            del grid[(i, j)]
+        steps += t
+        if on_step is not None:
+            on_step((i, j), t)
+        for di, dj, c in credits:
+            site = (i + di, j + dj)
+            old = grid.get(site, 0)
+            nv = old + s * c * t
+            if nv:
+                grid[site] = nv
+            else:
+                grid.pop(site, None)
+            if abs(old) < 2 <= abs(nv):
+                heapq.heappush(heap, (site[1], site[0]))
+    return steps

@@ -1,13 +1,15 @@
 """Signed and extended double-base expansions over integer base pairs."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from db_reference import (
     balanced_ternary_by_division,
+    claim_reduce_by_heap,
     evaluate_by_power_sums,
     greedy_seed_by_grid_scan,
     lowest_terms_by_division,
@@ -41,7 +43,7 @@ from unitsum import (
 )
 from unitsum.double_base import _claim_reduce, _extended_credits, _valuation
 from unitsum.errors import document_ints
-from unitsum.relations import find_extended_relation
+from unitsum.relations import find_extended_relation, find_plain_relation
 
 B523 = BasePair(5, 23)
 
@@ -182,6 +184,25 @@ def test_valuation_matches_division_at_scale(bits):
         k = bits // (4 * p.bit_length())  # p^k fills about a quarter of the bits
         n = s * p**k * (rng.getrandbits(bits - k * p.bit_length()) | 1)
         assert _valuation(n, p) == valuation_by_division(n, p), (p, bits)
+
+
+def test_valuation_splits_a_remainder_sized_by_the_valuation(monkeypatch):
+    # the whole 65536-bit |n| was split into digits, 11 ms for 5 * m
+    split = []
+
+    def spy(n, p):
+        split.append(n.bit_length())
+        return p_adic_digits(n, p)
+
+    monkeypatch.setattr("unitsum.double_base.p_adic_digits", spy)
+    m = random.Random("valuation/spy").getrandbits(1 << 16) | 1 << 65535
+    m += m % 5 == 0  # 5 does not divide m
+    for k in (1, 3000):
+        split.clear()
+        x = PQRational(BasePair(5, 11), 5**k * m, k + 1, 0)
+        assert (x.num, x.a_p, x.a_q) == (m, 1, 0)
+        # a remainder below 5^(2k + 2), where n = 5^k * m has over 65536 bits
+        assert split and max(split) <= (5 ** (2 * k + 2)).bit_length(), split
 
 
 # ------------------------------------------------------------- expansions
@@ -646,10 +667,10 @@ def test_expansion_json_reads_integers_and_decimal_strings():
     ],
 )
 def test_claim_reduce_rejects_credits_that_may_not_terminate(credits):
-    grid = {(0, 0): 5}
+    rows = {0: {0: 5}}
     with pytest.raises(RelationInvalid):
-        _claim_reduce(grid, credits)
-    assert grid == {(0, 0): 5}
+        _claim_reduce(rows, credits)
+    assert rows == {0: {0: 5}}
 
 
 @pytest.mark.parametrize(
@@ -662,9 +683,109 @@ def test_claim_reduce_rejects_credits_that_may_not_terminate(credits):
 )
 def test_claim_reduce_accepts_plain_and_p_inverse_credits(base, rel):
     assert rel.form in ("plain", "p_inverse")
-    grid = {(0, 0): 9}
-    steps = _claim_reduce(grid, _extended_credits(rel))
+    rows = {0: {0: 9}}
+    steps = _claim_reduce(rows, _extended_credits(rel))
     assert steps > 0
-    assert all(a in (-1, 1) for a in grid.values())
-    exp = ExtendedExpansion(base, [(a, i, j) for (i, j), a in grid.items()])
+    assert all(a in (-1, 1) for row in rows.values() for a in row.values())
+    exp = ExtendedExpansion(base, [(a, i, j) for j, row in rows.items() for i, a in row.items()])
     assert evaluate_expansion(exp) == 9
+
+
+def _credits(rel):
+    ext = rel.as_extended() if isinstance(rel, PlainRelation) else rel
+    credits = _extended_credits(ext)
+    if ext.form == "q_inverse":  # expand_extended's mirror image
+        credits = tuple((dj, di, c) for di, dj, c in credits)
+    return credits
+
+
+CREDITS = [
+    _credits(find_plain_relation(B523)),  # in-layer shift 2
+    _credits(find_plain_relation(BasePair(11, 13))),
+    _credits(find_plain_relation(BasePair(23, 5))),  # raises j by 2
+    _credits(find_extended_relation(BasePair(5, 11))),  # p_inverse: in-layer shift -1
+    _credits(find_extended_relation(BasePair(5, 13))),  # q_inverse, mirrored: j by 2, i by -1
+    ((0, 0, -1), (1, 1, 1)),  # in-layer shift 0
+    ((0, 0, 1), (1, 1, -1)),
+    ((1, 0, -1), (0, 1, 1), (2, 1, -1)),  # two raising credits
+]
+# layers above the first mostly hold only -1 and 1 and fire once chips land
+ROWS = st.dictionaries(
+    st.integers(0, 4),
+    st.dictionaries(st.integers(-4, 12), st.integers(-9, 9).filter(bool) | DIGIT, max_size=12),
+    max_size=4,
+)
+
+
+class _Capped(Exception):
+    pass
+
+
+def _run_capped(kernel, state, credits, cap=20_000):
+    # a firing past the cap raises out of on_step, so the comparison ends
+    # even on credits that would not terminate
+    calls = []
+
+    def on_step(site, t):
+        calls.append((site, t))
+        if len(calls) > cap:
+            raise _Capped
+
+    try:
+        return kernel(state, credits, on_step), calls
+    except _Capped:
+        return None, calls
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(CREDITS), ROWS)
+@example(CREDITS[0], {0: {0: 5}, 1: {0: 1, 2: -1}})  # chips land on a layer with no ready site
+@example(CREDITS[3], {0: {3: 4, 0: 1}, 1: {-1: 1}, 3: {0: -7}})
+def test_claim_reduce_matches_heap_reference(credits, rows):
+    grid = {(i, j): a for j, row in rows.items() for i, a in row.items()}
+    rows = {j: dict(row) for j, row in rows.items()}
+    want_steps, want_calls = _run_capped(claim_reduce_by_heap, grid, credits)
+    steps, calls = _run_capped(_claim_reduce, rows, credits)
+    assert calls == want_calls
+    assert steps == want_steps
+    assert {(i, j): a for j, row in rows.items() for i, a in row.items()} == grid
+
+
+# ------------------------------------------------------------ pinned outputs
+
+# sha256 of repr((terms, steps, w_init)) for expand_with_stats, and of
+# repr((terms, on_step calls)) for expand_extended, recorded before the
+# firing loop moved from one (j, i) tuple heap to per-layer rows
+PINNED_EXPANSIONS = {
+    ((5, 23), "padic"): "0aa18c5a31c71d027da9b30b8d8fe3402a09f118a6bc7ba77c52d6c4dbc5de0b",
+    ((11, 13), "padic"): "5c86ac8fb70c56f480003856a5c3305d6ac229f6e93395341bc6c1aa46926103",
+    ((5, 7), "padic"): "5a0a61e9c6db7b9fa3e513d48e8b1bc936bd0a9d0a05e994468da756c0e2d032",
+    ((5, 23), "greedy"): "8978fa0b012d319d1911134d3212989b343f9c08c4d53d9bc8f45206cf360329",
+    ((11, 5), "extended"): "f79b88252dc4092ec8637e32d96609175814f74dcc60ad507ed2f301f997681d",
+    ((5, 11), "extended"): "a1124a15bf678f1659630003fd85d68ba81383c5c7fd767219fa75c1a1997e7f",
+}
+
+
+def _digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("pq, kind", list(PINNED_EXPANSIONS))
+def test_expansion_outputs_are_pinned(pq, kind):
+    p, q = pq
+    b = BasePair(p, q)
+    if kind == "extended":
+        # q_inverse on (11, 5), so the mirrored path; p_inverse on (5, 11)
+        m = random.Random(f"pin/{p},{q}/extended").getrandbits(4096) | 1
+        fired = []
+        exp = expand_extended(pq_rational(Fraction(-m, p**7 * q**3), b), b, lambda site, t: fired.append((site, t)))
+        assert len(fired) > 1000
+        got = (exp.terms, fired)
+    else:
+        if kind == "padic":
+            v = random.Random(f"pin/{p},{q}/16384").getrandbits(16384) | (1 << 16383)
+        else:
+            v = -(random.Random("pin/greedy/1024").getrandbits(1024) | (1 << 1023))
+        s = expand_with_stats(v, b, seed_method=kind)
+        got = (s.expansion.terms, s.steps, s.w_init)
+    assert _digest(got) == PINNED_EXPANSIONS[pq, kind]
