@@ -227,19 +227,23 @@ def _generator_power(conjugate: bool, e: int, a: int):
     return _pow_coords(g, abs(e), a)
 
 
-# a cubic-units bench round fills 31,269 entries, criteria 7 and 8 together 41,939
+# criteria 7 and 8 together fill 24,072 entries; evaluation does not use this cache
 @functools.lru_cache(maxsize=1 << 16)
+def _monomial_coords(i: int, j: int, a: int):
+    """Coordinates of alpha^i * conjugate^j: the product of two cached
+    generator powers.  The last 2^16 triples are cached, keyed by the
+    exponents and the integer parameter."""
+    return _mul_coords(_generator_power(False, i, a), _generator_power(True, j, a), a)
+
+
 def unit_monomial(i: int, j: int, params: CubicParams) -> CubicElement:
     """alpha^i * conjugate^j for any integer exponents; always integral.
 
-    The product of two cached generator powers, taken on integer
-    coordinate triples; the generators are units, so their inverses are
-    integral too and every product stays integral.  The last 2^16
-    monomials are cached.
+    The generators are units, so their inverses are integral too and
+    every product stays integral.  The element carries the caller's
+    params.
     """
-    a = params.a
-    out = _mul_coords(_generator_power(False, i, a), _generator_power(True, j, a), a)
-    return _element(params, *out)
+    return _element(params, *_monomial_coords(i, j, params.a))
 
 
 _THREE = UnitRelation(n=3, terms=((0, (1, 2)), (0, (-2, -1)), (0, (1, -1))))
@@ -329,11 +333,35 @@ def cubic_basis(params: CubicParams) -> UnitGroupBasis:
 
 
 def cubic_evaluator(params: CubicParams):
-    """Evaluation hook for engine.evaluate over a cubic basis."""
+    """Evaluation hook for engine.evaluate over a cubic basis.
 
-    def ev(k: int, ell: int, x) -> CubicElement:
-        value = unit_monomial(x[0], x[1], params)
-        return -value if k else value
+    Terms are grouped by the conjugate's exponent j: each row sums
+    +-a alpha^i on coordinate triples and is multiplied once by the
+    conjugate's j-th power, so a representation costs one product per
+    row and one element in all.
+    """
+    a = params.a
+
+    def ev(items) -> CubicElement:
+        rows = {}
+        for (k, _, (i, j)), c in items:
+            if k:
+                c = -c
+            u0, u1, u2 = _generator_power(False, i, a)
+            row = rows.get(j)
+            if row is None:
+                rows[j] = [c * u0, c * u1, c * u2]
+            else:
+                row[0] += c * u0
+                row[1] += c * u1
+                row[2] += c * u2
+        t0 = t1 = t2 = 0
+        for j, row in rows.items():
+            s0, s1, s2 = _mul_coords(row, _generator_power(True, j, a), a)
+            t0 += s0
+            t1 += s1
+            t2 += s2
+        return _element(params, t0, t1, t2)
 
     return ev
 

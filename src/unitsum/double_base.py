@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from . import relations as _relations
 from .engine import UnitGroupBasis, UnitRelation
@@ -305,9 +305,20 @@ def _claim_reduce(rows: dict, credits, on_step=None) -> int:
     rows maps a layer j to its row {i: a}, the signed net coefficient at
     p^i q^j.  A site with |a| >= 2 is fired t = |a| // 2 times at once:
     2t copies move through the credit list ((di, dj, c) meaning a gain of
-    c at (i + di, j + dj) per fired pair).  Exactly one credit must stay
-    in layer (dj == 0) and the rest must raise j, which makes the
-    per-layer mass drop on every fire and guarantees termination.
+    c at (i + di, j + dj) per fired pair).  There must be exactly two
+    credits, both with |c| = 1: one that stays in its layer (dj == 0) and
+    one that raises it (dj > 0).
+
+    That rule guarantees termination.  Call the sum of |a| over a row
+    the layer's mass.  A fired pair takes 2 from its site and puts at
+    most 1 back in the layer, so each pair lowers the layer's mass by at
+    least 1, and adds at most 1 to the mass of the layers above.  The
+    layer's last firing, of t pairs, starts from a site holding at least
+    2t, so it either lowers the mass by more than t or leaves at least t
+    behind.  A layer that starts with mass M > 0 therefore fires at most
+    M - 1 pairs, and finishing it lowers the total mass of the layers
+    from it upwards by at least 1.  That total starts finite, so only
+    finitely many layers fire, each finitely often.
 
     Since no credit lowers j, a layer is final once the layers below it
     have fired.  So the layers fire in ascending j, taken from a heap of
@@ -317,8 +328,12 @@ def _claim_reduce(rows: dict, credits, on_step=None) -> int:
     site becomes ready.  on_step, when given, receives ((i, j), t) for
     each firing.  Returns the number of fired pairs.
     """
-    if [dj for _, dj, _ in credits if dj <= 0] != [0]:
-        raise RelationInvalid("credits must keep exactly one term in layer and raise the rest")
+    ok = len(credits) == 2
+    if ok:
+        (_, dj0, c0), (_, dj1, c1) = credits
+        ok = min(dj0, dj1) == 0 < max(dj0, dj1) and abs(c0) == abs(c1) == 1
+    if not ok:
+        raise RelationInvalid("credits must be one unit term that stays in layer and one that raises it")
     heappush, heappop = heapq.heappush, heapq.heappop
     ready = {}
     for j, row in rows.items():
@@ -560,8 +575,10 @@ def rational_basis(p: int, q: int) -> UnitGroupBasis:
 def rational_evaluator(base: BasePair) -> Callable:
     """Evaluation hook for engine.evaluate over a rational basis."""
 
-    def ev(k: int, ell: int, x: Sequence[int]) -> Fraction:
-        return (-1) ** k * Fraction(base.p) ** x[0] * Fraction(base.q) ** x[1]
+    p, q = Fraction(base.p), Fraction(base.q)
+
+    def ev(items) -> Fraction:
+        return sum(((-a if k else a) * p ** i * q ** j for (k, _, (i, j)), a in items), Fraction(0))
 
     return ev
 

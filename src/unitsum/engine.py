@@ -272,16 +272,12 @@ def monotone_quantity(rep: Representation, precision_bits: int = 64) -> Interval
 def evaluate(rep: Representation, evaluator):
     """Exact value of the representation.
 
-    evaluator(k, ell, x) must return the ring element zeta^k * eta_ell *
-    eps^x; terms are accumulated in sorted index order.  The empty
-    representation evaluates to 0.
+    evaluator(items) receives the whole coefficient map as ((k, ell, x), a)
+    pairs, in no particular order, and must return the exact value of
+    sum a * zeta^k * eta_ell * eps^x.  The empty representation evaluates
+    to the int 0 without calling it.
     """
-    total = None
-    for key in sorted(rep._coeffs):
-        k, ell, x = key
-        term = evaluator(k, ell, x) * rep._coeffs[key]
-        total = term if total is None else total + term
-    return 0 if total is None else total
+    return evaluator(rep.items()) if rep else 0
 
 
 def bounds_f_T(params: BoundParams):

@@ -4,14 +4,16 @@ coefficient-2 unit-sum representations."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from evaluate_reference import cubic_term, evaluate_by_terms
 from unitsum import (
     CubicElement,
     CubicParams,
     ParamsMismatch,
     ReductionPolicy,
     RelationBroken,
+    Representation,
     cubic_basis,
     cubic_evaluator,
     element_from_json,
@@ -165,19 +167,29 @@ def test_unit_monomial_anchor():
 def test_unit_monomial_matches_object_powers(monkeypatch):
     # __wrapped__ skips both caches, so every pair is computed afresh
     monkeypatch.setattr(cubic, "_generator_power", cubic._generator_power.__wrapped__)
+    monkeypatch.setattr(cubic, "_monomial_coords", cubic._monomial_coords.__wrapped__)
     for a in (0, 1, 5, 10, 1000, -1000):
         params = CubicParams(a)
         powers1 = {i: alpha(params) ** i for i in range(-12, 13)}
         powers2 = {j: alpha2(params) ** j for j in range(-12, 13)}
         for i in range(-12, 13):
             for j in range(-12, 13):
-                got = unit_monomial.__wrapped__(i, j, params)
+                got = unit_monomial(i, j, params)
                 assert got == powers1[i] * powers2[j], (a, i, j)
                 assert all(type(c) is int for c in got.coords)
 
 
+def test_unit_monomial_carries_the_callers_params():
+    # the cache holds coordinates keyed by the integer a, so equal but
+    # distinct params objects share an entry and each gets its own back
+    first, second = CubicParams(7), CubicParams(7)
+    u, v = unit_monomial(3, -2, first), unit_monomial(3, -2, second)
+    assert u.params is first and v.params is second
+    assert u.coords == v.coords
+
+
 def test_power_caches_are_bounded():
-    assert cubic.unit_monomial.cache_info().maxsize == 1 << 16
+    assert cubic._monomial_coords.cache_info().maxsize == 1 << 16
     assert cubic._generator_power.cache_info().maxsize == 1 << 12
 
 
@@ -218,8 +230,8 @@ def test_unit_monomial_matches_polynomial_reduction():
         powers2 = powers((a + 1, a - 1, -1), (1, a, -1))
         for i in range(-12, 13):
             for j in range(-12, 13):
-                got = unit_monomial.__wrapped__(i, j, params)
-                assert got.coords == times(powers1[i], powers2[j]), (a, i, j)
+                got = cubic._monomial_coords.__wrapped__(i, j, a)
+                assert got == times(powers1[i], powers2[j]), (a, i, j)
 
 
 def test_three_relation_shape():
@@ -471,6 +483,41 @@ def test_represent_round_trips_with_small_coefficients(a, c0, c1, c2):
     rep = represent_unit_sums(beta)
     assert all(v <= 2 for v in rep.coeffs.values())
     assert evaluate(rep, cubic_evaluator(params)) == beta
+
+
+# both sign layers, negative exponents and, with up to 40 terms over 81
+# values of j, several terms per conjugate exponent; the first example
+# holds a term on each layer of one site
+EVAL_COEFFS = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.just(1), st.tuples(st.integers(-40, 40), st.integers(-40, 40))),
+    st.integers(1, 10**6),
+    max_size=40,
+)
+EVAL_PARAMS = st.sampled_from([-1000, -3, 0, 2, 1000])
+
+
+@settings(max_examples=200)
+@given(EVAL_PARAMS, EVAL_COEFFS)
+@example(2, {(0, 1, (3, -5)): 7, (1, 1, (3, -5)): 7})  # the two layers cancel
+@example(-1000, {(0, 1, (40, 40)): 10**6, (1, 1, (-40, 40)): 1, (0, 1, (-40, -40)): 2})
+def test_cubic_evaluator_matches_per_term_sums(a, coeffs):
+    params = CubicParams(a)
+    rep = Representation(cubic_basis(params), coeffs)
+    got = evaluate(rep, cubic_evaluator(params))
+    want = evaluate_by_terms(rep, cubic_term(params))
+    assert type(got) is type(want)
+    assert got == want
+    if rep:
+        assert got.params is params
+        assert all(type(c) is int for c in got.coords)
+
+
+@pytest.mark.parametrize("a", [-1000, -3, 0, 2, 1000])
+def test_cubic_evaluator_gives_int_zero_on_the_empty_representation(a):
+    params = CubicParams(a)
+    rep = Representation(cubic_basis(params), {})
+    for value in (evaluate(rep, cubic_evaluator(params)), evaluate_by_terms(rep, cubic_term(params))):
+        assert type(value) is int and value == 0
 
 
 # -------------------------------------------------------------------- json

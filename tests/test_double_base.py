@@ -1,6 +1,7 @@
 """Signed and extended double-base expansions over integer base pairs."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -664,12 +665,23 @@ def test_expansion_json_reads_integers_and_decimal_strings():
         ((1, 1, 1), (0, 2, -1)),  # no credit stays in layer
         ((1, 0, 1), (2, 0, -1)),  # two credits stay in layer
         ((1, 0, 1), (0, -1, 1)),  # a credit lowers j
+        ((1, 0, 2), (0, 1, 1)),  # a gain of 2 per fired pair
+        ((1, 0, 1), (0, 1, -3)),
+        ((-1, 0, -1), (0, 1, 1), (1, 2, -1)),  # two raising credits: ran past
+        ((2, 0, 1), (0, 1, -1), (1, 1, 1)),  # 5,000 firings on most small grids
+        ((1, 0, 1),),  # nothing raises j
     ],
 )
 def test_claim_reduce_rejects_credits_that_may_not_terminate(credits):
+    # on {0: {0: 5}} both lists with two raising credits run past 5,000
+    # firings, so a check that let them through would fail here, not hang
     rows = {0: {0: 5}}
+
+    def on_step(site, t):
+        raise AssertionError("the credits were accepted and fired")
+
     with pytest.raises(RelationInvalid):
-        _claim_reduce(rows, credits)
+        _claim_reduce(rows, credits, on_step)
     assert rows == {0: {0: 5}}
 
 
@@ -699,6 +711,25 @@ def _credits(rel):
     return credits
 
 
+def test_claim_reduce_accepts_every_relation_the_converters_fire():
+    # every plain and extended relation over bases below 60, in both
+    # orders, with the credits expand_with_stats or expand_extended fires
+    relations = 0
+    for p in range(2, 60):
+        for q in range(2, 60):
+            if p == q or math.gcd(p, q) != 1:
+                continue
+            base = BasePair(p, q)
+            for rel in (find_plain_relation(base), find_extended_relation(base)):
+                if rel is None:
+                    continue
+                rows = {0: {0: 9}}
+                assert _claim_reduce(rows, _credits(rel)) > 0
+                assert all(a in (-1, 1) for row in rows.values() for a in row.values())
+                relations += 1
+    assert relations > 100
+
+
 CREDITS = [
     _credits(find_plain_relation(B523)),  # in-layer shift 2
     _credits(find_plain_relation(BasePair(11, 13))),
@@ -707,7 +738,7 @@ CREDITS = [
     _credits(find_extended_relation(BasePair(5, 13))),  # q_inverse, mirrored: j by 2, i by -1
     ((0, 0, -1), (1, 1, 1)),  # in-layer shift 0
     ((0, 0, 1), (1, 1, -1)),
-    ((1, 0, -1), (0, 1, 1), (2, 1, -1)),  # two raising credits
+    ((-2, 0, 1), (1, 3, -1)),  # raises j by 3
 ]
 # layers above the first mostly hold only -1 and 1 and fire once chips land
 ROWS = st.dictionaries(

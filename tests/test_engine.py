@@ -5,8 +5,9 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from evaluate_reference import evaluate_by_terms, rational_term
 from heap_reference import heap_reduce, shuffled_reduce
 from unitsum import (
     BasisMismatch,
@@ -195,8 +196,30 @@ def test_representation_equality_ignores_step_counter():
 def test_empty_representation_is_zero():
     r = rep_of({})
     assert not r
-    assert evaluate(r, EVAL) == 0
+    for value in (evaluate(r, EVAL), evaluate_by_terms(r, rational_term(PAIR))):
+        assert type(value) is int and value == 0
     assert total_weight(r) == 0
+
+
+# both sign layers and negative exponents on either unit; the first
+# example holds a term on each layer of one site
+RATIONAL_COEFFS = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.just(1), st.tuples(st.integers(-40, 40), st.integers(-40, 40))),
+    st.integers(1, 10**6),
+    max_size=40,
+)
+
+
+@settings(max_examples=200)
+@given(RATIONAL_COEFFS)
+@example({(0, 1, (-3, 2)): 5, (1, 1, (-3, 2)): 5})  # the two layers cancel
+@example({(0, 1, (40, -40)): 10**6, (1, 1, (-40, 40)): 1})
+def test_rational_evaluator_matches_per_term_sums(coeffs):
+    r = rep_of(coeffs)
+    got = evaluate(r, EVAL)
+    want = evaluate_by_terms(r, rational_term(PAIR))
+    assert type(got) is type(want)
+    assert got == want
 
 
 # ------------------------------------------------------ replacement step
