@@ -226,10 +226,8 @@ def _cmd_cubic_repr(args) -> int:
     beta = cubic.CubicElement(params, args.c0, args.c1, args.c2)
     rep = cubic.represent_unit_sums(beta)
     back = engine.evaluate(rep, cubic.cubic_evaluator(params))
-    if rep and back != beta:
+    if back != beta:
         raise VerificationFailed("representation does not evaluate back to the input")
-    if not rep and beta:
-        raise VerificationFailed("empty representation for a nonzero element")
     items = _rep_terms_sorted(rep)
     max_coeff = max((a for _, a in items), default=0)
     if args.format == "json":

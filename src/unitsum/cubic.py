@@ -227,23 +227,15 @@ def _generator_power(conjugate: bool, e: int, a: int):
     return _pow_coords(g, abs(e), a)
 
 
-# criteria 7 and 8 together fill 24,072 entries; evaluation does not use this cache
-@functools.lru_cache(maxsize=1 << 16)
-def _monomial_coords(i: int, j: int, a: int):
-    """Coordinates of alpha^i * conjugate^j: the product of two cached
-    generator powers.  The last 2^16 triples are cached, keyed by the
-    exponents and the integer parameter."""
-    return _mul_coords(_generator_power(False, i, a), _generator_power(True, j, a), a)
-
-
 def unit_monomial(i: int, j: int, params: CubicParams) -> CubicElement:
     """alpha^i * conjugate^j for any integer exponents; always integral.
 
     The generators are units, so their inverses are integral too and
-    every product stays integral.  The element carries the caller's
-    params.
+    every product stays integral.  The element is one product of two
+    cached generator powers and carries the caller's params.
     """
-    return _element(params, *_monomial_coords(i, j, params.a))
+    a = params.a
+    return _element(params, *_mul_coords(_generator_power(False, i, a), _generator_power(True, j, a), a))
 
 
 _THREE = UnitRelation(n=3, terms=((0, (1, 2)), (0, (-2, -1)), (0, (1, -1))))

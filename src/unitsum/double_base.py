@@ -128,26 +128,18 @@ class PQRational:
         object.__setattr__(self, "a_p", ap)
         object.__setattr__(self, "a_q", aq)
 
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.num, self.base.p ** self.a_p * self.base.q ** self.a_q)
-
-
-def _exact_rational(x):
-    """x itself when it is an int or a Fraction; anything else must equal
-    an integer exactly (errors.exact_int: 7.0 reads as 7, while 0.1 and
-    '7/9' raise ValueError naming the value)."""
-    return x if type(x) is int or type(x) is Fraction else exact_int(x, "value")
-
 
 def pq_rational(x: Fraction, base: BasePair) -> PQRational:
     """Factor the denominator of x, an int or a Fraction, into base powers.
 
+    Any other x must equal an integer exactly (errors.exact_int: 7.0
+    reads as 7, while 0.1 and '7/9' raise ValueError naming the value).
     The exponent of each base is a valuation, read from the denominator's
     digits in that base.  Raises ValueError when the denominator has a
     factor foreign to both bases.
     """
-    x = _exact_rational(x)
+    if type(x) is not int and type(x) is not Fraction:
+        x = exact_int(x, "value")
     ap, aq = _valuation(x.denominator, base.p), _valuation(x.denominator, base.q)
     den = x.denominator // (base.p ** ap * base.q ** aq)
     if den != 1:
@@ -540,18 +532,6 @@ def evaluate_expansion(exp):
 def weight(exp) -> int:
     """Number of nonzero digits."""
     return len(exp.terms)
-
-
-def height(x) -> float:
-    """max(log|n|, log d, 1) for x = n/d, an int or a Fraction, in lowest
-    terms; height(0) = 1."""
-    x = _exact_rational(x)
-    vals = [1.0]
-    if x.numerator:
-        vals.append(math.log(abs(x.numerator)))
-    if x.denominator > 1:
-        vals.append(math.log(x.denominator))
-    return max(vals)
 
 
 def rational_basis(p: int, q: int) -> UnitGroupBasis:

@@ -92,7 +92,7 @@ class UnitRelation:
     @property
     def r_max(self) -> int:
         """Largest absolute exponent entry; bounds support drift per step."""
-        return max(abs(c) for _, r in self.terms for c in r) if self.terms else 0
+        return max(abs(c) for _, r in self.terms for c in r)
 
 
 def _exact_index(key) -> Index:

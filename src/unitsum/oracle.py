@@ -154,12 +154,17 @@ def min_weight_bruteforce(
     when no expansion of weight <= max_weight fits in the box; raises
     BudgetExceeded when the node budget runs out first.  One budget node
     is one slot tried at one depth of the direct search, or one signed
-    partial sum formed in the meet-in-the-middle walk.
+    partial sum formed in the meet-in-the-middle walk.  A box with more
+    slots p^i q^j than the budget has nodes raises before its table is
+    built.
     """
     v, max_weight = exact_int(v, "value"), exact_int(max_weight, "max_weight")
     node_budget = exact_int(node_budget, "node_budget")
     i_max, j_max = exp_box if exp_box is not None else default_box(v, base)
     i_max, j_max = exact_int(i_max, "I_max"), exact_int(j_max, "J_max")
+    count = max(i_max + 1, 0) * max(j_max + 1, 0)
+    if count > node_budget:
+        raise BudgetExceeded(f"a table of {count} slots exceeds the node budget of {node_budget}")
     slots = [
         (base.p ** i * base.q ** j, i, j)
         for i in range(i_max + 1)

@@ -234,21 +234,23 @@ def certificate_at(base: "BasePair", m: int) -> Optional[ObstructionCertificate]
 
 
 def find_obstruction(base: "BasePair", max_modulus: int = 1000) -> Optional[ObstructionCertificate]:
-    """First certificate along the scan order p, q, 2, 3, ..., max_modulus.
+    """First certificate with modulus at most max_modulus, scanning p and
+    q first when they are in bounds, then 2, 3, ... upwards.
 
     The bases themselves come first: reducing mod p collapses the whole
     p-orbit to 0, which is the tidiest certificate when it works and the
     one matching hand calculations.  A pair with a plain relation returns
     None without a scan: the relation holds modulo every m.  The moduli
     are generated one at a time, so a huge max_modulus costs nothing
-    until the scan reaches it.
+    until the scan reaches it, and a huge base is never tried beyond it.
     """
     max_modulus = exact_int(max_modulus, "max_modulus")
     p, q = base.p, base.q
     if p == 3 or q == 3 or find_plain_relation(base) is not None:
         return None
+    first = [m for m in (p, q) if m <= max_modulus]
     rest = (m for m in range(2, max_modulus + 1) if m != p and m != q)
-    for m in chain((p, q), rest):
+    for m in chain(first, rest):
         cert = certificate_at(base, m)
         if cert is not None:
             return cert

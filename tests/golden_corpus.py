@@ -64,7 +64,7 @@ def _expansion_line(p, q, v, stats):
     return f"{p} {q} {v} {stats.steps} {stats.w_init} {stats.expansion.terms}"
 
 
-def expand_padic():
+def expand_padic_group():
     for p, q in ((5, 23), (11, 13), (2, 5), (7, 3)):
         for v in range(-300, 3001):
             yield _expansion_line(p, q, v, expand_with_stats(v, BasePair(p, q)))
@@ -73,7 +73,7 @@ def expand_padic():
             yield _expansion_line(p, q, v, expand_with_stats(v, BasePair(p, q)))
 
 
-def expand_greedy():
+def expand_greedy_group():
     for p, q in ((5, 23), (11, 13)):
         for v in range(-300, 3001):
             yield _expansion_line(p, q, v, expand_with_stats(v, BasePair(p, q), "greedy"))
@@ -196,8 +196,8 @@ def pq_rational_group():
 
 
 GROUPS = {
-    "expand_padic": expand_padic,
-    "expand_greedy": expand_greedy,
+    "expand_padic": expand_padic_group,
+    "expand_greedy": expand_greedy_group,
     "expand_extended": expand_extended_group,
     "relations": relations_group,
     "find_obstruction": find_obstruction_group,

@@ -5,6 +5,7 @@ verbose run reads as a checklist.  Workloads, seeds, and tolerances are
 fixed; every comparison is exact unless the line says otherwise.
 """
 
+import functools
 import random
 import time
 from fractions import Fraction
@@ -260,6 +261,9 @@ def test_criterion_08_monotone_quantity_strictly_increases():
         assert c_elem.coords[0] > 0
         c_constant[a] = c_elem
 
+    # the ledger asks for the same monomials again and again, so it keeps
+    # every one it has built
+    monomial = functools.lru_cache(maxsize=None)(unit_monomial)
     cubic_steps = 0
     for params, coords in _beta_workload():
         beta = CubicElement(params, *coords)
@@ -274,7 +278,7 @@ def test_criterion_08_monotone_quantity_strictly_increases():
 
         rep = represent_unit_sums(beta, ReductionPolicy(on_step=record))
         assert min_t[0] is None or min_t[0] >= 1
-        um = lambda i, j: unit_monomial(i, j, params)
+        um = lambda i, j: monomial(i, j, params)
         zero = CubicElement(params, 0, 0, 0)
         q0 = sum(
             (abs(c) * um(2 * t, 0) for t, c in enumerate(beta.coords) if c), zero

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from unitsum import cubic
+from unitsum import Representation, cubic
 from unitsum.cli import main
 
 
@@ -216,6 +216,44 @@ def test_cubic_repr(capsys):
     doc = json.loads(out)
     assert int(doc["max_coefficient"]) <= 2
     assert doc["coords"] == ["7", "-4", "2"]
+
+
+def test_cubic_repr_rejects_an_empty_representation(capsys, monkeypatch):
+    # the empty representation evaluates to the int 0, which a nonzero
+    # element does not equal, so the one round-trip check catches it
+    empty = lambda beta, policy=None: Representation(cubic.cubic_basis(beta.params))
+    monkeypatch.setattr(cubic, "represent_unit_sums", empty)
+    code, out, err = run(capsys, "cubic-repr", "--a", "2", "7", "-4", "2")
+    assert (code, out) == (5, "")
+    assert "does not evaluate back" in err
+
+
+def test_cubic_repr_rejects_a_wrong_evaluation(capsys, monkeypatch):
+    monkeypatch.setattr(cubic, "cubic_evaluator", lambda params: lambda items: cubic.one(params))
+    code, out, err = run(capsys, "cubic-repr", "--a", "2", "7", "-4", "2")
+    assert (code, out) == (5, "")
+    assert "does not evaluate back" in err
+
+
+def test_cubic_repr_of_zero_is_the_empty_sum(capsys):
+    code, out, _ = run(capsys, "cubic-repr", "--a", "0", "0", "0", "0")
+    assert code == 0
+    assert out == "beta(0,0,0) = (empty sum)\nmax coefficient 0  steps 0\n"
+
+
+def test_obstruct_stays_within_the_modulus_bound(capsys):
+    code, out, _ = run(capsys, "obstruct", "--p", "7", "--q", "13", "--max-modulus", "5")
+    assert code == 0
+    assert out.splitlines()[0] == "obstruction modulus 3"
+
+
+def test_min_weight_box_larger_than_the_budget_is_capped(capsys):
+    code, out, err = run(
+        capsys, "min-weight", "--p", "5", "--q", "23", "7",
+        "--i-max", "100000", "--j-max", "100000",
+    )
+    assert (code, out) == (4, "")
+    assert "10000200001 slots" in err
 
 
 def test_cubic_verify_range(capsys):

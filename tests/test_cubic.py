@@ -165,9 +165,8 @@ def test_unit_monomial_anchor():
 
 
 def test_unit_monomial_matches_object_powers(monkeypatch):
-    # __wrapped__ skips both caches, so every pair is computed afresh
+    # __wrapped__ skips the power cache, so every pair is computed afresh
     monkeypatch.setattr(cubic, "_generator_power", cubic._generator_power.__wrapped__)
-    monkeypatch.setattr(cubic, "_monomial_coords", cubic._monomial_coords.__wrapped__)
     for a in (0, 1, 5, 10, 1000, -1000):
         params = CubicParams(a)
         powers1 = {i: alpha(params) ** i for i in range(-12, 13)}
@@ -180,8 +179,8 @@ def test_unit_monomial_matches_object_powers(monkeypatch):
 
 
 def test_unit_monomial_carries_the_callers_params():
-    # the cache holds coordinates keyed by the integer a, so equal but
-    # distinct params objects share an entry and each gets its own back
+    # the power cache is keyed by the integer a, so equal but distinct
+    # params objects share its entries and each gets its own back
     first, second = CubicParams(7), CubicParams(7)
     u, v = unit_monomial(3, -2, first), unit_monomial(3, -2, second)
     assert u.params is first and v.params is second
@@ -189,7 +188,6 @@ def test_unit_monomial_carries_the_callers_params():
 
 
 def test_power_caches_are_bounded():
-    assert cubic._monomial_coords.cache_info().maxsize == 1 << 16
     assert cubic._generator_power.cache_info().maxsize == 1 << 12
 
 
@@ -208,10 +206,12 @@ def _times_mod_minpoly(u, v, a):
     return tuple(prod)
 
 
-def test_unit_monomial_matches_polynomial_reduction():
+def test_unit_monomial_matches_polynomial_reduction(monkeypatch):
     # Independent of the inlined reduction in cubic._mul_coords and of
     # cubic._unit_inverse: powers are products of polynomials divided by
     # the minimal polynomial, and the inverses are the literal closed forms.
+    # __wrapped__ skips the power cache, so every power is computed afresh.
+    monkeypatch.setattr(cubic, "_generator_power", cubic._generator_power.__wrapped__)
     for a in (0, 1, 5, 10, 1000, -1000):
         params = CubicParams(a)
 
@@ -230,7 +230,7 @@ def test_unit_monomial_matches_polynomial_reduction():
         powers2 = powers((a + 1, a - 1, -1), (1, a, -1))
         for i in range(-12, 13):
             for j in range(-12, 13):
-                got = cubic._monomial_coords.__wrapped__(i, j, a)
+                got = unit_monomial(i, j, params).coords
                 assert got == times(powers1[i], powers2[j]), (a, i, j)
 
 

@@ -35,7 +35,6 @@ from unitsum import (
     expansion_from_json,
     expansion_to_json,
     greedy_seed,
-    height,
     p_adic_digits,
     pq_rational,
     rational_basis,
@@ -392,7 +391,7 @@ def test_evaluate_extended_matches_power_sums(pq, terms):
 def test_pq_rational_normalizes_base_powers():
     x = pq_rational(Fraction(7, 25), BasePair(5, 11))
     assert x.num == 7 and x.a_p == 2 and x.a_q == 0
-    assert x.value == Fraction(7, 25)
+    assert Fraction(x.num, 5**x.a_p * 11**x.a_q) == Fraction(7, 25)
 
 
 @pytest.mark.parametrize(
@@ -539,15 +538,6 @@ def test_expand_extended_round_trip_with_denominator(n, ap, aq):
 def test_weight_counts_digits():
     assert weight(expand(0, B523)) == 0
     assert weight(expand(4, B523)) == 4  # 4 ones at distinct sites
-
-
-def test_height_values():
-    import math
-
-    assert height(Fraction(0)) == 1.0
-    assert height(Fraction(1, 2)) == 1.0  # log 2 < 1
-    assert height(Fraction(100)) == pytest.approx(math.log(100))
-    assert height(Fraction(3, 100)) == pytest.approx(math.log(100))
 
 
 def test_to_unit_relation_layouts():

@@ -1,6 +1,8 @@
 """Brute-force minimal-weight oracle and the verification sweep."""
 
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -73,6 +75,36 @@ def test_unreachable_weight_returns_none():
 def test_budget_exhaustion_raises():
     with pytest.raises(BudgetExceeded):
         min_weight_bruteforce(10**9, B523, 8, (14, 8), node_budget=50)
+
+
+def test_slot_table_is_checked_against_the_budget_before_it_is_built():
+    # a 10^5 x 10^5 box would need about 10^10 big integers; its slot count
+    # alone raises, naming that count
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="10000200001 slots"):
+            min_weight_bruteforce(7, B523, 8, (10**5, 10**5))
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < 0.01 and peak < 1 << 20
+    # an empty exponent range holds no slots, so its table fits any budget
+    assert min_weight_bruteforce(7, B523, 2, (-1, 5), node_budget=0) is None
+    assert min_weight_bruteforce(7, B523, 2, (5, -3), node_budget=0) is None
+    # a table of exactly the budget is built and searched: the default box
+    # for |v| <= 300 holds 7 x 5 = 35 slots, and the largest one is found
+    # with the first node
+    assert default_box(300, B523) == (6, 4)
+    top = 5**6 * 23**4
+    assert min_weight_bruteforce(top, B523, 1, (6, 4), node_budget=35).weight == 1
+    with pytest.raises(BudgetExceeded, match="35 slots"):
+        min_weight_bruteforce(top, B523, 1, (6, 4), node_budget=34)
+    # the (14, 8) box holds 135 slots: with that budget the table is built
+    # and the search itself runs out
+    with pytest.raises(BudgetExceeded, match="node budget exhausted"):
+        min_weight_bruteforce(10**9, B523, 8, (14, 8), node_budget=135)
 
 
 def test_meet_in_middle_path_agrees_with_dfs_weights():

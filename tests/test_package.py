@@ -62,7 +62,6 @@ def test_readme_examples_run():
         # is read as an integer or raises
         pytest.param(lambda: unitsum.pq_rational(0.1, B523), ValueError, "value", id="pq_rational"),
         pytest.param(lambda: unitsum.pq_rational(" 7/9 ", B523), ValueError, "value", id="pq_rational-string"),
-        pytest.param(lambda: unitsum.height(0.1), ValueError, "value", id="height"),
         pytest.param(lambda: unitsum.CubicElement(P2, 0, 1, 0) ** 2.5, ValueError, "exponent", id="CubicElement-pow"),
     ],
 )
@@ -78,5 +77,4 @@ def test_helpers_read_exact_values_as_integers():
     assert unitsum.certificate_at(B511, 5.0) == unitsum.certificate_at(B511, 5)
     assert unitsum.real_roots(P2, 16.0) == unitsum.real_roots(P2, 16)
     assert unitsum.pq_rational(7.0, B523) == unitsum.pq_rational(7, B523)
-    assert unitsum.height(100.0) == unitsum.height(100)
     assert unitsum.CubicElement(P2, 0, 1, 0) ** 2.0 == unitsum.CubicElement(P2, 0, 1, 0) ** 2

@@ -290,15 +290,30 @@ def test_obstruction_scan_is_lazy():
 
 def test_obstruction_matches_a_plain_scan():
     # find_obstruction skips the scan for pairs with a plain relation;
-    # the full scan over certificate_at must agree with it everywhere
-    for p in range(2, 60):
-        for q in range(2, 60):
-            if p == q or gcd(p, q) != 1:
-                continue
-            base = BasePair(p, q)
-            moduli = dict.fromkeys([p, q, *range(2, 61)])
-            scanned = next(filter(None, (certificate_at(base, m) for m in moduli)), None)
-            assert find_obstruction(base, max_modulus=60) == scanned, (p, q)
+    # the full scan over certificate_at must agree with it everywhere,
+    # also under bounds below p or q, which take those moduli out
+    for bound in (60, 30, 7, 2):
+        for p in range(2, 60):
+            for q in range(2, 60):
+                if p == q or gcd(p, q) != 1:
+                    continue
+                base = BasePair(p, q)
+                moduli = dict.fromkeys([m for m in (p, q) if m <= bound] + list(range(2, bound + 1)))
+                scanned = next(filter(None, (certificate_at(base, m) for m in moduli)), None)
+                assert find_obstruction(base, max_modulus=bound) == scanned, (p, q, bound)
+
+
+def test_obstruction_stays_within_its_bound():
+    # (7, 13) is certified by 7 at the default bound; below 7 the scan
+    # starts at 2 and 3 works, and no modulus up to 2 does
+    assert find_obstruction(BasePair(7, 13), 5).modulus == 3
+    assert find_obstruction(BasePair(7, 13), 2) is None
+    # a huge base is not tried when it exceeds the bound: its orbit modulo
+    # itself would take seconds to list, while 5 certifies at once
+    base = BasePair(10**7 + 19, 5)
+    seconds = min(timeit.repeat(lambda: find_obstruction(base, 10), number=1, repeat=3))
+    assert find_obstruction(base, 10) == certificate_at(base, 5)
+    assert seconds < 0.01
 
 
 @given(st.sampled_from(_PRIMES), st.sampled_from(_PRIMES), st.integers(2, 80))
