@@ -58,12 +58,8 @@ _EXIT_CODES = (
 )
 
 
-def _print(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
 def _print_json(obj) -> None:
-    _print(json.dumps(obj, indent=2))
+    print(json.dumps(obj, indent=2))
 
 
 def integer(text: str) -> int:
@@ -102,8 +98,8 @@ def _cmd_expand(args) -> int:
     if args.format == "json":
         _print_json(expansion_to_json(exp))
     else:
-        _print(_expansion_text(exp, str(v)))
-        _print(f"weight {weight(exp)}  steps {stats.steps}  w_init {stats.w_init}")
+        print(_expansion_text(exp, str(v)))
+        print(f"weight {weight(exp)}  steps {stats.steps}  w_init {stats.w_init}")
     return EXIT_OK
 
 
@@ -115,8 +111,8 @@ def _cmd_expand_extended(args) -> int:
     if args.format == "json":
         _print_json(expansion_to_json(exp))
     else:
-        _print(_expansion_text(exp, str(value)))
-        _print(f"weight {weight(exp)}")
+        print(_expansion_text(exp, str(value)))
+        print(f"weight {weight(exp)}")
     return EXIT_OK
 
 
@@ -133,14 +129,14 @@ def _cmd_verify(args) -> int:
     try:
         exp, claimed = expansion_from_json(data)
     except InvalidExpansion as exc:
-        _print(f"status invalid ({exc})")
+        print(f"status invalid ({exc})")
         return EXIT_VERIFY
     value = evaluate_expansion(exp)
-    _print(f"value {value}")
+    print(f"value {value}")
     if value == claimed:
-        _print("status valid")
+        print("status valid")
         return EXIT_OK
-    _print(f"status invalid (document claims {claimed})")
+    print(f"status invalid (document claims {claimed})")
     return EXIT_VERIFY
 
 
@@ -152,16 +148,16 @@ def _print_relation(args, base: BasePair, rel) -> None:
     if isinstance(rel, relations.PlainRelation):
         rel = rel.as_extended()
     op = "+" if rel.sign == 1 else "-"
-    _print(f"2 = {_mono(base.p, base.q, rel.a, rel.b)} {op} {_mono(base.p, base.q, rel.c, rel.d)}")
+    print(f"2 = {_mono(base.p, base.q, rel.a, rel.b)} {op} {_mono(base.p, base.q, rel.c, rel.d)}")
 
 
 def _print_certificate(args, cert) -> None:
     if args.format == "json":
         _print_json(cert.to_json())
     else:
-        _print(f"obstruction modulus {cert.modulus}")
-        _print("p_orbit " + " ".join(map(str, cert.p_orbit)))
-        _print("q_orbit " + " ".join(map(str, cert.q_orbit)))
+        print(f"obstruction modulus {cert.modulus}")
+        print("p_orbit " + " ".join(map(str, cert.p_orbit)))
+        print("q_orbit " + " ".join(map(str, cert.q_orbit)))
 
 
 def _cmd_find_relation(args) -> int:
@@ -176,7 +172,7 @@ def _cmd_find_relation(args) -> int:
     if cert is not None:
         _print_certificate(args, cert)
     else:
-        _print(
+        print(
             f"no relation with exponents up to {args.max_exp}; "
             f"no obstruction certificate with modulus up to {args.max_modulus}"
         )
@@ -187,7 +183,7 @@ def _cmd_obstruct(args) -> int:
     base = _base(args)
     cert = relations.find_obstruction(base, args.max_modulus)
     if cert is None:
-        _print(f"no obstruction certificate with modulus up to {args.max_modulus}")
+        print(f"no obstruction certificate with modulus up to {args.max_modulus}")
         return EXIT_NOT_FOUND
     _print_certificate(args, cert)
     return EXIT_OK
@@ -202,7 +198,7 @@ def _cmd_min_weight(args) -> int:
     witness = oracle.min_weight_bruteforce(v, base, args.max_weight, box, args.budget)
     shown_box = box if box is not None else oracle.default_box(v, base)
     if witness is None:
-        _print(
+        print(
             f"no expansion of weight <= {args.max_weight} "
             f"inside box {shown_box[0]},{shown_box[1]}"
         )
@@ -212,13 +208,9 @@ def _cmd_min_weight(args) -> int:
         doc["weight"] = str(witness.weight)
         _print_json(doc)
     else:
-        _print(f"weight {witness.weight}")
-        _print(_expansion_text(witness.expansion, str(v)))
+        print(f"weight {witness.weight}")
+        print(_expansion_text(witness.expansion, str(v)))
     return EXIT_OK
-
-
-def _rep_terms_sorted(rep):
-    return sorted(rep.coeffs.items(), key=lambda kv: (kv[0][0], kv[0][2]))
 
 
 def _cmd_cubic_repr(args) -> int:
@@ -228,7 +220,7 @@ def _cmd_cubic_repr(args) -> int:
     back = engine.evaluate(rep, cubic.cubic_evaluator(params))
     if back != beta:
         raise VerificationFailed("representation does not evaluate back to the input")
-    items = _rep_terms_sorted(rep)
+    items = sorted(rep.items(), key=lambda kv: (kv[0][0], kv[0][2]))
     max_coeff = max((a for _, a in items), default=0)
     if args.format == "json":
         _print_json(
@@ -252,8 +244,8 @@ def _cmd_cubic_repr(args) -> int:
         body = " ".join(
             f"{'+' if k == 0 else '-'} {a}*u({x[0]},{x[1]})" for (k, _, x), a in items
         )
-        _print(f"beta({beta.c0},{beta.c1},{beta.c2}) = {body if body else '(empty sum)'}")
-        _print(f"max coefficient {max_coeff}  steps {rep.steps}")
+        print(f"beta({beta.c0},{beta.c1},{beta.c2}) = {body if body else '(empty sum)'}")
+        print(f"max coefficient {max_coeff}  steps {rep.steps}")
     return EXIT_OK
 
 
@@ -265,7 +257,7 @@ def _cmd_cubic_verify(args) -> int:
     for a in range(lo, hi + 1):
         cubic.three_relation(cubic.CubicParams(a))
         count += 1
-    _print(f"{count}/{count} relations verified, sum = 3")
+    print(f"{count}/{count} relations verified, sum = 3")
     return EXIT_OK
 
 
@@ -274,9 +266,10 @@ def _cmd_bench_steps(args) -> int:
     lo, hi = args.lo, args.hi
     if lo > hi:
         raise ValueError("--from must not exceed --to")
-    _print("n,w_init,steps,weight_final")
-    for n, _, w, _, steps, w_init in oracle.sweep_verify(lo, hi, base):
-        _print(f"{n},{w_init},{steps},{w}")
+    rows = oracle.sweep_verify(lo, hi, base)
+    print("n,w_init,steps,weight_final")
+    for n, _, w, _, steps, w_init in rows:
+        print(f"{n},{w_init},{steps},{w}")
     return EXIT_OK
 
 

@@ -253,8 +253,7 @@ def greedy_seed(v: int, base: BasePair) -> List[Term]:
     p, q = base.p, base.q
     ppow = _powers_up_to(p, 2 * abs(v))
     qpow = _powers_up_to(q, 2 * abs(v))
-    order: List[Tuple[int, int]] = []
-    acc = {}
+    acc = {}  # (i, j) -> net, in first-touch order
     r = v
     while r:
         s = 1 if r > 0 else -1
@@ -284,11 +283,8 @@ def greedy_seed(v: int, base: BasePair) -> List[Term]:
                     best = cand
         _, m, i, j = best
         r -= s * m
-        if (i, j) not in acc:
-            acc[(i, j)] = 0
-            order.append((i, j))
-        acc[(i, j)] += s
-    return [(acc[ij], ij[0], ij[1]) for ij in order if acc[ij]]
+        acc[(i, j)] = acc.get((i, j), 0) + s
+    return [(a, i, j) for (i, j), a in acc.items() if a]
 
 
 def _claim_reduce(rows: dict, credits, on_step=None) -> int:
@@ -374,14 +370,15 @@ def _claim_reduce(rows: dict, credits, on_step=None) -> int:
     return steps
 
 
-def _checked(rel, base: BasePair, kind: str):
-    """rel after its exact check against base: None raises
-    NoRelationFound naming the kind, a false identity RelationInvalid."""
+def _checked(rel, base: BasePair, kind: str) -> "_relations.ExtendedRelation":
+    """rel after its exact check against base, in its ExtendedRelation
+    form: None raises NoRelationFound naming the kind, a false identity
+    RelationInvalid naming rel as given."""
     if rel is None:
         raise NoRelationFound(f"no {kind} for ({base.p},{base.q}) with exponents up to {MAX_EXP}")
     if not _relations.verify_relation(base, rel):
         raise RelationInvalid(f"{rel} is not a valid relation for {base}")
-    return rel
+    return rel.as_extended() if isinstance(rel, _relations.PlainRelation) else rel
 
 
 def _extended_credits(rel: "_relations.ExtendedRelation"):
@@ -447,7 +444,7 @@ def expand_with_stats(
                 rows.setdefault(j, {})[i] = d
         else:
             rows = {0: {i: d for i, d in enumerate(digits) if d}}
-        steps = _claim_reduce(rows, _extended_credits(rel.as_extended()), on_step)
+        steps = _claim_reduce(rows, _extended_credits(rel), on_step)
     sign = 1 if v > 0 else -1
     terms = [(sign * a, i, j) for j, row in rows.items() for i, a in row.items()]
     return ExpandStats(SignedExpansion(base, terms), steps, w_init)
@@ -564,13 +561,17 @@ def rational_evaluator(base: BasePair) -> Callable:
 
 
 def to_unit_relation(rel, base: BasePair) -> UnitRelation:
-    """Encode a plain relation as an engine relation with n = 2.
+    """Encode a plain or extended relation as an engine relation with n = 2.
 
-    2 = sign (p^x - q^y) becomes one term on each sign layer.  None, as
-    returned when no relation exists, raises NoRelationFound.
+    The terms are the two credits the converters fire, 2 = p^a q^b +
+    sign p^c q^d: a term with sign +1 goes on sign layer 0, one with
+    sign -1 on layer 1.  So a plain relation puts one term on each
+    layer, and an extended one with a + second term puts both on layer
+    0.  None, as returned when no relation exists, raises
+    NoRelationFound.
     """
-    ext = _checked(rel, base, "relation").as_extended()
-    return UnitRelation(n=2, terms=((0, (ext.a, ext.b)), (1, (ext.c, ext.d))))
+    credits = _extended_credits(_checked(rel, base, "relation"))
+    return UnitRelation(n=2, terms=tuple((0 if c == 1 else 1, (di, dj)) for di, dj, c in credits))
 
 
 def expansion_to_json(exp) -> dict:

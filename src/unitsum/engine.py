@@ -12,6 +12,7 @@ lie far apart or whose run outgrows that box, in a dict.
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -242,18 +243,11 @@ def monotone_quantity(rep: Representation, precision_bits: int = 64) -> Interval
     for lo, hi in abs_ivs:
         if lo <= 0:
             raise ValueError("abs_val hooks must certify positivity")
-    cache = {}
 
+    @functools.cache
     def coord_pow(m: int, e: int) -> Interval:
-        got = cache.get((m, e))
-        if got is None:
-            lo, hi = abs_ivs[m]
-            if e >= 0:
-                got = (lo ** e, hi ** e)
-            else:
-                got = (1 / hi ** (-e), 1 / lo ** (-e))
-            cache[(m, e)] = got
-        return got
+        lo, hi = abs_ivs[m]
+        return (lo ** e, hi ** e) if e >= 0 else (1 / hi ** -e, 1 / lo ** -e)
 
     lo_total = Fraction(0)
     hi_total = Fraction(0)

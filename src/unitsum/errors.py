@@ -15,7 +15,9 @@ class UnitSumError(Exception):
 
 
 class BasisMismatch(UnitSumError):
-    """Two values built over different bases were combined."""
+    """A relation's terms do not fit the basis of the representation
+    it is applied to: a sign layer outside it or an exponent vector of
+    the wrong length."""
 
 
 class ParamsMismatch(UnitSumError):

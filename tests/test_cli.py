@@ -310,6 +310,15 @@ def test_bench_steps_csv(capsys):
     assert lines[6] == "1000,4,1,4"
 
 
+def test_failing_bench_steps_prints_nothing_on_stdout(capsys):
+    # (5,11) has no plain relation; the CSV header waits for the sweep
+    assert run(capsys, "bench-steps", "--p", "5", "--q", "11", "--from", "1", "--to", "3") == (
+        2,
+        "",
+        "error: no plain relation for (5,11) with exponents up to 64\n",
+    )
+
+
 def test_cubic_verify_rechecks_every_parameter(capsys, monkeypatch):
     assert run(capsys, "cubic-verify", "--a-from", "0", "--a-to", "2")[0] == 0
     monkeypatch.setattr(cubic, "unit_monomial", lambda i, j, params: cubic.one(params))

@@ -546,6 +546,11 @@ def test_to_unit_relation_layouts():
     assert rel.terms == ((0, (2, 0)), (1, (0, 1)))
     twin = to_unit_relation(PlainRelation(1, 1, -1), BasePair(3, 5))
     assert twin.terms == ((0, (0, 1)), (1, (1, 0)))
+    # extended relations: a - second term goes on layer 1, a + one on layer 0
+    inverse = to_unit_relation(find_extended_relation(BasePair(5, 11)), BasePair(5, 11))
+    assert inverse.terms == ((0, (-1, 1)), (1, (-1, 0)))  # 2 = 11/5 - 1/5
+    both = to_unit_relation(find_extended_relation(BasePair(2, 7)), BasePair(2, 7))
+    assert both.terms == ((0, (-2, 1)), (0, (-2, 0)))  # 2 = 7/4 + 1/4
 
 
 def test_rational_basis_is_cached():

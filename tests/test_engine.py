@@ -1,6 +1,7 @@
 """Core rewrite engine: representations, the replacement step, reduce,
 and the certified numeric helpers."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from unitsum import (
 )
 from unitsum import engine
 from unitsum.double_base import BasePair
+from unitsum.relations import find_extended_relation, find_plain_relation
 
 BASE = rational_basis(5, 23)
 PAIR = BasePair(5, 23)
@@ -295,6 +297,30 @@ def test_reduce_bounds_every_coefficient():
     out = reduce(seed, REL)
     assert all(1 <= a < REL.n for a in out.coeffs.values())
     assert evaluate(out, EVAL) == evaluate(seed, EVAL) == 1000 - 313 * 115
+
+
+def test_engine_bridge_reduces_every_relation_the_converters_fire():
+    # every plain and every extended relation over coprime pairs below 60,
+    # 72 + 236 of them: m chips at the origin on either sign layer reduce
+    # to coefficients 1 that evaluate back to m or -m
+    fired = 0
+    for p in range(2, 60):
+        for q in range(2, 60):
+            if p == q or math.gcd(p, q) != 1:
+                continue
+            base = BasePair(p, q)
+            basis, ev = rational_basis(p, q), rational_evaluator(base)
+            for rel in (find_plain_relation(base), find_extended_relation(base)):
+                if rel is None:
+                    continue
+                fired += 1
+                bridge = to_unit_relation(rel, base)
+                for m in (2, 3, 7, 50):
+                    for k, value in ((0, m), (1, -m)):
+                        out = reduce(Representation(basis, {(k, 1, (0, 0)): m}), bridge)
+                        assert set(out.coeffs.values()) == {1}, (rel, m, k)
+                        assert evaluate(out, ev) == value, (rel, m, k)
+    assert fired == 308
 
 
 def test_reduce_empty_is_noop():
