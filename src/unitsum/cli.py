@@ -124,7 +124,7 @@ def _cmd_verify(args) -> int:
             raw = fh.read()
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses per nesting level
         raise ValueError(f"not valid JSON: {exc}") from None
     try:
         exp, claimed = expansion_from_json(data)

@@ -392,7 +392,7 @@ class ExpandStats:
     is the base-p digit sum of |v|, the padic seed's weight, whichever
     seed was used."""
 
-    expansion: "SignedExpansion | ExtendedExpansion"
+    expansion: SignedExpansion
     steps: int
     w_init: int
 

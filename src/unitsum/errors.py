@@ -37,7 +37,8 @@ class RelationInvalid(UnitSumError):
 
 
 class RelationBroken(UnitSumError):
-    """An identity that must hold symbolically failed numerically."""
+    """An identity that must hold for every parameter failed its exact
+    check on the integer coordinates."""
 
 
 class NoRelationFound(UnitSumError):

@@ -120,44 +120,55 @@ def verify_relation(base: "BasePair", rel) -> bool:
     return False
 
 
-def _power_table(b: int, max_exp: int) -> dict:
-    """{b^e: e} for 1 <= e <= max_exp, in increasing order."""
+def _first_partner(w: int, v: int, scale: int, gap: int, max_exp: int) -> Optional[Tuple[int, int, int]]:
+    """First (k, e, d), in ascending k, with v^e = scale * w^k + d,
+    d = +-gap and 1 <= k, e <= max_exp, or None.
+
+    v^e walks up alongside w^k, so two powers are held and no table.  For
+    coprime w, v >= 2, the least v^e >= scale * w^k - gap is the only
+    power that can hit (another needs v^e (v^j - 1) < 2 gap, which only
+    v^e = 2 = w^k meets), and the first hit is the least solution of its
+    form:
+    - plain (scale 1, gap 2, w = q, v = p): two partners of one y differ
+      by 4, and p^x1 (p^(x2 - x1) - 1) = 4 forces q^y = 6.  For y1 < y2,
+      p^x2 >= 2 q^y1 - 2 > q^y1 + 2 >= p^x1 once q^y1 > 4; below that,
+      only q^y1 = 3, p^x1 = 5 is coprime.  So x + y grows with y.
+    - inverse (scale 2, gap 1, w = u): two partners differ by 2, forcing
+      2 u^a = 3.  For a1 < a2, v^b2 >= 4 u^a1 - 1 > 2 u^a1 + 1 >= v^b1.
+      So 2a + b grows with a.
+    No two solutions of one form tie, so the finders need no tie-break.
+    """
     if max_exp < 1:
         raise ValueError("max_exp must be at least 1")
-    table, power = {}, 1
-    for e in range(1, max_exp + 1):
-        power *= b
-        table[power] = e
-    return table
+    target, e, ve = scale, 1, v
+    for k in range(1, max_exp + 1):
+        target *= w
+        while ve < target - gap:
+            if e == max_exp:
+                return None
+            e, ve = e + 1, ve * v
+        if abs(ve - target) == gap:
+            return k, e, ve - target
+    return None
 
 
-def _plain_relation(p_pow: dict, q: int, max_exp: int) -> Optional[PlainRelation]:
-    # each q^y has one partner p^x = q^y + 2 sign to look up; a later y
-    # can only tie the best total with a smaller x, so stop past it
-    best, qy = None, 1
-    for y in range(1, max_exp + 1):
-        if best is not None and y + 1 > best.x + best.y:
-            break
-        qy *= q
-        for sign in (1, -1):
-            x = p_pow.get(qy + 2 * sign)
-            if x is not None and (best is None or (x + y, x) < (best.x + best.y, best.x)):
-                best = PlainRelation(x, y, sign)
-    return best
+def _plain_relation(p: int, q: int, max_exp: int) -> Optional[PlainRelation]:
+    hit = _first_partner(q, p, 1, 2, max_exp)  # p^x = q^y + 2 sign
+    return None if hit is None else PlainRelation(hit[1], hit[0], hit[2] // 2)
 
 
 @_relation_cache
 def find_plain_relation(base: "BasePair", max_exp: int = MAX_EXP) -> Optional[PlainRelation]:
-    """Smallest plain relation, minimizing x + y and then x.
+    """Smallest plain relation, minimizing x + y (no two tie).
 
     Exponents range over [1, max_exp]; zero exponents are excluded so the
     relation always mixes both bases.  Returns None when the box is empty
-    of solutions.  Each power q^y is matched against a table of the
-    powers of p, so the search costs O(max_exp) lookups.  Results are
-    cached per (base, max_exp), 256 entries at most.
+    of solutions.  The powers of q and p walk up together to the first
+    solution, the least (_first_partner), in O(max_exp) products.  Results
+    are cached per (base, max_exp), 256 entries at most.
     """
     max_exp = exact_int(max_exp, "max_exp")
-    return _plain_relation(_power_table(base.p, max_exp), base.q, max_exp)
+    return _plain_relation(base.p, base.q, max_exp)
 
 
 @_relation_cache
@@ -165,38 +176,23 @@ def find_extended_relation(base: "BasePair", max_exp: int = MAX_EXP) -> Optional
     """Best relation allowing negative exponents.
 
     Candidates are ranked by total absolute exponent sum, then by form
-    (plain before p_inverse before q_inverse), then by field tuple.  The
-    inverse-form search solves 2 u^a = s + v^b exactly for s in {1, -1}
-    by looking 2 u^a - s up in the table of the powers of v.  Results
-    are cached per (base, max_exp), 256 entries at most.
+    (plain before p_inverse before q_inverse).  Each form offers its first
+    solution, which is its least (_first_partner): the inverse forms solve
+    v^b = 2 u^a - s for s in {1, -1} by the same walk as the plain search.
+    Results are cached per (base, max_exp), 256 entries at most.
     """
     max_exp = exact_int(max_exp, "max_exp")
-    p_pow, q_pow = _power_table(base.p, max_exp), _power_table(base.q, max_exp)
-    candidates = []
-    plain = _plain_relation(p_pow, base.q, max_exp)
-    if plain is not None:
-        candidates.append(plain.as_extended())
-    for u_pow, v_pow, form in ((p_pow, q_pow, "p_inverse"), (q_pow, p_pow, "q_inverse")):
-        for ua, a in u_pow.items():
-            for s in (1, -1):
-                b = v_pow.get(2 * ua - s)
-                if b is None:
-                    continue
-                # 2 = s * u^-a + u^-a v^b, positive term first
-                if form == "p_inverse":
-                    candidates.append(ExtendedRelation(-a, b, -a, 0, s, form))
-                else:
-                    candidates.append(ExtendedRelation(b, -a, 0, -a, s, form))
-    if not candidates:
-        return None
-    return min(
-        candidates,
-        key=lambda r: (
-            r.exponent_sum,
-            _FORM_RANK[r.form],
-            (r.a, r.b, r.c, r.d, r.sign),
-        ),
-    )
+    p, q = base.p, base.q
+    plain = _plain_relation(p, q, max_exp)
+    candidates = [] if plain is None else [plain.as_extended()]
+    # 2 = s * u^-a + u^-a v^b with s = -d, positive term first
+    if hit := _first_partner(p, q, 2, 1, max_exp):
+        a, b, d = hit
+        candidates.append(ExtendedRelation(-a, b, -a, 0, -d, "p_inverse"))
+    if hit := _first_partner(q, p, 2, 1, max_exp):
+        a, b, d = hit
+        candidates.append(ExtendedRelation(b, -a, 0, -a, -d, "q_inverse"))
+    return min(candidates, key=lambda r: (r.exponent_sum, _FORM_RANK[r.form]), default=None)
 
 
 def _orbit(g: int, m: int) -> Tuple[int, ...]:

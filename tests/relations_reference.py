@@ -1,10 +1,11 @@
 """Reference relation searches for unitsum.relations.
 
 These are the searches find_plain_relation and find_extended_relation ran
-before the power-table lookup: the plain search walks every exponent
-pair (x, y) in order of x + y, then x, and the inverse-form search tests
-each 2 u^a - s for a power of v by repeated division.  The differential
-tests check that the finders return the same relation.
+before they walked two powers to the first solution: the plain search
+walks every exponent pair (x, y) in order of x + y, then x, and the
+inverse-form search tests each 2 u^a - s for a power of v by repeated
+division and ranks every hit, with the field tuple as a last tie-break.
+The differential tests check that the finders return the same relation.
 """
 
 from typing import Optional

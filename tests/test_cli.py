@@ -152,6 +152,24 @@ def test_verify_rejects_malformed_json(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_verify_rejects_json_nested_too_deep(tmp_path, capsys, monkeypatch, source):
+    # json.loads raises RecursionError past its depth; that is bad input
+    nested = "[" * 5000 + "]" * 5000
+    if source == "file":
+        doc = tmp_path / "nested.json"
+        doc.write_text(nested)
+        arg = str(doc)
+    else:
+        monkeypatch.setattr("sys.stdin", io.StringIO(nested))
+        arg = "-"
+    code, out, err = run(capsys, "verify", arg)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: not valid JSON: maximum recursion depth exceeded")
+    # the interpreter recovered, so the next call runs as usual
+    assert run(capsys, "find-relation", "--p", "5", "--q", "23")[:2] == (0, "2 = 5^2 - 23^1\n")
+
+
 def test_find_relation_text(capsys):
     code, out, _ = run(capsys, "find-relation", "--p", "5", "--q", "23")
     assert code == 0

@@ -3,11 +3,12 @@
 from fractions import Fraction
 from math import gcd
 import timeit
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
-from relations_reference import reference_extended_relation, reference_plain_relation
+from relations_reference import _exact_log, reference_extended_relation, reference_plain_relation
 from unitsum import (
     BasePair,
     ExtendedRelation,
@@ -18,7 +19,7 @@ from unitsum import (
     find_plain_relation,
     verify_relation,
 )
-from unitsum.relations import MAX_EXP, _plain_relation
+from unitsum.relations import MAX_EXP, _first_partner
 
 
 @pytest.mark.parametrize(
@@ -129,12 +130,48 @@ def test_lookup_matches_reference_at_the_default_bound():
         assert_same_as_reference(base, 64)
 
 
-def test_plain_lookup_breaks_ties_by_least_x():
-    # no real base pair below 120 has two plain relations with the same
-    # x + y, so a made-up table stands in for p's powers: q = 5 meets
-    # 7 = "p^2" at y = 1 and 27 = "p^1" at y = 2, both with x + y = 3
-    assert _plain_relation({7: 2, 27: 1}, 5, 64) == PlainRelation(1, 2, 1)
-    assert _plain_relation({3: 2, 23: 1}, 5, 64) == PlainRelation(1, 2, -1)
+@pytest.mark.parametrize("scale, gap", [(1, 2), (2, 1)], ids=["plain", "inverse"])
+def test_partners_are_unique_and_grow(scale, gap):
+    # the lemma behind stopping at the first hit: every solution of
+    # v^e = scale w^k +- gap with k <= 40, found by exact logarithms, has
+    # one partner e per k, and e grows with k, so no two solutions tie
+    found = 0
+    for w in range(2, 60):
+        for v in range(2, 60):
+            if w == v or gcd(w, v) != 1:
+                continue
+            hits = []
+            for k in range(1, 41):
+                partners = [
+                    (k, e, d)
+                    for d in (-gap, gap)
+                    if (e := _exact_log(scale * w**k + d, v)) is not None
+                ]
+                assert len(partners) <= 1, partners
+                hits += partners
+            assert all(a[1] < b[1] for a, b in zip(hits, hits[1:])), hits
+            want = next((h for h in hits if h[1] <= 40), None)
+            assert _first_partner(w, v, scale, gap, 40) == want, (w, v)
+            found += len(hits)
+    assert found > 0
+
+
+@pytest.mark.parametrize(
+    "finder, base, max_exp",
+    [(find_plain_relation, BasePair(5, 23), 20000), (find_extended_relation, BasePair(7, 11), 8000)],
+    ids=["plain", "extended"],
+)
+def test_relation_search_holds_no_power_table(finder, base, max_exp):
+    # the search holds two powers, not a table of max_exp of them; tables
+    # peaked at 63.7 MB and 28.3 MB on these calls
+    finder.cache_clear()
+    tracemalloc.start()
+    try:
+        finder(base, max_exp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _primes(lo, hi):
