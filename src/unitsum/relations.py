@@ -152,11 +152,6 @@ def _first_partner(w: int, v: int, scale: int, gap: int, max_exp: int) -> Option
     return None
 
 
-def _plain_relation(p: int, q: int, max_exp: int) -> Optional[PlainRelation]:
-    hit = _first_partner(q, p, 1, 2, max_exp)  # p^x = q^y + 2 sign
-    return None if hit is None else PlainRelation(hit[1], hit[0], hit[2] // 2)
-
-
 @_relation_cache
 def find_plain_relation(base: "BasePair", max_exp: int = MAX_EXP) -> Optional[PlainRelation]:
     """Smallest plain relation, minimizing x + y (no two tie).
@@ -167,8 +162,9 @@ def find_plain_relation(base: "BasePair", max_exp: int = MAX_EXP) -> Optional[Pl
     solution, the least (_first_partner), in O(max_exp) products.  Results
     are cached per (base, max_exp), 256 entries at most.
     """
-    max_exp = exact_int(max_exp, "max_exp")
-    return _plain_relation(base.p, base.q, max_exp)
+    # p^x = q^y + 2 sign
+    hit = _first_partner(base.q, base.p, 1, 2, exact_int(max_exp, "max_exp"))
+    return None if hit is None else PlainRelation(hit[1], hit[0], hit[2] // 2)
 
 
 @_relation_cache
@@ -183,7 +179,7 @@ def find_extended_relation(base: "BasePair", max_exp: int = MAX_EXP) -> Optional
     """
     max_exp = exact_int(max_exp, "max_exp")
     p, q = base.p, base.q
-    plain = _plain_relation(p, q, max_exp)
+    plain = find_plain_relation(base, max_exp)
     candidates = [] if plain is None else [plain.as_extended()]
     # 2 = s * u^-a + u^-a v^b with s = -d, positive term first
     if hit := _first_partner(p, q, 2, 1, max_exp):

@@ -154,8 +154,9 @@ def test_verify_rejects_malformed_json(tmp_path, capsys):
 
 @pytest.mark.parametrize("source", ["file", "stdin"])
 def test_verify_rejects_json_nested_too_deep(tmp_path, capsys, monkeypatch, source):
-    # json.loads raises RecursionError past its depth; that is bad input
-    nested = "[" * 5000 + "]" * 5000
+    # json.loads raises RecursionError past its depth, which is 1000 levels
+    # on 3.11 and several thousand on 3.12+; a million overflows on each
+    nested = "[" * 10**6 + "]" * 10**6
     if source == "file":
         doc = tmp_path / "nested.json"
         doc.write_text(nested)
@@ -165,7 +166,7 @@ def test_verify_rejects_json_nested_too_deep(tmp_path, capsys, monkeypatch, sour
         arg = "-"
     code, out, err = run(capsys, "verify", arg)
     assert (code, out) == (3, "")
-    assert err.startswith("error: not valid JSON: maximum recursion depth exceeded")
+    assert err.startswith("error: not valid JSON: ")
     # the interpreter recovered, so the next call runs as usual
     assert run(capsys, "find-relation", "--p", "5", "--q", "23")[:2] == (0, "2 = 5^2 - 23^1\n")
 
