@@ -162,13 +162,17 @@ def _print_certificate(args, cert) -> None:
 
 def _cmd_find_relation(args) -> int:
     base = _base(args)
-    rel = relations.find_plain_relation(base, args.max_exp)
+    if args.max_exp < 1:  # the plain search checks this too, but may be skipped
+        raise ValueError("max_exp must be at least 1")
+    # a certificate rules out plain relations at every exponent, so it is
+    # asked for first and a large --max-exp costs nothing when one exists
+    cert = relations.find_obstruction(base, args.max_modulus)
+    rel = relations.find_plain_relation(base, args.max_exp) if cert is None else None
     if rel is None and args.extended:
         rel = relations.find_extended_relation(base, args.max_exp)
     if rel is not None:
         _print_relation(args, base, rel)
         return EXIT_OK
-    cert = relations.find_obstruction(base, args.max_modulus)
     if cert is not None:
         _print_certificate(args, cert)
     else:
@@ -194,14 +198,10 @@ def _cmd_min_weight(args) -> int:
     v = args.value
     if (args.i_max is None) != (args.j_max is None):
         raise ValueError("give both --i-max and --j-max or neither")
-    box = None if args.i_max is None else (args.i_max, args.j_max)
+    box = oracle.default_box(v, base) if args.i_max is None else (args.i_max, args.j_max)
     witness = oracle.min_weight_bruteforce(v, base, args.max_weight, box, args.budget)
-    shown_box = box if box is not None else oracle.default_box(v, base)
     if witness is None:
-        print(
-            f"no expansion of weight <= {args.max_weight} "
-            f"inside box {shown_box[0]},{shown_box[1]}"
-        )
+        print(f"no expansion of weight <= {args.max_weight} inside box {box[0]},{box[1]}")
         return EXIT_OK
     if args.format == "json":
         doc = expansion_to_json(witness.expansion)
@@ -253,10 +253,9 @@ def _cmd_cubic_verify(args) -> int:
     lo, hi = args.a_from, args.a_to
     if lo > hi:
         raise ValueError("--a-from must not exceed --a-to")
-    count = 0
     for a in range(lo, hi + 1):
         cubic.three_relation(cubic.CubicParams(a))
-        count += 1
+    count = hi - lo + 1
     print(f"{count}/{count} relations verified, sum = 3")
     return EXIT_OK
 

@@ -51,23 +51,24 @@ class _Budget:
             raise BudgetExceeded("brute-force node budget exhausted")
 
 
-def _dfs(target: int, slots, idx: int, left: int, chosen: list, budget: _Budget) -> bool:
+def _dfs(target: int, slots, left: int, budget: _Budget, idx: int = 0) -> Optional[List[Tuple[int, int, int]]]:
+    """Terms of the first signed left-subset of slots[idx:] summing to
+    target, depth-first with + before -, or None."""
     if left == 0:
-        return target == 0
+        return [] if target == 0 else None
     for k in range(idx, len(slots) - left + 1):
         m, i, j = slots[k]
         # slots are sorted by decreasing magnitude, so once even `left`
         # copies of the current magnitude cannot reach the target, no
         # later slot can either
         if abs(target) > left * m:
-            return False
+            return None
         budget.spend()
         for s in (1, -1):
-            chosen.append((s, i, j))
-            if _dfs(target - s * m, slots, k + 1, left - 1, chosen, budget):
-                return True
-            chosen.pop()
-    return False
+            rest = _dfs(target - s * m, slots, left - 1, budget, k + 1)
+            if rest is not None:
+                return [(s, i, j)] + rest
+    return None
 
 
 def _windowed_subsets(slots, k: int, lo: int, hi: int, budget: _Budget):
@@ -170,17 +171,12 @@ def min_weight_bruteforce(
         for i in range(i_max + 1)
         for j in range(j_max + 1)
     ]
-    slots.sort(key=lambda s: (-s[0], s[1], s[2]))
+    # coprime bases of at least 2 give distinct magnitudes p^i q^j
+    # (unique factorization), so sorting by magnitude alone fixes the order
+    slots.sort(reverse=True)
     budget = _Budget(node_budget)
     for t in range(max_weight + 1):
-        terms: Optional[List[Tuple[int, int, int]]]
-        if t == 0:
-            terms = [] if v == 0 else None
-        elif t <= 4:
-            chosen: list = []
-            terms = chosen if _dfs(v, slots, 0, t, chosen, budget) else None
-        else:
-            terms = _meet_in_middle(v, slots, t, budget)
+        terms = (_dfs if t <= 4 else _meet_in_middle)(v, slots, t, budget)
         if terms is not None:
             expansion = SignedExpansion(base, terms)
             if evaluate_expansion(expansion) != v:

@@ -1,6 +1,8 @@
-"""Reference meet-in-the-middle search for unitsum.oracle.
+"""Reference searches for unitsum.oracle.
 
-This is the search min_weight_bruteforce ran before the windowed walk:
+reference_dfs is the depth-first search min_weight_bruteforce ran for
+weights up to 4 when it still filled an out-parameter.
+reference_meet_in_middle is the search it ran before the windowed walk:
 for every split of the weight it lists every signed subset of each slot
 half, keeps the first first-half subset per sum, and returns at the first
 second-half subset that meets one.  The differential tests check that
@@ -9,7 +11,28 @@ min_weight_bruteforce finds the same weight and the same terms.
 
 import itertools
 
-from unitsum.oracle import _Budget, _dfs, default_box
+from unitsum.oracle import _Budget, default_box
+
+
+def reference_dfs(target, slots, idx, left, chosen, budget):
+    """True when a signed left-subset of slots[idx:] sums to target, its
+    terms left in chosen: depth-first, + before -."""
+    if left == 0:
+        return target == 0
+    for k in range(idx, len(slots) - left + 1):
+        m, i, j = slots[k]
+        # slots are sorted by decreasing magnitude, so once even `left`
+        # copies of the current magnitude cannot reach the target, no
+        # later slot can either
+        if abs(target) > left * m:
+            return False
+        budget.spend()
+        for s in (1, -1):
+            chosen.append((s, i, j))
+            if reference_dfs(target - s * m, slots, k + 1, left - 1, chosen, budget):
+                return True
+            chosen.pop()
+    return False
 
 
 def reference_meet_in_middle(target, slots, t, budget):
@@ -55,7 +78,7 @@ def reference_min_weight(v, base, max_weight, exp_box=None):
                 return 0, (), None
         elif t <= 4:
             chosen = []
-            if _dfs(v, slots, 0, t, chosen, budget):
+            if reference_dfs(v, slots, 0, t, chosen, budget):
                 return t, tuple(chosen), None
         else:
             found = reference_meet_in_middle(v, slots, t, budget)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from unitsum import Representation, cubic
+from unitsum import Representation, cubic, relations
 from unitsum.cli import main
 
 
@@ -183,6 +183,20 @@ def test_find_relation_falls_back_to_certificate(capsys):
     assert out.splitlines()[0] == "obstruction modulus 5"
 
 
+def test_find_relation_asks_for_the_certificate_first(capsys, monkeypatch):
+    # modulus 5 rules out every plain relation of (5,11), so no plain
+    # search may walk to the 10^9 bound
+    real = relations.find_plain_relation
+
+    def bounded(base, max_exp=relations.MAX_EXP):
+        assert max_exp <= relations.MAX_EXP, f"plain search to exponent {max_exp}"
+        return real(base, max_exp)
+
+    monkeypatch.setattr(relations, "find_plain_relation", bounded)
+    code, out, _ = run(capsys, "find-relation", "--p", "5", "--q", "11", "--max-exp", "1000000000")
+    assert (code, out) == (2, "obstruction modulus 5\np_orbit 0\nq_orbit 1\n")
+
+
 def test_find_relation_extended_flag(capsys):
     code, out, _ = run(
         capsys, "find-relation", "--p", "5", "--q", "11", "--extended"
@@ -310,8 +324,19 @@ def test_cubic_verify_rejects_reversed_range(capsys):
             "",
             "error: --from must not exceed --to\n",
         ),
+        # (5,11) has a certificate, so its plain search is skipped
+        (
+            ("find-relation", "--p", "5", "--q", "23", "--max-exp", "0"),
+            "",
+            "error: max_exp must be at least 1\n",
+        ),
+        (
+            ("find-relation", "--p", "5", "--q", "11", "--max-exp", "0"),
+            "",
+            "error: max_exp must be at least 1\n",
+        ),
     ],
-    ids=["verify", "min-weight", "cubic-verify", "bench-steps"],
+    ids=["verify", "min-weight", "cubic-verify", "bench-steps", "find-relation", "find-relation-certified"],
 )
 def test_invalid_input_is_reported_on_stderr(capsys, monkeypatch, argv, stdin, err):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
@@ -471,6 +496,15 @@ PINNED_STDOUT = [
      "6fefcd9fe1ffd55ca5a50a1f84f71df729a001e5912cf6ae8e8b3734fefde6bf"),
     (("expand", "--p", "7", "--q", "3", "--format", "json", "--", "-997"), None, 0,
      "43e5c1a0d426dcb37f4fa017c03af60e838b2381b76ee946a890a52837442200"),
+    # the "no expansion" line with the default box and with a given one
+    (("min-weight", "--p", "5", "--q", "23", "997", "--max-weight", "1"), None, 0,
+     "90db82f0769078e055534850d670e016b38dce43832685b65c471538c89da777"),
+    (("min-weight", "--p", "5", "--q", "23", "997", "--max-weight", "1", "--i-max", "2", "--j-max", "1"), None, 0,
+     "4279bc07392d31394143a32aae7cc653ce7c5e18be659240cfaa7a475f38eab6"),
+    (("cubic-verify", "--a-from", "-3", "--a-to", "3"), None, 0,
+     "73aa037fd9314192e4b7f33e6dd8b3de4ae32eb02db518ea836ea40d9864944b"),
+    (("expand", "--p", "5", "--q", "23", "0"), None, 0,
+     "ee859fc22dead643950ad8606151e9b5ea8dedb22d22287c2690376991e9d0f1"),
 ]
 
 

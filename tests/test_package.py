@@ -2,6 +2,7 @@
 on the arguments of the public helpers."""
 
 import doctest
+import re
 from pathlib import Path
 
 import pytest
@@ -78,3 +79,31 @@ def test_helpers_read_exact_values_as_integers():
     assert unitsum.real_roots(P2, 16.0) == unitsum.real_roots(P2, 16)
     assert unitsum.pq_rational(7.0, B523) == unitsum.pq_rational(7, B523)
     assert unitsum.CubicElement(P2, 0, 1, 0) ** 2.0 == unitsum.CubicElement(P2, 0, 1, 0) ** 2
+
+
+# a hook whose enclosure of |eps| reaches down to 0
+ZERO_HOOK = Representation(unitsum.UnitGroupBasis((1,), (5,), (lambda bits: (0, 5),)), {})
+
+
+# each check that rejects a well-typed but out-of-range argument
+@pytest.mark.parametrize(
+    "call, prefix",
+    [
+        pytest.param(lambda: unitsum.find_plain_relation(B523, 0), "max_exp must be at least 1", id="find_plain_relation"),
+        pytest.param(lambda: unitsum.find_extended_relation(B523, 0), "max_exp must be at least 1", id="find_extended_relation"),
+        pytest.param(lambda: unitsum.PQRational(B523, 1, -1, 0), "denominator exponents must be nonnegative", id="PQRational"),
+        pytest.param(lambda: unitsum.expand_with_stats(7, B523, "binary"), "seed_method must be", id="expand_with_stats"),
+        pytest.param(lambda: unitsum.expand_extended(unitsum.pq_rational(7, B511), B523), "rational and expansion base pairs differ", id="expand_extended"),
+        pytest.param(lambda: unitsum.UnitGroupBasis(etas=(), epsilons=(5,), abs_val=(None,)), "basis needs at least one eta", id="UnitGroupBasis-no-eta"),
+        pytest.param(lambda: unitsum.UnitGroupBasis(etas=(1,), epsilons=(5, 23), abs_val=(None,)), "one abs_val hook per epsilon", id="UnitGroupBasis-hooks"),
+        pytest.param(lambda: unitsum.UnitRelation(n=2, terms=((0, (0,)), (0, (0,)))), "the all-ones relation", id="UnitRelation"),
+        pytest.param(lambda: unitsum.BoundParams(M=0, K=2, L=1, r=0, w=1), "require M, K, L, w >= 1", id="BoundParams"),
+        pytest.param(lambda: unitsum.monotone_quantity(ZERO_HOOK), "abs_val hooks must certify positivity", id="monotone_quantity"),
+        pytest.param(lambda: unitsum.PlainRelation(1, 1, 0), "sign must be -1 or 1", id="PlainRelation-sign"),
+        pytest.param(lambda: unitsum.PlainRelation(-1, 1, 1), "exponents must be nonnegative", id="PlainRelation-exponent"),
+        pytest.param(lambda: unitsum.ExtendedRelation(0, 0, 0, 0, 1, "x"), "unknown form", id="ExtendedRelation"),
+    ],
+)
+def test_out_of_range_arguments_are_rejected(call, prefix):
+    with pytest.raises(ValueError, match=f"^{re.escape(prefix)}"):
+        call()
