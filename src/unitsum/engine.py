@@ -16,7 +16,7 @@ import functools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, product
 from math import isqrt, prod
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Tuple
@@ -155,6 +155,15 @@ class Representation:
     def __repr__(self) -> str:
         body = ", ".join(f"{k}:{v}" for k, v in sorted(self._coeffs.items()))
         return f"Representation({{{body}}}, steps={self.steps})"
+
+
+def _representation(basis: UnitGroupBasis, coeffs: dict, steps: int) -> Representation:
+    """Representation around a map that already fits the basis: int
+    indices in range and positive int coefficients, without the per-key
+    checks of __init__.  reduce passes its kernel's map through here."""
+    rep = object.__new__(Representation)
+    rep.basis, rep._coeffs, rep.steps = basis, coeffs, steps
+    return rep
 
 
 @dataclass(frozen=True)
@@ -301,11 +310,15 @@ def reduce(rep: Representation, rel: UnitRelation, policy: Optional[ReductionPol
     targeting in any order.  The output carries the total rewrite count
     in .steps.  Raises IterationCapExceeded, with no partial result, if
     policy.max_steps is hit.
+
+    The output is not checked again: every key the kernel builds comes
+    from its _Box (an int layer inside K*L, a tuple of M ints) and every
+    count it keeps is a positive int.
     """
     policy = policy or ReductionPolicy()
     _check_relation(rep.basis, rel)
     out, steps = _stabilize(rep._coeffs, rep.basis, rel, policy)
-    return Representation(rep.basis, out, steps=steps)
+    return _representation(rep.basis, out, steps)
 
 
 # The list storage is used while the first box has at most _DENSE_CELLS
@@ -326,6 +339,8 @@ class _Box:
         self.rel, self.lo = rel, lo
         self.KL, self.L = KL, L
         self.widths = [b - a + 1 for a, b in zip(lo, hi)]
+        self.spans = list(zip(lo, self.widths))
+        self.heads = [(layer // L, layer % L + 1) for layer in range(KL)]
         self.scales = [KL * prod(self.widths[:m]) for m in range(basis.M)]
         self.cells = KL * prod(self.widths)
         self.origin = -self.shift(lo)
@@ -344,10 +359,21 @@ class _Box:
     def unpack(self, site: int) -> Index:
         q, layer = divmod(site, self.KL)
         x = []
-        for lo, w in zip(self.lo, self.widths):
+        for lo, w in self.spans:
             q, c = divmod(q, w)
             x.append(c + lo)
-        return (layer // self.L, layer % self.L + 1, tuple(x))
+        k, ell = self.heads[layer]
+        return (k, ell, tuple(x))
+
+    def decode(self, state: list) -> dict:
+        """{unpack(site): c} for the nonzero cells of a dense state.
+
+        product walks the cells in packing order (last coordinate
+        slowest, layer fastest) as tuples (x_M-1, ..., x_0, (k, l));
+        compress drops those of zero cells, which product then reuses, so
+        Python work is spent only on the nonzero cells."""
+        cells = product(*[range(lo, lo + w) for lo, w in reversed(self.spans)], self.heads)
+        return {(t[-1][0], t[-1][1], t[-2::-1]): c for t, c in zip(compress(cells, state), filter(None, state))}
 
     def edge(self) -> bytes:
         """One byte per site: 1 when some x_m lies within r_max of a face."""
@@ -382,6 +408,10 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
     the next round when a firing pushes it from below n to n or above,
     so a round lists each site at most once and every listed site holds
     at least n when it fires.
+
+    The stable state leaves the list storage through _Box.decode, whose
+    Python work follows the nonzero cells rather than the box, and the
+    dict storage, which holds only the support, site by site.
     """
     if not coeffs:
         return {}, 0
@@ -441,5 +471,6 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
                 if old < n <= new:
                     following.append(nk)
         ready = following
-    held = compress(enumerate(state), state) if dense else state.items()
-    return {box.unpack(site): c for site, c in held if c}, steps
+    if dense:
+        return box.decode(state), steps
+    return {box.unpack(site): c for site, c in state.items() if c}, steps

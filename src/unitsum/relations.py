@@ -176,8 +176,27 @@ def find_extended_relation(base: "BasePair", max_exp: int = MAX_EXP) -> Optional
     solution, which is its least (_first_partner): the inverse forms solve
     v^b = 2 u^a - s for s in {1, -1} by the same walk as the plain search.
     Results are cached per (base, max_exp), 256 entries at most.
+
+    The forms are searched up to bound = min(max_exp, MAX_EXP) first, and
+    again up to max_exp only if that finds nothing with exponent sum at
+    most bound.  This is exact, because within one form the exponent sum
+    grows with k (_first_partner): a form with no solution inside the
+    bound has its least solution at k or e above it, so its sum exceeds
+    the bound and loses to a best at or below it (no tie).  And a best at
+    or below the bound is its form's least solution overall, since one at
+    a smaller k with its partner past the bound would have a sum both
+    below the best's and above the bound.
     """
     max_exp = exact_int(max_exp, "max_exp")
+    bound = min(max_exp, MAX_EXP)
+    best = _best_extended(base, bound)
+    if max_exp > bound and (best is None or best.exponent_sum > bound):
+        best = _best_extended(base, max_exp)
+    return best
+
+
+def _best_extended(base: "BasePair", max_exp: int) -> Optional[ExtendedRelation]:
+    """Least candidate of the three forms with exponents up to max_exp."""
     p, q = base.p, base.q
     plain = find_plain_relation(base, max_exp)
     candidates = [] if plain is None else [plain.as_extended()]

@@ -84,6 +84,20 @@ def assert_agrees_with(reference, rep, rel, max_steps=1_000_000):
 
     out = reduce(rep, rel, ReductionPolicy(max_steps=max_steps, on_step=record))
     assert (dict(out.coeffs), out.steps, odometer) == reference
+    assert_fits_its_basis(out)
+
+
+def assert_fits_its_basis(out):
+    """Every key and coefficient would pass Representation.__init__,
+    which reduce does not run on its kernel's map."""
+    K, L, M = out.basis.K, out.basis.L, out.basis.M
+    for (k, ell, x), a in out.items():
+        assert type(k) is int and 0 <= k < K
+        assert type(ell) is int and 1 <= ell <= L
+        assert type(x) is tuple and len(x) == M and all(type(c) is int for c in x)
+        assert type(a) is int and a >= 1
+    assert type(out.steps) is int
+    assert Representation(out.basis, dict(out.items()), out.steps) == out
 
 
 # ---------------------------------------------------------------- basics
@@ -563,6 +577,60 @@ def test_reduce_of_far_apart_sites_allocates_no_box():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert (dict(out.coeffs), out.steps) == heap_reduce(seed, REL)[:2]
+
+
+CUBIC3 = CubicParams(3)
+
+
+@pytest.mark.parametrize(
+    "rep, rel, decoded",
+    [
+        (
+            Representation(cubic_basis(CUBIC3), {(0, 1, (2, -1)): 44, (1, 1, (3, 0)): 9}),
+            three_relation(CUBIC3),
+            1,
+        ),
+        (rep_of({(0, 1, (0, 0)): 9, (1, 1, (10**9, 0)): 7}), REL, 0),
+        (
+            Representation(LINE, {(0, 1, (0,)): 60, (1, 2, (5,)): 3}),
+            UnitRelation(n=2, terms=((0, (1,)), (0, (-1,)))),
+            0,
+        ),
+    ],
+    ids=["list", "far-apart-dict", "spilled-dict"],
+)
+def test_reduce_output_fits_its_basis_in_both_storages(monkeypatch, rep, rel, decoded):
+    """The list storage leaves through _Box.decode, the dict storage (sites
+    10^9 apart, or a run that spills) site by site through unpack; both
+    give keys and counts that Representation.__init__ accepts."""
+    calls = []
+    decode = engine._Box.decode
+    monkeypatch.setattr(engine._Box, "decode", lambda box, state: calls.append(1) or decode(box, state))
+    out = reduce(rep, rel)
+    assert len(calls) == decoded and out.steps > 0
+    assert_fits_its_basis(out)
+    assert (dict(out.coeffs), out.steps) == heap_reduce(rep, rel)[:2]
+
+
+@st.composite
+def boxes_and_states(draw):
+    """A _Box with M in 1..3, L in 1..2 and corners that may be negative,
+    and a sparse state of small counts over its cells."""
+    M, L = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    basis = UnitGroupBasis(etas=tuple(range(1, L + 1)), epsilons=(3,) * M, abs_val=(_point(3),) * M)
+    rel = UnitRelation(n=2, terms=((0, (1,) * M), (1, (0,) * M)))
+    lo = draw(st.lists(st.integers(-6, 3), min_size=M, max_size=M))
+    hi = [a + draw(st.integers(0, 3)) for a in lo]
+    box = engine._Box(basis, rel, lo, hi)
+    state = draw(st.lists(st.sampled_from([0, 0, 0, 0, 1, 2, 5]), min_size=box.cells, max_size=box.cells))
+    return box, state
+
+
+@given(boxes_and_states())
+def test_box_decode_matches_unpack(case):
+    box, state = case
+    assert box.decode(state) == {box.unpack(s): c for s, c in enumerate(state) if c}
+    assert box.decode([0] * box.cells) == {}
 
 
 @given(st.sampled_from([None, *CUBIC_PARAMS[:3]]), seeds(1, 3, 2, 40), st.randoms(use_true_random=False))

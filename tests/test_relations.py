@@ -19,7 +19,8 @@ from unitsum import (
     find_plain_relation,
     verify_relation,
 )
-from unitsum.relations import MAX_EXP, _first_partner
+from unitsum import relations
+from unitsum.relations import MAX_EXP, _best_extended, _first_partner
 
 
 @pytest.mark.parametrize(
@@ -172,6 +173,48 @@ def test_relation_search_holds_no_power_table(finder, base, max_exp):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# the least relation of (3, 3^70 + 2) is plain with x = 70, past the
+# default bound; (2, 2^33 + 1) has 2 = 2^-32 (2^33 + 1) - 2^-32, found
+# within the bound but with exponent sum 65 above it
+BEYOND = [BasePair(3, 3**70 + 2), BasePair(3**70 + 2, 3), BasePair(2, 2**33 + 1), BasePair(2**33 + 1, 2)]
+
+
+@pytest.mark.parametrize(
+    "base, max_exp, form, walks",
+    [
+        (BasePair(5, 11), 10**9, "p_inverse", False),
+        (BasePair(11, 5), 10**9, "q_inverse", False),
+        *zip(BEYOND, [200] * 4, ["plain", "plain", "p_inverse", "q_inverse"], [True] * 4),
+    ],
+)
+def test_extended_search_walks_past_the_default_bound_only_when_it_must(monkeypatch, base, max_exp, form, walks):
+    """A relation with exponent sum at most MAX_EXP is found at that bound
+    and no form is walked past it, so a bound of 10^9 costs nothing; a
+    best with a larger sum, or none, sends the search on to max_exp."""
+    bounds = []
+
+    def recorded(w, v, scale, gap, bound):
+        assert walks or bound <= MAX_EXP, "walked past the default bound"
+        bounds.append(bound)
+        return _first_partner(w, v, scale, gap, bound)
+
+    find_plain_relation.cache_clear()
+    find_extended_relation.cache_clear()
+    monkeypatch.setattr(relations, "_first_partner", recorded)
+    rel = find_extended_relation(base, max_exp)
+    assert rel.form == form and verify_relation(base, rel)
+    assert (max(bounds) == max_exp) == walks
+
+
+@pytest.mark.parametrize("max_exp", [65, 100, 200])
+def test_two_step_extended_search_matches_one_search(max_exp):
+    # searching at MAX_EXP first and at max_exp only when that finds
+    # nothing within MAX_EXP gives what one search at max_exp gives
+    for base in _coprime_pairs(60) + BEYOND:
+        find_extended_relation.cache_clear()
+        assert find_extended_relation(base, max_exp) == _best_extended(base, max_exp), base
 
 
 def _primes(lo, hi):
