@@ -260,11 +260,21 @@ def _cmd_cubic_verify(args) -> int:
     return EXIT_OK
 
 
+# bench-steps holds every row until the sweep is done, so that a failing
+# run prints nothing; a value costs 60-180 us and about 200 bytes (2-core
+# x86, Python 3.11, (5,23) from 1 to 10^30), so this is 6-18 s and 20 MB
+BENCH_STEPS_MAX_VALUES = 100_000
+
+
 def _cmd_bench_steps(args) -> int:
     base = _base(args)
     lo, hi = args.lo, args.hi
     if lo > hi:
         raise ValueError("--from must not exceed --to")
+    if hi - lo >= BENCH_STEPS_MAX_VALUES:
+        raise ValueError(
+            f"range of {hi - lo + 1} values exceeds the bench-steps bound of {BENCH_STEPS_MAX_VALUES}; split it"
+        )
     rows = oracle.sweep_verify(lo, hi, base)
     print("n,w_init,steps,weight_final")
     for n, _, w, _, steps, w_init in rows:

@@ -10,14 +10,24 @@ with every coefficient at most 2.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import threading
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
 from . import engine
 from .engine import Interval, Representation, UnitGroupBasis, UnitRelation
-from .errors import ParamsMismatch, RelationBroken, document_ints, exact_int
+from .errors import (
+    IterationCapExceeded,
+    ParamsMismatch,
+    RelationBroken,
+    VerificationFailed,
+    document_ints,
+    exact_int,
+)
 
 
 @dataclass(frozen=True)
@@ -358,18 +368,174 @@ def cubic_evaluator(params: CubicParams):
     return ev
 
 
+class _PileCache:
+    """The stable piles S(n) of represent_unit_sums, keyed by the
+    magnitude n alone, with at most max_entries piles and max_sites
+    stored sites; the least recently used pile goes first.
+
+    A pile is (steps, flat): its sites as one flat array of 16-bit ints
+    i0, j0, c0, i1, ..., with the pile's seed at (0, 0).  A pile of n
+    chips lies within about sqrt(n) of its seed, so a site beyond 2^15
+    would take about 10^9 chips and 10^16 steps.  A lock keeps the
+    sorted list of magnitudes and the dict in step across threads.
+    """
+
+    def __init__(self, max_entries: int, max_sites: int):
+        self.max_entries, self.max_sites = max_entries, max_sites
+        self._lock = threading.Lock()
+        self.clear()
+
+    def clear(self) -> None:
+        with self._lock:
+            self.piles = {}  # n -> (steps, flat), least recently used first
+            self.sizes = []  # the same magnitudes, ascending
+            self.sites = 0
+
+    def floor(self, n: int):
+        """(m, steps, flat) for the largest cached m <= n, or the empty
+        pile (0, 0, ())."""
+        with self._lock:
+            k = bisect.bisect_right(self.sizes, n)
+            if not k:
+                return 0, 0, ()
+            m = self.sizes[k - 1]
+            steps, flat = self.piles[m] = self.piles.pop(m)
+            return m, steps, flat
+
+    def store(self, n: int, steps: int, flat: array) -> None:
+        sites = len(flat) // 3
+        with self._lock:
+            # a pile larger than the site bound on its own is not kept
+            if n in self.piles or sites > self.max_sites:
+                return
+            self.piles[n] = (steps, flat)
+            bisect.insort(self.sizes, n)
+            self.sites += sites
+            while len(self.piles) > self.max_entries or self.sites > self.max_sites:
+                old = next(iter(self.piles))
+                self.sites -= len(self.piles.pop(old)[1]) // 3
+                del self.sizes[bisect.bisect_left(self.sizes, old)]
+
+
+# a cubic-units bench round stores about 38,000 sites, and the 500
+# elements of acceptance criterion 7 about 250,000; at 6 bytes a site,
+# the bound holds about 1.5 MB
+_PILES = _PileCache(max_entries=1 << 10, max_sites=1 << 18)
+
+
+def _place(out: dict, flat, t: int, k: int) -> None:
+    """Add a pile, moved from (0, 0) to (t, 0), to out on sign layer k."""
+    it = iter(flat)
+    out.update(((k, 1, (i + t, j)), c) for i, j, c in zip(it, it, it))
+
+
+def _cap_exceeded(max_steps: int) -> IterationCapExceeded:
+    # the message engine.reduce gives for the same cap
+    return IterationCapExceeded(f"reduction exceeded {max_steps} replacement steps")
+
+
 def represent_unit_sums(beta: CubicElement, policy: Optional[engine.ReductionPolicy] = None) -> Representation:
     """Unit-sum representation of beta with every coefficient at most 2.
 
     Coordinates seed the sign layers at exponents (0,0), (1,0), (2,0),
     which are themselves unit monomials, and the three-unit relation
-    drives the rewrite.  Round-trip evaluation is exact.
+    drives the rewrite.  Round-trip evaluation is exact.  The relation
+    is checked on every call; policy.max_steps caps the total step
+    count as in engine.reduce, with the same error and message.
+
+    Why the coordinates are reduced apart, and once per magnitude:
+
+    - *Cosets.*  The relation's offsets (1,2), (-2,-1), (1,-1) all have
+      i + j = 0 (mod 3) and sit on sign layer 0, so a firing never moves
+      chips off the coset i + j (mod 3) or off their sign layer.
+      Coordinate t's chips start at (t, 0) and stay on the coset
+      i + j = t: the three coordinates never meet.  The output is the
+      disjoint union of three single-coordinate piles S(|c_t|), each
+      moved by (t, 0) onto the sign layer of c_t, and the steps are the
+      sum of the piles' steps.  None of it depends on a.
+    - *Continuation.*  Every firing that stabilizes m chips at (0, 0)
+      stays legal with n >= m chips there, so by the abelian property
+      of chip-firing (Dhar 1990; Bjorner, Lovasz and Shor 1991),
+      S(n) = stab(S(m) + (n - m) chips at (0, 0)), and the steps add.
+      So a pile's steps only grow with n.
+    - *Invariant.*  A step at x moves three chips from x to x + r over
+      the offsets r, whose sum is 0 and whose squared lengths sum to
+      12, so it adds exactly 12 to sum c (i^2 + j^2).  A pile of n chips
+      keeps its centre of mass (0, 0) and holds n chips (three out,
+      three in), so once moved by (t, 0) its steps are
+      (sum c (i^2 + j^2) - n t^2) / 12.
+
+    So each call starts every coordinate from the largest cached pile
+    S(m) with m <= |c_t| (see _PileCache), adds the missing chips, and
+    runs one engine.reduce over all coordinates whose magnitude is not
+    cached, one coordinate per magnitude.  Each new pile's steps are
+    read from the invariant, must add up to the kernel's count, and the
+    pile is stored.  A cached total above the cap raises at once.  With
+    policy.on_step set, the cache is neither read nor written, so every
+    firing is reported.
     """
     params = beta.params
-    # a zero coordinate seeds nothing: Representation drops zero coefficients
-    seeds = {(0 if c > 0 else 1, 1, (t, 0)): abs(c) for t, c in enumerate(beta.coords)}
-    rep = Representation(cubic_basis(params), seeds)
-    return engine.reduce(rep, three_relation(params), policy)
+    rel = three_relation(params)
+    basis = cubic_basis(params)
+    policy = policy or engine.ReductionPolicy()
+    if policy.on_step is not None:
+        # a zero coordinate seeds nothing: Representation drops zero coefficients
+        seeds = {(0 if c > 0 else 1, 1, (t, 0)): abs(c) for t, c in enumerate(beta.coords)}
+        return engine.reduce(Representation(basis, seeds), rel, policy)
+    cap = max(policy.max_steps, 0)
+    coords = [(t, abs(c), 0 if c > 0 else 1) for t, c in enumerate(beta.coords) if c]
+    # each magnitude is reduced once, on the coset of its first coordinate
+    home = {}
+    for t, n, k in coords:
+        home.setdefault(n, (t, k))
+    piles = {n: _PILES.floor(n) for n in home}  # (m, steps, flat)
+    known = sum(piles[n][1] for _, n, _ in coords)
+    if known > cap:
+        raise _cap_exceeded(policy.max_steps)
+    todo = [n for n, (m, _, _) in piles.items() if m < n]
+    out = {}
+    if todo:
+        start = {}
+        for n in todo:
+            (t, k), (m, _, flat) = home[n], piles[n]
+            _place(start, flat, t, k)
+            seed = (k, 1, (t, 0))
+            start[seed] = start.get(seed, 0) + n - m
+        try:
+            rep = engine.reduce(
+                engine._representation(basis, start, 0), rel, engine.ReductionPolicy(max_steps=cap - known)
+            )
+        except IterationCapExceeded:
+            rep = None
+        if rep is None:
+            # raised out here, so that no traceback keeps the kernel's state
+            raise _cap_exceeded(policy.max_steps)
+        out = rep.coeffs.copy()
+        # each coset's sites, moved back to (0, 0), and sum c (i^2 + j^2)
+        cosets, squares = [[], [], []], [0, 0, 0]
+        for (_, _, (i, j)), c in out.items():
+            t = (i + j) % 3
+            i -= t
+            cosets[t] += (i, j, c)
+            squares[t] += c * (i * i + j * j)
+        gained = 0
+        for n in todo:
+            t = home[n][0]
+            steps = squares[t] // 12
+            gained += steps - piles[n][1]
+            piles[n] = (n, steps, array("h", cosets[t]))
+        if gained != rep.steps:
+            raise VerificationFailed(f"the piles of {beta!r} gained {gained} steps, the kernel made {rep.steps}")
+        for n in todo:
+            _PILES.store(n, *piles[n][1:])
+    steps = sum(piles[n][1] for _, n, _ in coords)
+    if steps > cap:
+        raise _cap_exceeded(policy.max_steps)
+    for t, n, k in coords:
+        # the kernel's output already holds the home coordinates it reduced
+        if n not in todo or home[n][0] != t:
+            _place(out, piles[n][2], t, k)
+    return engine._representation(basis, out, steps)
 
 
 def element_to_json(elem: CubicElement) -> dict:

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from unitsum import Representation, cubic, relations
+from unitsum import Representation, cli, cubic, relations
 from unitsum.cli import main
 
 
@@ -360,6 +360,24 @@ def test_failing_bench_steps_prints_nothing_on_stdout(capsys):
         2,
         "",
         "error: no plain relation for (5,11) with exponents up to 64\n",
+    )
+
+
+def test_bench_steps_rejects_a_range_past_its_bound(capsys, monkeypatch):
+    # the rows are held until the sweep ends: 10^8 values once ran for
+    # hours before printing anything
+    assert run(capsys, "bench-steps", "--p", "5", "--q", "23", "--from", "1", "--to", "100000000") == (
+        3,
+        "",
+        "error: range of 100000000 values exceeds the bench-steps bound of 100000; split it\n",
+    )
+    assert run(capsys, "bench-steps", "--p", "5", "--q", "23", "--from", "-5", "--to", "99995")[:2] == (3, "")
+    # exactly the bound is accepted; the sweep itself is stubbed
+    monkeypatch.setattr(cli.oracle, "sweep_verify", lambda lo, hi, base: [(lo, "ok", 1, "", 0, 1)])
+    assert run(capsys, "bench-steps", "--p", "5", "--q", "23", "--from", "-5", "--to", "99994") == (
+        0,
+        "n,w_init,steps,weight_final\n-5,1,0,1\n",
+        "",
     )
 
 

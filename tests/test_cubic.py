@@ -1,15 +1,20 @@
 """Simplest cubic fields: exact ring arithmetic, units, roots, and the
 coefficient-2 unit-sum representations."""
 
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cubic_reference import represent_by_one_reduce
 from evaluate_reference import cubic_term, evaluate_by_terms
 from unitsum import (
     CubicElement,
     CubicParams,
+    IterationCapExceeded,
     ParamsMismatch,
     ReductionPolicy,
     RelationBroken,
@@ -546,3 +551,187 @@ def test_element_json_rejects_non_integer_fields(doc):
     # {"a": 2.5, "coords": [1.5, 0, 0]} was read as a = 2, coordinates (1, 0, 0)
     with pytest.raises(ValueError, match="not an integer"):
         element_from_json(doc)
+
+
+# -------------------------------------------------------------- pile cache
+
+PILE_A = st.sampled_from([-1000, -3, 0, 2, 1000])
+pile_coord = st.integers(-400, 400)
+pile_elements = st.lists(st.tuples(PILE_A, pile_coord, pile_coord, pile_coord), min_size=1, max_size=4)
+
+
+def _outcome(call):
+    """The representation and its steps, or the class and message of
+    the error the call raised."""
+    try:
+        rep = call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return dict(rep.coeffs), rep.steps
+
+
+@given(pile_elements, st.booleans())
+@example([(2, 400, -400, 400), (2, 399, 401, -400), (-1000, 0, 0, 400)], True)
+def test_represent_matches_one_reduce_over_the_seed(elements, cold):
+    # one call may reduce a magnitude, and a later one start from it
+    if cold:
+        cubic._PILES.clear()
+    for a, c0, c1, c2 in elements:
+        beta = elem(CubicParams(a), c0, c1, c2)
+        rep = represent_unit_sums(beta)
+        want = represent_by_one_reduce(beta)
+        assert rep == want and rep.steps == want.steps, beta
+        assert rep.basis == cubic_basis(beta.params)
+
+
+CAPPED = [
+    elem(P2, 300, -300, 300),  # one magnitude three times
+    elem(CubicParams(-1000), 90, 80, -70),
+    elem(CubicParams(3), 12, -7, 5),
+    elem(CubicParams(1000), 0, 0, 401),
+]
+
+
+@pytest.mark.parametrize("beta", CAPPED, ids=repr)
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_step_cap_raises_as_one_reduce_does(beta, warm):
+    steps = represent_by_one_reduce(beta).steps
+    for cap in (steps - 1, steps, steps + 1):
+        cubic._PILES.clear()
+        if warm:
+            represent_unit_sums(beta)
+        policy = ReductionPolicy(max_steps=cap)
+        got = _outcome(lambda: represent_unit_sums(beta, policy))
+        assert got == _outcome(lambda: represent_by_one_reduce(beta, policy)), cap
+        assert (got[0] is IterationCapExceeded) == (cap < steps)
+
+
+def test_step_cap_below_a_cached_pile_raises_at_once():
+    cubic._PILES.clear()
+    pile = represent_unit_sums(elem(P2, 1000, 0, 0))
+    beta = elem(P2, 0, -1005, 0)
+    policy = ReductionPolicy(max_steps=pile.steps - 1)
+    got = _outcome(lambda: represent_unit_sums(beta, policy))
+    assert got == _outcome(lambda: represent_by_one_reduce(beta, policy))
+    assert got == (IterationCapExceeded, f"reduction exceeded {pile.steps - 1} replacement steps")
+
+
+@pytest.mark.parametrize("cap", [0, -1, -10**6])
+def test_nonpositive_cap_passes_inputs_that_never_fire(cap):
+    policy = ReductionPolicy(max_steps=cap)
+    for c0, c1, c2 in [(2, -2, 1), (0, 0, 0), (-1, 2, 0)]:
+        beta = elem(P2, c0, c1, c2)
+        rep = represent_unit_sums(beta, policy)
+        assert rep == represent_by_one_reduce(beta) and rep.steps == 0
+    beta = elem(P2, 3, 0, 0)
+    assert _outcome(lambda: represent_unit_sums(beta, policy)) == (
+        IterationCapExceeded,
+        f"reduction exceeded {cap} replacement steps",
+    )
+
+
+def test_on_step_reports_every_firing_with_a_warm_cache():
+    beta = elem(CubicParams(5), 250, -250, 120)
+    represent_unit_sums(beta)
+    events = []
+    rep = represent_unit_sums(beta, ReductionPolicy(on_step=lambda idx, t: events.append(t)))
+    assert sum(events) == rep.steps == represent_by_one_reduce(beta).steps
+    assert rep == represent_by_one_reduce(beta)
+
+
+def test_relation_is_checked_on_a_cache_hit(monkeypatch):
+    beta = elem(P2, 40, 40, -40)
+    represent_unit_sums(beta)
+    monkeypatch.setattr(cubic, "unit_monomial", lambda i, j, params: elem(params, 1, 0, 0))
+    with pytest.raises(RelationBroken, match="a = 2"):
+        represent_unit_sums(beta)
+
+
+def test_pile_cache_bounds_hold_after_many_magnitudes():
+    piles = cubic._PILES
+    assert (piles.max_entries, piles.max_sites) == (1 << 10, 1 << 18)
+    piles.clear()
+    # a pile of n chips holds about 0.64 n sites, so these hold about
+    # 300,000 sites in all; each call continues from the last pile
+    for n in range(1400, 1720):
+        represent_unit_sums(elem(P2, n, 0, 0))
+    assert len(piles.piles) <= piles.max_entries
+    assert piles.sites == sum(len(flat) // 3 for _, flat in piles.piles.values()) <= piles.max_sites
+    assert piles.sites > piles.max_sites - 1200
+    assert piles.sizes == sorted(piles.piles)
+    # the oldest piles went first
+    assert 1400 not in piles.piles and 1719 in piles.piles
+
+
+def test_pile_cache_evicts_the_least_recently_used_pile():
+    cache = cubic._PileCache(max_entries=3, max_sites=5)
+    for n in (1, 2, 3):
+        cache.store(n, 0, (0, 0, n))
+    assert cache.floor(2)[0] == 2  # 2 is now the most recently used
+    cache.store(4, 0, (0, 0, 1))
+    assert sorted(cache.piles) == [2, 3, 4]
+    assert cache.floor(1) == (0, 0, ())
+    cache.store(9, 7, (0, 0, 1) * 4)  # 7 sites and 4 entries: 3 goes, then 2
+    assert cache.sizes == [4, 9] and cache.sites == 5
+    assert cache.floor(20) == (9, 7, (0, 0, 1) * 4)
+    cache.store(10, 8, (0, 0, 1) * 6)  # larger than the site bound alone
+    assert cache.sizes == [4, 9] and cache.sites == 5
+
+
+def test_pile_cache_is_shared_safely_across_threads(monkeypatch):
+    # a small cache, so that the threads evict each other's piles
+    monkeypatch.setattr(cubic, "_PILES", cubic._PileCache(max_entries=8, max_sites=400))
+    rng = random.Random(7)
+    elements = [
+        elem(CubicParams(rng.choice([-3, 0, 2])), *(rng.randint(-60, 60) for _ in range(3))) for _ in range(40)
+    ]
+    want = [represent_by_one_reduce(beta) for beta in elements]
+    errors = []
+
+    def work(order):
+        try:
+            for k in order:
+                rep = represent_unit_sums(elements[k])
+                if rep != want[k] or rep.steps != want[k].steps:
+                    errors.append(elements[k])
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(rng.sample(range(40), 40) * 4,)) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    piles = cubic._PILES
+    assert piles.sizes == sorted(piles.piles) and len(piles.piles) <= piles.max_entries
+    assert piles.sites == sum(len(flat) // 3 for _, flat in piles.piles.values()) <= piles.max_sites
+
+
+@settings(max_examples=40)
+@given(PILE_A, pile_coord, pile_coord, pile_coord)
+def test_piles_keep_their_coset_centre_and_the_step_invariant(a, c0, c1, c2):
+    beta = elem(CubicParams(a), c0, c1, c2)
+    rep = represent_unit_sums(beta)
+    mass = [[0, 0, 0] for _ in range(3)]  # per coset: chips, sum c*i, sum c*j
+    square = 0
+    for (k, _, (i, j)), c in rep.coeffs.items():
+        t = (i + j) % 3
+        assert k == (beta.coords[t] < 0)
+        mass[t][0] += c
+        mass[t][1] += c * i
+        mass[t][2] += c * j
+        square += c * (i * i + j * j)
+    for t, c in enumerate(beta.coords):
+        assert mass[t] == [abs(c), t * abs(c), 0]
+    assert 12 * rep.steps == square - sum(abs(c) * t * t for t, c in enumerate(beta.coords))
+    # nothing of it depends on a, or on the signs
+    other = represent_unit_sums(elem(CubicParams(a + 1), abs(c0), -abs(c1), c2))
+    assert other.steps == rep.steps
+    assert {x: c for (_, _, x), c in other.coeffs.items()} == {x: c for (_, _, x), c in rep.coeffs.items()}
