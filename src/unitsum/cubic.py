@@ -307,12 +307,15 @@ def real_roots(params: CubicParams, precision_bits: int = 64) -> Tuple[Interval,
     return tuple(_bisect(a, bracket, precision_bits) for bracket in _isolate(a))
 
 
+# a basis is a function of a alone; the last 2^8 are kept, so a call
+# whose piles are all cached does not rebuild it
+@functools.lru_cache(maxsize=1 << 8)
 def cubic_basis(params: CubicParams) -> UnitGroupBasis:
     """Engine basis with units (alpha, conjugate) over this order.
 
     The conjugate's absolute value is derived from an alpha enclosure
     through |conjugate| = 1 + 1/alpha, so only alpha's bracket is ever
-    bisected.  Bases built for equal parameters compare equal.
+    bisected.  Equal parameters give the same, frozen basis.
     """
 
     def alpha_iv(bits: int) -> Interval:

@@ -16,8 +16,9 @@ import functools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, product
+from itertools import compress, repeat
 from math import isqrt, prod
+from operator import getitem, mul
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Tuple
 
@@ -311,9 +312,9 @@ def reduce(rep: Representation, rel: UnitRelation, policy: Optional[ReductionPol
     in .steps.  Raises IterationCapExceeded, with no partial result, if
     policy.max_steps is hit.
 
-    The output is not checked again: every key the kernel builds comes
-    from its _Box (an int layer inside K*L, a tuple of M ints) and every
-    count it keeps is a positive int.
+    The output is not checked again: every key comes either from the
+    validated input or from the kernel's _Box (an int layer inside K*L,
+    a tuple of M ints), and every count it keeps is a positive int.
     """
     policy = policy or ReductionPolicy()
     _check_relation(rep.basis, rel)
@@ -336,7 +337,7 @@ class _Box:
     def __init__(self, basis: UnitGroupBasis, rel: UnitRelation, lo, hi):
         K, L = basis.K, basis.L
         KL = K * L
-        self.rel, self.lo = rel, lo
+        self.lo = lo
         self.KL, self.L = KL, L
         self.widths = [b - a + 1 for a, b in zip(lo, hi)]
         self.spans = list(zip(lo, self.widths))
@@ -344,13 +345,13 @@ class _Box:
         self.scales = [KL * prod(self.widths[:m]) for m in range(basis.M)]
         self.cells = KL * prod(self.widths)
         self.origin = -self.shift(lo)
+        shifts = [(ki, self.shift(r)) for ki, r in rel.terms]
         self.offsets = [
-            [((layer // L + ki) % K) * L + layer % L - layer + self.shift(r) for ki, r in rel.terms]
-            for layer in range(KL)
+            [((layer // L + ki) % K) * L + layer % L - layer + s for ki, s in shifts] for layer in range(KL)
         ]
 
     def shift(self, x) -> int:
-        return sum(c * s for c, s in zip(x, self.scales))
+        return sum(map(mul, x, self.scales))
 
     def pack(self, index: Index) -> int:
         k, ell, x = index
@@ -365,23 +366,33 @@ class _Box:
         k, ell = self.heads[layer]
         return (k, ell, tuple(x))
 
-    def decode(self, state: list) -> dict:
-        """{unpack(site): c} for the nonzero cells of a dense state.
+    def packed(self, ells, cols) -> list:
+        """[pack((0, l, x)) ...] for the generators l in ells and the x
+        given by their coordinate columns cols, a column at a time."""
+        base = self.origin - 1
+        sites = [ell + base for ell in ells]
+        for col, s in zip(cols, self.scales):
+            sites = [site + c * s for site, c in zip(sites, col)]
+        return sites
 
-        product walks the cells in packing order (last coordinate
-        slowest, layer fastest) as tuples (x_M-1, ..., x_0, (k, l));
-        compress drops those of zero cells, which product then reuses, so
-        Python work is spent only on the nonzero cells."""
-        cells = product(*[range(lo, lo + w) for lo, w in reversed(self.spans)], self.heads)
-        return {(t[-1][0], t[-1][1], t[-2::-1]): c for t, c in zip(compress(cells, state), filter(None, state))}
+    def unpacked(self, sites: list) -> list:
+        """[unpack(site) for site in sites], computed column by column."""
+        KL, (*inner, (lo, _)) = self.KL, self.spans
+        q = [site // KL for site in sites]
+        cols = []
+        for lo_m, w in inner:
+            cols.append([c % w + lo_m for c in q])
+            q = [c // w for c in q]
+        cols.append([c + lo for c in q])
+        heads = map(self.heads.__getitem__, [site % KL for site in sites])
+        return [(k, ell, x) for (k, ell), x in zip(heads, zip(*cols))]
 
-    def edge(self) -> bytes:
-        """One byte per site: 1 when some x_m lies within r_max of a face."""
-        r = self.rel.r_max
+    def edge(self, r: int) -> bytes:
+        """One byte per site: 1 when some x_m lies within r of a face."""
         row = bytes(self.KL)
         for w in self.widths:
             full = b"\x01" * len(row)
-            row = b"".join(full if d < r or d >= w - r else row for d in range(w))
+            row = full * r + row * (w - 2 * r) + full * r if w > 2 * r else full * w
         return row
 
 
@@ -409,26 +420,35 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
     so a round lists each site at most once and every listed site holds
     at least n when it fires.
 
-    The stable state leaves the list storage through _Box.decode, whose
-    Python work follows the nonzero cells rather than the box, and the
-    dict storage, which holds only the support, site by site.
+    The input's sites are packed a coordinate column at a time.  Each
+    round adds its sites, at C speed, to the set of sites that have
+    fired, so only a round that brings a new site pays for the edge
+    test.  The list storage leaves as a copy of the input map, updated
+    at the cells that could have changed: the sites that fired, the
+    targets of their own layers and the cancelled mates.  No step walks
+    the box and only those cells are unpacked, so continuing a large
+    stable input costs its firings and a few passes over the input.  The
+    dict storage holds only the support and leaves whole; both unpack
+    through _Box.unpacked.
     """
     if not coeffs:
         return {}, 0
     n, L, r = rel.n, basis.L, rel.r_max
     max_steps = policy.max_steps
     chips = min(sum(coeffs.values()), _CHIP_CEILING)
-    cols = list(zip(*(x for _, _, x in coeffs)))
+    ks, ells, xs = zip(*coeffs)
+    cols = list(zip(*xs))
 
     def around(reach):
         return _Box(basis, rel, [min(c) - reach for c in cols], [max(c) + reach for c in cols])
 
     box = around(r * (isqrt(chips) // 2 + 2))
-    first = {}
-    for (k, ell, x), a in coeffs.items():
-        at = box.pack((0, ell, x))
+    first, cancelled = {}, []
+    for at, k, a in zip(box.packed(ells, cols), ks, coeffs.values()):
         site, mate = at + k * L, at + (1 - k) * L
         b = first.pop(mate, 0)
+        if b:
+            cancelled += site, mate
         if a != b:
             first[site if a > b else mate] = abs(a - b)
     ready = [site for site, c in first.items() if c >= n]
@@ -437,15 +457,21 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
         state = [0] * box.cells
         for site, c in first.items():
             state[site] = c
-        edge = box.edge()
+        edge = box.edge(r)
     KL, offsets = box.KL, box.offsets
     on_step = policy.on_step
     # each distinct site is unpacked once, however often it fires
     seen = {}
+    fired = set()
     steps = 0
     while ready:
-        # spill once: the first box got no list, or a firing could leave it
-        if state is first or dense and any(map(edge.__getitem__, ready)):
+        if dense:
+            known = len(fired)
+            fired.update(ready)
+        # spill once: the first box got no list, or a firing could leave it;
+        # a round of sites that all fired before passed the edge test then,
+        # and getitem reads bytes twice as fast as their bound __getitem__
+        if state is first or dense and len(fired) > known and any(map(getitem, repeat(edge), ready)):
             wide = around(r * (max(max_steps, 0) + 1))
             held = compress(enumerate(state), state) if dense else state.items()
             state = defaultdict(int, {wide.pack(box.unpack(site)): c for site, c in held})
@@ -471,6 +497,28 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
                 if old < n <= new:
                     following.append(nk)
         ready = following
-    if dense:
-        return box.decode(state), steps
-    return {box.unpack(site): c for site, c in state.items() if c}, steps
+    if not dense:
+        sites = list(compress(state, state.values()))
+        return dict(zip(box.unpacked(sites), filter(None, state.values()))), steps
+    # the input sites that ended empty, all of which fired, leave, and so
+    # do the cancelled ones, which come back below if they hold chips
+    out = coeffs.copy()
+    for site in [site for site in first.keys() & fired if not state[site]] + cancelled:
+        out.pop(box.unpack(site), None)
+    # no other cell than a fired site, a target of one or a cancelled site
+    # changed.  Only a site's own layer's targets are sure to lie in the
+    # box, so an offset that a sign-flipping term gives some layers only
+    # is added to the sites of those layers.
+    sites, layers = list(fired), None
+    for d in {d for layer in offsets for d in layer}:
+        owners = [d in layer for layer in offsets]
+        if all(owners):
+            fired.update([site + d for site in sites])
+        else:
+            layers = layers or [site % KL for site in sites]
+            fired.update([site + d for site in compress(sites, map(owners.__getitem__, layers))])
+    fired.update(cancelled)
+    sites = list(fired)
+    counts = [state[site] for site in sites]
+    out.update(zip(box.unpacked(list(compress(sites, counts))), filter(None, counts)))
+    return out, steps

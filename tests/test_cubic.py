@@ -30,7 +30,7 @@ from unitsum import (
     three_relation,
     unit_monomial,
 )
-from unitsum import cubic
+from unitsum import cubic, engine
 from unitsum.cubic import alpha, alpha2, one
 
 P2 = CubicParams(2)
@@ -394,13 +394,30 @@ def test_cubic_basis_interval_hooks():
 
 
 def test_cubic_bases_compare_by_their_units():
-    assert cubic_basis(P2) == cubic_basis(P2)
-    assert hash(cubic_basis(P2)) == hash(cubic_basis(P2))
+    # a basis built past the cache is another object, equal by its units
+    apart = cubic_basis.__wrapped__(P2)
+    assert apart is not cubic_basis(P2)
+    assert apart == cubic_basis(P2) and hash(apart) == hash(cubic_basis(P2))
     assert cubic_basis(P2) != cubic_basis(CubicParams(3))
-    beta = elem(P2, 7, -4, 2)
-    first, second = represent_unit_sums(beta), represent_unit_sums(beta)
+    first = represent_unit_sums(elem(P2, 7, -4, 2))
+    second = Representation(apart, dict(first.coeffs), first.steps)
     assert first.basis is not second.basis
     assert first == second and hash(first) == hash(second)
+
+
+def test_cubic_basis_cache_is_bounded_and_keyed_by_the_parameter():
+    assert cubic_basis.cache_info().maxsize == 1 << 8
+    cubic_basis.cache_clear()
+    try:
+        for a in range(-200, 200):
+            cubic_basis(CubicParams(a))
+        assert cubic_basis.cache_info().currsize == 1 << 8
+        # equal parameters give the same basis, equal to one built afresh
+        assert cubic_basis(CubicParams(5)) is cubic_basis(CubicParams(5))
+        assert cubic_basis(CubicParams(5)) == cubic_basis.__wrapped__(CubicParams(5))
+        assert represent_unit_sums(elem(CubicParams(5), 9, -4, 2)).basis is cubic_basis(CubicParams(5))
+    finally:
+        cubic_basis.cache_clear()
 
 
 def test_monotone_quantity_does_not_depend_on_earlier_calls():
@@ -645,6 +662,33 @@ def test_relation_is_checked_on_a_cache_hit(monkeypatch):
     monkeypatch.setattr(cubic, "unit_monomial", lambda i, j, params: elem(params, 1, 0, 0))
     with pytest.raises(RelationBroken, match="a = 2"):
         represent_unit_sums(beta)
+
+
+@pytest.mark.parametrize("n", [941, 942, 951, 960])
+def test_continuing_a_pile_unpacks_only_the_sites_that_moved(monkeypatch, n):
+    """With S(940) cached, a call at n hands the kernel S(940) plus n - 940
+    chips at the seed.  Its list storage starts from that input and
+    unpacks at most the I + 1 sites each fired site can change, and the
+    cancelled ones (none here), never the whole pile."""
+    cubic._PILES.clear()
+    represent_unit_sums(elem(P2, 940, 0, 0))
+    inputs, unpacked = [], []
+    stabilize = engine._stabilize
+    monkeypatch.setattr(engine, "_stabilize", lambda coeffs, *rest: inputs.append(coeffs) or stabilize(coeffs, *rest))
+    one, many = engine._Box.unpack, engine._Box.unpacked
+    monkeypatch.setattr(engine._Box, "unpack", lambda box, site: unpacked.append(1) or one(box, site))
+    monkeypatch.setattr(engine._Box, "unpacked", lambda box, sites: unpacked.append(len(sites)) or many(box, sites))
+    rep = represent_unit_sums(elem(P2, n, 0, 0))
+    monkeypatch.undo()
+    assert rep == represent_by_one_reduce(elem(P2, n, 0, 0))
+    [start] = inputs
+    fired = set()
+    engine._stabilize(start, rep.basis, three_relation(P2), ReductionPolicy(on_step=lambda index, t: fired.add(index)))
+    # and the output keys that are not the input's own were built for those
+    given = {id(key) for key in start}
+    built = sum(id(key) not in given for key in rep.coeffs)
+    assert len(start) > 500
+    assert built <= sum(unpacked) <= (three_relation(P2).I + 1) * len(fired) < len(start)
 
 
 def test_pile_cache_bounds_hold_after_many_magnitudes():

@@ -539,6 +539,97 @@ def test_reduce_matches_heap_reference_at_the_packing_edges(case, slack):
         assert_agrees_with(expected, rep, rel, cap)
 
 
+# every shape of EDGE_SHAPES, and two relations whose firings keep the
+# weight: the cubic one, and one whose terms flip the sign layer at
+# +-r_max, so that another layer's offsets from a site next to a face
+# leave the box
+CONTINUATION_SHAPES = [
+    *EDGE_SHAPES,
+    (cubic_basis(CubicParams(3)), three_relation(CubicParams(3))),
+    (LINE, UnitRelation(n=2, terms=((1, (2,)), (1, (-2,))))),
+]
+
+
+@st.composite
+def continuations(draw):
+    """Inputs shaped like a continued stable pile: many sites below n
+    around the origin on both sign layers, a few at n or above among
+    them, and mates (both layers at one (l, x)) off to one side, some
+    far enough from the pile that no firing reaches them."""
+    basis, rel = draw(st.sampled_from(CONTINUATION_SHAPES))
+    n, M, L = rel.n, basis.M, basis.L
+    reach = draw(st.integers(1, 5))
+
+    def sites(lo, hi):
+        return st.tuples(st.integers(0, 1), st.integers(1, L), st.tuples(*[st.integers(lo, hi)] * M))
+
+    coeffs = draw(st.dictionaries(sites(-reach, reach), st.integers(1, n - 1), min_size=4, max_size=60))
+    coeffs.update(draw(st.dictionaries(sites(-reach, reach), st.integers(n, 8 * n), min_size=1, max_size=3)))
+    for ell, x, a, b in draw(
+        st.lists(
+            st.tuples(
+                st.integers(1, L),
+                st.tuples(st.integers(reach + 1, 4 * reach + 40), *[st.integers(-reach, reach)] * (M - 1)),
+                st.integers(1, n + 1),
+                st.integers(1, n + 1),
+            ),
+            max_size=4,
+        )
+    ):
+        coeffs[(0, ell, x)], coeffs[(1, ell, x)] = a, b
+    return Representation(basis, coeffs), rel
+
+
+@settings(max_examples=300)
+@given(continuations())
+@example(
+    (
+        Representation(LINE, {(0, 2, (-3,)): 1, (1, 1, (1,)): 1, (1, 2, (2,)): 6, (0, 1, (-2,)): 1}),
+        CONTINUATION_SHAPES[-1][1],
+    )
+)
+def test_reduce_matches_heap_reference_on_continued_piles(case):
+    """The list storage's output is the input map updated at the sites
+    that fired, the targets of their own layers and the cancelled mates;
+    every other site keeps its input count, with and without on_step."""
+    rep, rel = case
+    expected = heap_reduce(rep, rel)
+    assert_agrees_with(expected, rep, rel)
+    out = reduce(rep, rel)
+    assert (dict(out.coeffs), out.steps) == expected[:2]
+    assert_fits_its_basis(out)
+
+
+POINT = UnitGroupBasis(etas=(1,), epsilons=(3,), abs_val=(_point(3),))
+
+
+@pytest.mark.parametrize(
+    "coeffs, rel, expected",
+    [
+        (
+            {(0, 1, (0,)): 3},
+            UnitRelation(n=2, terms=((1, (2,)), (0, (0,)))),
+            {(0, 1, (0,)): 1, (1, 1, (2,)): 1, (0, 1, (4,)): 1},
+        ),
+        (
+            {(0, 1, (-3,)): 6},
+            UnitRelation(n=2, terms=((1, (-2,)), (1, (2,)))),
+            {(1, 1, (-9,)): 1, (0, 1, (-7,)): 1, (1, 1, (-5,)): 1, (1, 1, (-1,)): 1, (0, 1, (1,)): 1, (1, 1, (3,)): 1},
+        ),
+    ],
+    ids=["top-corner", "bottom-corner"],
+)
+def test_reduce_reads_back_only_the_targets_of_each_sites_own_layer(coeffs, rel, expected):
+    """A site r_max inside a face fires in the list, whose box holds its
+    own targets; the other layer's offsets from it point one row past the
+    top of the list, or below its start, where a negative index would
+    read the last cell, which the second run fills."""
+    rep = Representation(POINT, coeffs)
+    out = reduce(rep, rel)
+    assert dict(out.coeffs) == expected
+    assert (dict(out.coeffs), out.steps) == heap_reduce(rep, rel)[:2]
+
+
 def test_reduce_spills_to_the_dict_as_the_support_spreads(monkeypatch):
     """Chip-firing on a line spreads 63 chips over about 60 sites, far
     past the first box, which is sized for about the square root of the
@@ -583,31 +674,33 @@ CUBIC3 = CubicParams(3)
 
 
 @pytest.mark.parametrize(
-    "rep, rel, decoded",
+    "rep, rel, listed",
     [
         (
             Representation(cubic_basis(CUBIC3), {(0, 1, (2, -1)): 44, (1, 1, (3, 0)): 9}),
             three_relation(CUBIC3),
-            1,
+            True,
         ),
-        (rep_of({(0, 1, (0, 0)): 9, (1, 1, (10**9, 0)): 7}), REL, 0),
+        (rep_of({(0, 1, (0, 0)): 9, (1, 1, (10**9, 0)): 7}), REL, False),
         (
             Representation(LINE, {(0, 1, (0,)): 60, (1, 2, (5,)): 3}),
             UnitRelation(n=2, terms=((0, (1,)), (0, (-1,)))),
-            0,
+            False,
         ),
     ],
     ids=["list", "far-apart-dict", "spilled-dict"],
 )
-def test_reduce_output_fits_its_basis_in_both_storages(monkeypatch, rep, rel, decoded):
-    """The list storage leaves through _Box.decode, the dict storage (sites
-    10^9 apart, or a run that spills) site by site through unpack; both
-    give keys and counts that Representation.__init__ accepts."""
-    calls = []
-    decode = engine._Box.decode
-    monkeypatch.setattr(engine._Box, "decode", lambda box, state: calls.append(1) or decode(box, state))
+def test_reduce_output_fits_its_basis_in_both_storages(monkeypatch, rep, rel, listed):
+    """The list storage leaves through _Box.unpacked on the box it was
+    built over (the one whose edge it tested), the dict storage (sites
+    10^9 apart, or a run that spills) through the wide box's; both give
+    keys and counts that Representation.__init__ accepts."""
+    edged, unpacking = [], []
+    edge, unpacked = engine._Box.edge, engine._Box.unpacked
+    monkeypatch.setattr(engine._Box, "edge", lambda box, r: edged.append(box) or edge(box, r))
+    monkeypatch.setattr(engine._Box, "unpacked", lambda box, sites: unpacking.append(box) or unpacked(box, sites))
     out = reduce(rep, rel)
-    assert len(calls) == decoded and out.steps > 0
+    assert unpacking and any(box in edged for box in unpacking) == listed and out.steps > 0
     assert_fits_its_basis(out)
     assert (dict(out.coeffs), out.steps) == heap_reduce(rep, rel)[:2]
 
@@ -627,10 +720,18 @@ def boxes_and_states(draw):
 
 
 @given(boxes_and_states())
-def test_box_decode_matches_unpack(case):
+def test_box_unpacked_matches_unpack(case):
+    """unpacked is unpack a column at a time, and packed inverts it on
+    layer 0; the all-zero state has no sites."""
     box, state = case
-    assert box.decode(state) == {box.unpack(s): c for s, c in enumerate(state) if c}
-    assert box.decode([0] * box.cells) == {}
+    sites = [s for s, c in enumerate(state) if c]
+    indices = box.unpacked(sites)
+    assert indices == [box.unpack(s) for s in sites]
+    assert box.unpacked([]) == []
+    if indices:
+        ells = [ell for _, ell, _ in indices]
+        cols = list(zip(*(x for _, _, x in indices)))
+        assert box.packed(ells, cols) == [box.pack((0, ell, x)) for _, ell, x in indices]
 
 
 @given(st.sampled_from([None, *CUBIC_PARAMS[:3]]), seeds(1, 3, 2, 40), st.randoms(use_true_random=False))
