@@ -14,6 +14,7 @@ import bisect
 import functools
 import threading
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -376,11 +377,12 @@ class _PileCache:
     magnitude n alone, with at most max_entries piles and max_sites
     stored sites; the least recently used pile goes first.
 
-    A pile is (steps, flat): its sites as one flat array of 16-bit ints
-    i0, j0, c0, i1, ..., with the pile's seed at (0, 0).  A pile of n
-    chips lies within about sqrt(n) of its seed, so a site beyond 2^15
-    would take about 10^9 chips and 10^16 steps.  A lock keeps the
-    sorted list of magnitudes and the dict in step across threads.
+    A pile is (steps, flat): its sigma-orbit representatives (see
+    _representative) as one flat array of 16-bit ints i0, j0, c0, i1,
+    ..., with the pile's seed at (0, 0).  A pile of n chips lies within
+    about sqrt(n) of its seed, so a site beyond 2^15 would take about
+    10^9 chips and 10^16 steps.  A lock keeps the sorted list of
+    magnitudes and the dict in step across threads.
     """
 
     def __init__(self, max_entries: int, max_sites: int):
@@ -420,16 +422,31 @@ class _PileCache:
                 del self.sizes[bisect.bisect_left(self.sizes, old)]
 
 
-# a cubic-units bench round stores about 38,000 sites, and the 500
-# elements of acceptance criterion 7 about 250,000; at 6 bytes a site,
-# the bound holds about 1.5 MB
+# a cubic-units bench round stores about 13,000 orbit representatives,
+# and the 500 elements of acceptance criterion 7 about 82,000; at 6
+# bytes a site, the bound holds about 1.5 MB
 _PILES = _PileCache(max_entries=1 << 10, max_sites=1 << 18)
 
 
+def _representative(x):
+    """The one point of x's orbit under sigma(i, j) = (-j, i - j) with
+    i >= 1 and j >= 0; for x = (0, 0), sigma's only fixed point, the
+    origin itself."""
+    i, j = x
+    for _ in range(3):
+        if i >= 1 and j >= 0:
+            return (i, j)
+        i, j = -j, i - j
+    return (0, 0)
+
+
 def _place(out: dict, flat, t: int, k: int) -> None:
-    """Add a pile, moved from (0, 0) to (t, 0), to out on sign layer k."""
+    """Add a pile, moved from (0, 0) to (t, 0), to out on sign layer k:
+    each stored (i, j) stands for its sigma-orbit (i, j), (-j, i - j),
+    (j - i, -i), which is the origin alone when (i, j) is."""
     it = iter(flat)
-    out.update(((k, 1, (i + t, j)), c) for i, j, c in zip(it, it, it))
+    for i, j, c in zip(it, it, it):
+        out[(k, 1, (i + t, j))] = out[(k, 1, (t - j, i - j))] = out[(k, 1, (j - i + t, -i))] = c
 
 
 def _cap_exceeded(max_steps: int) -> IterationCapExceeded:
@@ -446,7 +463,8 @@ def represent_unit_sums(beta: CubicElement, policy: Optional[engine.ReductionPol
     is checked on every call; policy.max_steps caps the total step
     count as in engine.reduce, with the same error and message.
 
-    Why the coordinates are reduced apart, and once per magnitude:
+    Why the coordinates are reduced apart, once per magnitude, and on
+    a third of the plane:
 
     - *Cosets.*  The relation's offsets (1,2), (-2,-1), (1,-1) all have
       i + j = 0 (mod 3) and sit on sign layer 0, so a firing never moves
@@ -461,21 +479,30 @@ def represent_unit_sums(beta: CubicElement, policy: Optional[engine.ReductionPol
       of chip-firing (Dhar 1990; Bjorner, Lovasz and Shor 1991),
       S(n) = stab(S(m) + (n - m) chips at (0, 0)), and the steps add.
       So a pile's steps only grow with n.
+    - *Symmetry.*  sigma(i, j) = (-j, i - j), the Galois action on
+      exponents, has order 3 and permutes the offsets: (1,2) -> (-2,-1)
+      -> (1,-1) -> (1,2).  Its only fixed point on Z^2 is (0, 0), the
+      seed, and stabilization is unique, so every S(n) is
+      sigma-invariant, and a pile is kept and reduced as one count per
+      orbit, on the orbit's point with i >= 1 and j >= 0 (see
+      engine.reduce's fold).  Such a firing of t stands for three and
+      counts 3t steps; the origin's firing of t counts t and sends t to
+      the one representative (1, 2) of its targets.
     - *Invariant.*  A step at x moves three chips from x to x + r over
       the offsets r, whose sum is 0 and whose squared lengths sum to
-      12, so it adds exactly 12 to sum c (i^2 + j^2).  A pile of n chips
-      keeps its centre of mass (0, 0) and holds n chips (three out,
-      three in), so once moved by (t, 0) its steps are
-      (sum c (i^2 + j^2) - n t^2) / 12.
+      12, so it adds exactly 12 to sum c (i^2 + j^2).  Summed over an
+      orbit, i^2 + j^2 gives 4 (i^2 - i j + j^2), so a pile's steps are
+      the sum of c (i^2 - i j + j^2) / 3 over its representatives.
 
-    So each call starts every coordinate from the largest cached pile
-    S(m) with m <= |c_t| (see _PileCache), adds the missing chips, and
-    runs one engine.reduce over all coordinates whose magnitude is not
-    cached, one coordinate per magnitude.  Each new pile's steps are
-    read from the invariant, must add up to the kernel's count, and the
-    pile is stored.  A cached total above the cap raises at once.  With
-    policy.on_step set, the cache is neither read nor written, so every
-    firing is reported.
+    So each call takes the magnitudes in ascending order and starts each
+    from the largest pile below it: the cached S(m) with m <= |c_t| (see
+    _PileCache), or the one this call made last, if larger.  It adds the
+    missing chips at (0, 0) and runs one engine.reduce on the orbits.
+    The new pile's steps are read from the invariant, must add up to the
+    kernel's count, and the pile is stored.  A total above the cap,
+    counting each coordinate at the pile it starts from, raises at once.
+    With policy.on_step set, the cache is neither read nor written, so
+    every firing is reported.
     """
     params = beta.params
     rel = three_relation(params)
@@ -487,58 +514,47 @@ def represent_unit_sums(beta: CubicElement, policy: Optional[engine.ReductionPol
         return engine.reduce(Representation(basis, seeds), rel, policy)
     cap = max(policy.max_steps, 0)
     coords = [(t, abs(c), 0 if c > 0 else 1) for t, c in enumerate(beta.coords) if c]
-    # each magnitude is reduced once, on the coset of its first coordinate
-    home = {}
-    for t, n, k in coords:
-        home.setdefault(n, (t, k))
-    piles = {n: _PILES.floor(n) for n in home}  # (m, steps, flat)
-    known = sum(piles[n][1] for _, n, _ in coords)
-    if known > cap:
-        raise _cap_exceeded(policy.max_steps)
-    todo = [n for n, (m, _, _) in piles.items() if m < n]
-    out = {}
-    if todo:
-        start = {}
-        for n in todo:
-            (t, k), (m, _, flat) = home[n], piles[n]
-            _place(start, flat, t, k)
-            seed = (k, 1, (t, 0))
-            start[seed] = start.get(seed, 0) + n - m
-        try:
-            rep = engine.reduce(
-                engine._representation(basis, start, 0), rel, engine.ReductionPolicy(max_steps=cap - known)
-            )
-        except IterationCapExceeded:
-            rep = None
-        if rep is None:
-            # raised out here, so that no traceback keeps the kernel's state
+    counts = Counter(n for _, n, _ in coords)
+    piles = {n: _PILES.floor(n) for n in counts}  # (m, steps, flat)
+    total = sum(piles[n][1] * k for n, k in counts.items())
+    below = (0, 0, ())
+    for n in sorted(counts):
+        m, steps, flat = piles[n]
+        if below[0] > m:
+            total += (below[1] - steps) * counts[n]
+            m, steps, flat = below
+        if total > cap:
             raise _cap_exceeded(policy.max_steps)
-        out = rep.coeffs.copy()
-        # each coset's sites, moved back to (0, 0), and sum c (i^2 + j^2)
-        cosets, squares = [[], [], []], [0, 0, 0]
-        for (_, _, (i, j)), c in out.items():
-            t = (i + j) % 3
-            i -= t
-            cosets[t] += (i, j, c)
-            squares[t] += c * (i * i + j * j)
-        gained = 0
-        for n in todo:
-            t = home[n][0]
-            steps = squares[t] // 12
-            gained += steps - piles[n][1]
-            piles[n] = (n, steps, array("h", cosets[t]))
-        if gained != rep.steps:
-            raise VerificationFailed(f"the piles of {beta!r} gained {gained} steps, the kernel made {rep.steps}")
-        for n in todo:
-            _PILES.store(n, *piles[n][1:])
-    steps = sum(piles[n][1] for _, n, _ in coords)
-    if steps > cap:
+        if m < n:
+            it = iter(flat)
+            start = {(0, 1, (i, j)): c for i, j, c in zip(it, it, it)}
+            start[(0, 1, (0, 0))] = start.get((0, 1, (0, 0)), 0) + n - m
+            try:
+                rep = engine.reduce(
+                    engine._representation(basis, start, 0),
+                    rel,
+                    engine.ReductionPolicy(max_steps=cap - total),
+                    _representative,
+                )
+            except IterationCapExceeded:
+                rep = None
+            if rep is None:
+                # raised out here, so that no traceback keeps the kernel's state
+                raise _cap_exceeded(policy.max_steps)
+            squares = sum(c * (i * i - i * j + j * j) for (_, _, (i, j)), c in rep.items())
+            if squares != 3 * (steps + rep.steps):
+                raise VerificationFailed(f"S({n}) of {beta!r} holds {squares} / 3 steps, not {steps} + {rep.steps}")
+            total += rep.steps * counts[n]
+            steps += rep.steps
+            flat = array("h", [v for (_, _, (i, j)), c in rep.items() for v in (i, j, c)])
+            _PILES.store(n, steps, flat)
+        piles[n] = below = (n, steps, flat)
+    if total > cap:
         raise _cap_exceeded(policy.max_steps)
+    out = {}
     for t, n, k in coords:
-        # the kernel's output already holds the home coordinates it reduced
-        if n not in todo or home[n][0] != t:
-            _place(out, piles[n][2], t, k)
-    return engine._representation(basis, out, steps)
+        _place(out, piles[n][2], t, k)
+    return engine._representation(basis, out, total)
 
 
 def element_to_json(elem: CubicElement) -> dict:

@@ -585,6 +585,14 @@ def expansion_to_json(exp) -> dict:
     }
 
 
+def _json(value, want: type, what: str):
+    """value, if it is a JSON object (want dict) or array (want list);
+    else TypeError naming what."""
+    if type(value) is not want:
+        raise TypeError(f"{what} is not a JSON {'object' if want is dict else 'array'}")
+    return value
+
+
 def expansion_from_json(data: dict):
     """Parse the expansion schema back; returns (expansion, claimed value).
 
@@ -592,19 +600,30 @@ def expansion_from_json(data: dict):
     value an integer or an "n" or "n/d" string of decimal digits; anything
     else, a float, a boolean or "2.5e1" included, raises InvalidExpansion.
     The claimed value is whatever the document asserts, as a Fraction; it
-    is not rechecked here.
+    is not rechecked here.  A document or term that is not a JSON object,
+    terms that are not an array, and a missing field raise it too, naming
+    what is wrong.
     """
     try:
+        _json(data, dict, "the document")
         kind = data["kind"]
         base = BasePair(*document_ints((data["p"], data["q"]), "base"))
-        rows = data["terms"]
+        rows = _json(data["terms"], list, "terms")
+        try:
+            digits = [t["d"] for t in rows]
+        except TypeError:
+            # only a term that is not a JSON object raises it
+            k = next(k for k, t in enumerate(rows) if type(t) is not dict)
+            _json(rows[k], dict, f"term {k}")
         terms = zip(
-            document_ints([t["d"] for t in rows], "digit"),
+            document_ints(digits, "digit"),
             document_ints([t["i"] for t in rows], "exponent"),
             document_ints([t["j"] for t in rows], "exponent"),
         )
         claimed = document_rational(data["value"], "value")
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise InvalidExpansion(f"malformed expansion document: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
         raise InvalidExpansion(f"malformed expansion document: {exc}") from None
     if kind == "signed":
         return (SignedExpansion(base, terms), claimed)

@@ -7,7 +7,8 @@ instantiates the basis.  The central rewrite replaces n copies of a
 unit with the I units of a fixed relation, and `reduce` iterates that
 rewrite until every coefficient is below n.  Its kernel keeps the counts
 in a flat list over a box around the input, or, for an input whose sites
-lie far apart or whose run outgrows that box, in a dict.
+lie far apart or whose run outgrows that box, in a dict.  Given an
+input that a symmetry of order 3 fixes, it keeps one count per orbit.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
 from math import isqrt, prod
-from operator import getitem, mul
+from operator import add, getitem, mul
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Tuple
 
@@ -193,10 +194,11 @@ class ReductionPolicy:
     ValueError), caps the total rewrite count.  The cap is checked after
     each firing, and one firing at a site holding c performs c // n
     rewrites at once, so the count may overshoot the cap by at most one
-    firing before the error fires.  on_step, when given, receives
-    (index, multiplicity) once per firing.  The order of the calls is
-    unspecified; the per-site sums of the multiplicities, the number of
-    rewrites made at each site, do not depend on it.
+    firing before the error fires; under reduce's fold, a firing of t
+    stands for an orbit of three sites and counts 3t.  on_step, when
+    given, receives (index, multiplicity) once per firing.  The order of
+    the calls is unspecified; the per-site sums of the multiplicities,
+    the number of rewrites made at each site, do not depend on it.
     """
 
     max_steps: int = 1_000_000
@@ -300,7 +302,12 @@ def bounds_f_T(params: BoundParams):
     return (f, T)
 
 
-def reduce(rep: Representation, rel: UnitRelation, policy: Optional[ReductionPolicy] = None) -> Representation:
+def reduce(
+    rep: Representation,
+    rel: UnitRelation,
+    policy: Optional[ReductionPolicy] = None,
+    fold: Optional[Callable[[tuple], tuple]] = None,
+) -> Representation:
     """Rewrite until every coefficient lies in [1, n-1].
 
     Opposite sign layers at the same (l, x) cancel first.  Firing is done
@@ -312,13 +319,35 @@ def reduce(rep: Representation, rel: UnitRelation, policy: Optional[ReductionPol
     in .steps.  Raises IterationCapExceeded, with no partial result, if
     policy.max_steps is hit.
 
+    fold, when given, maps an exponent vector to the representative of
+    its orbit under a linear map sigma of order 3 that fixes only 0 and
+    permutes rel's terms, all of which lie on sign layer 0 with nonzero
+    exponents.  rep then lists one site per orbit, at its representative
+    on sign layer 0, for the sigma-invariant input that repeats each
+    count over the orbit; the output is that input's stable state, given
+    the same way, and .steps is that input's full count.  The invariant
+    run is unique, so it stays invariant and only the representatives
+    fire: a firing of t away from 0 stands for three and counts 3t
+    steps, and 0's firing counts t and sends t to each representative of
+    its targets.  The representatives must lie in x >= 0.  A target of
+    one that is no representative must come from a site with an exponent
+    at most r_max, and its representative may exceed the site's largest
+    exponent by r_max at most.  on_step cannot be combined with fold.
+
     The output is not checked again: every key comes either from the
     validated input or from the kernel's _Box (an int layer inside K*L,
     a tuple of M ints), and every count it keeps is a positive int.
     """
     policy = policy or ReductionPolicy()
     _check_relation(rep.basis, rel)
-    out, steps = _stabilize(rep._coeffs, rep.basis, rel, policy)
+    if fold is not None:
+        if policy.on_step is not None:
+            raise ValueError("on_step cannot be combined with fold")
+        if any(k or not any(r) for k, r in rel.terms) or any(k for k, _, _ in rep._coeffs):
+            raise ValueError("fold needs nonzero relation exponents, and the relation and input on sign layer 0")
+        if not all(0 <= c <= rel.r_max for _, r in rel.terms for c in fold(r)):
+            raise ValueError("fold must send the relation's exponents into [0, r_max]")
+    out, steps = _stabilize(rep._coeffs, rep.basis, rel, policy, fold)
     return _representation(rep.basis, out, steps)
 
 
@@ -395,8 +424,49 @@ class _Box:
             row = full * r + row * (w - 2 * r) + full * r if w > 2 * r else full * w
         return row
 
+    def near(self, r: int) -> bytes:
+        """One byte per site: 1 when some x_m lies in [-r, r]."""
+        row = bytes(self.KL)
+        for lo, w in self.spans:
+            below, upto = (max(0, min(w, c - lo)) for c in (-r, r + 1))
+            row = row * below + b"\x01" * len(row) * (upto - below) + row * (w - upto)
+        return row
 
-def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: ReductionPolicy):
+
+class _Folded(dict):
+    """The offsets of each site that fires under reduce's fold, keyed by
+    the site and filled as sites first fire.  A site that no near byte
+    marks (None marks every site) keeps its layer's offsets; any other
+    has each target sent to its representative, or three times to 0, the
+    one target that stands for fewer sites than the firing one."""
+
+    def __init__(self, box: _Box, fold, rel: UnitRelation, near: Optional[bytes]):
+        self.box, self.fold, self.near = box, fold, near
+        self.shifts = [x for _, x in rel.terms]
+
+    def __missing__(self, site: int) -> list:
+        box = self.box
+        offsets = box.offsets[site % box.KL]
+        if self.near is None or self.near[site]:
+            k, ell, x = box.unpack(site)
+            plain, offsets = offsets, []
+            for d, shift in zip(plain, self.shifts):
+                y = tuple(map(add, x, shift))
+                if not any(y):
+                    offsets += [d] * 3
+                    continue
+                z = self.fold(y)
+                if z == y:
+                    offsets.append(d)
+                elif all(lo <= c < lo + w for c, (lo, w) in zip(z, box.spans)):
+                    offsets.append(box.pack((k, ell, z)) - site)
+                else:
+                    raise ValueError(f"fold sent {y} to {z}, outside the kernel's box")
+        self[site] = offsets
+        return offsets
+
+
+def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: ReductionPolicy, fold=None):
     """Round kernel behind reduce; returns (stable coefficients, steps).
 
     Sites are packed into ints over a box (see _Box), and their counts
@@ -430,17 +500,29 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
     stable input costs its firings and a few passes over the input.  The
     dict storage holds only the support and leaves whole; both unpack
     through _Box.unpacked.
+
+    Under reduce's fold the box is one square around the input and 0,
+    so a site r_max inside it keeps the representatives of its targets
+    inside it too.  The loop looks offsets up by the site: _Folded keeps
+    a site's layer offsets, unless a near byte marks an exponent within
+    r_max of 0, where targets may leave the domain and are sent to their
+    representatives.  The loop counts firings, each of three steps; 0,
+    whose firing counts one, fires ahead of the loop in its round.
     """
     if not coeffs:
         return {}, 0
     n, L, r = rel.n, basis.L, rel.r_max
-    max_steps = policy.max_steps
+    cap = limit = policy.max_steps
     chips = min(sum(coeffs.values()), _CHIP_CEILING)
     ks, ells, xs = zip(*coeffs)
     cols = list(zip(*xs))
 
     def around(reach):
-        return _Box(basis, rel, [min(c) - reach for c in cols], [max(c) + reach for c in cols])
+        lo, hi = [min(c) - reach for c in cols], [max(c) + reach for c in cols]
+        if fold is not None:
+            # one square box that holds 0 too; see reduce
+            lo, hi = [min(-reach, *lo)] * len(lo), [max(reach, *hi)] * len(hi)
+        return _Box(basis, rel, lo, hi)
 
     box = around(r * (isqrt(chips) // 2 + 2))
     first, cancelled = {}, []
@@ -458,7 +540,14 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
         for site, c in first.items():
             state[site] = c
         edge = box.edge(r)
-    KL, offsets = box.KL, box.offsets
+    KL, offsets, period = box.KL, box.offsets, box.KL
+    if fold is not None:
+        # each site's offsets are looked up by the site itself, and the
+        # loop counts firings in units of three steps
+        offsets, period = _Folded(box, fold, rel, box.near(r) if dense else None), box.cells
+        limit, spent = cap // 3, 0
+        cores = [box.pack((0, ell, (0,) * basis.M)) for ell in range(1, L + 1)]
+        lifts = sorted({fold(x) for _, x in rel.terms})
     on_step = policy.on_step
     # each distinct site is unpacked once, however often it fires
     seen = {}
@@ -472,31 +561,60 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
         # a round of sites that all fired before passed the edge test then,
         # and getitem reads bytes twice as fast as their bound __getitem__
         if state is first or dense and len(fired) > known and any(map(getitem, repeat(edge), ready)):
-            wide = around(r * (max(max_steps, 0) + 1))
+            wide = around(r * (max(cap, 0) + 1))
             held = compress(enumerate(state), state) if dense else state.items()
             state = defaultdict(int, {wide.pack(box.unpack(site)): c for site, c in held})
             ready = [wide.pack(box.unpack(site)) for site in ready]
-            box, dense, offsets, seen = wide, False, wide.offsets, {}
+            if fold is not None:
+                cores = [wide.pack(box.unpack(site)) for site in cores]
+                offsets, period = _Folded(wide, fold, rel, None), wide.cells
+            else:
+                offsets = wide.offsets
+            box, dense, seen = wide, False, {}
         following = []
+        if fold is not None:
+            # 0 fires first in its round, outside the loop, as its firing
+            # counts t steps, not 3t; its targets join the next round
+            for core in cores:
+                c = state[core]
+                if c >= n:
+                    ready.remove(core)
+                    t = c // n
+                    state[core] = c - n * t
+                    spent += t
+                    if 3 * steps + spent > cap:
+                        raise IterationCapExceeded(f"reduction exceeded {cap} replacement steps")
+                    limit = (cap - spent) // 3
+                    # its targets lie within r_max of 0, far inside the box
+                    for x in lifts:
+                        nk = core + box.shift(x)
+                        old = state[nk]
+                        state[nk] = new = old + t
+                        if old < n <= new:
+                            following.append(nk)
+                        if dense:
+                            fired.add(nk)
         for site in ready:
             c = state[site]
             t = c // n
             state[site] = c - n * t
             steps += t
-            if steps > max_steps:
-                raise IterationCapExceeded(f"reduction exceeded {max_steps} replacement steps")
+            if steps > limit:
+                raise IterationCapExceeded(f"reduction exceeded {cap} replacement steps")
             if on_step is not None:
                 index = seen.get(site)
                 if index is None:
                     index = seen[site] = box.unpack(site)
                 on_step(index, t)
-            for d in offsets[site % KL]:
+            for d in offsets[site % period]:
                 nk = site + d
                 old = state[nk]
                 state[nk] = new = old + t
                 if old < n <= new:
                     following.append(nk)
         ready = following
+    if fold is not None:
+        steps = 3 * steps + spent
     if not dense:
         sites = list(compress(state, state.values()))
         return dict(zip(box.unpacked(sites), filter(None, state.values()))), steps
@@ -509,14 +627,17 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
     # changed.  Only a site's own layer's targets are sure to lie in the
     # box, so an offset that a sign-flipping term gives some layers only
     # is added to the sites of those layers.
-    sites, layers = list(fired), None
-    for d in {d for layer in offsets for d in layer}:
-        owners = [d in layer for layer in offsets]
-        if all(owners):
-            fired.update([site + d for site in sites])
-        else:
-            layers = layers or [site % KL for site in sites]
-            fired.update([site + d for site in compress(sites, map(owners.__getitem__, layers))])
+    if fold is not None:
+        fired.update([site + d for site, ds in offsets.items() for d in ds])
+    else:
+        sites, layers = list(fired), None
+        for d in {d for layer in offsets for d in layer}:
+            owners = [d in layer for layer in offsets]
+            if all(owners):
+                fired.update([site + d for site in sites])
+            else:
+                layers = layers or [site % KL for site in sites]
+                fired.update([site + d for site in compress(sites, map(owners.__getitem__, layers))])
     fired.update(cancelled)
     sites = list(fired)
     counts = [state[site] for site in sites]

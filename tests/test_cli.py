@@ -145,6 +145,30 @@ def test_verify_rejects_loose_value_strings(capsys, monkeypatch, bad):
     assert out.startswith("status invalid (malformed expansion document: value ")
 
 
+def test_verify_names_the_missing_field_of_a_cubic_document(capsys, monkeypatch):
+    # cubic-repr writes a unit sum, which is no expansion document
+    _, doc, _ = run(capsys, "cubic-repr", "--a", "2", "--format", "json", "5", "0", "0")
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    assert run(capsys, "verify", "-")[:2] == (5, "status invalid (malformed expansion document: missing field 'kind')\n")
+
+
+@pytest.mark.parametrize(
+    "doc, what",
+    [
+        ("[]", "the document is not a JSON object"),
+        ('"x"', "the document is not a JSON object"),
+        ('{"kind":"signed","p":"5","q":"23","value":"1","terms":[{"d":1,"i":"0","j":"0"},[1,0,0]]}',
+         "term 1 is not a JSON object"),
+        ('{"kind":"signed","p":"5","q":"23","value":"1","terms":"x"}', "terms is not a JSON array"),
+    ],
+    ids=["array", "string", "term-array", "terms-string"],
+)
+def test_verify_says_what_is_not_a_json_object(capsys, monkeypatch, doc, what):
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out, _ = run(capsys, "verify", "-")
+    assert (code, out) == (5, f"status invalid (malformed expansion document: {what})\n")
+
+
 def test_verify_rejects_malformed_json(tmp_path, capsys):
     doc = tmp_path / "broken.json"
     doc.write_text("{not json")

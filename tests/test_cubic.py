@@ -666,45 +666,57 @@ def test_relation_is_checked_on_a_cache_hit(monkeypatch):
 
 @pytest.mark.parametrize("n", [941, 942, 951, 960])
 def test_continuing_a_pile_unpacks_only_the_sites_that_moved(monkeypatch, n):
-    """With S(940) cached, a call at n hands the kernel S(940) plus n - 940
-    chips at the seed.  Its list storage starts from that input and
-    unpacks at most the I + 1 sites each fired site can change, and the
-    cancelled ones (none here), never the whole pile."""
+    """With S(940) cached, a call at n hands the kernel the orbit
+    representatives of S(940) plus n - 940 chips at the seed.  Its list
+    storage starts from that input and unpacks at most the I + 1 sites
+    each fired orbit can change, the cancelled ones (none here) and,
+    once, each fired site near the edge of the domain of
+    representatives, never the whole pile."""
     cubic._PILES.clear()
     represent_unit_sums(elem(P2, 940, 0, 0))
-    inputs, unpacked = [], []
+    calls, unpacked = [], []
     stabilize = engine._stabilize
-    monkeypatch.setattr(engine, "_stabilize", lambda coeffs, *rest: inputs.append(coeffs) or stabilize(coeffs, *rest))
+
+    def recorded(coeffs, *rest):
+        calls.append((coeffs, stabilize(coeffs, *rest)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(engine, "_stabilize", recorded)
     one, many = engine._Box.unpack, engine._Box.unpacked
     monkeypatch.setattr(engine._Box, "unpack", lambda box, site: unpacked.append(1) or one(box, site))
     monkeypatch.setattr(engine._Box, "unpacked", lambda box, sites: unpacked.append(len(sites)) or many(box, sites))
     rep = represent_unit_sums(elem(P2, n, 0, 0))
     monkeypatch.undo()
     assert rep == represent_by_one_reduce(elem(P2, n, 0, 0))
-    [start] = inputs
-    fired = set()
-    engine._stabilize(start, rep.basis, three_relation(P2), ReductionPolicy(on_step=lambda index, t: fired.add(index)))
+    [(start, (out, _))] = calls
+    # the orbits that fired, read off a plain run of the whole input
+    whole, fired = {}, set()
+    cubic._place(whole, [v for (_, _, x), c in start.items() for v in (*x, c)], 0, 0)
+    rel = three_relation(P2)
+    engine._stabilize(whole, rep.basis, rel, ReductionPolicy(on_step=lambda index, t: fired.add(cubic._representative(index[2]))))
+    near = {x for x in fired if min(x) <= rel.r_max}
     # and the output keys that are not the input's own were built for those
     given = {id(key) for key in start}
-    built = sum(id(key) not in given for key in rep.coeffs)
-    assert len(start) > 500
-    assert built <= sum(unpacked) <= (three_relation(P2).I + 1) * len(fired) < len(start)
+    built = sum(id(key) not in given for key in out)
+    assert len(whole) > 500
+    assert built <= sum(unpacked) <= (rel.I + 1) * len(fired) + len(near) < len(start)
 
 
 def test_pile_cache_bounds_hold_after_many_magnitudes():
     piles = cubic._PILES
     assert (piles.max_entries, piles.max_sites) == (1 << 10, 1 << 18)
     piles.clear()
-    # a pile of n chips holds about 0.64 n sites, so these hold about
-    # 300,000 sites in all; each call continues from the last pile
-    for n in range(1400, 1720):
+    # a pile of n chips holds about 0.64 n sites, stored as about 0.21 n
+    # orbit representatives, so these hold about 305,000 stored sites in
+    # all; each call continues from the last pile
+    for n in range(1400, 2200):
         represent_unit_sums(elem(P2, n, 0, 0))
     assert len(piles.piles) <= piles.max_entries
     assert piles.sites == sum(len(flat) // 3 for _, flat in piles.piles.values()) <= piles.max_sites
     assert piles.sites > piles.max_sites - 1200
     assert piles.sizes == sorted(piles.piles)
     # the oldest piles went first
-    assert 1400 not in piles.piles and 1719 in piles.piles
+    assert 1400 not in piles.piles and 2199 in piles.piles
 
 
 def test_pile_cache_evicts_the_least_recently_used_pile():
@@ -779,3 +791,74 @@ def test_piles_keep_their_coset_centre_and_the_step_invariant(a, c0, c1, c2):
     other = represent_unit_sums(elem(CubicParams(a + 1), abs(c0), -abs(c1), c2))
     assert other.steps == rep.steps
     assert {x: c for (_, _, x), c in other.coeffs.items()} == {x: c for (_, _, x), c in rep.coeffs.items()}
+
+
+def _fired_orbits(m, n):
+    """The representatives of the sites that fire when S(m) takes n - m
+    more chips at (0, 0), read off a plain, uncached run."""
+    pile = dict(represent_by_one_reduce(elem(P2, m, 0, 0)).coeffs) if m else {}
+    pile[(0, 1, (0, 0))] = pile.get((0, 1, (0, 0)), 0) + n - m
+    fired = set()
+    policy = ReductionPolicy(on_step=lambda index, t: fired.add(cubic._representative(index[2])))
+    engine.reduce(Representation(cubic_basis(P2), pile), three_relation(P2), policy)
+    return fired
+
+
+# (m, n): S(n) cold when m = 0, else continued from a cached S(m)
+EDGE_RUNS = [(0, 24), (20, 30)]
+
+
+@pytest.mark.parametrize("m, n", EDGE_RUNS)
+def test_small_runs_fire_the_origin_and_both_edges_of_the_domain(m, n):
+    """The examples of the differential below fire the origin, a site
+    i >= 1 on the ray j = 0 and a site j >= 1 on the ray i = 1, whose
+    targets the kernel sends to their representatives."""
+    fired = _fired_orbits(m, n)
+    assert (0, 0) in fired
+    assert any(j == 0 for i, j in fired if i >= 1)
+    assert any(i == 1 for i, j in fired if j >= 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(PILE_A, st.integers(0, 3000), st.integers(0, 3000), st.integers(0, 2), st.sampled_from([1, -1]))
+@example(2, EDGE_RUNS[0][1], EDGE_RUNS[0][0], 0, 1)
+@example(-3, EDGE_RUNS[1][1], EDGE_RUNS[1][0], 2, -1)
+@example(2, 2805, 990, 1, 1)
+@example(1000, 3000, 0, 0, -1)
+def test_orbit_piles_match_one_reduce(a, n, m, t, sign):
+    """A magnitude n up to 3000 on coordinate t, reduced cold (m = 0),
+    continued from a cached S(m) with m < n, or read from the cache
+    (m = n), gives the plain run's output and steps."""
+    cubic._PILES.clear()
+    m = min(m, n)
+    if m:
+        represent_unit_sums(elem(CubicParams(a), 0, m, 0))
+    coords = [0, 0, 0]
+    coords[t] = sign * n
+    beta = elem(CubicParams(a), *coords)
+    rep = represent_unit_sums(beta)
+    want = represent_by_one_reduce(beta)
+    assert rep == want and rep.steps == want.steps
+
+
+@settings(max_examples=20, deadline=None)
+@given(pile_elements)
+def test_stored_piles_expand_to_invariant_piles_about_the_seed(elements):
+    """Each cached pile holds one site per sigma-orbit, on the orbit's
+    representative, with counts 1 and 2.  Expanded, it is sigma-invariant,
+    holds its n chips with centre of mass (0, 0), and its steps satisfy
+    12 steps = sum c (i^2 + j^2)."""
+    for a, c0, c1, c2 in elements:
+        represent_unit_sums(elem(CubicParams(a), c0, c1, c2))
+    for n, (steps, flat) in cubic._PILES.piles.items():
+        it = iter(flat)
+        stored = [((i, j), c) for i, j, c in zip(it, it, it)]
+        assert all((i >= 1 and j >= 0 or i == j == 0) and c in (1, 2) for (i, j), c in stored)
+        assert len({x for x, _ in stored}) == len(stored)
+        out = {}
+        cubic._place(out, flat, 0, 0)
+        pile = {x: c for (_, _, x), c in out.items()}
+        assert all(pile.get((-j, i - j)) == c for (i, j), c in pile.items())
+        assert sum(pile.values()) == n
+        assert sum(c * i for (i, _), c in pile.items()) == sum(c * j for (_, j), c in pile.items()) == 0
+        assert 12 * steps == sum(c * (i * i + j * j) for (i, j), c in pile.items())

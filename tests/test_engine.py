@@ -705,6 +705,85 @@ def test_reduce_output_fits_its_basis_in_both_storages(monkeypatch, rep, rel, li
     assert (dict(out.coeffs), out.steps) == heap_reduce(rep, rel)[:2]
 
 
+def _orbit(x):
+    i, j = x
+    return [(i, j), (-j, i - j), (j - i, -i)]
+
+
+def _sigma_representative(x):
+    """The point of x's orbit under sigma(i, j) = (-j, i - j) with i >= 1
+    and j >= 0, or (0, 0) for the fixed point."""
+    return next((y for y in _orbit(x) if y[0] >= 1 and y[1] >= 0), (0, 0))
+
+
+def _expand(coeffs):
+    """The sigma-invariant map that repeats each count over its orbit."""
+    return {(k, ell, y): c for (k, ell, x), c in coeffs.items() for y in _orbit(x)}
+
+
+@st.composite
+def orbit_inputs(draw):
+    """One count per sigma-orbit, on the orbit's representative: a pile of
+    small counts and a few large ones, often a heavy origin."""
+    points = st.tuples(st.integers(0, 9), st.integers(0, 9)).map(_sigma_representative)
+    reps = draw(st.dictionaries(points, st.integers(1, 2), max_size=30))
+    reps.update(draw(st.dictionaries(points, st.integers(3, 40), max_size=3)))
+    if draw(st.booleans()):
+        reps[(0, 0)] = draw(st.integers(0, 400))
+    return {(0, 1, x): c for x, c in reps.items() if c}
+
+
+FOLD_STORAGES = ["list", "dict", "spilled"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(orbit_inputs(), st.sampled_from(CUBIC_PARAMS[:3]), st.sampled_from(FOLD_STORAGES))
+@example({(0, 1, (0, 0)): 24}, CubicParams(3), "list")
+@example({(0, 1, (0, 0)): 24}, CubicParams(3), "dict")
+@example({(0, 1, (0, 0)): 24}, CubicParams(3), "spilled")
+def test_folded_reduce_matches_the_plain_run_of_the_whole_input(coeffs, params, storage):
+    """Under a fold, the kernel fires orbit representatives only, in the
+    list, in the dict from the start, or after spilling to it from the
+    list.  Expanded, its output is the plain run's on the expanded input,
+    with the same steps, and the cap raises exactly when they pass it."""
+    basis, rel = cubic_basis(params), three_relation(params)
+    whole = reduce(Representation(basis, _expand(coeffs)), rel)
+    rep = Representation(basis, coeffs)
+    with pytest.MonkeyPatch.context() as patch:
+        if storage == "dict":
+            patch.setattr(engine, "_DENSE_CELLS", 0)
+        if storage == "spilled":
+            patch.setattr(engine._Box, "edge", lambda box, r: b"\x01" * box.cells)
+        out = reduce(rep, rel, fold=_sigma_representative)
+        for cap in (whole.steps - 2, whole.steps - 1) if whole.steps else ():
+            with pytest.raises(IterationCapExceeded, match=f"exceeded {cap} replacement"):
+                reduce(rep, rel, ReductionPolicy(max_steps=cap), _sigma_representative)
+        assert reduce(rep, rel, ReductionPolicy(max_steps=whole.steps), _sigma_representative) == out
+    assert _expand(dict(out.coeffs)) == dict(whole.coeffs) and out.steps == whole.steps
+    assert all(_sigma_representative(x) == x for _, _, x in out.coeffs)
+    assert_fits_its_basis(out)
+
+
+def test_fold_is_refused_where_it_cannot_hold():
+    basis, rel = cubic_basis(CUBIC3), three_relation(CUBIC3)
+    rep = Representation(basis, {(0, 1, (0, 0)): 9})
+    with pytest.raises(ValueError, match="on_step"):
+        reduce(rep, rel, ReductionPolicy(on_step=lambda index, t: None), _sigma_representative)
+    with pytest.raises(ValueError, match="sign layer 0"):
+        reduce(Representation(basis, {(1, 1, (0, 0)): 9}), rel, fold=_sigma_representative)
+    with pytest.raises(ValueError, match="sign layer 0"):
+        reduce(rep, UnitRelation(n=3, terms=((1, (1, 2)), (0, (-2, -1)), (0, (1, -1)))), fold=_sigma_representative)
+    with pytest.raises(ValueError, match="into"):
+        reduce(rep, rel, fold=lambda x: (x[0] + 9, x[1]))
+
+    def far(x):
+        y = _sigma_representative(x)
+        return y if y == x or y == (1, 2) else (y[0] + 10**6, y[1])
+
+    with pytest.raises(ValueError, match="outside the kernel's box"):
+        reduce(Representation(basis, {(0, 1, (1, 0)): 60}), rel, fold=far)
+
+
 @st.composite
 def boxes_and_states(draw):
     """A _Box with M in 1..3, L in 1..2 and corners that may be negative,
@@ -732,6 +811,12 @@ def test_box_unpacked_matches_unpack(case):
         ells = [ell for _, ell, _ in indices]
         cols = list(zip(*(x for _, _, x in indices)))
         assert box.packed(ells, cols) == [box.pack((0, ell, x)) for _, ell, x in indices]
+
+
+@given(boxes_and_states(), st.integers(0, 3))
+def test_box_near_marks_the_sites_with_an_exponent_within_r_of_zero(case, r):
+    box, _ = case
+    assert box.near(r) == bytes(any(abs(c) <= r for c in box.unpack(s)[2]) for s in range(box.cells))
 
 
 @given(st.sampled_from([None, *CUBIC_PARAMS[:3]]), seeds(1, 3, 2, 40), st.randoms(use_true_random=False))
