@@ -27,6 +27,7 @@ from .errors import (
     RelationBroken,
     VerificationFailed,
     document_ints,
+    document_json,
     exact_int,
 )
 
@@ -565,8 +566,15 @@ def element_to_json(elem: CubicElement) -> dict:
 
 
 def element_from_json(data: dict) -> CubicElement:
-    """Inverse of element_to_json; a field that is not a JSON integer or
-    a decimal string raises ValueError."""
-    (a,) = document_ints([data["a"]], "a")
-    c0, c1, c2 = document_ints(data["coords"], "coordinate")
-    return CubicElement(CubicParams(a), c0, c1, c2)
+    """Inverse of element_to_json.  A document that is not a JSON object,
+    a missing field, coords that are not an array of three, and a field
+    that is not a JSON integer or a decimal string raise ValueError."""
+    document_json(data, dict, "the document")
+    try:
+        a, coords = data["a"], data["coords"]
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc}") from None
+    if len(document_json(coords, list, "coords")) != 3:
+        raise ValueError(f"coords holds {len(coords)} values, not 3")
+    (a,) = document_ints([a], "a")
+    return CubicElement(CubicParams(a), *document_ints(coords, "coordinate"))

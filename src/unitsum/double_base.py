@@ -26,6 +26,7 @@ from .errors import (
     NoRelationFound,
     RelationInvalid,
     document_ints,
+    document_json,
     document_rational,
     exact_int,
 )
@@ -585,14 +586,6 @@ def expansion_to_json(exp) -> dict:
     }
 
 
-def _json(value, want: type, what: str):
-    """value, if it is a JSON object (want dict) or array (want list);
-    else TypeError naming what."""
-    if type(value) is not want:
-        raise TypeError(f"{what} is not a JSON {'object' if want is dict else 'array'}")
-    return value
-
-
 def expansion_from_json(data: dict):
     """Parse the expansion schema back; returns (expansion, claimed value).
 
@@ -605,16 +598,16 @@ def expansion_from_json(data: dict):
     what is wrong.
     """
     try:
-        _json(data, dict, "the document")
+        document_json(data, dict, "the document")
         kind = data["kind"]
         base = BasePair(*document_ints((data["p"], data["q"]), "base"))
-        rows = _json(data["terms"], list, "terms")
+        rows = document_json(data["terms"], list, "terms")
         try:
             digits = [t["d"] for t in rows]
         except TypeError:
             # only a term that is not a JSON object raises it
             k = next(k for k, t in enumerate(rows) if type(t) is not dict)
-            _json(rows[k], dict, f"term {k}")
+            document_json(rows[k], dict, f"term {k}")
         terms = zip(
             document_ints(digits, "digit"),
             document_ints([t["i"] for t in rows], "exponent"),

@@ -332,11 +332,14 @@ def reduce(
     its targets.  The representatives must lie in x >= 0.  A target of
     one that is no representative must come from a site with an exponent
     at most r_max, and its representative may exceed the site's largest
-    exponent by r_max at most.  on_step cannot be combined with fold.
+    exponent by r_max at most.  rep's keys are taken to be
+    representatives and are not checked.  on_step cannot be combined
+    with fold.
 
     The output is not checked again: every key comes either from the
     validated input or from the kernel's _Box (an int layer inside K*L,
-    a tuple of M ints), and every count it keeps is a positive int.
+    a tuple of M ints), through the sites that fired, their targets and
+    the cancelled mates, and every count it keeps is a positive int.
     """
     policy = policy or ReductionPolicy()
     _check_relation(rep.basis, rel)
@@ -433,21 +436,22 @@ class _Box:
         return row
 
 
-class _Folded(dict):
-    """The offsets of each site that fires under reduce's fold, keyed by
-    the site and filled as sites first fire.  A site that no near byte
-    marks (None marks every site) keeps its layer's offsets; any other
-    has each target sent to its representative, or three times to 0, the
-    one target that stands for fewer sites than the firing one."""
+class _Offsets(dict):
+    """The offsets of each site that fires, keyed by the site and filled
+    as it first fires, so the keys are exactly the sites that fired.  A
+    site gets its layer's offsets, except under reduce's fold at a site
+    that a near byte marks (None marks every site): there each target is
+    sent to its representative, or three times to 0, the one target that
+    stands for fewer sites than the firing one."""
 
-    def __init__(self, box: _Box, fold, rel: UnitRelation, near: Optional[bytes]):
+    def __init__(self, box: _Box, rel: UnitRelation, fold, near: Optional[bytes] = None):
         self.box, self.fold, self.near = box, fold, near
         self.shifts = [x for _, x in rel.terms]
 
     def __missing__(self, site: int) -> list:
         box = self.box
         offsets = box.offsets[site % box.KL]
-        if self.near is None or self.near[site]:
+        if self.fold is not None and (self.near is None or self.near[site]):
             k, ell, x = box.unpack(site)
             plain, offsets = offsets, []
             for d, shift in zip(plain, self.shifts):
@@ -485,29 +489,27 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
 
     As the sites are built, the two sign layers at one (l, x) cancel to
     their difference on the larger side.  Firing a site adds, for each
-    relation term, an int offset precomputed per layer.  A site joins
-    the next round when a firing pushes it from below n to n or above,
-    so a round lists each site at most once and every listed site holds
-    at least n when it fires.
+    relation term, an int offset looked up in an _Offsets table by the
+    site.  A site joins the next round when a firing pushes it from below
+    n to n or above, so a round lists each site at most once and every
+    listed site holds at least n when it fires.
 
-    The input's sites are packed a coordinate column at a time.  Each
-    round adds its sites, at C speed, to the set of sites that have
-    fired, so only a round that brings a new site pays for the edge
-    test.  The list storage leaves as a copy of the input map, updated
-    at the cells that could have changed: the sites that fired, the
-    targets of their own layers and the cancelled mates.  No step walks
-    the box and only those cells are unpacked, so continuing a large
-    stable input costs its firings and a few passes over the input.  The
-    dict storage holds only the support and leaves whole; both unpack
-    through _Box.unpacked.
+    The input's sites are packed a coordinate column at a time.  The
+    table's keys are the sites that fired and its values the offsets of
+    their own targets, so the list storage leaves as a copy of the input
+    map updated at the cells that could have changed: those keys, their
+    targets and the cancelled mates.  No step walks the box and only
+    those cells are unpacked, so continuing a large stable input costs
+    its firings and a few passes over the input.  The dict storage holds
+    only the support and leaves whole; both unpack through _Box.unpacked.
 
     Under reduce's fold the box is one square around the input and 0,
     so a site r_max inside it keeps the representatives of its targets
-    inside it too.  The loop looks offsets up by the site: _Folded keeps
-    a site's layer offsets, unless a near byte marks an exponent within
-    r_max of 0, where targets may leave the domain and are sent to their
-    representatives.  The loop counts firings, each of three steps; 0,
-    whose firing counts one, fires ahead of the loop in its round.
+    inside it too.  Near bytes mark the sites with an exponent within
+    r_max of 0, whose targets may leave the domain; the table sends
+    those to their representatives.  The loop counts firings, each of
+    three steps; 0, whose firing counts one, fires ahead of the loop in
+    its round.
     """
     if not coeffs:
         return {}, 0
@@ -540,60 +542,47 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
         for site, c in first.items():
             state[site] = c
         edge = box.edge(r)
-    KL, offsets, period = box.KL, box.offsets, box.KL
+    offsets = _Offsets(box, rel, fold, box.near(r) if dense and fold is not None else None)
+    cores, spent = [], 0
     if fold is not None:
-        # each site's offsets are looked up by the site itself, and the
-        # loop counts firings in units of three steps
-        offsets, period = _Folded(box, fold, rel, box.near(r) if dense else None), box.cells
-        limit, spent = cap // 3, 0
+        # the loop counts firings in units of three steps
+        limit = cap // 3
         cores = [box.pack((0, ell, (0,) * basis.M)) for ell in range(1, L + 1)]
-        lifts = sorted({fold(x) for _, x in rel.terms})
     on_step = policy.on_step
     # each distinct site is unpacked once, however often it fires
     seen = {}
-    fired = set()
     steps = 0
     while ready:
-        if dense:
-            known = len(fired)
-            fired.update(ready)
-        # spill once: the first box got no list, or a firing could leave it;
-        # a round of sites that all fired before passed the edge test then,
-        # and getitem reads bytes twice as fast as their bound __getitem__
-        if state is first or dense and len(fired) > known and any(map(getitem, repeat(edge), ready)):
+        # spill once: the first box got no list, or a firing could leave
+        # it; getitem reads bytes twice as fast as their bound __getitem__
+        if state is first or dense and any(map(getitem, repeat(edge), ready)):
             wide = around(r * (max(cap, 0) + 1))
             held = compress(enumerate(state), state) if dense else state.items()
             state = defaultdict(int, {wide.pack(box.unpack(site)): c for site, c in held})
             ready = [wide.pack(box.unpack(site)) for site in ready]
-            if fold is not None:
-                cores = [wide.pack(box.unpack(site)) for site in cores]
-                offsets, period = _Folded(wide, fold, rel, None), wide.cells
-            else:
-                offsets = wide.offsets
-            box, dense, seen = wide, False, {}
+            cores = [wide.pack(box.unpack(site)) for site in cores]
+            box, dense, seen, offsets = wide, False, {}, _Offsets(wide, rel, fold)
         following = []
-        if fold is not None:
-            # 0 fires first in its round, outside the loop, as its firing
-            # counts t steps, not 3t; its targets join the next round
-            for core in cores:
-                c = state[core]
-                if c >= n:
-                    ready.remove(core)
-                    t = c // n
-                    state[core] = c - n * t
-                    spent += t
-                    if 3 * steps + spent > cap:
-                        raise IterationCapExceeded(f"reduction exceeded {cap} replacement steps")
-                    limit = (cap - spent) // 3
-                    # its targets lie within r_max of 0, far inside the box
-                    for x in lifts:
-                        nk = core + box.shift(x)
-                        old = state[nk]
-                        state[nk] = new = old + t
-                        if old < n <= new:
-                            following.append(nk)
-                        if dense:
-                            fired.add(nk)
+        # under a fold, 0 fires first in its round, outside the loop, as
+        # its firing counts t steps, not 3t; its targets join the next round
+        for core in cores:
+            c = state[core]
+            if c >= n:
+                ready.remove(core)
+                t = c // n
+                state[core] = c - n * t
+                spent += t
+                if 3 * steps + spent > cap:
+                    raise IterationCapExceeded(f"reduction exceeded {cap} replacement steps")
+                limit = (cap - spent) // 3
+                # each representative of its targets, within r_max of 0
+                # and so far inside the box, gets t once
+                for d in set(offsets[core]):
+                    nk = core + d
+                    old = state[nk]
+                    state[nk] = new = old + t
+                    if old < n <= new:
+                        following.append(nk)
         for site in ready:
             c = state[site]
             t = c // n
@@ -606,7 +595,7 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
                 if index is None:
                     index = seen[site] = box.unpack(site)
                 on_step(index, t)
-            for d in offsets[site % period]:
+            for d in offsets[site]:
                 nk = site + d
                 old = state[nk]
                 state[nk] = new = old + t
@@ -621,25 +610,12 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
     # the input sites that ended empty, all of which fired, leave, and so
     # do the cancelled ones, which come back below if they hold chips
     out = coeffs.copy()
-    for site in [site for site in first.keys() & fired if not state[site]] + cancelled:
+    for site in [site for site in first.keys() & offsets.keys() if not state[site]] + cancelled:
         out.pop(box.unpack(site), None)
     # no other cell than a fired site, a target of one or a cancelled site
-    # changed.  Only a site's own layer's targets are sure to lie in the
-    # box, so an offset that a sign-flipping term gives some layers only
-    # is added to the sites of those layers.
-    if fold is not None:
-        fired.update([site + d for site, ds in offsets.items() for d in ds])
-    else:
-        sites, layers = list(fired), None
-        for d in {d for layer in offsets for d in layer}:
-            owners = [d in layer for layer in offsets]
-            if all(owners):
-                fired.update([site + d for site in sites])
-            else:
-                layers = layers or [site % KL for site in sites]
-                fired.update([site + d for site in compress(sites, map(owners.__getitem__, layers))])
-    fired.update(cancelled)
-    sites = list(fired)
+    # changed; the table holds each fired site's own targets, which lie in
+    # the box, as the edge test passed
+    sites = list({site + d for site, ds in offsets.items() for d in ds}.union(offsets, cancelled))
     counts = [state[site] for site in sites]
     out.update(zip(box.unpacked(list(compress(sites, counts))), filter(None, counts)))
     return out, steps

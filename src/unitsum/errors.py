@@ -95,6 +95,14 @@ def document_ints(values, what: str) -> list:
     return list(map(int, values))
 
 
+def document_json(value, want: type, what: str):
+    """value, if it is a JSON object (want dict) or array (want list);
+    else ValueError naming what."""
+    if type(value) is not want:
+        raise ValueError(f"{what} is not a JSON {'object' if want is dict else 'array'}")
+    return value
+
+
 def document_rational(value, what: str) -> Fraction:
     """value as a Fraction: a JSON integer, or a string "n" or "n/d" with
     n matching -?[0-9]+ and d matching [0-9]+; anything else, a float, a

@@ -570,6 +570,26 @@ def test_element_json_rejects_non_integer_fields(doc):
         element_from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "doc, what",
+    [
+        ({"a": "2", "coords": "123"}, "coords is not a JSON array"),
+        ({"a": "2", "coords": {"0": "1"}}, "coords is not a JSON array"),
+        ({}, "missing field 'a'"),
+        ({"a": "2"}, "missing field 'coords'"),
+        (None, "the document is not a JSON object"),
+        (["2", ["1", "0", "0"]], "the document is not a JSON object"),
+        ({"a": "2", "coords": ["1", "0"]}, "coords holds 2 values, not 3"),
+        ({"a": "2", "coords": ["1", "0", "0", "0"]}, "coords holds 4 values, not 3"),
+    ],
+)
+def test_element_json_rejects_malformed_documents(doc, what):
+    # the string "123" was read as the coordinates (1, 2, 3), and the
+    # other documents raised KeyError, TypeError or an unpacking error
+    with pytest.raises(ValueError, match=what):
+        element_from_json(doc)
+
+
 # -------------------------------------------------------------- pile cache
 
 PILE_A = st.sampled_from([-1000, -3, 0, 2, 1000])

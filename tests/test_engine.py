@@ -588,6 +588,12 @@ def continuations(draw):
         CONTINUATION_SHAPES[-1][1],
     )
 )
+@example(  # mates that cancel to 1, far from the only firing
+    (
+        Representation(LINE, {(0, 1, (0,)): 2, (0, 2, (40,)): 2, (1, 2, (40,)): 1}),
+        CONTINUATION_SHAPES[-1][1],
+    )
+)
 def test_reduce_matches_heap_reference_on_continued_piles(case):
     """The list storage's output is the input map updated at the sites
     that fired, the targets of their own layers and the cancelled mates;
