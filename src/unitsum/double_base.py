@@ -11,12 +11,12 @@ rather than in the generic engine.
 
 from __future__ import annotations
 
-import heapq
 import math
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from itertools import repeat
+from operator import add, itemgetter, mul
 from typing import Callable, List, Optional, Tuple
 
 from . import relations as _relations
@@ -68,10 +68,14 @@ def _canonical_terms(terms, allow_negative_exponents: bool) -> Tuple[Term, ...]:
             raise InvalidExpansion(f"duplicate exponent pair ({i},{j})")
         seen.add((i, j))
         clean.append((d, i, j))
+    return _descending(clean)
+
+
+def _descending(terms: list) -> Tuple[Term, ...]:
     # descending (i, j) as two stable sorts on int keys, j then i
-    clean.sort(key=itemgetter(2), reverse=True)
-    clean.sort(key=itemgetter(1), reverse=True)
-    return tuple(clean)
+    terms.sort(key=itemgetter(2), reverse=True)
+    terms.sort(key=itemgetter(1), reverse=True)
+    return tuple(terms)
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,48 @@ class ExtendedExpansion:
         object.__setattr__(
             self, "terms", _canonical_terms(self.terms, allow_negative_exponents=True)
         )
+
+
+def _expansion(cls, base: BasePair, terms: list, checked: bool):
+    """cls(base, terms), when checked says that the terms passed the
+    constructor's checks already, column by column or row by row: int
+    digits -1 or 1 at distinct int pairs, none of them negative for a
+    SignedExpansion.  The terms are then only sorted.  Otherwise the
+    constructor runs, and raises InvalidExpansion naming the first
+    faulty term."""
+    if not checked:
+        return cls(base, terms)
+    exp = object.__new__(cls)
+    object.__setattr__(exp, "base", base)
+    object.__setattr__(exp, "terms", _descending(terms))
+    return exp
+
+
+def _rows_checked(rows: dict, signed: bool) -> bool:
+    """Whether the converter's rows {j: {i: a}} hold only the digits -1
+    and 1, and, for a signed expansion, no negative i or j.  Their pairs
+    are distinct as dict keys."""
+    digits, low = set(), 0
+    for j, row in rows.items():
+        if row:
+            digits.update(row.values())
+            low = min(low, j, min(row))
+    return digits <= {-1, 1} and not (signed and low < 0)
+
+
+def _columns_checked(ds: list, iis: list, js: list, signed: bool) -> bool:
+    """Whether a document's int columns hold only the digits -1 and 1 at
+    distinct pairs, and, for a signed expansion, no negative i or j."""
+    if not set(ds) <= {-1, 1}:
+        return False
+    if not js:
+        return True
+    j0 = min(js)
+    if signed and min(j0, min(iis)) < 0:
+        return False
+    # i * span + j is one int per pair, distinct exactly when the pairs are
+    span = max(js) - j0 + 1
+    return len(set(map(add, map(mul, iis, repeat(span)), js))) == len(js)
 
 
 @dataclass(frozen=True)
@@ -309,13 +355,17 @@ def _claim_reduce(rows: dict, credits, on_step=None) -> int:
     from it upwards by at least 1.  That total starts finite, so only
     finitely many layers fire, each finitely often.
 
-    Since no credit lowers j, a layer is final once the layers below it
-    have fired.  So the layers fire in ascending j, taken from a heap of
-    ints, and each layer fires its ready sites in ascending i from its own
-    heap of ints; together that is ascending (j, i) order, stale and
-    repeated heap entries included.  A layer is scheduled when its first
-    site becomes ready.  on_step, when given, receives ((i, j), t) for
-    each firing.  Returns the number of fired pairs.
+    The firing order is ascending (j, i): each firing is at the least
+    ready site.  No credit lowers j, so a layer is final once the layers
+    below it have fired, and the layers are swept in ascending j.  Each
+    row is swept in ascending i from a list of its ready sites.  Below
+    the cursor every site is stable: only the in-layer credit changes
+    the row, and it lands at i + di.  When di > 0 a site it makes ready
+    lies ahead and joins the list in its place; when di <= 0 the site
+    is at or behind the cursor and is now the least ready one, so it
+    fires at once, and so on down the chain.  on_step, when given,
+    receives ((i, j), t) for each firing.  Returns the number of fired
+    pairs.
     """
     ok = len(credits) == 2
     if ok:
@@ -323,26 +373,21 @@ def _claim_reduce(rows: dict, credits, on_step=None) -> int:
         ok = min(dj0, dj1) == 0 < max(dj0, dj1) and abs(c0) == abs(c1) == 1
     if not ok:
         raise RelationInvalid("credits must be one unit term that stays in layer and one that raises it")
-    heappush, heappop = heapq.heappush, heapq.heappop
-    ready = {}
-    for j, row in rows.items():
-        heap = [i for i, a in row.items() if a >= 2 or a <= -2]
-        if heap:
-            heapq.heapify(heap)
-            ready[j] = heap
-    layers = list(ready)
-    heapq.heapify(layers)
+    (di, _, c), (ui, uj, uc) = credits if credits[0][1] == 0 else credits[::-1]
+    layers = sorted(rows)
     steps = 0
-    while layers:
-        j = heappop(layers)
-        heap = ready.pop(j)
+    for j in layers:  # grows past j as firings raise new layers
         row = rows[j]
-        targets = []  # (di, c, target row, its ready heap, its layer) per credit
-        for di, dj, c in credits:
-            tj = j + dj
-            targets.append((di, c, rows.setdefault(tj, {}), ready.setdefault(tj, []) if dj else heap, tj))
-        while heap:
-            i = heappop(heap)
+        # the ready sites negated, ascending: pop() gives the least
+        todo = sorted(-i for i, a in row.items() if a >= 2 or a <= -2)
+        if not todo:
+            continue
+        if j + uj not in rows:
+            rows[j + uj] = {}
+            insort(layers, j + uj)
+        upper = rows[j + uj]
+        while todo:
+            i = -todo.pop()
             a = row.get(i, 0)
             if -2 < a < 2:
                 continue
@@ -356,18 +401,21 @@ def _claim_reduce(rows: dict, credits, on_step=None) -> int:
             steps += t
             if on_step is not None:
                 on_step((i, j), t)
-            for di, c, trow, theap, tj in targets:
-                k = i + di
-                old = trow.get(k, 0)
-                nv = old + c * st
-                if nv:
-                    trow[k] = nv
-                else:
-                    trow.pop(k, None)
-                if -2 < old < 2 and not -2 < nv < 2:
-                    if not theap and tj != j:  # j's own heap is being drained
-                        heappush(layers, tj)
-                    heappush(theap, k)
+            k = i + di
+            old = row.get(k, 0)
+            nv = old + c * st
+            if nv:
+                row[k] = nv
+            else:
+                row.pop(k, None)
+            if -2 < old < 2 and not -2 < nv < 2:
+                insort(todo, -k)  # at the end, the next to fire, when di <= 0
+            k = i + ui
+            nv = upper.get(k, 0) + uc * st
+            if nv:
+                upper[k] = nv
+            else:
+                upper.pop(k, None)
     return steps
 
 
@@ -448,7 +496,7 @@ def expand_with_stats(
         steps = _claim_reduce(rows, _extended_credits(rel), on_step)
     sign = 1 if v > 0 else -1
     terms = [(sign * a, i, j) for j, row in rows.items() for i, a in row.items()]
-    return ExpandStats(SignedExpansion(base, terms), steps, w_init)
+    return ExpandStats(_expansion(SignedExpansion, base, terms, _rows_checked(rows, True)), steps, w_init)
 
 
 def expand(v: int, base: BasePair, seed_method: str = "padic") -> SignedExpansion:
@@ -490,7 +538,7 @@ def expand_extended(x: PQRational, base: BasePair, on_step=None) -> ExtendedExpa
         terms = [(sign * a, j - x.a_p, i - x.a_q) for j, row in rows.items() for i, a in row.items()]
     else:
         terms = [(sign * a, i - x.a_p, j - x.a_q) for j, row in rows.items() for i, a in row.items()]
-    return ExtendedExpansion(base, terms)
+    return _expansion(ExtendedExpansion, base, terms, _rows_checked(rows, False))
 
 
 def _shifted_sum(terms, p: int, q: int) -> Tuple[int, int, int]:
@@ -608,18 +656,19 @@ def expansion_from_json(data: dict):
             # only a term that is not a JSON object raises it
             k = next(k for k, t in enumerate(rows) if type(t) is not dict)
             document_json(rows[k], dict, f"term {k}")
-        terms = zip(
-            document_ints(digits, "digit"),
-            document_ints([t["i"] for t in rows], "exponent"),
-            document_ints([t["j"] for t in rows], "exponent"),
-        )
+        ds = document_ints(digits, "digit")
+        iis = document_ints([t["i"] for t in rows], "exponent")
+        js = document_ints([t["j"] for t in rows], "exponent")
         claimed = document_rational(data["value"], "value")
     except KeyError as exc:
         raise InvalidExpansion(f"malformed expansion document: missing field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise InvalidExpansion(f"malformed expansion document: {exc}") from None
     if kind == "signed":
-        return (SignedExpansion(base, terms), claimed)
-    if kind == "extended":
-        return (ExtendedExpansion(base, terms), claimed)
-    raise InvalidExpansion(f"unknown expansion kind {kind!r}")
+        cls = SignedExpansion
+    elif kind == "extended":
+        cls = ExtendedExpansion
+    else:
+        raise InvalidExpansion(f"unknown expansion kind {kind!r}")
+    checked = _columns_checked(ds, iis, js, cls is SignedExpansion)
+    return (_expansion(cls, base, list(zip(ds, iis, js)), checked), claimed)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
 from math import isqrt, prod
-from operator import add, getitem, mul
+from operator import add, eq, getitem, mul
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Tuple
 
@@ -332,9 +332,9 @@ def reduce(
     its targets.  The representatives must lie in x >= 0.  A target of
     one that is no representative must come from a site with an exponent
     at most r_max, and its representative may exceed the site's largest
-    exponent by r_max at most.  rep's keys are taken to be
-    representatives and are not checked.  on_step cannot be combined
-    with fold.
+    exponent by r_max at most.  A key of rep that is not its orbit's
+    representative raises ValueError naming it.  on_step cannot be
+    combined with fold.
 
     The output is not checked again: every key comes either from the
     validated input or from the kernel's _Box (an int layer inside K*L,
@@ -350,6 +350,10 @@ def reduce(
             raise ValueError("fold needs nonzero relation exponents, and the relation and input on sign layer 0")
         if not all(0 <= c <= rel.r_max for _, r in rel.terms for c in fold(r)):
             raise ValueError("fold must send the relation's exponents into [0, r_max]")
+        xs = [x for _, _, x in rep._coeffs]
+        if not all(map(eq, map(fold, xs), xs)):
+            key = next(key for key in rep._coeffs if fold(key[2]) != key[2])
+            raise ValueError(f"key {key} is not the representative of its orbit under fold")
     out, steps = _stabilize(rep._coeffs, rep.basis, rel, policy, fold)
     return _representation(rep.basis, out, steps)
 

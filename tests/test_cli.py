@@ -145,6 +145,34 @@ def test_verify_rejects_loose_value_strings(capsys, monkeypatch, bad):
     assert out.startswith("status invalid (malformed expansion document: value ")
 
 
+@pytest.mark.parametrize(
+    "terms, fault",
+    [
+        ([(2, "0", "0")], "digit 2 at (0,0) is not -1 or 1"),
+        ([(1, "-1", "0")], "negative exponent at (-1,0)"),
+        ([(1, "1", "0"), (-1, "1", "0")], "duplicate exponent pair (1,0)"),
+        ([(1, "1", "0"), (-1, "1", "0"), (3, "2", "0")], "duplicate exponent pair (1,0)"),
+    ],
+    ids=["digit-2", "negative-exponent", "duplicate", "duplicate-then-digit"],
+)
+def test_verify_names_the_faulty_term(capsys, monkeypatch, terms, fault):
+    doc = json.dumps({
+        "kind": "signed", "p": "5", "q": "23", "value": "2",
+        "terms": [{"d": d, "i": i, "j": j} for d, i, j in terms],
+    })
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    assert run(capsys, "verify", "-")[:2] == (5, f"status invalid ({fault})\n")
+
+
+def test_verify_accepts_an_extended_document_with_negative_exponents(capsys, monkeypatch):
+    doc = json.dumps({
+        "kind": "extended", "p": "5", "q": "11", "value": "1/55",
+        "terms": [{"d": 1, "i": "-1", "j": "-1"}],
+    })
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    assert run(capsys, "verify", "-")[:2] == (0, "value 1/55\nstatus valid\n")
+
+
 def test_verify_names_the_missing_field_of_a_cubic_document(capsys, monkeypatch):
     # cubic-repr writes a unit sum, which is no expansion document
     _, doc, _ = run(capsys, "cubic-repr", "--a", "2", "--format", "json", "5", "0", "0")

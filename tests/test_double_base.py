@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from unitsum import (
     PlainRelation,
     SignedExpansion,
     balanced_ternary,
+    double_base,
     evaluate_expansion,
     expand,
     expand_extended,
@@ -532,6 +534,55 @@ def test_expand_extended_round_trip_with_denominator(n, ap, aq):
     assert evaluate_expansion(exp) == x
 
 
+@pytest.mark.parametrize(
+    "left, fault",
+    [
+        ({0: {0: 2}}, "digit 2 at (0,0)"),
+        ({0: {3: 1, 1: -3}}, "digit -3 at (1,0)"),
+        ({0: {-1: 1}}, "negative exponent at (-1,0)"),
+        ({-1: {0: 1}, 0: {}}, "negative exponent at (0,-1)"),
+    ],
+)
+def test_expand_names_a_term_its_reduction_left_faulty(monkeypatch, left, fault):
+    # the converters check their output from the rows, not term by term
+    def stub(rows, credits, on_step=None):
+        rows.clear()
+        rows.update({j: dict(row) for j, row in left.items()})
+        return 0
+
+    monkeypatch.setattr(double_base, "_claim_reduce", stub)
+    with pytest.raises(InvalidExpansion, match=fr"^{re.escape(fault)}"):
+        expand_with_stats(997, B523)
+
+
+def test_expand_extended_names_a_digit_its_reduction_left_faulty(monkeypatch):
+    def stub(rows, credits, on_step=None):
+        rows[0] = {0: 1, 2: 2}
+        return 0
+
+    monkeypatch.setattr(double_base, "_claim_reduce", stub)
+    b = BasePair(5, 11)
+    with pytest.raises(InvalidExpansion, match=r"^digit 2 at \(1,0\)"):
+        expand_extended(pq_rational(Fraction(7, 5), b), b)
+
+
+@settings(max_examples=60)
+@given(st.integers(-(2**300), 2**300), st.sampled_from([(5, 23), (11, 13), (5, 7)]), st.sampled_from(["padic", "greedy"]))
+def test_expand_terms_pass_the_public_constructor(v, pq, seed):
+    terms = expand_with_stats(v, BasePair(*pq), seed).expansion.terms
+    assert terms == SignedExpansion(BasePair(*pq), list(terms)).terms
+    assert all(type(c) is int for term in terms for c in term)
+
+
+@settings(max_examples=60)
+@given(st.integers(-(2**200), 2**200).filter(bool), st.integers(0, 6), st.integers(0, 6), st.sampled_from([(5, 11), (11, 5)]))
+def test_expand_extended_terms_pass_the_public_constructor(n, ap, aq, pq):
+    b = BasePair(*pq)
+    terms = expand_extended(pq_rational(Fraction(n, b.p**ap * b.q**aq), b), b).terms
+    assert terms == ExtendedExpansion(b, list(terms)).terms
+    assert all(type(c) is int for term in terms for c in term)
+
+
 # ----------------------------------------------------------------- helpers
 
 
@@ -651,6 +702,40 @@ def test_expansion_json_reads_integers_and_decimal_strings():
     assert expansion_from_json(doc) == (SignedExpansion(B523, [(1, 2, 0)]), 25)
 
 
+def _doc(kind, *terms, p="5", q="23", value="2"):
+    return {"kind": kind, "p": p, "q": q, "value": value,
+            "terms": [{"d": d, "i": i, "j": j} for d, i, j in terms]}
+
+
+# each faulty document with its message; a document with several faults
+# is named by its first faulty term
+FAULTY_DOCUMENTS = [
+    (_doc("signed", (2, "0", "0")), "digit 2 at (0,0) is not -1 or 1"),
+    (_doc("signed", (1, "3", "0"), (1, "-1", "0")), "negative exponent at (-1,0)"),
+    (_doc("signed", (1, "0", "-2")), "negative exponent at (0,-2)"),
+    (_doc("signed", (1, "1", "0"), (-1, "1", "0")), "duplicate exponent pair (1,0)"),
+    (_doc("signed", (1, "1", "0"), (-1, "1", "0"), (3, "2", "0")), "duplicate exponent pair (1,0)"),
+    (_doc("signed", (1, "1", "0"), (0, "1", "0"), (1, "-2", "0")), "digit 0 at (1,0) is not -1 or 1"),
+    (_doc("extended", (1, "-1", "-1"), (-2, "-1", "-1"), q="11"), "digit -2 at (-1,-1) is not -1 or 1"),
+    (_doc("extended", (1, "-1", "-1"), (1, "-1", "-1"), q="11"), "duplicate exponent pair (-1,-1)"),
+]
+
+
+@pytest.mark.parametrize("doc, message", FAULTY_DOCUMENTS)
+def test_expansion_json_names_the_first_faulty_term(doc, message):
+    with pytest.raises(InvalidExpansion) as info:
+        expansion_from_json(doc)
+    assert str(info.value) == message
+
+
+def test_extended_expansion_json_accepts_negative_exponents():
+    doc = _doc("extended", (1, "-1", "-1"), (-1, "0", "-2"), (1, "2", "0"), p="5", q="11", value="1/55")
+    exp, claimed = expansion_from_json(doc)
+    assert exp == ExtendedExpansion(BasePair(5, 11), [(1, 2, 0), (-1, 0, -2), (1, -1, -1)])
+    assert exp.terms == ((1, 2, 0), (-1, 0, -2), (1, -1, -1))
+    assert claimed == Fraction(1, 55)
+
+
 # --------------------------------------------------------- claim reduction
 
 
@@ -767,6 +852,11 @@ def _run_capped(kernel, state, credits, cap=20_000):
 @given(st.sampled_from(CREDITS), ROWS)
 @example(CREDITS[0], {0: {0: 5}, 1: {0: 1, 2: -1}})  # chips land on a layer with no ready site
 @example(CREDITS[3], {0: {3: 4, 0: 1}, 1: {-1: 1}, 3: {0: -7}})
+@example(CREDITS[3], {0: {6: 2, 5: -1, 4: 1, 3: -1}})  # a backward chain: 6 fires, then 5, 4 and 3
+@example(CREDITS[5], {0: {0: 9}})  # the credit lands on the site that fired
+@example(CREDITS[0], {0: {0: 3, 2: 1}})  # a credit ahead of the row's last ready site
+@example(CREDITS[0], {0: {0: 3, 1: 2, 2: 1}})  # 2, made ready ahead, waits for 1
+@example(CREDITS[7], {0: {0: 5}})  # a raise by 3 and a credit behind the cursor
 def test_claim_reduce_matches_heap_reference(credits, rows):
     grid = {(i, j): a for j, row in rows.items() for i, a in row.items()}
     rows = {j: dict(row) for j, row in rows.items()}

@@ -790,6 +790,15 @@ def test_fold_is_refused_where_it_cannot_hold():
         reduce(Representation(basis, {(0, 1, (1, 0)): 60}), rel, fold=far)
 
 
+def test_fold_refuses_keys_that_are_not_representatives():
+    # (0, 5) lies in the orbit of (5, 0); {(0, 1, (0, 5)): 10} alone was
+    # fired as a representative, 18 steps, and (0, 5) kept in the output
+    basis, rel = cubic_basis(CubicParams(2)), three_relation(CubicParams(2))
+    rep = Representation(basis, {(0, 1, (1, 0)): 1, (0, 1, (0, 5)): 10, (0, 1, (2, 1)): 4})
+    with pytest.raises(ValueError, match=r"^key \(0, 1, \(0, 5\)\) is not the representative"):
+        reduce(rep, rel, fold=_sigma_representative)
+
+
 @st.composite
 def boxes_and_states(draw):
     """A _Box with M in 1..3, L in 1..2 and corners that may be negative,
