@@ -450,11 +450,6 @@ def _place(out: dict, flat, t: int, k: int) -> None:
         out[(k, 1, (i + t, j))] = out[(k, 1, (t - j, i - j))] = out[(k, 1, (j - i + t, -i))] = c
 
 
-def _cap_exceeded(max_steps: int) -> IterationCapExceeded:
-    # the message engine.reduce gives for the same cap
-    return IterationCapExceeded(f"reduction exceeded {max_steps} replacement steps")
-
-
 def represent_unit_sums(beta: CubicElement, policy: Optional[engine.ReductionPolicy] = None) -> Representation:
     """Unit-sum representation of beta with every coefficient at most 2.
 
@@ -486,7 +481,7 @@ def represent_unit_sums(beta: CubicElement, policy: Optional[engine.ReductionPol
       seed, and stabilization is unique, so every S(n) is
       sigma-invariant, and a pile is kept and reduced as one count per
       orbit, on the orbit's point with i >= 1 and j >= 0 (see
-      engine.reduce's fold).  Such a firing of t stands for three and
+      engine._stabilize's fold).  Such a firing of t stands for three and
       counts 3t steps; the origin's firing of t counts t and sends t to
       the one representative (1, 2) of its targets.
     - *Invariant.*  A step at x moves three chips from x to x + r over
@@ -498,7 +493,8 @@ def represent_unit_sums(beta: CubicElement, policy: Optional[engine.ReductionPol
     So each call takes the magnitudes in ascending order and starts each
     from the largest pile below it: the cached S(m) with m <= |c_t| (see
     _PileCache), or the one this call made last, if larger.  It adds the
-    missing chips at (0, 0) and runs one engine.reduce on the orbits.
+    missing chips at (0, 0) and runs the engine's kernel once on the
+    orbits.
     The new pile's steps are read from the invariant, must add up to the
     kernel's count, and the pile is stored.  A total above the cap,
     counting each coordinate at the pile it starts from, raises at once.
@@ -525,33 +521,30 @@ def represent_unit_sums(beta: CubicElement, policy: Optional[engine.ReductionPol
             total += (below[1] - steps) * counts[n]
             m, steps, flat = below
         if total > cap:
-            raise _cap_exceeded(policy.max_steps)
+            raise engine._cap_exceeded(policy.max_steps)
         if m < n:
             it = iter(flat)
             start = {(0, 1, (i, j)): c for i, j, c in zip(it, it, it)}
             start[(0, 1, (0, 0))] = start.get((0, 1, (0, 0)), 0) + n - m
             try:
-                rep = engine.reduce(
-                    engine._representation(basis, start, 0),
-                    rel,
-                    engine.ReductionPolicy(max_steps=cap - total),
-                    _representative,
+                pile, more = engine._stabilize(
+                    start, basis, rel, engine.ReductionPolicy(max_steps=cap - total), _representative
                 )
             except IterationCapExceeded:
-                rep = None
-            if rep is None:
+                pile = None
+            if pile is None:
                 # raised out here, so that no traceback keeps the kernel's state
-                raise _cap_exceeded(policy.max_steps)
-            squares = sum(c * (i * i - i * j + j * j) for (_, _, (i, j)), c in rep.items())
-            if squares != 3 * (steps + rep.steps):
-                raise VerificationFailed(f"S({n}) of {beta!r} holds {squares} / 3 steps, not {steps} + {rep.steps}")
-            total += rep.steps * counts[n]
-            steps += rep.steps
-            flat = array("h", [v for (_, _, (i, j)), c in rep.items() for v in (i, j, c)])
+                raise engine._cap_exceeded(policy.max_steps)
+            squares = sum(c * (i * i - i * j + j * j) for (_, _, (i, j)), c in pile.items())
+            if squares != 3 * (steps + more):
+                raise VerificationFailed(f"S({n}) of {beta!r} holds {squares} / 3 steps, not {steps} + {more}")
+            total += more * counts[n]
+            steps += more
+            flat = array("h", [v for (_, _, (i, j)), c in pile.items() for v in (i, j, c)])
             _PILES.store(n, steps, flat)
         piles[n] = below = (n, steps, flat)
     if total > cap:
-        raise _cap_exceeded(policy.max_steps)
+        raise engine._cap_exceeded(policy.max_steps)
     out = {}
     for t, n, k in coords:
         _place(out, piles[n][2], t, k)

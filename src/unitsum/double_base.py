@@ -15,8 +15,7 @@ import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import add, itemgetter, mul
+from operator import itemgetter
 from typing import Callable, List, Optional, Tuple
 
 from . import relations as _relations
@@ -109,7 +108,7 @@ class ExtendedExpansion:
 
 def _expansion(cls, base: BasePair, terms: list, checked: bool):
     """cls(base, terms), when checked says that the terms passed the
-    constructor's checks already, column by column or row by row: int
+    constructor's checks already, row by row (see _rows_checked): int
     digits -1 or 1 at distinct int pairs, none of them negative for a
     SignedExpansion.  The terms are then only sorted.  Otherwise the
     constructor runs, and raises InvalidExpansion naming the first
@@ -132,21 +131,6 @@ def _rows_checked(rows: dict, signed: bool) -> bool:
             digits.update(row.values())
             low = min(low, j, min(row))
     return digits <= {-1, 1} and not (signed and low < 0)
-
-
-def _columns_checked(ds: list, iis: list, js: list, signed: bool) -> bool:
-    """Whether a document's int columns hold only the digits -1 and 1 at
-    distinct pairs, and, for a signed expansion, no negative i or j."""
-    if not set(ds) <= {-1, 1}:
-        return False
-    if not js:
-        return True
-    j0 = min(js)
-    if signed and min(j0, min(iis)) < 0:
-        return False
-    # i * span + j is one int per pair, distinct exactly when the pairs are
-    span = max(js) - j0 + 1
-    return len(set(map(add, map(mul, iis, repeat(span)), js))) == len(js)
 
 
 @dataclass(frozen=True)
@@ -520,6 +504,8 @@ def expand_extended(x: PQRational, base: BasePair, on_step=None) -> ExtendedExpa
     powers live on the q side run through the p <-> q mirror image of the
     whole computation.
     """
+    if not isinstance(x, PQRational):
+        raise ValueError(f"expand_extended takes a PQRational, not {type(x).__name__}; see pq_rational")
     if x.base != base:
         raise ValueError("rational and expansion base pairs differ")
     if x.num == 0:
@@ -649,16 +635,16 @@ def expansion_from_json(data: dict):
         document_json(data, dict, "the document")
         kind = data["kind"]
         base = BasePair(*document_ints((data["p"], data["q"]), "base"))
-        rows = document_json(data["terms"], list, "terms")
+        terms = document_json(data["terms"], list, "terms")
         try:
-            digits = [t["d"] for t in rows]
+            digits = [t["d"] for t in terms]
         except TypeError:
             # only a term that is not a JSON object raises it
-            k = next(k for k, t in enumerate(rows) if type(t) is not dict)
-            document_json(rows[k], dict, f"term {k}")
+            k = next(k for k, t in enumerate(terms) if type(t) is not dict)
+            document_json(terms[k], dict, f"term {k}")
         ds = document_ints(digits, "digit")
-        iis = document_ints([t["i"] for t in rows], "exponent")
-        js = document_ints([t["j"] for t in rows], "exponent")
+        iis = document_ints([t["i"] for t in terms], "exponent")
+        js = document_ints([t["j"] for t in terms], "exponent")
         claimed = document_rational(data["value"], "value")
     except KeyError as exc:
         raise InvalidExpansion(f"malformed expansion document: missing field {exc}") from None
@@ -670,5 +656,10 @@ def expansion_from_json(data: dict):
         cls = ExtendedExpansion
     else:
         raise InvalidExpansion(f"unknown expansion kind {kind!r}")
-    checked = _columns_checked(ds, iis, js, cls is SignedExpansion)
+    rows = {}
+    for d, i, j in zip(ds, iis, js):
+        rows.setdefault(j, {})[i] = d
+    # a repeated pair leaves fewer entries in the rows than terms; on any
+    # fault the constructor names the first faulty term, in document order
+    checked = _rows_checked(rows, cls is SignedExpansion) and sum(map(len, rows.values())) == len(ds)
     return (_expansion(cls, base, list(zip(ds, iis, js)), checked), claimed)

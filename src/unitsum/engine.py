@@ -7,8 +7,8 @@ instantiates the basis.  The central rewrite replaces n copies of a
 unit with the I units of a fixed relation, and `reduce` iterates that
 rewrite until every coefficient is below n.  Its kernel keeps the counts
 in a flat list over a box around the input, or, for an input whose sites
-lie far apart or whose run outgrows that box, in a dict.  Given an
-input that a symmetry of order 3 fixes, it keeps one count per orbit.
+lie far apart or whose run outgrows that box, in a dict.  For the cubic
+piles it keeps one count per orbit of a symmetry of order 3.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
 from math import isqrt, prod
-from operator import add, eq, getitem, mul
+from operator import add, getitem, mul
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Tuple
 
@@ -194,8 +194,8 @@ class ReductionPolicy:
     ValueError), caps the total rewrite count.  The cap is checked after
     each firing, and one firing at a site holding c performs c // n
     rewrites at once, so the count may overshoot the cap by at most one
-    firing before the error fires; under reduce's fold, a firing of t
-    stands for an orbit of three sites and counts 3t.  on_step, when
+    firing before the error fires; under _stabilize's fold, a firing of
+    t stands for an orbit of three sites and counts 3t.  on_step, when
     given, receives (index, multiplicity) once per firing.  The order of
     the calls is unspecified; the per-site sums of the multiplicities,
     the number of rewrites made at each site, do not depend on it.
@@ -302,12 +302,7 @@ def bounds_f_T(params: BoundParams):
     return (f, T)
 
 
-def reduce(
-    rep: Representation,
-    rel: UnitRelation,
-    policy: Optional[ReductionPolicy] = None,
-    fold: Optional[Callable[[tuple], tuple]] = None,
-) -> Representation:
+def reduce(rep: Representation, rel: UnitRelation, policy: Optional[ReductionPolicy] = None) -> Representation:
     """Rewrite until every coefficient lies in [1, n-1].
 
     Opposite sign layers at the same (l, x) cancel first.  Firing is done
@@ -319,23 +314,6 @@ def reduce(
     in .steps.  Raises IterationCapExceeded, with no partial result, if
     policy.max_steps is hit.
 
-    fold, when given, maps an exponent vector to the representative of
-    its orbit under a linear map sigma of order 3 that fixes only 0 and
-    permutes rel's terms, all of which lie on sign layer 0 with nonzero
-    exponents.  rep then lists one site per orbit, at its representative
-    on sign layer 0, for the sigma-invariant input that repeats each
-    count over the orbit; the output is that input's stable state, given
-    the same way, and .steps is that input's full count.  The invariant
-    run is unique, so it stays invariant and only the representatives
-    fire: a firing of t away from 0 stands for three and counts 3t
-    steps, and 0's firing counts t and sends t to each representative of
-    its targets.  The representatives must lie in x >= 0.  A target of
-    one that is no representative must come from a site with an exponent
-    at most r_max, and its representative may exceed the site's largest
-    exponent by r_max at most.  A key of rep that is not its orbit's
-    representative raises ValueError naming it.  on_step cannot be
-    combined with fold.
-
     The output is not checked again: every key comes either from the
     validated input or from the kernel's _Box (an int layer inside K*L,
     a tuple of M ints), through the sites that fired, their targets and
@@ -343,18 +321,7 @@ def reduce(
     """
     policy = policy or ReductionPolicy()
     _check_relation(rep.basis, rel)
-    if fold is not None:
-        if policy.on_step is not None:
-            raise ValueError("on_step cannot be combined with fold")
-        if any(k or not any(r) for k, r in rel.terms) or any(k for k, _, _ in rep._coeffs):
-            raise ValueError("fold needs nonzero relation exponents, and the relation and input on sign layer 0")
-        if not all(0 <= c <= rel.r_max for _, r in rel.terms for c in fold(r)):
-            raise ValueError("fold must send the relation's exponents into [0, r_max]")
-        xs = [x for _, _, x in rep._coeffs]
-        if not all(map(eq, map(fold, xs), xs)):
-            key = next(key for key in rep._coeffs if fold(key[2]) != key[2])
-            raise ValueError(f"key {key} is not the representative of its orbit under fold")
-    out, steps = _stabilize(rep._coeffs, rep.basis, rel, policy, fold)
+    out, steps = _stabilize(rep._coeffs, rep.basis, rel, policy)
     return _representation(rep.basis, out, steps)
 
 
@@ -443,10 +410,10 @@ class _Box:
 class _Offsets(dict):
     """The offsets of each site that fires, keyed by the site and filled
     as it first fires, so the keys are exactly the sites that fired.  A
-    site gets its layer's offsets, except under reduce's fold at a site
-    that a near byte marks (None marks every site): there each target is
-    sent to its representative, or three times to 0, the one target that
-    stands for fewer sites than the firing one."""
+    site gets its layer's offsets, except under _stabilize's fold at a
+    site that a near byte marks (None marks every site): there each
+    target is sent to its representative, or three times to 0, the one
+    target that stands for fewer sites than the firing one."""
 
     def __init__(self, box: _Box, rel: UnitRelation, fold, near: Optional[bytes] = None):
         self.box, self.fold, self.near = box, fold, near
@@ -474,8 +441,14 @@ class _Offsets(dict):
         return offsets
 
 
+def _cap_exceeded(cap: int) -> IterationCapExceeded:
+    # raised by _stabilize and by cubic.represent_unit_sums
+    return IterationCapExceeded(f"reduction exceeded {cap} replacement steps")
+
+
 def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: ReductionPolicy, fold=None):
-    """Round kernel behind reduce; returns (stable coefficients, steps).
+    """Round kernel behind reduce and cubic.represent_unit_sums; returns
+    (stable coefficients, steps) for a map that fits the basis.
 
     Sites are packed into ints over a box (see _Box), and their counts
     are kept in one of two storages.  The first box is the input's hull
@@ -507,13 +480,26 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
     its firings and a few passes over the input.  The dict storage holds
     only the support and leaves whole; both unpack through _Box.unpacked.
 
-    Under reduce's fold the box is one square around the input and 0,
-    so a site r_max inside it keeps the representatives of its targets
-    inside it too.  Near bytes mark the sites with an exponent within
-    r_max of 0, whose targets may leave the domain; the table sends
-    those to their representatives.  The loop counts firings, each of
-    three steps; 0, whose firing counts one, fires ahead of the loop in
-    its round.
+    fold, when given, sends an exponent vector to its orbit's
+    representative under a linear sigma of order 3 that fixes only 0
+    and permutes rel's terms, which lie on sign layer 0 with nonzero
+    exponents that fold sends into [0, r_max].  Representatives lie in
+    x >= 0; a target that is none comes from a site with an exponent at
+    most r_max, and its representative exceeds that site's largest
+    exponent by r_max at most.  coeffs then holds one count per orbit,
+    on sign layer 0 at its representative, and the result is the stable
+    state of the sigma-invariant input, given the same way, with its
+    full step count.  on_step must be None.  The tests prove this
+    contract once for cubic's _representative and _THREE, the one fold
+    and relation that come here; it is not checked here.
+
+    That run is unique, so it stays invariant and only representatives
+    fire: the loop counts firings, each of three steps, and 0, whose
+    firing counts one, fires ahead of the loop in its round.  The box is
+    one square around the input and 0, so a site r_max inside it keeps
+    the representatives of its targets inside it too.  Near bytes mark
+    the sites with an exponent within r_max of 0, whose targets may
+    leave the domain; the table sends those to their representatives.
     """
     if not coeffs:
         return {}, 0
@@ -526,7 +512,7 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
     def around(reach):
         lo, hi = [min(c) - reach for c in cols], [max(c) + reach for c in cols]
         if fold is not None:
-            # one square box that holds 0 too; see reduce
+            # one square box that holds 0 too; see the docstring
             lo, hi = [min(-reach, *lo)] * len(lo), [max(reach, *hi)] * len(hi)
         return _Box(basis, rel, lo, hi)
 
@@ -577,7 +563,7 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
                 state[core] = c - n * t
                 spent += t
                 if 3 * steps + spent > cap:
-                    raise IterationCapExceeded(f"reduction exceeded {cap} replacement steps")
+                    raise _cap_exceeded(cap)
                 limit = (cap - spent) // 3
                 # each representative of its targets, within r_max of 0
                 # and so far inside the box, gets t once
@@ -593,7 +579,7 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
             state[site] = c - n * t
             steps += t
             if steps > limit:
-                raise IterationCapExceeded(f"reduction exceeded {cap} replacement steps")
+                raise _cap_exceeded(cap)
             if on_step is not None:
                 index = seen.get(site)
                 if index is None:

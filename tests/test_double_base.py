@@ -478,6 +478,12 @@ def test_expand_extended_value_seven_over_25():
     assert all(d in (-1, 1) for d, _, _ in exp.terms)
 
 
+@pytest.mark.parametrize("x", [Fraction(7, 55), 7, "7/55"])
+def test_expand_extended_names_the_type_it_takes(x):
+    with pytest.raises(ValueError, match=r"^expand_extended takes a PQRational, not \w+; see pq_rational$"):
+        expand_extended(x, BasePair(5, 11))
+
+
 def test_expand_extended_mirrored_relation():
     # (11,5) only has the mirrored inverse-power relation 2 = 11/5 - 1/5
     b = BasePair(11, 5)

@@ -33,7 +33,7 @@ from unitsum import (
     to_unit_relation,
     total_weight,
 )
-from unitsum import engine
+from unitsum import cubic, engine
 from unitsum.double_base import BasePair
 from unitsum.relations import find_extended_relation, find_plain_relation
 
@@ -742,6 +742,11 @@ def orbit_inputs(draw):
 FOLD_STORAGES = ["list", "dict", "spilled"]
 
 
+def _folded(coeffs, basis, rel, max_steps=1_000_000, fold=_sigma_representative):
+    out, steps = engine._stabilize(coeffs, basis, rel, ReductionPolicy(max_steps=max_steps), fold)
+    return engine._representation(basis, out, steps)
+
+
 @settings(max_examples=150, deadline=None)
 @given(orbit_inputs(), st.sampled_from(CUBIC_PARAMS[:3]), st.sampled_from(FOLD_STORAGES))
 @example({(0, 1, (0, 0)): 24}, CubicParams(3), "list")
@@ -754,17 +759,16 @@ def test_folded_reduce_matches_the_plain_run_of_the_whole_input(coeffs, params, 
     with the same steps, and the cap raises exactly when they pass it."""
     basis, rel = cubic_basis(params), three_relation(params)
     whole = reduce(Representation(basis, _expand(coeffs)), rel)
-    rep = Representation(basis, coeffs)
     with pytest.MonkeyPatch.context() as patch:
         if storage == "dict":
             patch.setattr(engine, "_DENSE_CELLS", 0)
         if storage == "spilled":
             patch.setattr(engine._Box, "edge", lambda box, r: b"\x01" * box.cells)
-        out = reduce(rep, rel, fold=_sigma_representative)
+        out = _folded(coeffs, basis, rel)
         for cap in (whole.steps - 2, whole.steps - 1) if whole.steps else ():
             with pytest.raises(IterationCapExceeded, match=f"exceeded {cap} replacement"):
-                reduce(rep, rel, ReductionPolicy(max_steps=cap), _sigma_representative)
-        assert reduce(rep, rel, ReductionPolicy(max_steps=whole.steps), _sigma_representative) == out
+                _folded(coeffs, basis, rel, cap)
+        assert _folded(coeffs, basis, rel, whole.steps) == out
     assert _expand(dict(out.coeffs)) == dict(whole.coeffs) and out.steps == whole.steps
     assert all(_sigma_representative(x) == x for _, _, x in out.coeffs)
     assert_fits_its_basis(out)
@@ -772,31 +776,36 @@ def test_folded_reduce_matches_the_plain_run_of_the_whole_input(coeffs, params, 
 
 def test_fold_is_refused_where_it_cannot_hold():
     basis, rel = cubic_basis(CUBIC3), three_relation(CUBIC3)
-    rep = Representation(basis, {(0, 1, (0, 0)): 9})
-    with pytest.raises(ValueError, match="on_step"):
-        reduce(rep, rel, ReductionPolicy(on_step=lambda index, t: None), _sigma_representative)
-    with pytest.raises(ValueError, match="sign layer 0"):
-        reduce(Representation(basis, {(1, 1, (0, 0)): 9}), rel, fold=_sigma_representative)
-    with pytest.raises(ValueError, match="sign layer 0"):
-        reduce(rep, UnitRelation(n=3, terms=((1, (1, 2)), (0, (-2, -1)), (0, (1, -1)))), fold=_sigma_representative)
-    with pytest.raises(ValueError, match="into"):
-        reduce(rep, rel, fold=lambda x: (x[0] + 9, x[1]))
 
     def far(x):
         y = _sigma_representative(x)
         return y if y == x or y == (1, 2) else (y[0] + 10**6, y[1])
 
     with pytest.raises(ValueError, match="outside the kernel's box"):
-        reduce(Representation(basis, {(0, 1, (1, 0)): 60}), rel, fold=far)
+        _folded({(0, 1, (1, 0)): 60}, basis, rel, fold=far)
 
 
-def test_fold_refuses_keys_that_are_not_representatives():
-    # (0, 5) lies in the orbit of (5, 0); {(0, 1, (0, 5)): 10} alone was
-    # fired as a representative, 18 steps, and (0, 5) kept in the output
-    basis, rel = cubic_basis(CubicParams(2)), three_relation(CubicParams(2))
-    rep = Representation(basis, {(0, 1, (1, 0)): 1, (0, 1, (0, 5)): 10, (0, 1, (2, 1)): 4})
-    with pytest.raises(ValueError, match=r"^key \(0, 1, \(0, 5\)\) is not the representative"):
-        reduce(rep, rel, fold=_sigma_representative)
+def test_cubic_fold_keeps_the_kernels_contract():
+    """engine._stabilize checks nothing of its fold's contract, so it is
+    proved here on the one fold and relation that reach it."""
+    rel, fold = cubic._THREE, cubic._representative
+    shifts = [r for _, r in rel.terms]
+    assert all(k == 0 and any(r) for k, r in rel.terms)
+    assert all(0 <= c <= rel.r_max for r in shifts for c in fold(r))
+    # sigma, the linear map fold is taken under, permutes the terms
+    assert sorted(_orbit(r)[1] for r in shifts) == sorted(shifts)
+    grid = [(i, j) for i in range(-12, 13) for j in range(-12, 13)]
+    for x in grid:
+        y = fold(x)
+        assert fold(y) == y and all(fold(z) == y for z in _orbit(x))
+        assert y == (0, 0) or (y[0] >= 1 and y[1] >= 0)
+        assert (_orbit(x)[1] == x) == (x == (0, 0))
+    for x in filter(lambda x: fold(x) == x, grid):
+        targets = [tuple(a + b for a, b in zip(x, r)) for r in shifts]
+        if min(x) > rel.r_max:
+            assert all(fold(y) == y for y in targets)
+        else:
+            assert all(c <= max(x) + rel.r_max for y in targets for c in fold(y))
 
 
 @st.composite
