@@ -13,7 +13,6 @@ from __future__ import annotations
 import bisect
 import functools
 import threading
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -378,12 +377,13 @@ class _PileCache:
     magnitude n alone, with at most max_entries piles and max_sites
     stored sites; the least recently used pile goes first.
 
-    A pile is (steps, flat): its sigma-orbit representatives (see
-    _representative) as one flat array of 16-bit ints i0, j0, c0, i1,
-    ..., with the pile's seed at (0, 0).  A pile of n chips lies within
-    about sqrt(n) of its seed, so a site beyond 2^15 would take about
-    10^9 chips and 10^16 steps.  A lock keeps the sorted list of
-    magnitudes and the dict in step across threads.
+    A pile is (steps, pile): its sigma-orbit representatives (see
+    _representative) as the map {(0, 1, (i, j)): c} that
+    engine._stabilize returned, with the seed at (0, 0); nothing changes
+    a pile once it is stored.  By tracemalloc, a site costs about 41
+    bytes in a pile continued from the one below it, whose unchanged keys
+    it shares, and about 175 in a cold pile: at most about 11 or 46 MB in
+    all.  A lock keeps the sorted magnitudes and the dict in step.
     """
 
     def __init__(self, max_entries: int, max_sites: int):
@@ -393,39 +393,38 @@ class _PileCache:
 
     def clear(self) -> None:
         with self._lock:
-            self.piles = {}  # n -> (steps, flat), least recently used first
+            self.piles = {}  # n -> (steps, pile), least recently used first
             self.sizes = []  # the same magnitudes, ascending
             self.sites = 0
 
     def floor(self, n: int):
-        """(m, steps, flat) for the largest cached m <= n, or the empty
-        pile (0, 0, ())."""
+        """(m, steps, pile) for the largest cached m <= n, or the empty
+        pile (0, 0, {})."""
         with self._lock:
             k = bisect.bisect_right(self.sizes, n)
             if not k:
-                return 0, 0, ()
+                return 0, 0, {}
             m = self.sizes[k - 1]
-            steps, flat = self.piles[m] = self.piles.pop(m)
-            return m, steps, flat
+            steps, pile = self.piles[m] = self.piles.pop(m)
+            return m, steps, pile
 
-    def store(self, n: int, steps: int, flat: array) -> None:
-        sites = len(flat) // 3
+    def store(self, n: int, steps: int, pile: dict) -> None:
         with self._lock:
             # a pile larger than the site bound on its own is not kept
-            if n in self.piles or sites > self.max_sites:
+            if n in self.piles or len(pile) > self.max_sites:
                 return
-            self.piles[n] = (steps, flat)
+            self.piles[n] = (steps, pile)
             bisect.insort(self.sizes, n)
-            self.sites += sites
+            self.sites += len(pile)
             while len(self.piles) > self.max_entries or self.sites > self.max_sites:
                 old = next(iter(self.piles))
-                self.sites -= len(self.piles.pop(old)[1]) // 3
+                self.sites -= len(self.piles.pop(old)[1])
                 del self.sizes[bisect.bisect_left(self.sizes, old)]
 
 
-# a cubic-units bench round stores about 13,000 orbit representatives,
-# and the 500 elements of acceptance criterion 7 about 82,000; at 6
-# bytes a site, the bound holds about 1.5 MB
+# a cubic-units bench round stores about 13,000 orbit representatives
+# (about 0.85 MB), and the 500 elements of acceptance criterion 7 about
+# 82,000; see _PileCache for what a site costs
 _PILES = _PileCache(max_entries=1 << 10, max_sites=1 << 18)
 
 
@@ -441,12 +440,11 @@ def _representative(x):
     return (0, 0)
 
 
-def _place(out: dict, flat, t: int, k: int) -> None:
+def _place(out: dict, pile: dict, t: int, k: int) -> None:
     """Add a pile, moved from (0, 0) to (t, 0), to out on sign layer k:
     each stored (i, j) stands for its sigma-orbit (i, j), (-j, i - j),
     (j - i, -i), which is the origin alone when (i, j) is."""
-    it = iter(flat)
-    for i, j, c in zip(it, it, it):
+    for (_, _, (i, j)), c in pile.items():
         out[(k, 1, (i + t, j))] = out[(k, 1, (t - j, i - j))] = out[(k, 1, (j - i + t, -i))] = c
 
 
@@ -512,20 +510,18 @@ def represent_unit_sums(beta: CubicElement, policy: Optional[engine.ReductionPol
     cap = max(policy.max_steps, 0)
     coords = [(t, abs(c), 0 if c > 0 else 1) for t, c in enumerate(beta.coords) if c]
     counts = Counter(n for _, n, _ in coords)
-    piles = {n: _PILES.floor(n) for n in counts}  # (m, steps, flat)
+    piles = {n: _PILES.floor(n) for n in counts}  # (m, steps, pile)
     total = sum(piles[n][1] * k for n, k in counts.items())
-    below = (0, 0, ())
+    below = (0, 0, {})
     for n in sorted(counts):
-        m, steps, flat = piles[n]
+        m, steps, pile = piles[n]
         if below[0] > m:
             total += (below[1] - steps) * counts[n]
-            m, steps, flat = below
+            m, steps, pile = below
         if total > cap:
             raise engine._cap_exceeded(policy.max_steps)
         if m < n:
-            it = iter(flat)
-            start = {(0, 1, (i, j)): c for i, j, c in zip(it, it, it)}
-            start[(0, 1, (0, 0))] = start.get((0, 1, (0, 0)), 0) + n - m
+            start = {**pile, (0, 1, (0, 0)): pile.get((0, 1, (0, 0)), 0) + n - m}
             try:
                 pile, more = engine._stabilize(
                     start, basis, rel, engine.ReductionPolicy(max_steps=cap - total), _representative
@@ -540,9 +536,8 @@ def represent_unit_sums(beta: CubicElement, policy: Optional[engine.ReductionPol
                 raise VerificationFailed(f"S({n}) of {beta!r} holds {squares} / 3 steps, not {steps} + {more}")
             total += more * counts[n]
             steps += more
-            flat = array("h", [v for (_, _, (i, j)), c in pile.items() for v in (i, j, c)])
-            _PILES.store(n, steps, flat)
-        piles[n] = below = (n, steps, flat)
+            _PILES.store(n, steps, pile)
+        piles[n] = below = (n, steps, pile)
     if total > cap:
         raise engine._cap_exceeded(policy.max_steps)
     out = {}

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
 from math import isqrt, prod
-from operator import add, getitem, mul
+from operator import add, getitem, mul, not_
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Tuple
 
@@ -305,23 +305,30 @@ def bounds_f_T(params: BoundParams):
 def reduce(rep: Representation, rel: UnitRelation, policy: Optional[ReductionPolicy] = None) -> Representation:
     """Rewrite until every coefficient lies in [1, n-1].
 
-    Opposite sign layers at the same (l, x) cancel first.  Firing is done
-    in rounds: each round fires every site whose coefficient has reached
-    n, c // n times at once.  Stabilization is abelian, so the final
-    state, the total step count and the number of rewrites made at each
-    site do not depend on the firing order; they match one-at-a-time
-    targeting in any order.  The output carries the total rewrite count
+    Opposite sign layers at the same (l, x) cancel first, here, to their
+    difference on the larger side, so the kernel gets at most one layer
+    per (l, x).  Firing is done in rounds: each round fires every site
+    whose coefficient has reached n, c // n times at once.  Stabilization
+    is abelian, so the final state, the total step count and the number
+    of rewrites made at each site do not depend on the firing order;
+    they match one-at-a-time targeting in any order.  The output carries the total rewrite count
     in .steps.  Raises IterationCapExceeded, with no partial result, if
     policy.max_steps is hit.
 
     The output is not checked again: every key comes either from the
     validated input or from the kernel's _Box (an int layer inside K*L,
-    a tuple of M ints), through the sites that fired, their targets and
-    the cancelled mates, and every count it keeps is a positive int.
+    a tuple of M ints), through the sites that fired and their targets,
+    and every count it keeps is a positive int.
     """
     policy = policy or ReductionPolicy()
     _check_relation(rep.basis, rel)
-    out, steps = _stabilize(rep._coeffs, rep.basis, rel, policy)
+    coeffs = {}
+    for key, a in rep._coeffs.items():
+        mate = (1 - key[0], key[1], key[2])
+        b = coeffs.pop(mate, 0)
+        if a != b:
+            coeffs[key if a > b else mate] = abs(a - b)
+    out, steps = _stabilize(coeffs, rep.basis, rel, policy)
     return _representation(rep.basis, out, steps)
 
 
@@ -369,11 +376,11 @@ class _Box:
         k, ell = self.heads[layer]
         return (k, ell, tuple(x))
 
-    def packed(self, ells, cols) -> list:
-        """[pack((0, l, x)) ...] for the generators l in ells and the x
-        given by their coordinate columns cols, a column at a time."""
+    def packed(self, heads, cols) -> list:
+        """[pack((k, l, x)) ...] for the k*L + l in heads and the x given
+        by their coordinate columns cols, a column at a time."""
         base = self.origin - 1
-        sites = [ell + base for ell in ells]
+        sites = [head + base for head in heads]
         for col, s in zip(cols, self.scales):
             sites = [site + c * s for site, c in zip(sites, col)]
         return sites
@@ -448,37 +455,39 @@ def _cap_exceeded(cap: int) -> IterationCapExceeded:
 
 def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: ReductionPolicy, fold=None):
     """Round kernel behind reduce and cubic.represent_unit_sums; returns
-    (stable coefficients, steps) for a map that fits the basis.
+    (stable coefficients, steps) for a map that fits the basis and holds
+    at most one sign layer at each (l, x), as reduce leaves it.
 
     Sites are packed into ints over a box (see _Box), and their counts
-    are kept in one of two storages.  The first box is the input's hull
-    widened by r_max * (isqrt(w) // 2 + 2) for the input weight w (at
-    most _CHIP_CEILING).  If it has at most _DENSE_CELLS * (w + number
-    of sites) cells, the counts live in a flat list over it for as long
-    as no site about to fire lies within r_max of one of its faces, so
-    every target of a firing lies inside it.  Otherwise, as for sites
-    10^9 apart, or once such a site is about to fire, the counts move
-    once into a dict over a box that exceeds the input's hull by r_max *
+    are kept in one of two storages, chosen before the input is packed.
+    The first box is the input's hull widened by r_max * (isqrt(w) // 2
+    + 2) for the input weight w (at most _CHIP_CEILING).  If it has at
+    most _DENSE_CELLS * (w + number of sites) cells, the counts live in a
+    flat list over it for as long as no site about to fire lies within
+    r_max of one of its faces, so every target of a firing lies inside
+    it.  Otherwise, as for sites 10^9 apart, the counts live in a dict
+    from the start, and once such a site is about to fire they move into
+    one; it lies over a box that exceeds the input's hull by r_max *
     (max_steps + 1) on every side, and no box cell is allocated.  A site
     d hops from the input takes d firings of at least one step each, and
     the cap raises before the firing that passes it moves any chips, so
     no site leaves that box.
 
-    As the sites are built, the two sign layers at one (l, x) cancel to
-    their difference on the larger side.  Firing a site adds, for each
-    relation term, an int offset looked up in an _Offsets table by the
-    site.  A site joins the next round when a firing pushes it from below
-    n to n or above, so a round lists each site at most once and every
-    listed site holds at least n when it fires.
+    Firing a site adds, for each relation term, an int offset looked up
+    in an _Offsets table by the site.  A site joins the next round when
+    a firing pushes it from below n to n or above, so a round lists each
+    site at most once and every listed site holds at least n when it
+    fires.
 
     The input's sites are packed a coordinate column at a time.  The
     table's keys are the sites that fired and its values the offsets of
     their own targets, so the list storage leaves as a copy of the input
-    map updated at the cells that could have changed: those keys, their
-    targets and the cancelled mates.  No step walks the box and only
-    those cells are unpacked, so continuing a large stable input costs
-    its firings and a few passes over the input.  The dict storage holds
-    only the support and leaves whole; both unpack through _Box.unpacked.
+    map updated at the cells that could have changed, by one rule: those
+    keys and their targets take their counts, and those that ended
+    empty leave.  No step walks the box and only those cells are
+    unpacked, so continuing a large stable input costs its firings and a
+    few passes over the input.  The dict storage holds only the support
+    and leaves whole; both unpack through _Box.unpacked.
 
     fold, when given, sends an exponent vector to its orbit's
     representative under a linear sigma of order 3 that fixes only 0
@@ -517,21 +526,18 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
         return _Box(basis, rel, lo, hi)
 
     box = around(r * (isqrt(chips) // 2 + 2))
-    first, cancelled = {}, []
-    for at, k, a in zip(box.packed(ells, cols), ks, coeffs.values()):
-        site, mate = at + k * L, at + (1 - k) * L
-        b = first.pop(mate, 0)
-        if b:
-            cancelled += site, mate
-        if a != b:
-            first[site if a > b else mate] = abs(a - b)
-    ready = [site for site, c in first.items() if c >= n]
-    state, dense = first, box.cells <= _DENSE_CELLS * (chips + len(coeffs))
+    dense = box.cells <= _DENSE_CELLS * (chips + len(coeffs))
+    if not dense:
+        box = around(r * (max(cap, 0) + 1))
+    sites = box.packed([k * L + ell for k, ell in zip(ks, ells)], cols)
+    ready = [site for site, c in zip(sites, coeffs.values()) if c >= n]
     if dense:
         state = [0] * box.cells
-        for site, c in first.items():
+        for site, c in zip(sites, coeffs.values()):
             state[site] = c
         edge = box.edge(r)
+    else:
+        state = defaultdict(int, zip(sites, coeffs.values()))
     offsets = _Offsets(box, rel, fold, box.near(r) if dense and fold is not None else None)
     cores, spent = [], 0
     if fold is not None:
@@ -543,12 +549,11 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
     seen = {}
     steps = 0
     while ready:
-        # spill once: the first box got no list, or a firing could leave
-        # it; getitem reads bytes twice as fast as their bound __getitem__
-        if state is first or dense and any(map(getitem, repeat(edge), ready)):
+        # spill once, when a firing could leave the list's box; getitem
+        # reads bytes twice as fast as their bound __getitem__
+        if dense and any(map(getitem, repeat(edge), ready)):
             wide = around(r * (max(cap, 0) + 1))
-            held = compress(enumerate(state), state) if dense else state.items()
-            state = defaultdict(int, {wide.pack(box.unpack(site)): c for site, c in held})
+            state = defaultdict(int, {wide.pack(box.unpack(site)): c for site, c in compress(enumerate(state), state)})
             ready = [wide.pack(box.unpack(site)) for site in ready]
             cores = [wide.pack(box.unpack(site)) for site in cores]
             box, dense, seen, offsets = wide, False, {}, _Offsets(wide, rel, fold)
@@ -597,15 +602,14 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
     if not dense:
         sites = list(compress(state, state.values()))
         return dict(zip(box.unpacked(sites), filter(None, state.values()))), steps
-    # the input sites that ended empty, all of which fired, leave, and so
-    # do the cancelled ones, which come back below if they hold chips
-    out = coeffs.copy()
-    for site in [site for site in first.keys() & offsets.keys() if not state[site]] + cancelled:
-        out.pop(box.unpack(site), None)
-    # no other cell than a fired site, a target of one or a cancelled site
-    # changed; the table holds each fired site's own targets, which lie in
-    # the box, as the edge test passed
-    sites = list({site + d for site, ds in offsets.items() for d in ds}.union(offsets, cancelled))
+    # no cell other than a fired site or a target of one changed; the
+    # table holds each fired site's own targets, which lie in the box, as
+    # the edge test passed, and every site that ended empty fired
+    sites = list({site + d for site, ds in offsets.items() for d in ds}.union(offsets))
     counts = [state[site] for site in sites]
-    out.update(zip(box.unpacked(list(compress(sites, counts))), filter(None, counts)))
+    keys = box.unpacked(sites)
+    out = coeffs.copy()
+    out.update(zip(keys, counts))
+    for key in compress(keys, map(not_, counts)):
+        del out[key]
     return out, steps

@@ -15,8 +15,8 @@ from unitsum import IterationCapExceeded
 
 
 def _normalized(coeffs: dict) -> dict:
-    # Opposite sign layers at the same (l, x) cancel exactly; kept apart
-    # from the kernel, which cancels while it builds its sites.
+    # Opposite sign layers at the same (l, x) cancel exactly; written
+    # apart from reduce, which cancels on its own map before it fires.
     out = dict(coeffs)
     for key in [key for key in out if key[0] == 0]:
         _, ell, x = key

@@ -689,9 +689,8 @@ def test_continuing_a_pile_unpacks_only_the_sites_that_moved(monkeypatch, n):
     """With S(940) cached, a call at n hands the kernel the orbit
     representatives of S(940) plus n - 940 chips at the seed.  Its list
     storage starts from that input and unpacks at most the I + 1 sites
-    each fired orbit can change, the cancelled ones (none here) and,
-    once, each fired site near the edge of the domain of
-    representatives, never the whole pile."""
+    each fired orbit can change and, once, each fired site near the edge
+    of the domain of representatives, never the whole pile."""
     cubic._PILES.clear()
     represent_unit_sums(elem(P2, 940, 0, 0))
     calls, unpacked = [], []
@@ -711,7 +710,7 @@ def test_continuing_a_pile_unpacks_only_the_sites_that_moved(monkeypatch, n):
     [(start, (out, _))] = calls
     # the orbits that fired, read off a plain run of the whole input
     whole, fired = {}, set()
-    cubic._place(whole, [v for (_, _, x), c in start.items() for v in (*x, c)], 0, 0)
+    cubic._place(whole, start, 0, 0)
     rel = three_relation(P2)
     engine._stabilize(whole, rep.basis, rel, ReductionPolicy(on_step=lambda index, t: fired.add(cubic._representative(index[2]))))
     near = {x for x in fired if min(x) <= rel.r_max}
@@ -732,26 +731,46 @@ def test_pile_cache_bounds_hold_after_many_magnitudes():
     for n in range(1400, 2200):
         represent_unit_sums(elem(P2, n, 0, 0))
     assert len(piles.piles) <= piles.max_entries
-    assert piles.sites == sum(len(flat) // 3 for _, flat in piles.piles.values()) <= piles.max_sites
+    assert piles.sites == sum(len(pile) for _, pile in piles.piles.values()) <= piles.max_sites
     assert piles.sites > piles.max_sites - 1200
     assert piles.sizes == sorted(piles.piles)
     # the oldest piles went first
     assert 1400 not in piles.piles and 2199 in piles.piles
 
 
+def _line(sites):
+    """A stand-in pile of the given number of sites."""
+    return {(0, 1, (i, 0)): 1 for i in range(sites)}
+
+
 def test_pile_cache_evicts_the_least_recently_used_pile():
     cache = cubic._PileCache(max_entries=3, max_sites=5)
     for n in (1, 2, 3):
-        cache.store(n, 0, (0, 0, n))
+        cache.store(n, 0, {(0, 1, (0, 0)): n})
     assert cache.floor(2)[0] == 2  # 2 is now the most recently used
-    cache.store(4, 0, (0, 0, 1))
+    cache.store(4, 0, _line(1))
     assert sorted(cache.piles) == [2, 3, 4]
-    assert cache.floor(1) == (0, 0, ())
-    cache.store(9, 7, (0, 0, 1) * 4)  # 7 sites and 4 entries: 3 goes, then 2
+    assert cache.floor(1) == (0, 0, {})
+    cache.store(9, 7, _line(4))  # 7 sites and 4 entries: 3 goes, then 2
     assert cache.sizes == [4, 9] and cache.sites == 5
-    assert cache.floor(20) == (9, 7, (0, 0, 1) * 4)
-    cache.store(10, 8, (0, 0, 1) * 6)  # larger than the site bound alone
+    assert cache.floor(20) == (9, 7, _line(4))
+    cache.store(10, 8, _line(6))  # larger than the site bound alone
     assert cache.sizes == [4, 9] and cache.sites == 5
+
+
+def test_a_stored_pile_never_changes():
+    """A continuation starts from a copy of the stored pile, and a repeat
+    reads it on either sign and in any coordinate without writing it."""
+    piles = cubic._PILES
+    piles.clear()
+    represent_unit_sums(elem(P2, 700, 0, 0))
+    steps, pile = piles.piles[700]
+    snapshot = dict(pile)
+    represent_unit_sums(elem(P2, 0, 0, -731))  # continues S(700)
+    assert sorted(piles.piles) == [700, 731]
+    represent_unit_sums(elem(P2, -700, 0, 700))
+    represent_unit_sums(elem(P2, 0, 700, -700))
+    assert piles.piles[700] == (steps, snapshot) and piles.piles[700][1] is pile
 
 
 def test_pile_cache_is_shared_safely_across_threads(monkeypatch):
@@ -787,7 +806,7 @@ def test_pile_cache_is_shared_safely_across_threads(monkeypatch):
     assert errors == []
     piles = cubic._PILES
     assert piles.sizes == sorted(piles.piles) and len(piles.piles) <= piles.max_entries
-    assert piles.sites == sum(len(flat) // 3 for _, flat in piles.piles.values()) <= piles.max_sites
+    assert piles.sites == sum(len(pile) for _, pile in piles.piles.values()) <= piles.max_sites
 
 
 @settings(max_examples=40)
@@ -870,13 +889,12 @@ def test_stored_piles_expand_to_invariant_piles_about_the_seed(elements):
     12 steps = sum c (i^2 + j^2)."""
     for a, c0, c1, c2 in elements:
         represent_unit_sums(elem(CubicParams(a), c0, c1, c2))
-    for n, (steps, flat) in cubic._PILES.piles.items():
-        it = iter(flat)
-        stored = [((i, j), c) for i, j, c in zip(it, it, it)]
-        assert all((i >= 1 and j >= 0 or i == j == 0) and c in (1, 2) for (i, j), c in stored)
-        assert len({x for x, _ in stored}) == len(stored)
+    for n, (steps, stored) in cubic._PILES.piles.items():
+        assert all(k == 0 and ell == 1 for k, ell, _ in stored)
+        assert all((i >= 1 and j >= 0 or i == j == 0) and c in (1, 2) for (_, _, (i, j)), c in stored.items())
+        assert len({x for _, _, x in stored}) == len(stored)
         out = {}
-        cubic._place(out, flat, 0, 0)
+        cubic._place(out, stored, 0, 0)
         pile = {x: c for (_, _, x), c in out.items()}
         assert all(pile.get((-j, i - j)) == c for (i, j), c in pile.items())
         assert sum(pile.values()) == n

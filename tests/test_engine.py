@@ -595,15 +595,47 @@ def continuations(draw):
     )
 )
 def test_reduce_matches_heap_reference_on_continued_piles(case):
-    """The list storage's output is the input map updated at the sites
-    that fired, the targets of their own layers and the cancelled mates;
-    every other site keeps its input count, with and without on_step."""
+    """The list storage's output is the cancelled input map updated at
+    the sites that fired and the targets of their own layers; every other
+    site keeps its input count, with and without on_step."""
     rep, rel = case
     expected = heap_reduce(rep, rel)
     assert_agrees_with(expected, rep, rel)
     out = reduce(rep, rel)
     assert (dict(out.coeffs), out.steps) == expected[:2]
     assert_fits_its_basis(out)
+
+
+@settings(max_examples=150)
+@given(continuations())
+@example(  # both layers at each (l, x), cancelling to nothing
+    (
+        Representation(LINE, {(0, 1, (3,)): 4, (1, 2, (-1,)): 2, (1, 1, (3,)): 4, (0, 2, (-1,)): 2}),
+        CONTINUATION_SHAPES[-1][1],
+    )
+)
+def test_reduce_hands_the_kernel_one_sign_layer_per_site(case):
+    """reduce cancels opposite layers on its own map, so no (l, x)
+    reaches the kernel on both, and the output is still the
+    reference's, with and without on_step."""
+    rep, rel = case
+    handed = []
+    stabilize = engine._stabilize
+
+    def spy(coeffs, *rest):
+        handed.append(dict(coeffs))
+        return stabilize(coeffs, *rest)
+
+    expected = heap_reduce(rep, rel)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_stabilize", spy)
+        assert_agrees_with(expected, rep, rel)
+        out = reduce(rep, rel)
+    assert (dict(out.coeffs), out.steps) == expected[:2]
+    assert len(handed) == 2
+    assert not any((1 - k, ell, x) in coeffs for coeffs in handed for k, ell, x in coeffs)
+    if all(rep.coeffs.get((1 - k, ell, x)) == a for (k, ell, x), a in rep.items()):
+        assert not out and out.steps == 0
 
 
 POINT = UnitGroupBasis(etas=(1,), epsilons=(3,), abs_val=(_point(3),))
