@@ -229,7 +229,7 @@ def _generator_power(conjugate: bool, e: int, a: int):
     """Coordinates of alpha^e, or of the conjugate's e-th power, for any
     integer e: square-and-multiply on the generator, or on its inverse
     when e < 0, so a cold exponent costs O(log |e|) products.  The last
-    2^12 powers are cached.
+    2^12 powers are cached, of exponents |e| <= 2^8 only (see _power).
     """
     e = exact_int(e, "exponent")
     g = (a + 1, a - 1, -1) if conjugate else (0, 1, 0)
@@ -238,15 +238,30 @@ def _generator_power(conjugate: bool, e: int, a: int):
     return _pow_coords(g, abs(e), a)
 
 
+# piles reach exponents of about 95 (90 in S(10^4), plus the coordinate
+# shift).  A power's coordinates hold about |e| log2(|a| + 3) bits each,
+# so at a = 1000 a cached entry holds at most about 1 KB, where one of
+# e = 10^5 held about 400 KB
+_CACHED_EXPONENT = 1 << 8
+
+
+def _power(conjugate: bool, e: int, a: int):
+    """_generator_power(conjugate, e, a), through its cache for an int
+    |e| <= 2^8 and computed afresh for any other e."""
+    if type(e) is int and -_CACHED_EXPONENT <= e <= _CACHED_EXPONENT:
+        return _generator_power(conjugate, e, a)
+    return _generator_power.__wrapped__(conjugate, e, a)
+
+
 def unit_monomial(i: int, j: int, params: CubicParams) -> CubicElement:
     """alpha^i * conjugate^j for any integer exponents; always integral.
 
     The generators are units, so their inverses are integral too and
     every product stays integral.  The element is one product of two
-    cached generator powers and carries the caller's params.
+    generator powers (see _power) and carries the caller's params.
     """
     a = params.a
-    return _element(params, *_mul_coords(_generator_power(False, i, a), _generator_power(True, j, a), a))
+    return _element(params, *_mul_coords(_power(False, i, a), _power(True, j, a), a))
 
 
 _THREE = UnitRelation(n=3, terms=((0, (1, 2)), (0, (-2, -1)), (0, (1, -1))))
@@ -344,16 +359,21 @@ def cubic_evaluator(params: CubicParams):
     Terms are grouped by the conjugate's exponent j: each row sums
     +-a alpha^i on coordinate triples and is multiplied once by the
     conjugate's j-th power, so a representation costs one product per
-    row and one element in all.
+    row and one element in all.  Each distinct power is read once per
+    call (see _power).
     """
     a = params.a
 
     def ev(items) -> CubicElement:
         rows = {}
+        powers = {}
         for (k, _, (i, j)), c in items:
             if k:
                 c = -c
-            u0, u1, u2 = _generator_power(False, i, a)
+            u = powers.get(i)
+            if u is None:
+                u = powers[i] = _power(False, i, a)
+            u0, u1, u2 = u
             row = rows.get(j)
             if row is None:
                 rows[j] = [c * u0, c * u1, c * u2]
@@ -363,7 +383,7 @@ def cubic_evaluator(params: CubicParams):
                 row[2] += c * u2
         t0 = t1 = t2 = 0
         for j, row in rows.items():
-            s0, s1, s2 = _mul_coords(row, _generator_power(True, j, a), a)
+            s0, s1, s2 = _mul_coords(row, _power(True, j, a), a)
             t0 += s0
             t1 += s1
             t2 += s2
@@ -377,13 +397,13 @@ class _PileCache:
     magnitude n alone, with at most max_entries piles and max_sites
     stored sites; the least recently used pile goes first.
 
-    A pile is (steps, pile): its sigma-orbit representatives (see
-    _representative) as the map {(0, 1, (i, j)): c} that
+    A pile is (steps, pile): its orbit representatives (see
+    _fold) as the map {(0, 1, (i, j)): c} that
     engine._stabilize returned, with the seed at (0, 0); nothing changes
-    a pile once it is stored.  By tracemalloc, a site costs about 41
+    a pile once it is stored.  By tracemalloc, a site costs about 42
     bytes in a pile continued from the one below it, whose unchanged keys
-    it shares, and about 175 in a cold pile: at most about 11 or 46 MB in
-    all.  A lock keeps the sorted magnitudes and the dict in step.
+    it shares, and about 160 to 180 in a cold pile: at most about 11 or
+    48 MB in all.  A lock keeps the sorted magnitudes and the dict in step.
     """
 
     def __init__(self, max_entries: int, max_sites: int):
@@ -422,30 +442,45 @@ class _PileCache:
                 del self.sizes[bisect.bisect_left(self.sizes, old)]
 
 
-# a cubic-units bench round stores about 13,000 orbit representatives
-# (about 0.85 MB), and the 500 elements of acceptance criterion 7 about
-# 82,000; see _PileCache for what a site costs
+# a cubic-units bench round stores about 7,400 orbit representatives
+# (about 0.48 MB), and the 500 elements of acceptance criterion 7 about
+# 47,000; see _PileCache for what a site costs
 _PILES = _PileCache(max_entries=1 << 10, max_sites=1 << 18)
 
 
-def _representative(x):
-    """The one point of x's orbit under sigma(i, j) = (-j, i - j) with
-    i >= 1 and j >= 0; for x = (0, 0), sigma's only fixed point, the
-    origin itself."""
+def _fold(x):
+    """(y, s): the one point y of x's orbit under the group generated by
+    sigma(i, j) = (-j, i - j) and tau(i, j) = (-j, -i) that lies in F,
+    and the orbit's size s, for engine._stabilize.  F is (0, 0), the
+    only point sigma fixes, and i >= 1, j >= 1, i <= 2 j, j <= 2 i.
+    sigma first brings x to i >= 1 and j >= 0, where tau sigma^2 sends
+    i > 2 j to (i, i - j) and tau sigma sends j > 2 i to (j - i, j).
+    An orbit holds 6 points, 3 when it meets the mirror rays i = 2 j and
+    j = 2 i, the edges of F, and the origin is its own."""
     i, j = x
     for _ in range(3):
         if i >= 1 and j >= 0:
-            return (i, j)
+            break
         i, j = -j, i - j
-    return (0, 0)
+    else:
+        return (0, 0), 1
+    if i > 2 * j:
+        j = i - j
+    elif j > 2 * i:
+        i = j - i
+    return (i, j), 3 if i == 2 * j or j == 2 * i else 6
 
 
 def _place(out: dict, pile: dict, t: int, k: int) -> None:
     """Add a pile, moved from (0, 0) to (t, 0), to out on sign layer k:
-    each stored (i, j) stands for its sigma-orbit (i, j), (-j, i - j),
-    (j - i, -i), which is the origin alone when (i, j) is."""
+    each stored (i, j) stands for its orbit, the sigma-orbit (i, j),
+    (-j, i - j), (j - i, -i) and its image under tau, (-j, -i),
+    (j - i, j), (i, i - j).  On a mirror ray the two are one, so it is
+    written once; the origin is one point."""
     for (_, _, (i, j)), c in pile.items():
         out[(k, 1, (i + t, j))] = out[(k, 1, (t - j, i - j))] = out[(k, 1, (j - i + t, -i))] = c
+        if i != 2 * j and j != 2 * i:
+            out[(k, 1, (t - j, -i))] = out[(k, 1, (j - i + t, j))] = out[(k, 1, (i + t, i - j))] = c
 
 
 def represent_unit_sums(beta: CubicElement, policy: Optional[engine.ReductionPolicy] = None) -> Representation:
@@ -458,7 +493,7 @@ def represent_unit_sums(beta: CubicElement, policy: Optional[engine.ReductionPol
     count as in engine.reduce, with the same error and message.
 
     Why the coordinates are reduced apart, once per magnitude, and on
-    a third of the plane:
+    a twelfth of the plane:
 
     - *Cosets.*  The relation's offsets (1,2), (-2,-1), (1,-1) all have
       i + j = 0 (mod 3) and sit on sign layer 0, so a firing never moves
@@ -475,18 +510,22 @@ def represent_unit_sums(beta: CubicElement, policy: Optional[engine.ReductionPol
       So a pile's steps only grow with n.
     - *Symmetry.*  sigma(i, j) = (-j, i - j), the Galois action on
       exponents, has order 3 and permutes the offsets: (1,2) -> (-2,-1)
-      -> (1,-1) -> (1,2).  Its only fixed point on Z^2 is (0, 0), the
-      seed, and stabilization is unique, so every S(n) is
-      sigma-invariant, and a pile is kept and reduced as one count per
-      orbit, on the orbit's point with i >= 1 and j >= 0 (see
-      engine._stabilize's fold).  Such a firing of t stands for three and
-      counts 3t steps; the origin's firing of t counts t and sends t to
-      the one representative (1, 2) of its targets.
+      -> (1,-1) -> (1,2).  tau(i, j) = (-j, -i) swaps (1,2) and
+      (-2,-1) and fixes (1,-1), and tau sigma tau = sigma^2, so the two
+      generate a dihedral group of order 6 that permutes the offsets
+      and fixes the seed (0, 0).  Stabilization is unique, so every
+      S(n) is invariant under it, and a pile is kept and reduced as one
+      count per orbit, on the orbit's point in F (see _fold and
+      engine._stabilize).  An orbit holds 6 points, 3 on the
+      mirror rays i = 2 j and j = 2 i, and the origin is its own; a
+      firing of t at a representative counts t times its orbit's size.
     - *Invariant.*  A step at x moves three chips from x to x + r over
       the offsets r, whose sum is 0 and whose squared lengths sum to
       12, so it adds exactly 12 to sum c (i^2 + j^2).  Summed over an
-      orbit, i^2 + j^2 gives 4 (i^2 - i j + j^2), so a pile's steps are
-      the sum of c (i^2 - i j + j^2) / 3 over its representatives.
+      orbit of 3, i^2 + j^2 gives 4 (i^2 - i j + j^2), and over one of
+      6 twice that, so a pile's steps are the sum of
+      c (i^2 - i j + j^2) / 3 over its representatives, each weighted
+      by its orbit's size over 3: 2, or 1 on a mirror ray.
 
     So each call takes the magnitudes in ascending order and starts each
     from the largest pile below it: the cached S(m) with m <= |c_t| (see
@@ -524,14 +563,17 @@ def represent_unit_sums(beta: CubicElement, policy: Optional[engine.ReductionPol
             start = {**pile, (0, 1, (0, 0)): pile.get((0, 1, (0, 0)), 0) + n - m}
             try:
                 pile, more = engine._stabilize(
-                    start, basis, rel, engine.ReductionPolicy(max_steps=cap - total), _representative
+                    start, basis, rel, engine.ReductionPolicy(max_steps=cap - total), _fold
                 )
             except IterationCapExceeded:
                 pile = None
             if pile is None:
                 # raised out here, so that no traceback keeps the kernel's state
                 raise engine._cap_exceeded(policy.max_steps)
-            squares = sum(c * (i * i - i * j + j * j) for (_, _, (i, j)), c in pile.items())
+            # Q(i, j) times the orbit's size over 3; Q(0, 0) = 0
+            squares = sum(
+                c * (i * i - i * j + j * j) * (1 if i == 2 * j or j == 2 * i else 2) for (_, _, (i, j)), c in pile.items()
+            )
             if squares != 3 * (steps + more):
                 raise VerificationFailed(f"S({n}) of {beta!r} holds {squares} / 3 steps, not {steps} + {more}")
             total += more * counts[n]

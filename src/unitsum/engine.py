@@ -8,7 +8,7 @@ unit with the I units of a fixed relation, and `reduce` iterates that
 rewrite until every coefficient is below n.  Its kernel keeps the counts
 in a flat list over a box around the input, or, for an input whose sites
 lie far apart or whose run outgrows that box, in a dict.  For the cubic
-piles it keeps one count per orbit of a symmetry of order 3.
+piles it keeps one count per orbit of a symmetry group of order 6.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
 from math import isqrt, prod
-from operator import add, getitem, mul, not_
+from operator import add, getitem, mul, not_, sub
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Tuple
 
@@ -195,7 +195,8 @@ class ReductionPolicy:
     each firing, and one firing at a site holding c performs c // n
     rewrites at once, so the count may overshoot the cap by at most one
     firing before the error fires; under _stabilize's fold, a firing of
-    t stands for an orbit of three sites and counts 3t.  on_step, when
+    t at a representative stands for its whole orbit and counts t times
+    the orbit's size.  on_step, when
     given, receives (index, multiplicity) once per firing.  The order of
     the calls is unspecified; the per-site sums of the multiplicities,
     the number of rewrites made at each site, do not depend on it.
@@ -405,47 +406,56 @@ class _Box:
             row = full * r + row * (w - 2 * r) + full * r if w > 2 * r else full * w
         return row
 
-    def near(self, r: int) -> bytes:
-        """One byte per site: 1 when some x_m lies in [-r, r]."""
-        row = bytes(self.KL)
-        for lo, w in self.spans:
-            below, upto = (max(0, min(w, c - lo)) for c in (-r, r + 1))
-            row = row * below + b"\x01" * len(row) * (upto - below) + row * (w - upto)
-        return row
+
+# a continued pile fires mostly representatives that fired in the runs
+# before it, so each one's gains are worked out once: S(5531), the
+# largest pile under the default cap, holds 606 representatives, and an
+# entry takes about 0.65 KB (tracemalloc), so at most about 0.7 MB
+@functools.lru_cache(maxsize=1 << 10)
+def _gains(fold, shifts: tuple, x: tuple, r_max: int) -> tuple:
+    """(s, ((z - x, g), ...)) for a representative x of an orbit of size
+    s under fold: a firing of t at x sends g t chips to each
+    representative z, g being the number of pairs (x', r) with x' in x's
+    orbit, r in shifts and x' + r = z.  Each target x + r stands for
+    s / s_z of those pairs, s_z being the size of z's orbit, so g sums
+    s / s_z over the targets that z represents.  A representative
+    outside 0 <= z <= max(x) + r_max, which may leave the kernel's box,
+    raises ValueError."""
+    size = fold(x)[1]
+    top = max(x) + r_max
+    pairs = {}  # (z, s_z) -> s times the targets z represents
+    for shift in shifts:
+        y = tuple(map(add, x, shift))
+        z, s = fold(y)
+        if min(z) < 0 or max(z) > top:
+            raise ValueError(f"fold sent {y} to {z}, outside the kernel's box")
+        pairs[z, s] = pairs.get((z, s), 0) + size
+    return size, tuple((tuple(map(sub, z, x)), g // s) for (z, s), g in pairs.items())
 
 
 class _Offsets(dict):
-    """The offsets of each site that fires, keyed by the site and filled
-    as it first fires, so the keys are exactly the sites that fired.  A
-    site gets its layer's offsets, except under _stabilize's fold at a
-    site that a near byte marks (None marks every site): there each
-    target is sent to its representative, or three times to 0, the one
-    target that stands for fewer sites than the firing one."""
+    """The orbit size and offsets of each site that fires, keyed by the
+    site and filled as it first fires, so the keys are exactly the sites
+    that fired.  A site gets 1 and its layer's offsets, except under
+    _stabilize's fold, where a representative gets its orbit's size and
+    the offset of each representative it sends chips to (see _gains),
+    listed once per chip that a firing of 1 sends there."""
 
-    def __init__(self, box: _Box, rel: UnitRelation, fold, near: Optional[bytes] = None):
-        self.box, self.fold, self.near = box, fold, near
-        self.shifts = [x for _, x in rel.terms]
+    def __init__(self, box: _Box, rel: UnitRelation, fold):
+        self.box, self.fold, self.r_max = box, fold, rel.r_max
+        self.shifts = tuple(x for _, x in rel.terms)
 
-    def __missing__(self, site: int) -> list:
-        box = self.box
-        offsets = box.offsets[site % box.KL]
-        if self.fold is not None and (self.near is None or self.near[site]):
-            k, ell, x = box.unpack(site)
-            plain, offsets = offsets, []
-            for d, shift in zip(plain, self.shifts):
-                y = tuple(map(add, x, shift))
-                if not any(y):
-                    offsets += [d] * 3
-                    continue
-                z = self.fold(y)
-                if z == y:
-                    offsets.append(d)
-                elif all(lo <= c < lo + w for c, (lo, w) in zip(z, box.spans)):
-                    offsets.append(box.pack((k, ell, z)) - site)
-                else:
-                    raise ValueError(f"fold sent {y} to {z}, outside the kernel's box")
-        self[site] = offsets
-        return offsets
+    def __missing__(self, site: int) -> tuple:
+        box, fold = self.box, self.fold
+        if fold is None:
+            entry = self[site] = (1, box.offsets[site % box.KL])
+            return entry
+        size, gains = _gains(fold, self.shifts, box.unpack(site)[2], self.r_max)
+        offsets = []
+        for delta, g in gains:
+            offsets += [box.shift(delta)] * g
+        entry = self[site] = (size, offsets)
+        return entry
 
 
 def _cap_exceeded(cap: int) -> IterationCapExceeded:
@@ -489,31 +499,33 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
     few passes over the input.  The dict storage holds only the support
     and leaves whole; both unpack through _Box.unpacked.
 
-    fold, when given, sends an exponent vector to its orbit's
-    representative under a linear sigma of order 3 that fixes only 0
-    and permutes rel's terms, which lie on sign layer 0 with nonzero
-    exponents that fold sends into [0, r_max].  Representatives lie in
-    x >= 0; a target that is none comes from a site with an exponent at
-    most r_max, and its representative exceeds that site's largest
-    exponent by r_max at most.  coeffs then holds one count per orbit,
-    on sign layer 0 at its representative, and the result is the stable
-    state of the sigma-invariant input, given the same way, with its
+    fold, when given, sends an exponent vector to (y, s): the
+    representative y of its orbit under a finite group of linear maps
+    that permutes rel's terms, which lie on sign layer 0, and the
+    orbit's size s.  Representatives lie in x >= 0, and the
+    representative of a target of a representative exceeds that site's
+    largest exponent by r_max at most.  coeffs then holds one count per
+    orbit, on sign layer 0 at its representative, and the result is the
+    stable state of the invariant input, given the same way, with its
     full step count.  on_step must be None.  The tests prove this
-    contract once for cubic's _representative and _THREE, the one fold
-    and relation that come here; it is not checked here.
+    contract once for cubic's _fold and _THREE, the one fold and
+    relation that come here; it is not checked here.
 
-    That run is unique, so it stays invariant and only representatives
-    fire: the loop counts firings, each of three steps, and 0, whose
-    firing counts one, fires ahead of the loop in its round.  The box is
-    one square around the input and 0, so a site r_max inside it keeps
-    the representatives of its targets inside it too.  Near bytes mark
-    the sites with an exponent within r_max of 0, whose targets may
-    leave the domain; the table sends those to their representatives.
+    That run is unique, so it stays invariant: every site of an orbit
+    fires as often as its representative, and only representatives
+    fire.  A firing of t at a representative of an orbit of size s
+    counts s t steps, and the table (see _Offsets) sends its chips to
+    the representatives of its targets, so the count is exact after
+    every firing and the cap raises exactly where the plain run's does.
+    The box is one square from -r_max up to the input's largest
+    exponent and the reach.  Representatives lie in x >= 0, so none is
+    within r_max of its lower faces, and a site r_max inside its upper
+    faces keeps the representatives of its targets inside it too.
     """
     if not coeffs:
         return {}, 0
     n, L, r = rel.n, basis.L, rel.r_max
-    cap = limit = policy.max_steps
+    cap = policy.max_steps
     chips = min(sum(coeffs.values()), _CHIP_CEILING)
     ks, ells, xs = zip(*coeffs)
     cols = list(zip(*xs))
@@ -521,8 +533,8 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
     def around(reach):
         lo, hi = [min(c) - reach for c in cols], [max(c) + reach for c in cols]
         if fold is not None:
-            # one square box that holds 0 too; see the docstring
-            lo, hi = [min(-reach, *lo)] * len(lo), [max(reach, *hi)] * len(hi)
+            # one square box from -r; see the docstring
+            lo, hi = [-r] * len(lo), [max(hi)] * len(hi)
         return _Box(basis, rel, lo, hi)
 
     box = around(r * (isqrt(chips) // 2 + 2))
@@ -538,12 +550,7 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
         edge = box.edge(r)
     else:
         state = defaultdict(int, zip(sites, coeffs.values()))
-    offsets = _Offsets(box, rel, fold, box.near(r) if dense and fold is not None else None)
-    cores, spent = [], 0
-    if fold is not None:
-        # the loop counts firings in units of three steps
-        limit = cap // 3
-        cores = [box.pack((0, ell, (0,) * basis.M)) for ell in range(1, L + 1)]
+    offsets = _Offsets(box, rel, fold)
     on_step = policy.on_step
     # each distinct site is unpacked once, however often it fires
     seen = {}
@@ -555,57 +562,35 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
             wide = around(r * (max(cap, 0) + 1))
             state = defaultdict(int, {wide.pack(box.unpack(site)): c for site, c in compress(enumerate(state), state)})
             ready = [wide.pack(box.unpack(site)) for site in ready]
-            cores = [wide.pack(box.unpack(site)) for site in cores]
             box, dense, seen, offsets = wide, False, {}, _Offsets(wide, rel, fold)
         following = []
-        # under a fold, 0 fires first in its round, outside the loop, as
-        # its firing counts t steps, not 3t; its targets join the next round
-        for core in cores:
-            c = state[core]
-            if c >= n:
-                ready.remove(core)
-                t = c // n
-                state[core] = c - n * t
-                spent += t
-                if 3 * steps + spent > cap:
-                    raise _cap_exceeded(cap)
-                limit = (cap - spent) // 3
-                # each representative of its targets, within r_max of 0
-                # and so far inside the box, gets t once
-                for d in set(offsets[core]):
-                    nk = core + d
-                    old = state[nk]
-                    state[nk] = new = old + t
-                    if old < n <= new:
-                        following.append(nk)
         for site in ready:
             c = state[site]
             t = c // n
             state[site] = c - n * t
-            steps += t
-            if steps > limit:
+            size, ds = offsets[site]
+            steps += size * t
+            if steps > cap:
                 raise _cap_exceeded(cap)
             if on_step is not None:
                 index = seen.get(site)
                 if index is None:
                     index = seen[site] = box.unpack(site)
                 on_step(index, t)
-            for d in offsets[site]:
+            for d in ds:
                 nk = site + d
                 old = state[nk]
                 state[nk] = new = old + t
                 if old < n <= new:
                     following.append(nk)
         ready = following
-    if fold is not None:
-        steps = 3 * steps + spent
     if not dense:
         sites = list(compress(state, state.values()))
         return dict(zip(box.unpacked(sites), filter(None, state.values()))), steps
     # no cell other than a fired site or a target of one changed; the
     # table holds each fired site's own targets, which lie in the box, as
     # the edge test passed, and every site that ended empty fired
-    sites = list({site + d for site, ds in offsets.items() for d in ds}.union(offsets))
+    sites = list({site + d for site, (_, ds) in offsets.items() for d in ds}.union(offsets))
     counts = [state[site] for site in sites]
     keys = box.unpacked(sites)
     out = coeffs.copy()

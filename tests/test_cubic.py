@@ -196,6 +196,20 @@ def test_power_caches_are_bounded():
     assert cubic._generator_power.cache_info().maxsize == 1 << 12
 
 
+def test_large_exponents_bypass_the_power_cache():
+    """Past |e| = 2^8 a power is computed afresh, by unit_monomial and by
+    the evaluator alike: the same coordinates as the element's own
+    powers, and the cache is neither read nor filled."""
+    params = CubicParams(1000)
+    e = (1 << 9) + 1
+    before = cubic._generator_power.cache_info()
+    got = unit_monomial(e, -e, params)
+    rep = Representation(cubic_basis(params), {(0, 1, (e, -e)): 1})
+    assert evaluate(rep, cubic_evaluator(params)) == got
+    assert cubic._generator_power.cache_info() == before
+    assert got == alpha(params) ** e * alpha2(params) ** -e
+
+
 def _times_mod_minpoly(u, v, a):
     # Schoolbook product of two coordinate triples, then X^k is replaced by
     # (a-1) X^(k-1) + (a+2) X^(k-2) + X^(k-3) from the top degree down.
@@ -689,8 +703,9 @@ def test_continuing_a_pile_unpacks_only_the_sites_that_moved(monkeypatch, n):
     """With S(940) cached, a call at n hands the kernel the orbit
     representatives of S(940) plus n - 940 chips at the seed.  Its list
     storage starts from that input and unpacks at most the I + 1 sites
-    each fired orbit can change and, once, each fired site near the edge
-    of the domain of representatives, never the whole pile."""
+    each fired orbit can change and, once more, each fired site, whose
+    targets the table sends to their representatives; never the whole
+    pile."""
     cubic._PILES.clear()
     represent_unit_sums(elem(P2, 940, 0, 0))
     calls, unpacked = [], []
@@ -712,30 +727,33 @@ def test_continuing_a_pile_unpacks_only_the_sites_that_moved(monkeypatch, n):
     whole, fired = {}, set()
     cubic._place(whole, start, 0, 0)
     rel = three_relation(P2)
-    engine._stabilize(whole, rep.basis, rel, ReductionPolicy(on_step=lambda index, t: fired.add(cubic._representative(index[2]))))
-    near = {x for x in fired if min(x) <= rel.r_max}
+    engine._stabilize(whole, rep.basis, rel, ReductionPolicy(on_step=lambda index, t: fired.add(cubic._fold(index[2])[0])))
     # and the output keys that are not the input's own were built for those
     given = {id(key) for key in start}
     built = sum(id(key) not in given for key in out)
     assert len(whole) > 500
-    assert built <= sum(unpacked) <= (rel.I + 1) * len(fired) + len(near) < len(start)
+    assert built <= sum(unpacked) <= (rel.I + 2) * len(fired) < len(start)
 
 
 def test_pile_cache_bounds_hold_after_many_magnitudes():
     piles = cubic._PILES
     assert (piles.max_entries, piles.max_sites) == (1 << 10, 1 << 18)
     piles.clear()
-    # a pile of n chips holds about 0.64 n sites, stored as about 0.21 n
-    # orbit representatives, so these hold about 305,000 stored sites in
-    # all; each call continues from the last pile
-    for n in range(1400, 2200):
+    # a pile of n chips holds about 0.6 n sites, stored as about 0.11 n
+    # orbit representatives, so these hold about 391,000 stored sites in
+    # all, and the last 1024 of them more than the site bound; each call
+    # continues from the last pile
+    for n in range(1400, 3000):
         represent_unit_sums(elem(P2, n, 0, 0))
     assert len(piles.piles) <= piles.max_entries
     assert piles.sites == sum(len(pile) for _, pile in piles.piles.values()) <= piles.max_sites
     assert piles.sites > piles.max_sites - 1200
     assert piles.sizes == sorted(piles.piles)
     # the oldest piles went first
-    assert 1400 not in piles.piles and 2199 in piles.piles
+    assert 1400 not in piles.piles and 2999 in piles.piles
+    # the kernel's rules of the representatives that fired stay bounded too
+    gains = engine._gains.cache_info()
+    assert gains.maxsize == 1 << 10 and gains.currsize <= gains.maxsize
 
 
 def _line(sites):
@@ -838,7 +856,7 @@ def _fired_orbits(m, n):
     pile = dict(represent_by_one_reduce(elem(P2, m, 0, 0)).coeffs) if m else {}
     pile[(0, 1, (0, 0))] = pile.get((0, 1, (0, 0)), 0) + n - m
     fired = set()
-    policy = ReductionPolicy(on_step=lambda index, t: fired.add(cubic._representative(index[2])))
+    policy = ReductionPolicy(on_step=lambda index, t: fired.add(cubic._fold(index[2])[0]))
     engine.reduce(Representation(cubic_basis(P2), pile), three_relation(P2), policy)
     return fired
 
@@ -850,12 +868,14 @@ EDGE_RUNS = [(0, 24), (20, 30)]
 @pytest.mark.parametrize("m, n", EDGE_RUNS)
 def test_small_runs_fire_the_origin_and_both_edges_of_the_domain(m, n):
     """The examples of the differential below fire the origin, a site
-    i >= 1 on the ray j = 0 and a site j >= 1 on the ray i = 1, whose
-    targets the kernel sends to their representatives."""
+    on each mirror ray i = 2 j and j = 2 i, the edges of the domain of
+    representatives, and a site between them, whose orbits hold 1, 3, 3
+    and 6 sites."""
     fired = _fired_orbits(m, n)
     assert (0, 0) in fired
-    assert any(j == 0 for i, j in fired if i >= 1)
-    assert any(i == 1 for i, j in fired if j >= 1)
+    assert any(i == 2 * j for i, j in fired if i)
+    assert any(j == 2 * i for i, j in fired if j)
+    assert any(i != 2 * j and j != 2 * i for i, j in fired)
 
 
 @settings(max_examples=30, deadline=None)
@@ -883,20 +903,22 @@ def test_orbit_piles_match_one_reduce(a, n, m, t, sign):
 @settings(max_examples=20, deadline=None)
 @given(pile_elements)
 def test_stored_piles_expand_to_invariant_piles_about_the_seed(elements):
-    """Each cached pile holds one site per sigma-orbit, on the orbit's
-    representative, with counts 1 and 2.  Expanded, it is sigma-invariant,
-    holds its n chips with centre of mass (0, 0), and its steps satisfy
-    12 steps = sum c (i^2 + j^2)."""
+    """Each cached pile holds one site per orbit, on the orbit's
+    representative in F, with counts 1 and 2.  Expanded, it is invariant
+    under sigma and tau, holds its n chips with centre of mass (0, 0),
+    and its steps satisfy 12 steps = sum c (i^2 + j^2)."""
     for a, c0, c1, c2 in elements:
         represent_unit_sums(elem(CubicParams(a), c0, c1, c2))
     for n, (steps, stored) in cubic._PILES.piles.items():
         assert all(k == 0 and ell == 1 for k, ell, _ in stored)
-        assert all((i >= 1 and j >= 0 or i == j == 0) and c in (1, 2) for (_, _, (i, j)), c in stored.items())
+        in_f = [i == j == 0 or (i >= 1 and j >= 1 and i <= 2 * j and j <= 2 * i) for _, _, (i, j) in stored]
+        assert all(in_f) and set(stored.values()) <= {1, 2}
         assert len({x for _, _, x in stored}) == len(stored)
         out = {}
         cubic._place(out, stored, 0, 0)
         pile = {x: c for (_, _, x), c in out.items()}
         assert all(pile.get((-j, i - j)) == c for (i, j), c in pile.items())
+        assert all(pile.get((-j, -i)) == c for (i, j), c in pile.items())
         assert sum(pile.values()) == n
         assert sum(c * i for (i, _), c in pile.items()) == sum(c * j for (_, j), c in pile.items()) == 0
         assert 12 * steps == sum(c * (i * i + j * j) for (i, j), c in pile.items())

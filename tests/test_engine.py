@@ -743,27 +743,49 @@ def test_reduce_output_fits_its_basis_in_both_storages(monkeypatch, rep, rel, li
     assert (dict(out.coeffs), out.steps) == heap_reduce(rep, rel)[:2]
 
 
-def _orbit(x):
+def _sigma(x):
     i, j = x
-    return [(i, j), (-j, i - j), (j - i, -i)]
+    return (-j, i - j)
 
 
-def _sigma_representative(x):
-    """The point of x's orbit under sigma(i, j) = (-j, i - j) with i >= 1
-    and j >= 0, or (0, 0) for the fixed point."""
-    return next((y for y in _orbit(x) if y[0] >= 1 and y[1] >= 0), (0, 0))
+def _tau(x):
+    i, j = x
+    return (-j, -i)
+
+
+def _orbit(x):
+    """The distinct points of x's orbit under the group that sigma(i, j)
+    = (-j, i - j) and tau(i, j) = (-j, -i) generate."""
+    orbit = [x]
+    for y in orbit:
+        for z in (_sigma(y), _tau(y)):
+            if z not in orbit:
+                orbit.append(z)
+    return orbit
+
+
+def _in_domain(x):
+    """F: the origin, or i >= 1, j >= 1, i <= 2 j and j <= 2 i."""
+    i, j = x
+    return x == (0, 0) or (i >= 1 and j >= 1 and i <= 2 * j and j <= 2 * i)
+
+
+def _dihedral_fold(x):
+    """(the point of x's orbit in F, the orbit's size), found by search."""
+    orbit = _orbit(x)
+    return next(filter(_in_domain, orbit)), len(orbit)
 
 
 def _expand(coeffs):
-    """The sigma-invariant map that repeats each count over its orbit."""
+    """The invariant map that repeats each count over its orbit."""
     return {(k, ell, y): c for (k, ell, x), c in coeffs.items() for y in _orbit(x)}
 
 
 @st.composite
 def orbit_inputs(draw):
-    """One count per sigma-orbit, on the orbit's representative: a pile of
+    """One count per orbit, on the orbit's representative: a pile of
     small counts and a few large ones, often a heavy origin."""
-    points = st.tuples(st.integers(0, 9), st.integers(0, 9)).map(_sigma_representative)
+    points = st.tuples(st.integers(0, 9), st.integers(0, 9)).map(lambda x: _dihedral_fold(x)[0])
     reps = draw(st.dictionaries(points, st.integers(1, 2), max_size=30))
     reps.update(draw(st.dictionaries(points, st.integers(3, 40), max_size=3)))
     if draw(st.booleans()):
@@ -774,7 +796,7 @@ def orbit_inputs(draw):
 FOLD_STORAGES = ["list", "dict", "spilled"]
 
 
-def _folded(coeffs, basis, rel, max_steps=1_000_000, fold=_sigma_representative):
+def _folded(coeffs, basis, rel, max_steps=1_000_000, fold=_dihedral_fold):
     out, steps = engine._stabilize(coeffs, basis, rel, ReductionPolicy(max_steps=max_steps), fold)
     return engine._representation(basis, out, steps)
 
@@ -784,6 +806,7 @@ def _folded(coeffs, basis, rel, max_steps=1_000_000, fold=_sigma_representative)
 @example({(0, 1, (0, 0)): 24}, CubicParams(3), "list")
 @example({(0, 1, (0, 0)): 24}, CubicParams(3), "dict")
 @example({(0, 1, (0, 0)): 24}, CubicParams(3), "spilled")
+@example({(0, 1, (2, 1)): 5, (0, 1, (1, 1)): 4, (0, 1, (3, 2)): 7}, CubicParams(3), "list")
 def test_folded_reduce_matches_the_plain_run_of_the_whole_input(coeffs, params, storage):
     """Under a fold, the kernel fires orbit representatives only, in the
     list, in the dict from the start, or after spilling to it from the
@@ -802,7 +825,7 @@ def test_folded_reduce_matches_the_plain_run_of_the_whole_input(coeffs, params, 
                 _folded(coeffs, basis, rel, cap)
         assert _folded(coeffs, basis, rel, whole.steps) == out
     assert _expand(dict(out.coeffs)) == dict(whole.coeffs) and out.steps == whole.steps
-    assert all(_sigma_representative(x) == x for _, _, x in out.coeffs)
+    assert all(_in_domain(x) for _, _, x in out.coeffs)
     assert_fits_its_basis(out)
 
 
@@ -810,8 +833,8 @@ def test_fold_is_refused_where_it_cannot_hold():
     basis, rel = cubic_basis(CUBIC3), three_relation(CUBIC3)
 
     def far(x):
-        y = _sigma_representative(x)
-        return y if y == x or y == (1, 2) else (y[0] + 10**6, y[1])
+        y, size = _dihedral_fold(x)
+        return (y, size) if y == x or y == (1, 2) else ((y[0] + 10**6, y[1]), size)
 
     with pytest.raises(ValueError, match="outside the kernel's box"):
         _folded({(0, 1, (1, 0)): 60}, basis, rel, fold=far)
@@ -820,24 +843,42 @@ def test_fold_is_refused_where_it_cannot_hold():
 def test_cubic_fold_keeps_the_kernels_contract():
     """engine._stabilize checks nothing of its fold's contract, so it is
     proved here on the one fold and relation that reach it."""
-    rel, fold = cubic._THREE, cubic._representative
+    rel, fold = cubic._THREE, cubic._fold
     shifts = [r for _, r in rel.terms]
     assert all(k == 0 and any(r) for k, r in rel.terms)
-    assert all(0 <= c <= rel.r_max for r in shifts for c in fold(r))
-    # sigma, the linear map fold is taken under, permutes the terms
-    assert sorted(_orbit(r)[1] for r in shifts) == sorted(shifts)
+    # sigma and tau, the linear maps fold is taken under, permute the
+    # terms and generate a dihedral group of order 6: tau sigma tau = sigma^2
+    for g in (_sigma, _tau):
+        assert sorted(map(g, shifts)) == sorted(shifts)
     grid = [(i, j) for i in range(-12, 13) for j in range(-12, 13)]
     for x in grid:
-        y = fold(x)
-        assert fold(y) == y and all(fold(z) == y for z in _orbit(x))
-        assert y == (0, 0) or (y[0] >= 1 and y[1] >= 0)
-        assert (_orbit(x)[1] == x) == (x == (0, 0))
-    for x in filter(lambda x: fold(x) == x, grid):
-        targets = [tuple(a + b for a, b in zip(x, r)) for r in shifts]
-        if min(x) > rel.r_max:
-            assert all(fold(y) == y for y in targets)
-        else:
-            assert all(c <= max(x) + rel.r_max for y in targets for c in fold(y))
+        assert _tau(_sigma(_tau(x))) == _sigma(_sigma(x))
+        assert _sigma(_sigma(_sigma(x))) == _tau(_tau(x)) == x
+        # F holds one point of every orbit
+        assert sum(map(_in_domain, _orbit(x))) == 1
+        y, size = fold(x)
+        assert (y, size) == _dihedral_fold(x)
+        assert all(fold(z) == (y, size) for z in _orbit(x))
+        # orbits hold 6 points, 3 on a mirror ray, and the origin 1
+        i, j = y
+        assert size == (1 if y == (0, 0) else 3 if i == 2 * j or j == 2 * i else 6)
+        assert _in_domain(y) and min(y) >= 0
+    for x in filter(_in_domain, grid):
+        # the representatives of a representative's targets stay inside
+        # the kernel's box
+        for r in shifts:
+            assert max(fold(tuple(a + b for a, b in zip(x, r)))[0]) <= max(x) + rel.r_max
+        # the table's rule: z gains one chip per pair (x', r) with x' in
+        # x's orbit and x' + r = z
+        pairs = {}
+        for x2 in _orbit(x):
+            for r in shifts:
+                z = tuple(a + b for a, b in zip(x2, r))
+                if _in_domain(z):
+                    pairs[z] = pairs.get(z, 0) + 1
+        size, gains = engine._gains(fold, tuple(shifts), x, rel.r_max)
+        assert size == len(_orbit(x))
+        assert {tuple(a + b for a, b in zip(x, d)): g for d, g in gains} == pairs
 
 
 @st.composite
@@ -867,12 +908,6 @@ def test_box_unpacked_matches_unpack(case):
         ells = [ell for _, ell, _ in indices]
         cols = list(zip(*(x for _, _, x in indices)))
         assert box.packed(ells, cols) == [box.pack((0, ell, x)) for _, ell, x in indices]
-
-
-@given(boxes_and_states(), st.integers(0, 3))
-def test_box_near_marks_the_sites_with_an_exponent_within_r_of_zero(case, r):
-    box, _ = case
-    assert box.near(r) == bytes(any(abs(c) <= r for c in box.unpack(s)[2]) for s in range(box.cells))
 
 
 @given(st.sampled_from([None, *CUBIC_PARAMS[:3]]), seeds(1, 3, 2, 40), st.randoms(use_true_random=False))
