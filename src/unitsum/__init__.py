@@ -8,7 +8,8 @@ bases, and its rational_basis and to_unit_relation carry those pairs
 into the engine; relations searches for the base-pair identities the
 rewrites need, or certifies that none exist; cubic instantiates the
 machinery in a one-parameter family of totally real cubic fields;
-oracle brute-forces minimal weights for comparison.
+oracle brute-forces minimal weights for comparison; documents writes
+and reads the JSON documents of all of them.
 """
 
 from .double_base import (
@@ -22,8 +23,6 @@ from .double_base import (
     expand,
     expand_extended,
     expand_with_stats,
-    expansion_from_json,
-    expansion_to_json,
     greedy_seed,
     p_adic_digits,
     pq_rational,
@@ -63,13 +62,14 @@ from .cubic import (
     CubicParams,
     cubic_basis,
     cubic_evaluator,
-    element_from_json,
-    element_to_json,
     real_roots,
     represent_unit_sums,
     three_relation,
     unit_monomial,
 )
+# after double_base: it imports documents at its end to bind the two
+# expansion names, which fails if documents is already half imported
+from .documents import element_from_json, element_to_json, expansion_from_json, expansion_to_json
 from .oracle import (
     WeightWitness,
     default_box,

@@ -16,19 +16,16 @@ _cmd_* function afterwards does not change what main runs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
 
-from . import cubic, engine, oracle, relations
+from . import cubic, documents, engine, oracle, relations
 from .double_base import (
     BasePair,
     evaluate_expansion,
     expand_extended,
     expand_with_stats,
-    expansion_from_json,
-    expansion_to_json,
     pq_rational,
     weight,
 )
@@ -39,8 +36,6 @@ from .errors import (
     NoRelationFound,
     UnitSumError,
     VerificationFailed,
-    document_ints,
-    document_rational,
 )
 
 EXIT_OK = 0
@@ -64,7 +59,7 @@ def _print_json(obj) -> None:
 
 def integer(text: str) -> int:
     """An integer argument, read by the rule of JSON documents: -?[0-9]+."""
-    return document_ints([text], "integer")[0]
+    return documents.document_ints([text], "integer")[0]
 
 
 def _base(args) -> BasePair:
@@ -96,7 +91,7 @@ def _cmd_expand(args) -> int:
     stats = expand_with_stats(v, base, args.seed_method)
     exp = stats.expansion
     if args.format == "json":
-        _print_json(expansion_to_json(exp))
+        _print_json(documents.expansion_to_json(exp))
     else:
         print(_expansion_text(exp, str(v)))
         print(f"weight {weight(exp)}  steps {stats.steps}  w_init {stats.w_init}")
@@ -105,11 +100,11 @@ def _cmd_expand(args) -> int:
 
 def _cmd_expand_extended(args) -> int:
     base = _base(args)
-    value = document_rational(args.value, "value")
+    value = documents.document_rational(args.value, "value")
     x = pq_rational(value, base)
     exp = expand_extended(x, base)
     if args.format == "json":
-        _print_json(expansion_to_json(exp))
+        _print_json(documents.expansion_to_json(exp))
     else:
         print(_expansion_text(exp, str(value)))
         print(f"weight {weight(exp)}")
@@ -127,7 +122,7 @@ def _cmd_verify(args) -> int:
     except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses per nesting level
         raise ValueError(f"not valid JSON: {exc}") from None
     try:
-        exp, claimed = expansion_from_json(data)
+        exp, claimed = documents.expansion_from_json(data)
     except InvalidExpansion as exc:
         print(f"status invalid ({exc})")
         return EXIT_VERIFY
@@ -142,8 +137,7 @@ def _cmd_verify(args) -> int:
 
 def _print_relation(args, base: BasePair, rel) -> None:
     if args.format == "json":
-        kind = "plain" if isinstance(rel, relations.PlainRelation) else "extended"
-        _print_json({"kind": kind, **{k: str(v) for k, v in dataclasses.asdict(rel).items()}})
+        _print_json(documents.relation_to_json(rel))
         return
     if isinstance(rel, relations.PlainRelation):
         rel = rel.as_extended()
@@ -153,7 +147,7 @@ def _print_relation(args, base: BasePair, rel) -> None:
 
 def _print_certificate(args, cert) -> None:
     if args.format == "json":
-        _print_json(cert.to_json())
+        _print_json(documents.certificate_to_json(cert))
     else:
         print(f"obstruction modulus {cert.modulus}")
         print("p_orbit " + " ".join(map(str, cert.p_orbit)))
@@ -204,9 +198,7 @@ def _cmd_min_weight(args) -> int:
         print(f"no expansion of weight <= {args.max_weight} inside box {box[0]},{box[1]}")
         return EXIT_OK
     if args.format == "json":
-        doc = expansion_to_json(witness.expansion)
-        doc["weight"] = str(witness.weight)
-        _print_json(doc)
+        _print_json(documents.witness_to_json(witness))
     else:
         print(f"weight {witness.weight}")
         print(_expansion_text(witness.expansion, str(v)))
@@ -221,31 +213,14 @@ def _cmd_cubic_repr(args) -> int:
     if back != beta:
         raise VerificationFailed("representation does not evaluate back to the input")
     items = sorted(rep.items(), key=lambda kv: (kv[0][0], kv[0][2]))
-    max_coeff = max((a for _, a in items), default=0)
     if args.format == "json":
-        _print_json(
-            {
-                **cubic.element_to_json(beta),
-                "max_coefficient": str(max_coeff),
-                "weight": str(sum(a for _, a in items)),
-                "steps": str(rep.steps),
-                "terms": [
-                    {
-                        "coeff": str(a),
-                        "sign": "+" if k == 0 else "-",
-                        "i": str(x[0]),
-                        "j": str(x[1]),
-                    }
-                    for (k, _, x), a in items
-                ],
-            }
-        )
+        _print_json(documents.unit_sum_to_json(beta, items, rep.steps))
     else:
         body = " ".join(
             f"{'+' if k == 0 else '-'} {a}*u({x[0]},{x[1]})" for (k, _, x), a in items
         )
         print(f"beta({beta.c0},{beta.c1},{beta.c2}) = {body if body else '(empty sum)'}")
-        print(f"max coefficient {max_coeff}  steps {rep.steps}")
+        print(f"max coefficient {max((a for _, a in items), default=0)}  steps {rep.steps}")
     return EXIT_OK
 
 

@@ -25,8 +25,6 @@ from .errors import (
     ParamsMismatch,
     RelationBroken,
     VerificationFailed,
-    document_ints,
-    document_json,
     exact_int,
 )
 
@@ -587,24 +585,3 @@ def represent_unit_sums(beta: CubicElement, policy: Optional[engine.ReductionPol
         _place(out, piles[n][2], t, k)
     return engine._representation(basis, out, total)
 
-
-def element_to_json(elem: CubicElement) -> dict:
-    return {
-        "a": str(elem.params.a),
-        "coords": [str(c) for c in elem.coords],
-    }
-
-
-def element_from_json(data: dict) -> CubicElement:
-    """Inverse of element_to_json.  A document that is not a JSON object,
-    a missing field, coords that are not an array of three, and a field
-    that is not a JSON integer or a decimal string raise ValueError."""
-    document_json(data, dict, "the document")
-    try:
-        a, coords = data["a"], data["coords"]
-    except KeyError as exc:
-        raise ValueError(f"missing field {exc}") from None
-    if len(document_json(coords, list, "coords")) != 3:
-        raise ValueError(f"coords holds {len(coords)} values, not 3")
-    (a,) = document_ints([a], "a")
-    return CubicElement(CubicParams(a), *document_ints(coords, "coordinate"))

@@ -24,9 +24,6 @@ from .errors import (
     InvalidExpansion,
     NoRelationFound,
     RelationInvalid,
-    document_ints,
-    document_json,
-    document_rational,
     exact_int,
 )
 from .relations import MAX_EXP
@@ -609,57 +606,5 @@ def to_unit_relation(rel, base: BasePair) -> UnitRelation:
     return UnitRelation(n=2, terms=tuple((0 if c == 1 else 1, (di, dj)) for di, dj, c in credits))
 
 
-def expansion_to_json(exp) -> dict:
-    """JSON-ready dict; big integers ride as decimal strings."""
-    return {
-        "kind": "signed" if isinstance(exp, SignedExpansion) else "extended",
-        "p": str(exp.base.p),
-        "q": str(exp.base.q),
-        "value": str(evaluate_expansion(exp)),
-        "terms": [{"d": d, "i": str(i), "j": str(j)} for d, i, j in exp.terms],
-    }
-
-
-def expansion_from_json(data: dict):
-    """Parse the expansion schema back; returns (expansion, claimed value).
-
-    Every integer field must be a JSON integer or a decimal string and the
-    value an integer or an "n" or "n/d" string of decimal digits; anything
-    else, a float, a boolean or "2.5e1" included, raises InvalidExpansion.
-    The claimed value is whatever the document asserts, as a Fraction; it
-    is not rechecked here.  A document or term that is not a JSON object,
-    terms that are not an array, and a missing field raise it too, naming
-    what is wrong.
-    """
-    try:
-        document_json(data, dict, "the document")
-        kind = data["kind"]
-        base = BasePair(*document_ints((data["p"], data["q"]), "base"))
-        terms = document_json(data["terms"], list, "terms")
-        try:
-            digits = [t["d"] for t in terms]
-        except TypeError:
-            # only a term that is not a JSON object raises it
-            k = next(k for k, t in enumerate(terms) if type(t) is not dict)
-            document_json(terms[k], dict, f"term {k}")
-        ds = document_ints(digits, "digit")
-        iis = document_ints([t["i"] for t in terms], "exponent")
-        js = document_ints([t["j"] for t in terms], "exponent")
-        claimed = document_rational(data["value"], "value")
-    except KeyError as exc:
-        raise InvalidExpansion(f"malformed expansion document: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise InvalidExpansion(f"malformed expansion document: {exc}") from None
-    if kind == "signed":
-        cls = SignedExpansion
-    elif kind == "extended":
-        cls = ExtendedExpansion
-    else:
-        raise InvalidExpansion(f"unknown expansion kind {kind!r}")
-    rows = {}
-    for d, i, j in zip(ds, iis, js):
-        rows.setdefault(j, {})[i] = d
-    # a repeated pair leaves fewer entries in the rows than terms; on any
-    # fault the constructor names the first faulty term, in document order
-    checked = _rows_checked(rows, cls is SignedExpansion) and sum(map(len, rows.values())) == len(ds)
-    return (_expansion(cls, base, list(zip(ds, iis, js)), checked), claimed)
+# last, as documents imports this module; the benchmark finds these two here
+from .documents import expansion_from_json, expansion_to_json

@@ -100,13 +100,8 @@ class ObstructionCertificate:
     q_orbit: Tuple[int, ...]
 
     def to_json(self) -> dict:
-        return {
-            "p": str(self.p),
-            "q": str(self.q),
-            "modulus": str(self.modulus),
-            "p_orbit": [str(r) for r in self.p_orbit],
-            "q_orbit": [str(r) for r in self.q_orbit],
-        }
+        from .documents import certificate_to_json  # documents imports this module
+        return certificate_to_json(self)
 
 
 def verify_relation(base: "BasePair", rel) -> bool:

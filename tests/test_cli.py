@@ -180,6 +180,17 @@ def test_verify_names_the_missing_field_of_a_cubic_document(capsys, monkeypatch)
     assert run(capsys, "verify", "-")[:2] == (5, "status invalid (malformed expansion document: missing field 'kind')\n")
 
 
+@pytest.mark.parametrize("field", ["d", "i", "j"])
+def test_verify_names_the_term_that_lacks_a_field(capsys, monkeypatch, field):
+    terms = [{"d": 1, "i": str(k), "j": "0"} for k in range(4)]
+    del terms[2][field]
+    doc = json.dumps({"kind": "signed", "p": "5", "q": "23", "value": "1", "terms": terms})
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    assert run(capsys, "verify", "-")[:2] == (
+        5, f"status invalid (malformed expansion document: missing field '{field}' in term 2)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "doc, what",
     [

@@ -1,0 +1,112 @@
+"""JSON documents: one module writes and reads them, and names the field at fault."""
+
+import json
+import sys
+
+import pytest
+from hypothesis import given, strategies as st
+
+import unitsum
+from unitsum import (
+    BasePair,
+    CubicElement,
+    CubicParams,
+    ExtendedExpansion,
+    SignedExpansion,
+    double_base,
+    documents,
+    element_from_json,
+    element_to_json,
+    evaluate_expansion,
+    expand,
+    expansion_from_json,
+    expansion_to_json,
+)
+from unitsum.errors import InvalidExpansion
+
+# the digit limit on int/str conversions, which 3.10 releases before
+# 3.10.7 lack and 0 turns off
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_limit = pytest.mark.skipif(not LIMIT, reason="this Python converts ints and strings of any length")
+
+
+def test_every_name_is_bound_to_the_documents_functions():
+    # the benchmark calls and traces the expansion writer and reader under double_base
+    assert double_base.expansion_to_json is documents.expansion_to_json
+    assert double_base.expansion_from_json is documents.expansion_from_json
+    for name in ("expansion_to_json", "expansion_from_json", "element_to_json", "element_from_json"):
+        assert getattr(unitsum, name) is getattr(documents, name)
+
+
+def _as_ints(doc: dict, flags) -> dict:
+    """doc with the integer fields that flags picks written as JSON integers."""
+    out = dict(doc, terms=[dict(t) for t in doc["terms"]])
+    fields = [(out, "p"), (out, "q")] + [(t, k) for t in out["terms"] for k in "ij"]
+    for (where, key), flag in zip(fields, flags):
+        if flag:
+            where[key] = int(where[key])
+    return out
+
+
+_PAIRS = st.sampled_from([(5, 23), (11, 13), (5, 11), (2, 7), (11, 5)])
+
+
+@st.composite
+def _expansions(draw):
+    base = BasePair(*draw(_PAIRS))
+    signed = draw(st.booleans())
+    exps = st.integers(0 if signed else -40, 40)
+    pairs = draw(st.lists(st.tuples(exps, exps), max_size=12, unique=True))
+    terms = [(draw(st.sampled_from([-1, 1])), i, j) for i, j in pairs]
+    return (SignedExpansion if signed else ExtendedExpansion)(base, terms)
+
+
+@given(_expansions(), st.lists(st.booleans(), max_size=30))
+def test_expansions_round_trip_through_json_text(exp, flags):
+    doc = _as_ints(expansion_to_json(exp), flags)
+    assert expansion_from_json(json.loads(json.dumps(doc))) == (exp, evaluate_expansion(exp))
+
+
+@given(
+    st.integers(-(10**6), 10**6),
+    st.lists(st.integers(-(10**40), 10**40), min_size=3, max_size=3),
+    st.lists(st.booleans(), min_size=3, max_size=3),
+)
+def test_cubic_elements_round_trip_through_json_text(a, coords, flags):
+    elem = CubicElement(CubicParams(a), *coords)
+    doc = element_to_json(elem)
+    doc["coords"] = [int(c) if flag else c for c, flag in zip(doc["coords"], flags)]
+    assert element_from_json(json.loads(json.dumps(doc))) == elem
+
+
+@needs_limit
+@pytest.mark.parametrize(
+    "field, text, what",
+    [("value", "7", "value"), ("value", "1/3", "value"), ("p", "5", "base")],
+)
+def test_reader_names_the_field_past_the_digit_limit(field, text, what):
+    doc = dict(expansion_to_json(expand(997, BasePair(5, 23))), **{field: text + "1" * LIMIT})
+    with pytest.raises(InvalidExpansion) as info:
+        expansion_from_json(doc)
+    message = str(info.value)
+    assert message.startswith(f"malformed expansion document: {what} has more than {LIMIT} digits")
+    assert "set_int_max_str_digits" not in message
+
+
+@needs_limit
+def test_writer_names_the_value_past_the_digit_limit():
+    exp = SignedExpansion(BasePair(2, 3), [(1, 4 * LIMIT, 0)])
+    with pytest.raises(ValueError) as info:
+        expansion_to_json(exp)
+    # the benchmark counts a failed operation by its exact class
+    assert type(info.value) is ValueError
+    assert str(info.value).startswith(f"value has more than {LIMIT} digits")
+    assert "set_int_max_str_digits" not in str(info.value)
+
+
+@needs_limit
+def test_cubic_coordinates_past_the_digit_limit_are_named_both_ways():
+    with pytest.raises(ValueError, match="^coordinate has more than"):
+        element_to_json(CubicElement(CubicParams(2), 10**LIMIT, 0, 0))
+    with pytest.raises(ValueError, match="^coordinate has more than"):
+        element_from_json({"a": "2", "coords": ["1", "9" * (LIMIT + 1), "0"]})

@@ -44,7 +44,7 @@ from unitsum import (
     weight,
 )
 from unitsum.double_base import _claim_reduce, _extended_credits, _valuation
-from unitsum.errors import document_ints
+from unitsum.documents import document_ints
 from unitsum.relations import find_extended_relation, find_plain_relation
 
 B523 = BasePair(5, 23)
