@@ -58,8 +58,14 @@ def _print_json(obj) -> None:
 
 
 def integer(text: str) -> int:
-    """An integer argument, read by the rule of JSON documents: -?[0-9]+."""
-    return documents.document_ints([text], "integer")[0]
+    """An integer argument, read by the rule of JSON documents: -?[0-9]+.
+    One past Python's int/str digit limit is named as such, not echoed."""
+    try:
+        return documents.document_ints([text], "integer")[0]
+    except ValueError as exc:
+        if str(exc).startswith("integer has more than"):  # else argparse calls it invalid
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        raise
 
 
 def _base(args) -> BasePair:
@@ -121,6 +127,9 @@ def _cmd_verify(args) -> int:
         data = json.loads(raw)
     except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses per nesting level
         raise ValueError(f"not valid JSON: {exc}") from None
+    except ValueError:  # the decoder's only other error: an integer literal past the digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"a JSON integer literal has more than {limit} digits, past Python's int/str limit") from None
     try:
         exp, claimed = documents.expansion_from_json(data)
     except InvalidExpansion as exc:

@@ -8,9 +8,7 @@ import sys
 from fractions import Fraction
 
 from .cubic import CubicElement, CubicParams
-from .double_base import (
-    BasePair, ExtendedExpansion, SignedExpansion, _expansion, _rows_checked, evaluate_expansion,
-)
+from .double_base import BasePair, ExtendedExpansion, SignedExpansion, _from_rows, evaluate_expansion
 from .errors import InvalidExpansion
 from .relations import PlainRelation
 
@@ -133,10 +131,7 @@ def expansion_from_json(data: dict):
     rows = {}
     for d, i, j in zip(ds, iis, js):
         rows.setdefault(j, {})[i] = d
-    # a repeated pair leaves fewer entries in the rows than terms; on any
-    # fault the constructor names the first faulty term, in document order
-    checked = _rows_checked(rows, cls is SignedExpansion) and sum(map(len, rows.values())) == len(ds)
-    return (_expansion(cls, base, list(zip(ds, iis, js)), checked), claimed)
+    return (_from_rows(cls, base, rows, list(zip(ds, iis, js))), claimed)
 
 
 def witness_to_json(witness) -> dict:

@@ -103,31 +103,25 @@ class ExtendedExpansion:
         )
 
 
-def _expansion(cls, base: BasePair, terms: list, checked: bool):
-    """cls(base, terms), when checked says that the terms passed the
-    constructor's checks already, row by row (see _rows_checked): int
-    digits -1 or 1 at distinct int pairs, none of them negative for a
-    SignedExpansion.  The terms are then only sorted.  Otherwise the
-    constructor runs, and raises InvalidExpansion naming the first
-    faulty term."""
-    if not checked:
+def _from_rows(cls, base: BasePair, rows: dict, terms: list):
+    """cls(base, terms), given the int terms also as rows {j: {i: d}}.
+
+    When the rows hold only the digits -1 and 1, for a SignedExpansion no
+    negative i or j, and one entry per term (a repeated pair leaves
+    fewer), the terms pass the constructor's checks and are only sorted.
+    Otherwise the constructor runs, and raises InvalidExpansion naming
+    the first faulty term in the order given."""
+    digits, low, entries = set(), 0, 0
+    for j, row in rows.items():
+        if row:
+            digits.update(row.values())
+            low, entries = min(low, j, min(row)), entries + len(row)
+    if entries != len(terms) or not digits <= {-1, 1} or (cls is SignedExpansion and low < 0):
         return cls(base, terms)
     exp = object.__new__(cls)
     object.__setattr__(exp, "base", base)
     object.__setattr__(exp, "terms", _descending(terms))
     return exp
-
-
-def _rows_checked(rows: dict, signed: bool) -> bool:
-    """Whether the converter's rows {j: {i: a}} hold only the digits -1
-    and 1, and, for a signed expansion, no negative i or j.  Their pairs
-    are distinct as dict keys."""
-    digits, low = set(), 0
-    for j, row in rows.items():
-        if row:
-            digits.update(row.values())
-            low = min(low, j, min(row))
-    return digits <= {-1, 1} and not (signed and low < 0)
 
 
 @dataclass(frozen=True)
@@ -477,7 +471,7 @@ def expand_with_stats(
         steps = _claim_reduce(rows, _extended_credits(rel), on_step)
     sign = 1 if v > 0 else -1
     terms = [(sign * a, i, j) for j, row in rows.items() for i, a in row.items()]
-    return ExpandStats(_expansion(SignedExpansion, base, terms, _rows_checked(rows, True)), steps, w_init)
+    return ExpandStats(_from_rows(SignedExpansion, base, rows, terms), steps, w_init)
 
 
 def expand(v: int, base: BasePair, seed_method: str = "padic") -> SignedExpansion:
@@ -521,7 +515,7 @@ def expand_extended(x: PQRational, base: BasePair, on_step=None) -> ExtendedExpa
         terms = [(sign * a, j - x.a_p, i - x.a_q) for j, row in rows.items() for i, a in row.items()]
     else:
         terms = [(sign * a, i - x.a_p, j - x.a_q) for j, row in rows.items() for i, a in row.items()]
-    return _expansion(ExtendedExpansion, base, terms, _rows_checked(rows, False))
+    return _from_rows(ExtendedExpansion, base, rows, terms)
 
 
 def _shifted_sum(terms, p: int, q: int) -> Tuple[int, int, int]:

@@ -3,11 +3,17 @@
 import hashlib
 import io
 import json
+import sys
 
 import pytest
 
 from unitsum import Representation, cli, cubic, relations
 from unitsum.cli import main
+
+# the digit limit on int/str conversions, which 3.10 releases before
+# 3.10.7 lack and 0 turns off
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_limit = pytest.mark.skipif(not LIMIT, reason="this Python converts ints and strings of any length")
 
 
 def run(capsys, *argv):
@@ -232,6 +238,16 @@ def test_verify_rejects_json_nested_too_deep(tmp_path, capsys, monkeypatch, sour
     assert err.startswith("error: not valid JSON: ")
     # the interpreter recovered, so the next call runs as usual
     assert run(capsys, "find-relation", "--p", "5", "--q", "23")[:2] == (0, "2 = 5^2 - 23^1\n")
+
+
+@needs_limit
+def test_verify_names_the_digit_limit_of_a_json_integer_literal(capsys, monkeypatch):
+    # json.loads raises a plain ValueError on an unquoted integer past the limit
+    doc = '{"kind": "signed", "p": "5", "q": "23", "value": %s, "terms": []}' % ("7" * (LIMIT + 1))
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out, err = run(capsys, "verify", "-")
+    assert (code, out) == (3, "")
+    assert err == f"error: a JSON integer literal has more than {LIMIT} digits, past Python's int/str limit\n"
 
 
 def test_find_relation_text(capsys):
@@ -485,6 +501,17 @@ def test_integer_arguments_follow_one_rule(capsys, template, bad):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
     assert "invalid integer value" in err
+
+
+@needs_limit
+@pytest.mark.parametrize("template", INTEGER_ARGS, ids=" ".join)
+def test_integer_arguments_past_the_digit_limit_name_it(capsys, template):
+    # argparse would call the argument invalid and echo all its digits
+    argv = ["7" * (LIMIT + 1) if arg == "{}" else arg for arg in template]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert f"integer has more than {LIMIT} digits, past Python's int/str limit" in err
+    assert "invalid integer value" not in err and len(err) < 1000
 
 
 def test_unknown_subcommand_is_invalid_input(capsys):

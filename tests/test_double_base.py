@@ -589,6 +589,38 @@ def test_expand_extended_terms_pass_the_public_constructor(n, ap, aq, pq):
     assert all(type(c) is int for term in terms for c in term)
 
 
+class ConstructorRan(Exception):
+    pass
+
+
+def test_valid_outputs_skip_the_per_term_constructor(monkeypatch):
+    # the builder checks valid terms row by row and only sorts them; the
+    # per-term constructor would cost about 1 ms more at 4096 bits
+    def refuse(terms, allow_negative_exponents):
+        raise ConstructorRan
+
+    v = -(10**40 + 7)
+    b511, b115 = BasePair(5, 11), BasePair(11, 5)
+    signed = expand(3**2585 + 2**4095, BasePair(11, 13))
+    extended = expand_extended(pq_rational(Fraction(7, 121), b115), b115)
+    duplicate = _doc("signed", (1, "1", "0"), (-1, "1", "0"))
+    monkeypatch.setattr(double_base, "_canonical_terms", refuse)
+    for seed in ("padic", "greedy"):
+        assert evaluate_expansion(expand_with_stats(v, B523, seed).expansion) == v
+    for b in (BasePair(2, 7), BasePair(7, 3)):  # binary on the p axis, balanced ternary on the q axis
+        assert evaluate_expansion(expand_with_stats(v, b).expansion) == v
+    for b, x in ((B523, Fraction(-7)), (b511, Fraction(7, 55)), (b115, Fraction(7, 121))):
+        assert evaluate_expansion(expand_extended(pq_rational(x, b), b)) == x
+    for exp in (signed, extended):
+        assert expansion_from_json(expansion_to_json(exp)) == (exp, evaluate_expansion(exp))
+    # two terms at one pair leave one row entry, so the constructor runs
+    with pytest.raises(ConstructorRan):
+        expansion_from_json(duplicate)
+    monkeypatch.undo()
+    with pytest.raises(InvalidExpansion, match=r"^duplicate exponent pair \(1,0\)$"):
+        expansion_from_json(duplicate)
+
+
 # ----------------------------------------------------------------- helpers
 
 
