@@ -5,10 +5,10 @@ A representation stores sparse nonnegative coefficients indexed by
 sum a * zeta^k * eta_l * eps^x, computed exactly by whichever ring
 instantiates the basis.  The central rewrite replaces n copies of a
 unit with the I units of a fixed relation, and `reduce` iterates that
-rewrite until every coefficient is below n.  Its kernel keeps the counts
-in a flat list over a box around the input, or, for an input whose sites
-lie far apart or whose run outgrows that box, in a dict.  For the cubic
-piles it keeps one count per orbit of a symmetry group of order 6.
+rewrite until every coefficient is below n.  Its kernel fires in passes,
+each over a flat list on a box around the input or, for sites far apart
+or after a run nears that box's faces, over a dict.  For the cubic piles
+it keeps one count per orbit of a symmetry group of order 6.
 """
 
 from __future__ import annotations
@@ -99,7 +99,11 @@ class UnitRelation:
 
 
 def _exact_index(key) -> Index:
-    k, ell, x = key
+    try:
+        k, ell, x = key
+        x = tuple(x)
+    except (TypeError, ValueError):
+        raise ValueError(f"index {key!r} does not fit the basis") from None
     x = tuple(exact_int(c, "exponent") for c in x)
     return (exact_int(k, "sign layer"), exact_int(ell, "generator"), x)
 
@@ -120,7 +124,7 @@ class Representation:
         K, L, M = basis.K, basis.L, basis.M
         clean = {}
         for key, a in (coeffs or {}).items():
-            k, ell, x = key
+            k, ell, x = key if type(key) is tuple and len(key) == 3 else _exact_index(key)
             if not (type(k) is int and type(ell) is int and type(a) is int
                     and type(x) is tuple and all(type(c) is int for c in x)):
                 (k, ell, x), a = _exact_index(key), exact_int(a, "coefficient")
@@ -348,8 +352,7 @@ class _Box:
     def __init__(self, basis: UnitGroupBasis, rel: UnitRelation, lo, hi):
         K, L = basis.K, basis.L
         KL = K * L
-        self.lo = lo
-        self.KL, self.L = KL, L
+        self.lo, self.KL = lo, KL
         self.widths = [b - a + 1 for a, b in zip(lo, hi)]
         self.spans = list(zip(lo, self.widths))
         self.heads = [(layer // L, layer % L + 1) for layer in range(KL)]
@@ -364,10 +367,6 @@ class _Box:
     def shift(self, x) -> int:
         return sum(map(mul, x, self.scales))
 
-    def pack(self, index: Index) -> int:
-        k, ell, x = index
-        return self.origin + self.shift(x) + k * self.L + ell - 1
-
     def unpack(self, site: int) -> Index:
         q, layer = divmod(site, self.KL)
         x = []
@@ -378,8 +377,8 @@ class _Box:
         return (k, ell, tuple(x))
 
     def packed(self, heads, cols) -> list:
-        """[pack((k, l, x)) ...] for the k*L + l in heads and the x given
-        by their coordinate columns cols, a column at a time."""
+        """The sites of the (k, l, x) with k*L + l in heads and x given by
+        their coordinate columns cols, packed a column at a time."""
         base = self.origin - 1
         sites = [head + base for head in heads]
         for col, s in zip(cols, self.scales):
@@ -468,20 +467,20 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
     (stable coefficients, steps) for a map that fits the basis and holds
     at most one sign layer at each (l, x), as reduce leaves it.
 
-    Sites are packed into ints over a box (see _Box), and their counts
-    are kept in one of two storages, chosen before the input is packed.
-    The first box is the input's hull widened by r_max * (isqrt(w) // 2
-    + 2) for the input weight w (at most _CHIP_CEILING).  If it has at
-    most _DENSE_CELLS * (w + number of sites) cells, the counts live in a
-    flat list over it for as long as no site about to fire lies within
-    r_max of one of its faces, so every target of a firing lies inside
-    it.  Otherwise, as for sites 10^9 apart, the counts live in a dict
-    from the start, and once such a site is about to fire they move into
-    one; it lies over a box that exceeds the input's hull by r_max *
-    (max_steps + 1) on every side, and no box cell is allocated.  A site
-    d hops from the input takes d firings of at least one step each, and
-    the cap raises before the firing that passes it moves any chips, so
-    no site leaves that box.
+    Sites are packed into ints over a box (see _Box).  The run goes in
+    passes, each of which packs its input map a coordinate column at a
+    time, fires and reads back.  The first box is the input's hull
+    widened by r_max * (isqrt(w) // 2 + 2) for the input weight w (at
+    most _CHIP_CEILING).  If it has at most _DENSE_CELLS * (w + number
+    of sites) cells, the first pass keeps the counts in a flat list over
+    it and ends before any round in which a site about to fire lies
+    within r_max of one of its faces, so every target of a firing lies
+    inside it.  Otherwise, as for sites 10^9 apart, and after a list
+    pass ends so, a pass keeps them in a dict over a box that exceeds
+    the input's hull by r_max * (max_steps + 1) on every side, and no box
+    cell is allocated.  A site d hops from the input takes d firings of
+    at least one step each, and the cap raises before the firing that
+    passes it moves any chips, so no site leaves that box.
 
     Firing a site adds, for each relation term, an int offset looked up
     in an _Offsets table by the site.  A site joins the next round when
@@ -489,15 +488,15 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
     site at most once and every listed site holds at least n when it
     fires.
 
-    The input's sites are packed a coordinate column at a time.  The
-    table's keys are the sites that fired and its values the offsets of
-    their own targets, so the list storage leaves as a copy of the input
-    map updated at the cells that could have changed, by one rule: those
-    keys and their targets take their counts, and those that ended
-    empty leave.  No step walks the box and only those cells are
-    unpacked, so continuing a large stable input costs its firings and a
-    few passes over the input.  The dict storage holds only the support
-    and leaves whole; both unpack through _Box.unpacked.
+    The table's keys are the sites that fired and its values the offsets
+    of their own targets, so in either storage a pass reads back a copy
+    of its input map updated at the cells that could have changed, by
+    one rule: those keys and their targets take their counts, and those
+    that ended empty leave.  No step walks the box and only those cells
+    are unpacked, through _Box.unpacked.  Firing is abelian (see reduce),
+    so the dict's pass goes on from the list's map with the sites holding
+    at least n, exactly those the next round would fire, and the steps,
+    the cap's error and on_step's per-site sums are one unbroken run's.
 
     fold, when given, sends an exponent vector to (y, s): the
     representative y of its orbit under a finite group of linear maps
@@ -529,72 +528,72 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
     chips = min(sum(coeffs.values()), _CHIP_CEILING)
     ks, ells, xs = zip(*coeffs)
     cols = list(zip(*xs))
+    lo, hi = list(map(min, cols)), list(map(max, cols))
 
     def around(reach):
-        lo, hi = [min(c) - reach for c in cols], [max(c) + reach for c in cols]
         if fold is not None:
             # one square box from -r; see the docstring
-            lo, hi = [-r] * len(lo), [max(hi)] * len(hi)
-        return _Box(basis, rel, lo, hi)
+            return _Box(basis, rel, [-r] * len(lo), [max(hi) + reach] * len(hi))
+        return _Box(basis, rel, [a - reach for a in lo], [b + reach for b in hi])
 
     box = around(r * (isqrt(chips) // 2 + 2))
     dense = box.cells <= _DENSE_CELLS * (chips + len(coeffs))
-    if not dense:
-        box = around(r * (max(cap, 0) + 1))
-    sites = box.packed([k * L + ell for k, ell in zip(ks, ells)], cols)
-    ready = [site for site, c in zip(sites, coeffs.values()) if c >= n]
-    if dense:
-        state = [0] * box.cells
-        for site, c in zip(sites, coeffs.values()):
-            state[site] = c
-        edge = box.edge(r)
-    else:
-        state = defaultdict(int, zip(sites, coeffs.values()))
-    offsets = _Offsets(box, rel, fold)
     on_step = policy.on_step
-    # each distinct site is unpacked once, however often it fires
-    seen = {}
     steps = 0
-    while ready:
-        # spill once, when a firing could leave the list's box; getitem
-        # reads bytes twice as fast as their bound __getitem__
-        if dense and any(map(getitem, repeat(edge), ready)):
-            wide = around(r * (max(cap, 0) + 1))
-            state = defaultdict(int, {wide.pack(box.unpack(site)): c for site, c in compress(enumerate(state), state)})
-            ready = [wide.pack(box.unpack(site)) for site in ready]
-            box, dense, seen, offsets = wide, False, {}, _Offsets(wide, rel, fold)
-        following = []
-        for site in ready:
-            c = state[site]
-            t = c // n
-            state[site] = c - n * t
-            size, ds = offsets[site]
-            steps += size * t
-            if steps > cap:
-                raise _cap_exceeded(cap)
-            if on_step is not None:
-                index = seen.get(site)
-                if index is None:
-                    index = seen[site] = box.unpack(site)
-                on_step(index, t)
-            for d in ds:
-                nk = site + d
-                old = state[nk]
-                state[nk] = new = old + t
-                if old < n <= new:
-                    following.append(nk)
-        ready = following
-    if not dense:
-        sites = list(compress(state, state.values()))
-        return dict(zip(box.unpacked(sites), filter(None, state.values()))), steps
-    # no cell other than a fired site or a target of one changed; the
-    # table holds each fired site's own targets, which lie in the box, as
-    # the edge test passed, and every site that ended empty fired
-    sites = list({site + d for site, (_, ds) in offsets.items() for d in ds}.union(offsets))
-    counts = [state[site] for site in sites]
-    keys = box.unpacked(sites)
-    out = coeffs.copy()
-    out.update(zip(keys, counts))
-    for key in compress(keys, map(not_, counts)):
-        del out[key]
-    return out, steps
+    while True:
+        if not dense:
+            box = around(r * (max(cap, 0) + 1))
+        sites = box.packed([k * L + ell for k, ell in zip(ks, ells)], cols)
+        ready = [site for site, c in zip(sites, coeffs.values()) if c >= n]
+        if dense:
+            state = [0] * box.cells
+            for site, c in zip(sites, coeffs.values()):
+                state[site] = c
+            edge = box.edge(r)
+        else:
+            state = defaultdict(int, zip(sites, coeffs.values()))
+        offsets = _Offsets(box, rel, fold)
+        # each distinct site is unpacked once a pass, however often it fires
+        seen = {}
+        while ready:
+            # the list's pass ends when a firing could leave its box;
+            # getitem reads bytes twice as fast as their bound __getitem__
+            if dense and any(map(getitem, repeat(edge), ready)):
+                break
+            following = []
+            for site in ready:
+                c = state[site]
+                t = c // n
+                state[site] = c - n * t
+                size, ds = offsets[site]
+                steps += size * t
+                if steps > cap:
+                    raise _cap_exceeded(cap)
+                if on_step is not None:
+                    index = seen.get(site)
+                    if index is None:
+                        index = seen[site] = box.unpack(site)
+                    on_step(index, t)
+                for d in ds:
+                    nk = site + d
+                    old = state[nk]
+                    state[nk] = new = old + t
+                    if old < n <= new:
+                        following.append(nk)
+            ready = following
+        # no cell other than a fired site or a target of one changed; the
+        # table holds each fired site's own targets, which lie in the box,
+        # as the edge test passed, and every site that ended empty fired
+        sites = list({site + d for site, (_, ds) in offsets.items() for d in ds}.union(offsets))
+        counts = [state[site] for site in sites]
+        keys = box.unpacked(sites)
+        out = coeffs.copy()
+        out.update(zip(keys, counts))
+        for key in compress(keys, map(not_, counts)):
+            del out[key]
+        if not ready:
+            return out, steps
+        # a spill: the run goes on from this round's state in the dict
+        coeffs, dense = out, False
+        ks, ells, xs = zip(*coeffs)
+        cols = list(zip(*xs))

@@ -696,6 +696,23 @@ def test_reduce_spills_to_the_dict_as_the_support_spreads(monkeypatch):
         assert [box.lo for box in built] == [[-5], [-(cap + 1)]]
 
 
+def test_a_spill_unpacks_no_single_site(monkeypatch):
+    """A spill ends the list's pass, which reads back through
+    _Box.unpacked like any other, and the dict's pass goes on from that
+    map: without on_step, no site is unpacked on its own."""
+    rep = Representation(LINE, {(0, 1, (0,)): 60, (1, 2, (5,)): 3})
+    rel = UnitRelation(n=2, terms=((0, (1,)), (0, (-1,))))
+    expected = heap_reduce(rep, rel)[:2]
+    unpacking = []
+    unpacked = engine._Box.unpacked
+    monkeypatch.setattr(engine._Box, "unpack", lambda box, site: pytest.fail(f"unpacked site {site} alone"))
+    monkeypatch.setattr(engine._Box, "unpacked", lambda box, sites: unpacking.append(box) or unpacked(box, sites))
+    out = reduce(rep, rel)
+    assert (dict(out.coeffs), out.steps) == expected
+    # one read-back per pass, over two boxes: the run spilled
+    assert len(set(unpacking)) == len(unpacking) == 2
+
+
 def test_reduce_of_far_apart_sites_allocates_no_box():
     seed = rep_of({(0, 1, (0, 0)): 9, (1, 1, (10**9, 0)): 7})
     tracemalloc.start()
@@ -705,7 +722,9 @@ def test_reduce_of_far_apart_sites_allocates_no_box():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert (dict(out.coeffs), out.steps) == heap_reduce(seed, REL)[:2]
+    expected = heap_reduce(seed, REL)
+    assert (dict(out.coeffs), out.steps) == expected[:2]
+    assert_agrees_with(expected, seed, REL)
 
 
 CUBIC3 = CubicParams(3)
@@ -717,28 +736,29 @@ CUBIC3 = CubicParams(3)
         (
             Representation(cubic_basis(CUBIC3), {(0, 1, (2, -1)): 44, (1, 1, (3, 0)): 9}),
             three_relation(CUBIC3),
-            True,
+            [True],
         ),
-        (rep_of({(0, 1, (0, 0)): 9, (1, 1, (10**9, 0)): 7}), REL, False),
+        (rep_of({(0, 1, (0, 0)): 9, (1, 1, (10**9, 0)): 7}), REL, [False]),
         (
             Representation(LINE, {(0, 1, (0,)): 60, (1, 2, (5,)): 3}),
             UnitRelation(n=2, terms=((0, (1,)), (0, (-1,)))),
-            False,
+            [True, False],
         ),
     ],
     ids=["list", "far-apart-dict", "spilled-dict"],
 )
 def test_reduce_output_fits_its_basis_in_both_storages(monkeypatch, rep, rel, listed):
-    """The list storage leaves through _Box.unpacked on the box it was
-    built over (the one whose edge it tested), the dict storage (sites
-    10^9 apart, or a run that spills) through the wide box's; both give
-    keys and counts that Representation.__init__ accepts."""
+    """Each pass leaves through _Box.unpacked on its own box: the list's
+    pass on the box whose edge it tested, the dict's on the wide box.  A
+    run that spills reads back through the first, then the second; sites
+    10^9 apart go to the dict from the start.  Each gives keys and counts
+    that Representation.__init__ accepts."""
     edged, unpacking = [], []
     edge, unpacked = engine._Box.edge, engine._Box.unpacked
     monkeypatch.setattr(engine._Box, "edge", lambda box, r: edged.append(box) or edge(box, r))
     monkeypatch.setattr(engine._Box, "unpacked", lambda box, sites: unpacking.append(box) or unpacked(box, sites))
     out = reduce(rep, rel)
-    assert unpacking and any(box in edged for box in unpacking) == listed and out.steps > 0
+    assert [box in edged for box in unpacking] == listed and out.steps > 0
     assert_fits_its_basis(out)
     assert (dict(out.coeffs), out.steps) == heap_reduce(rep, rel)[:2]
 
@@ -897,17 +917,17 @@ def boxes_and_states(draw):
 
 @given(boxes_and_states())
 def test_box_unpacked_matches_unpack(case):
-    """unpacked is unpack a column at a time, and packed inverts it on
-    layer 0; the all-zero state has no sites."""
+    """unpacked is unpack a column at a time, and packed inverts it; the
+    all-zero state has no sites."""
     box, state = case
     sites = [s for s, c in enumerate(state) if c]
     indices = box.unpacked(sites)
     assert indices == [box.unpack(s) for s in sites]
     assert box.unpacked([]) == []
     if indices:
-        ells = [ell for _, ell, _ in indices]
+        heads = [k * (box.KL // UnitGroupBasis.K) + ell for k, ell, _ in indices]
         cols = list(zip(*(x for _, _, x in indices)))
-        assert box.packed(ells, cols) == [box.pack((0, ell, x)) for _, ell, x in indices]
+        assert box.unpacked(box.packed(heads, cols)) == indices
 
 
 @given(st.sampled_from([None, *CUBIC_PARAMS[:3]]), seeds(1, 3, 2, 40), st.randoms(use_true_random=False))
