@@ -136,7 +136,13 @@ def _cmd_verify(args) -> int:
         print(f"status invalid ({exc})")
         return EXIT_VERIFY
     value = evaluate_expansion(exp)
-    print(f"value {value}")
+    try:
+        text = f"value {value}"
+    except ValueError:  # past the digit limit, so not the claimed value, which passed it
+        limit = sys.get_int_max_str_digits()
+        print(f"status invalid (value has more than {limit} digits; document claims {claimed})")
+        return EXIT_VERIFY
+    print(text)
     if value == claimed:
         print("status valid")
         return EXIT_OK

@@ -13,7 +13,6 @@ from __future__ import annotations
 import bisect
 import functools
 import threading
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -21,7 +20,6 @@ from typing import Optional, Tuple
 from . import engine
 from .engine import Interval, Representation, UnitGroupBasis, UnitRelation
 from .errors import (
-    IterationCapExceeded,
     ParamsMismatch,
     RelationBroken,
     VerificationFailed,
@@ -525,14 +523,15 @@ def represent_unit_sums(beta: CubicElement, policy: Optional[engine.ReductionPol
       c (i^2 - i j + j^2) / 3 over its representatives, each weighted
       by its orbit's size over 3: 2, or 1 on a mirror ray.
 
-    So each call takes the magnitudes in ascending order and starts each
-    from the largest pile below it: the cached S(m) with m <= |c_t| (see
-    _PileCache), or the one this call made last, if larger.  It adds the
-    missing chips at (0, 0) and runs the engine's kernel once on the
-    orbits.
-    The new pile's steps are read from the invariant, must add up to the
-    kernel's count, and the pile is stored.  A total above the cap,
-    counting each coordinate at the pile it starts from, raises at once.
+    So each call reads, for each coordinate, the cached S(m) with the
+    largest m <= |c_t| (see _PileCache), then takes the coordinates once,
+    in ascending magnitude, each from that pile or from the one the last
+    coordinate ended at, if larger, so a repeated magnitude is reduced once.
+    It adds the missing chips at (0, 0), runs the engine's kernel on the
+    orbits with the steps the cap leaves beyond every coordinate's start,
+    reads the new pile's steps from the invariant, which must add up to
+    the kernel's count, stores the pile and places it.  A total above the
+    cap, counting each coordinate at the pile it starts from, raises at once.
     With policy.on_step set, the cache is neither read nor written, so
     every firing is reported.
     """
@@ -545,28 +544,21 @@ def represent_unit_sums(beta: CubicElement, policy: Optional[engine.ReductionPol
         seeds = {(0 if c > 0 else 1, 1, (t, 0)): abs(c) for t, c in enumerate(beta.coords)}
         return engine.reduce(Representation(basis, seeds), rel, policy)
     cap = max(policy.max_steps, 0)
-    coords = [(t, abs(c), 0 if c > 0 else 1) for t, c in enumerate(beta.coords) if c]
-    counts = Counter(n for _, n, _ in coords)
-    piles = {n: _PILES.floor(n) for n in counts}  # (m, steps, pile)
-    total = sum(piles[n][1] * k for n, k in counts.items())
+    coords = sorted((abs(c), t, 0 if c > 0 else 1) for t, c in enumerate(beta.coords) if c)
+    starts = [_PILES.floor(n) for n, _, _ in coords]  # (m, steps, pile)
+    total = sum(steps for _, steps, _ in starts)
     below = (0, 0, {})
-    for n in sorted(counts):
-        m, steps, pile = piles[n]
+    out = {}
+    for (n, t, k), (m, steps, pile) in zip(coords, starts):
         if below[0] > m:
-            total += (below[1] - steps) * counts[n]
+            total += below[1] - steps
             m, steps, pile = below
         if total > cap:
             raise engine._cap_exceeded(policy.max_steps)
         if m < n:
             start = {**pile, (0, 1, (0, 0)): pile.get((0, 1, (0, 0)), 0) + n - m}
-            try:
-                pile, more = engine._stabilize(
-                    start, basis, rel, engine.ReductionPolicy(max_steps=cap - total), _fold
-                )
-            except IterationCapExceeded:
-                pile = None
+            pile, more = engine._stabilize(start, basis, rel, cap - total, None, _fold)
             if pile is None:
-                # raised out here, so that no traceback keeps the kernel's state
                 raise engine._cap_exceeded(policy.max_steps)
             # Q(i, j) times the orbit's size over 3; Q(0, 0) = 0
             squares = sum(
@@ -574,14 +566,10 @@ def represent_unit_sums(beta: CubicElement, policy: Optional[engine.ReductionPol
             )
             if squares != 3 * (steps + more):
                 raise VerificationFailed(f"S({n}) of {beta!r} holds {squares} / 3 steps, not {steps} + {more}")
-            total += more * counts[n]
+            total += more
             steps += more
             _PILES.store(n, steps, pile)
-        piles[n] = below = (n, steps, pile)
-    if total > cap:
-        raise engine._cap_exceeded(policy.max_steps)
-    out = {}
-    for t, n, k in coords:
-        _place(out, piles[n][2], t, k)
+        below = (n, steps, pile)
+        _place(out, pile, t, k)
     return engine._representation(basis, out, total)
 

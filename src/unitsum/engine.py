@@ -333,7 +333,9 @@ def reduce(rep: Representation, rel: UnitRelation, policy: Optional[ReductionPol
         b = coeffs.pop(mate, 0)
         if a != b:
             coeffs[key if a > b else mate] = abs(a - b)
-    out, steps = _stabilize(coeffs, rep.basis, rel, policy)
+    out, steps = _stabilize(coeffs, rep.basis, rel, policy.max_steps, policy.on_step)
+    if out is None:
+        raise _cap_exceeded(policy.max_steps)
     return _representation(rep.basis, out, steps)
 
 
@@ -458,14 +460,16 @@ class _Offsets(dict):
 
 
 def _cap_exceeded(cap: int) -> IterationCapExceeded:
-    # raised by _stabilize and by cubic.represent_unit_sums
+    # raised by reduce and by cubic.represent_unit_sums, in their own frames
     return IterationCapExceeded(f"reduction exceeded {cap} replacement steps")
 
 
-def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: ReductionPolicy, fold=None):
+def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, cap: int, on_step=None, fold=None):
     """Round kernel behind reduce and cubic.represent_unit_sums; returns
     (stable coefficients, steps) for a map that fits the basis and holds
-    at most one sign layer at each (l, x), as reduce leaves it.
+    at most one sign layer at each (l, x), as reduce leaves it.  cap and
+    on_step are a ReductionPolicy's; the firing that passes cap returns
+    (None, steps), and each caller raises the cap's error in its own frame.
 
     Sites are packed into ints over a box (see _Box).  The run goes in
     passes, each of which packs its input map a coordinate column at a
@@ -477,10 +481,10 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
     within r_max of one of its faces, so every target of a firing lies
     inside it.  Otherwise, as for sites 10^9 apart, and after a list
     pass ends so, a pass keeps them in a dict over a box that exceeds
-    the input's hull by r_max * (max_steps + 1) on every side, and no box
+    the input's hull by r_max * (cap + 1) on every side, and no box
     cell is allocated.  A site d hops from the input takes d firings of
-    at least one step each, and the cap raises before the firing that
-    passes it moves any chips, so no site leaves that box.
+    at least one step each, and the run returns before the firing that
+    passes cap moves any chips, so no site leaves that box.
 
     Firing a site adds, for each relation term, an int offset looked up
     in an _Offsets table by the site.  A site joins the next round when
@@ -496,7 +500,7 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
     are unpacked, through _Box.unpacked.  Firing is abelian (see reduce),
     so the dict's pass goes on from the list's map with the sites holding
     at least n, exactly those the next round would fire, and the steps,
-    the cap's error and on_step's per-site sums are one unbroken run's.
+    the budget's end and on_step's per-site sums are one unbroken run's.
 
     fold, when given, sends an exponent vector to (y, s): the
     representative y of its orbit under a finite group of linear maps
@@ -515,7 +519,7 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
     fire.  A firing of t at a representative of an orbit of size s
     counts s t steps, and the table (see _Offsets) sends its chips to
     the representatives of its targets, so the count is exact after
-    every firing and the cap raises exactly where the plain run's does.
+    every firing and the budget is passed exactly where the plain run's is.
     The box is one square from -r_max up to the input's largest
     exponent and the reach.  Representatives lie in x >= 0, so none is
     within r_max of its lower faces, and a site r_max inside its upper
@@ -524,7 +528,6 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
     if not coeffs:
         return {}, 0
     n, L, r = rel.n, basis.L, rel.r_max
-    cap = policy.max_steps
     chips = min(sum(coeffs.values()), _CHIP_CEILING)
     ks, ells, xs = zip(*coeffs)
     cols = list(zip(*xs))
@@ -538,7 +541,6 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
 
     box = around(r * (isqrt(chips) // 2 + 2))
     dense = box.cells <= _DENSE_CELLS * (chips + len(coeffs))
-    on_step = policy.on_step
     steps = 0
     while True:
         if not dense:
@@ -568,7 +570,7 @@ def _stabilize(coeffs: dict, basis: UnitGroupBasis, rel: UnitRelation, policy: R
                 size, ds = offsets[site]
                 steps += size * t
                 if steps > cap:
-                    raise _cap_exceeded(cap)
+                    return None, steps
                 if on_step is not None:
                     index = seen.get(site)
                     if index is None:

@@ -250,6 +250,20 @@ def test_verify_names_the_digit_limit_of_a_json_integer_literal(capsys, monkeypa
     assert err == f"error: a JSON integer literal has more than {LIMIT} digits, past Python's int/str limit\n"
 
 
+@needs_limit
+@pytest.mark.parametrize("kind, sign", [("signed", ""), ("extended", "-")])
+def test_verify_calls_a_value_past_the_digit_limit_invalid(capsys, monkeypatch, kind, sign):
+    # 5^(2 LIMIT) and 5^-(2 LIMIT) print more digits than the limit allows, so
+    # neither can be the claimed value, which had to be read under it; this
+    # exited 3 with Python's own message and its set_int_max_str_digits advice
+    terms = [{"d": 1, "i": f"{sign}{2 * LIMIT}", "j": "0"}]
+    doc = json.dumps({"kind": kind, "p": "5", "q": "23", "value": "1", "terms": terms})
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    assert run(capsys, "verify", "-") == (
+        5, f"status invalid (value has more than {LIMIT} digits; document claims 1)\n", ""
+    )
+
+
 def test_find_relation_text(capsys):
     code, out, _ = run(capsys, "find-relation", "--p", "5", "--q", "23")
     assert code == 0

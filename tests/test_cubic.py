@@ -4,6 +4,7 @@ coefficient-2 unit-sum representations."""
 import random
 import sys
 import threading
+import traceback
 from fractions import Fraction
 
 import pytest
@@ -657,14 +658,67 @@ def test_step_cap_raises_as_one_reduce_does(beta, warm):
         assert (got[0] is IterationCapExceeded) == (cap < steps)
 
 
-def test_step_cap_below_a_cached_pile_raises_at_once():
+@pytest.fixture
+def budgets(monkeypatch):
+    """The step budget of each kernel call made after the fixture is set up."""
+    seen = []
+    stabilize = engine._stabilize
+
+    def spy(coeffs, basis, rel, cap, *rest):
+        seen.append(cap)
+        return stabilize(coeffs, basis, rel, cap, *rest)
+
+    monkeypatch.setattr(engine, "_stabilize", spy)
+    return seen
+
+
+def test_step_cap_below_a_cached_pile_raises_at_once(budgets):
     cubic._PILES.clear()
     pile = represent_unit_sums(elem(P2, 1000, 0, 0))
+    budgets.clear()
     beta = elem(P2, 0, -1005, 0)
     policy = ReductionPolicy(max_steps=pile.steps - 1)
     got = _outcome(lambda: represent_unit_sums(beta, policy))
+    assert budgets == []
     assert got == _outcome(lambda: represent_by_one_reduce(beta, policy))
     assert got == (IterationCapExceeded, f"reduction exceeded {pile.steps - 1} replacement steps")
+
+
+def test_one_magnitude_three_times_runs_the_kernel_once(budgets):
+    cubic._PILES.clear()
+    beta = elem(P2, 300, -300, 300)
+    rep = represent_unit_sums(beta)
+    assert len(budgets) == 1
+    assert rep == represent_by_one_reduce(beta) and rep.steps == 3 * represent_unit_sums(elem(P2, 300, 0, 0)).steps
+
+
+def test_first_kernel_budget_counts_every_coordinates_cached_pile(budgets):
+    """Each coordinate's start is read before the first kernel run, so
+    that run is not handed steps that the larger coordinates' cached
+    piles already spend; a capped call then stops as soon as it can."""
+    cubic._PILES.clear()
+    pile = represent_unit_sums(elem(P2, 3000, 0, 0))
+    budgets.clear()
+    cap = ReductionPolicy().max_steps
+    assert 3 * pile.steps < cap
+    with pytest.raises(IterationCapExceeded, match=f"exceeded {cap} replacement"):
+        represent_unit_sums(elem(P2, 9000, 9100, 9200))
+    assert budgets == [cap - 3 * pile.steps]
+
+
+@pytest.mark.parametrize("how", ["reduce", "cold", "warm"])
+def test_step_cap_error_holds_no_kernel_frame(how):
+    """The kernel hands its budget back, and the caller raises, so the
+    traceback keeps none of the kernel's state alive."""
+    cubic._PILES.clear()
+    if how == "warm":
+        represent_unit_sums(elem(P2, 1000, 0, 0))
+    call = represent_by_one_reduce if how == "reduce" else represent_unit_sums
+    with pytest.raises(IterationCapExceeded) as info:
+        call(elem(P2, 3000, 0, 0), ReductionPolicy(max_steps=10**5))
+    frames = [frame.name for frame in traceback.extract_tb(info.value.__traceback__)]
+    assert frames[-1] == ("reduce" if how == "reduce" else "represent_unit_sums")
+    assert "_stabilize" not in frames
 
 
 @pytest.mark.parametrize("cap", [0, -1, -10**6])
@@ -727,7 +781,7 @@ def test_continuing_a_pile_unpacks_only_the_sites_that_moved(monkeypatch, n):
     whole, fired = {}, set()
     cubic._place(whole, start, 0, 0)
     rel = three_relation(P2)
-    engine._stabilize(whole, rep.basis, rel, ReductionPolicy(on_step=lambda index, t: fired.add(cubic._fold(index[2])[0])))
+    engine._stabilize(whole, rep.basis, rel, 10**6, lambda index, t: fired.add(cubic._fold(index[2])[0]))
     # and the output keys that are not the input's own were built for those
     given = {id(key) for key in start}
     built = sum(id(key) not in given for key in out)

@@ -817,7 +817,9 @@ FOLD_STORAGES = ["list", "dict", "spilled"]
 
 
 def _folded(coeffs, basis, rel, max_steps=1_000_000, fold=_dihedral_fold):
-    out, steps = engine._stabilize(coeffs, basis, rel, ReductionPolicy(max_steps=max_steps), fold)
+    out, steps = engine._stabilize(coeffs, basis, rel, max_steps, None, fold)
+    if out is None:
+        raise engine._cap_exceeded(max_steps)
     return engine._representation(basis, out, steps)
 
 
