@@ -18,7 +18,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 from operator import add, getitem, mul, not_, sub
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Tuple
@@ -251,6 +251,14 @@ def monotone_quantity(rep: Representation, precision_bits: int = 64) -> Interval
     Exact (zero-width) whenever the abs_val hooks return point intervals,
     as they do for integer bases.  Strictly increases under every rewrite
     drawn from a valid relation.
+
+    Each side is summed over one denominator.  For each coordinate m, the
+    ends of |eps_m|'s enclosure are raised once to each exponent 2 x_m
+    that the sites use, and those powers are put over their lcm.  The
+    sites' coefficients are then multiplied by those integer numerators
+    one coordinate at a time, from the last, summing the sites that
+    share the rest of x, and one Fraction per side divides by the product
+    of the lcms.  So a site costs integer products and no gcd.
     """
     precision_bits = exact_int(precision_bits, "precision_bits")
     if precision_bits < 0:
@@ -260,24 +268,35 @@ def monotone_quantity(rep: Representation, precision_bits: int = 64) -> Interval
     for lo, hi in abs_ivs:
         if lo <= 0:
             raise ValueError("abs_val hooks must certify positivity")
+    weights = defaultdict(int)
+    for (_, _, x), a in rep._coeffs.items():
+        weights[x] += a
+    ends = []
+    for side in (0, 1):
+        # fold the coordinates in from the last, so that a prefix of x
+        # costs one product however many sites share it
+        sums, den = weights, 1
+        for m in reversed(range(basis.M)):
+            powers = {e: _power_ratio(abs_ivs[m], side, 2 * e) for e in {x[-1] for x in sums}}
+            common = lcm(*(d for _, d in powers.values()))
+            numerators = {e: n * (common // d) for e, (n, d) in powers.items()}
+            folded = defaultdict(int)
+            for x, total in sums.items():
+                folded[x[:-1]] += total * numerators[x[-1]]
+            sums, den = folded, den * common
+        ends.append(Fraction(sums[()], den))
+    return tuple(ends)
 
-    @functools.cache
-    def coord_pow(m: int, e: int) -> Interval:
-        lo, hi = abs_ivs[m]
-        return (lo ** e, hi ** e) if e >= 0 else (1 / hi ** -e, 1 / lo ** -e)
 
-    lo_total = Fraction(0)
-    hi_total = Fraction(0)
-    for (k, ell, x), a in rep._coeffs.items():
-        flo = Fraction(1)
-        fhi = Fraction(1)
-        for m, e in enumerate(x):
-            plo, phi = coord_pow(m, 2 * e)
-            flo *= plo
-            fhi *= phi
-        lo_total += a * flo
-        hi_total += a * fhi
-    return (lo_total, hi_total)
+def _power_ratio(iv, side: int, e: int) -> Tuple[int, int]:
+    """(numerator, denominator) of the side (0 low, 1 high) bound of
+    |eps|^e, for iv a positive enclosure of |eps|."""
+    if e >= 0:
+        end = iv[side]
+        return end.numerator ** e, end.denominator ** e
+    # 1 / hi^-e bounds a negative power from below, 1 / lo^-e from above
+    end = iv[1 - side]
+    return end.denominator ** -e, end.numerator ** -e
 
 
 def evaluate(rep: Representation, evaluator):

@@ -9,6 +9,7 @@ property the converter promises.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -51,11 +52,26 @@ class _Budget:
             raise BudgetExceeded("brute-force node budget exhausted")
 
 
-def _dfs(target: int, slots, left: int, budget: _Budget, idx: int = 0) -> Optional[List[Tuple[int, int, int]]]:
+def _dfs(target: int, slots, left: int, budget: _Budget, keys, idx: int = 0) -> Optional[List[Tuple[int, int, int]]]:
     """Terms of the first signed left-subset of slots[idx:] summing to
-    target, depth-first with + before -, or None."""
+    target, depth-first with + before -, or None.
+
+    keys holds the slots' negated magnitudes, ascending.  The last term is
+    the first slot from idx no larger than |target| (bisect_left), if its
+    magnitude is |target|.  The lookup spends the nodes a scan would: one
+    for each larger slot before it and one for a hit, so witnesses and
+    BudgetExceeded stay those of the scan.
+    """
     if left == 0:
         return [] if target == 0 else None
+    if left == 1:
+        k = bisect_left(keys, -abs(target), idx)
+        hit = k < len(keys) and keys[k] == -abs(target)
+        budget.spend(k - idx + hit)
+        if not hit:
+            return None
+        _, i, j = slots[k]
+        return [(1 if target > 0 else -1, i, j)]
     for k in range(idx, len(slots) - left + 1):
         m, i, j = slots[k]
         # slots are sorted by decreasing magnitude, so once even `left`
@@ -65,7 +81,7 @@ def _dfs(target: int, slots, left: int, budget: _Budget, idx: int = 0) -> Option
             return None
         budget.spend()
         for s in (1, -1):
-            rest = _dfs(target - s * m, slots, left - 1, budget, k + 1)
+            rest = _dfs(target - s * m, slots, left - 1, budget, keys, k + 1)
             if rest is not None:
                 return [(s, i, j)] + rest
     return None
@@ -149,15 +165,17 @@ def min_weight_bruteforce(
     """Lightest expansion of v using exponents i <= I_max, j <= J_max.
 
     Iterative deepening over the weight makes the first hit minimal
-    within the box.  Direct search handles weights up to 4; beyond that
-    the subset sums of two slot halves meet in the middle, each half
-    walked only where its sums can still reach the target.  Returns None
-    when no expansion of weight <= max_weight fits in the box; raises
-    BudgetExceeded when the node budget runs out first.  One budget node
-    is one slot tried at one depth of the direct search, or one signed
-    partial sum formed in the meet-in-the-middle walk.  A box with more
-    slots p^i q^j than the budget has nodes raises before its table is
-    built.
+    within the box.  Direct search handles weights up to 4, and looks its
+    last term up by bisection in the slots' negated magnitudes, a list
+    built once per call; beyond that the subset sums of two slot halves
+    meet in the middle, each half walked only where its sums can still
+    reach the target.  Returns None when no expansion of weight <=
+    max_weight fits in the box; raises BudgetExceeded when the node
+    budget runs out first.  One budget node is one slot tried at one
+    depth of the direct search (at the last depth, each slot a scan
+    would try), or one signed partial sum formed in the
+    meet-in-the-middle walk.  A box with more slots p^i q^j than the
+    budget has nodes raises before its table is built.
     """
     v, max_weight = exact_int(v, "value"), exact_int(max_weight, "max_weight")
     node_budget = exact_int(node_budget, "node_budget")
@@ -174,9 +192,13 @@ def min_weight_bruteforce(
     # coprime bases of at least 2 give distinct magnitudes p^i q^j
     # (unique factorization), so sorting by magnitude alone fixes the order
     slots.sort(reverse=True)
+    keys = [-m for m, _, _ in slots]
     budget = _Budget(node_budget)
     for t in range(max_weight + 1):
-        terms = (_dfs if t <= 4 else _meet_in_middle)(v, slots, t, budget)
+        if t <= 4:
+            terms = _dfs(v, slots, t, budget, keys)
+        else:
+            terms = _meet_in_middle(v, slots, t, budget)
         if terms is not None:
             expansion = SignedExpansion(base, terms)
             if evaluate_expansion(expansion) != v:

@@ -290,6 +290,20 @@ def test_find_relation_asks_for_the_certificate_first(capsys, monkeypatch):
     assert (code, out) == (2, "obstruction modulus 5\np_orbit 0\nq_orbit 1\n")
 
 
+@pytest.mark.parametrize("extended", [(), ("--extended",)], ids=["plain", "extended"])
+def test_find_relation_refuses_a_walk_past_its_bound(capsys, extended):
+    # (97, 89) has no relation with exponents up to the walk bound, and
+    # modulus 2 gives no certificate, so a bound of 10^6 is refused
+    # instead of walking for hours
+    argv = ("find-relation", "--p", "97", "--q", "89", "--max-exp", "1000000", "--max-modulus", "2")
+    assert run(capsys, *argv, *extended) == (
+        3,
+        "",
+        f"error: max_exp 1000000 is past the search bound of {relations.MAX_WALK_EXP}, "
+        "which the walk reached without an answer\n",
+    )
+
+
 def test_find_relation_extended_flag(capsys):
     code, out, _ = run(
         capsys, "find-relation", "--p", "5", "--q", "11", "--extended"

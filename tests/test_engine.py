@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from evaluate_reference import evaluate_by_terms, rational_term
 from heap_reference import heap_reduce, shuffled_reduce
+from monotone_reference import reference_monotone_quantity
 from unitsum import (
     BasisMismatch,
     BoundParams,
@@ -1005,6 +1006,42 @@ def test_monotone_quantity_counts_weight_not_sign():
     a = monotone_quantity(rep_of({(0, 1, (3, 1)): 2}))
     b = monotone_quantity(rep_of({(1, 1, (3, 1)): 2}))
     assert a == b
+
+
+MONOTONE_BASES = [
+    *(cubic.cubic_basis(cubic.CubicParams(a)) for a in (-1000, -3, 0, 2, 5, 1000)),
+    rational_basis(5, 23),
+    rational_basis(2, 3),
+    WIDE,
+]
+
+
+def _monotone_sites(basis):
+    key = st.tuples(
+        st.integers(0, 1),
+        st.integers(1, basis.L),
+        st.tuples(*[st.integers(-12, 12)] * basis.M),
+    )
+    return st.tuples(st.just(basis), st.dictionaries(key, st.integers(1, 10**6), max_size=12))
+
+
+@settings(max_examples=80)
+@given(
+    st.sampled_from(MONOTONE_BASES).flatmap(_monotone_sites),
+    st.sampled_from([0, 1, 64, 128]),
+)
+@example((MONOTONE_BASES[0], {}), 128)
+@example((MONOTONE_BASES[-1], {}), 0)
+def test_monotone_quantity_matches_the_per_site_sum(basis_coeffs, bits):
+    # one denominator per side gives the exact, normalised pair the
+    # per-site Fraction loop gives, on cubic enclosures and point values
+    basis, coeffs = basis_coeffs
+    rep = Representation(basis, coeffs)
+    got = monotone_quantity(rep, bits)
+    assert got == reference_monotone_quantity(rep, bits)
+    assert all(type(end) is Fraction for end in got)
+    if not coeffs:
+        assert got == (0, 0)
 
 
 # ----------------------------------------------------------------- bounds

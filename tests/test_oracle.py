@@ -20,7 +20,8 @@ from unitsum import (
     weight,
 )
 from db_reference import ceil_log_by_multiplication
-from oracle_reference import reference_min_weight
+from oracle_reference import reference_dfs, reference_min_weight
+from unitsum.oracle import _Budget, _dfs
 
 B523 = BasePair(5, 23)
 
@@ -144,6 +145,69 @@ def test_oracle_never_beats_its_own_witness(v):
 
 
 # ------------------------------------------- differential: reference search
+
+DFS_BASES = [BasePair(5, 23), BasePair(11, 13), BasePair(5, 7), BasePair(2, 3)]
+
+
+def _slots(base, box):
+    slots = [(base.p**i * base.q**j, i, j) for i in range(box[0] + 1) for j in range(box[1] + 1)]
+    return sorted(slots, reverse=True)
+
+
+def assert_dfs_same_as_scan(target, slots, nodes):
+    """Weights 0..4 in turn, one budget per search as min_weight_bruteforce
+    keeps it: the same terms, the same nodes left after each weight, and
+    BudgetExceeded at the same weight."""
+    keys = [-m for m, _, _ in slots]
+    ours, theirs = _Budget(nodes), _Budget(nodes)
+    for t in range(5):
+        try:
+            got = _dfs(target, slots, t, ours, keys)
+        except BudgetExceeded:
+            got = BudgetExceeded
+        chosen = []
+        try:
+            want = chosen if reference_dfs(target, slots, 0, t, chosen, theirs) else None
+        except BudgetExceeded:
+            want = BudgetExceeded
+        assert got == want, t
+        if got is BudgetExceeded:
+            return
+        assert ours.left == theirs.left, t
+
+
+@settings(max_examples=150)
+@given(
+    st.sampled_from(DFS_BASES),
+    st.one_of(st.integers(-3, 3), st.integers(-(10**4), 10**4)),
+    st.one_of(st.none(), st.tuples(st.integers(0, 5), st.integers(0, 4))),
+    st.integers(0, 3000),
+)
+@example(BasePair(5, 23), 0, None, 3000)
+@example(BasePair(5, 23), 997, None, 3000)
+@example(BasePair(5, 23), -997, (7, 5), 200)
+def test_last_term_lookup_spends_what_the_scan_spends(base, target, box, nodes):
+    box = default_box(target, base) if box is None else box
+    assert_dfs_same_as_scan(target, _slots(base, box), nodes)
+
+
+def test_last_term_lookup_takes_the_first_of_equal_magnitudes():
+    # encoded slots (such as a cubic oracle's) may repeat a magnitude;
+    # the first slot of that magnitude is the one a scan hits
+    slots = [(25, 2, 0), (23, 0, 1), (23, 9, 9), (5, 1, 0), (1, 0, 0)]
+    keys = [-m for m, _, _ in slots]
+    for target, t, terms, spent in [
+        (23, 1, [(1, 0, 1)], 2),
+        (-23, 1, [(-1, 0, 1)], 2),
+        (28, 2, [(1, 0, 1), (1, 1, 0)], 7),
+        (46, 2, [(1, 0, 1), (1, 9, 9)], 5),
+    ]:
+        budget = _Budget(100)
+        assert _dfs(target, slots, t, budget, keys) == terms
+        assert 100 - budget.left == spent
+        for nodes in range(12):
+            assert_dfs_same_as_scan(target, slots, nodes)
+
 
 BASES = [BasePair(5, 23), BasePair(2, 3), BasePair(5, 7), BasePair(11, 13)]
 

@@ -20,7 +20,7 @@ from unitsum import (
     verify_relation,
 )
 from unitsum import relations
-from unitsum.relations import MAX_EXP, _best_extended, _first_partner
+from unitsum.relations import MAX_EXP, MAX_WALK_EXP, _best_extended, _first_partner
 
 
 @pytest.mark.parametrize(
@@ -206,6 +206,47 @@ def test_extended_search_walks_past_the_default_bound_only_when_it_must(monkeypa
     rel = find_extended_relation(base, max_exp)
     assert rel.form == form and verify_relation(base, rel)
     assert (max(bounds) == max_exp) == walks
+
+
+def test_walk_past_its_bound_is_refused():
+    base = BasePair(97, 89)
+    find_plain_relation.cache_clear()
+    assert find_plain_relation(base, MAX_WALK_EXP) is None
+    with pytest.raises(ValueError, match=f"^max_exp {MAX_WALK_EXP + 1} is past the search bound of {MAX_WALK_EXP},"):
+        find_plain_relation(base, MAX_WALK_EXP + 1)
+
+
+@pytest.mark.parametrize("bound", [65, 70, 100])
+def test_a_search_that_ends_below_the_walk_bound_is_exact(monkeypatch, bound):
+    """A search that ends within the walk bound gives what an unbounded
+    one gives, and one that has not ended there raises.  The plain search
+    ends once it finds x, y <= bound, and the extended one once its best
+    has exponent sum <= bound.  BEYOND's least relations have x = 70
+    (plain, exponent sum 71) and exponent sum 65 (inverse forms, whose
+    pairs have no plain relation)."""
+    monkeypatch.setattr(relations, "MAX_WALK_EXP", bound)
+    for base in BEYOND:
+        for finder, reference in [
+            (find_plain_relation, reference_plain_relation),
+            (find_extended_relation, reference_extended_relation),
+        ]:
+            find_plain_relation.cache_clear()
+            find_extended_relation.cache_clear()
+            want = reference(base, 200)
+            if want is None:
+                size = float("inf")
+            elif finder is find_plain_relation:
+                size = max(want.x, want.y)
+            else:
+                size = want.exponent_sum
+            if size <= bound:
+                assert finder(base, 10**9) == want, base
+            else:
+                with pytest.raises(ValueError, match=f"past the search bound of {bound},"):
+                    finder(base, 10**9)
+            assert finder(base, bound) == reference(base, bound)
+    find_plain_relation.cache_clear()
+    find_extended_relation.cache_clear()
 
 
 @pytest.mark.parametrize("max_exp", [65, 100, 200])
