@@ -292,19 +292,43 @@ def _isolate(a: int) -> Tuple[Tuple[int, int], ...]:
     return ((-b, -1), (-1, 0), (0, b))
 
 
-def _bisect(a: int, bracket: Tuple[int, int], bits: int) -> Interval:
-    """Bisect an integer bracket to width exactly 2^-bits, on integers over
+def _root_cell(a: int, bracket: Tuple[int, int], bits: int) -> Interval:
+    """Narrow an integer bracket to width exactly 2^-bits, on integers over
     2^bits.  The root is irrational, so this ends in the one grid cell that
-    holds it, whatever the bracket; a wider one costs log2(width) halvings."""
+    holds it, whatever the bracket.
+
+    Safeguarded integer Newton: each point is the Newton point from the
+    end evaluated last, clamped strictly inside the bracket it keeps, or
+    the midpoint where that tangent points out of the bracket; the first
+    is the shorter of the ends' inward steps.  Near the root each step
+    about doubles the correct bits, so a cell costs O(log bits) steps
+    after at most about log2(width) halvings."""
     s = 1 << bits
     lo, hi = bracket[0] * s, bracket[1] * s
-    neg_at_lo = _poly_at(a, lo, s) < 0
+    b1, b0 = 2 * (a - 1) * s, (a + 2) * s * s
+
+    def newton(x, fx):
+        # x - s f(x/s) / f'(x/s), rounded away from the end x; None where
+        # it leaves [lo, hi]
+        d = (3 * x - b1) * x - b0
+        if d:
+            n = x - fx // d if x == hi else x + -fx // d
+            if lo <= n <= hi:
+                return n
+        return None
+
+    f_lo, f_hi = _poly_at(a, lo, s), _poly_at(a, hi, s)
+    neg_at_lo = f_lo < 0
+    n_lo, n_hi = newton(lo, f_lo), newton(hi, f_hi)
+    nx = n_hi if n_lo is None or (n_hi is not None and hi - n_hi < n_lo - lo) else n_lo
     while hi - lo > 1:
-        mid = (lo + hi) >> 1
-        if (_poly_at(a, mid, s) < 0) == neg_at_lo:
-            lo = mid
+        x = (lo + hi) >> 1 if nx is None else min(max(nx, lo + 1), hi - 1)
+        fx = _poly_at(a, x, s)
+        if (fx < 0) == neg_at_lo:
+            lo = x
         else:
-            hi = mid
+            hi = x
+        nx = newton(x, fx)
     return (Fraction(lo, s), Fraction(hi, s))
 
 
@@ -316,7 +340,7 @@ def real_roots(params: CubicParams, precision_bits: int = 64) -> Tuple[Interval,
     if precision_bits < 0:
         raise ValueError("precision_bits must be nonnegative")
     a = params.a
-    return tuple(_bisect(a, bracket, precision_bits) for bracket in _isolate(a))
+    return tuple(_root_cell(a, bracket, precision_bits) for bracket in _isolate(a))
 
 
 # a basis is a function of a alone; the last 2^8 are kept, so a call
@@ -327,15 +351,15 @@ def cubic_basis(params: CubicParams) -> UnitGroupBasis:
 
     The conjugate's absolute value is derived from an alpha enclosure
     through |conjugate| = 1 + 1/alpha, so only alpha's bracket is ever
-    bisected.  Equal parameters give the same, frozen basis.
+    narrowed.  Equal parameters give the same, frozen basis.
     """
 
     def alpha_iv(bits: int) -> Interval:
         bracket = _isolate(params.a)[-1]
-        lo, hi = _bisect(params.a, bracket, bits)
+        lo, hi = _root_cell(params.a, bracket, bits)
         while lo <= 0:
             bits += 16
-            lo, hi = _bisect(params.a, bracket, bits)
+            lo, hi = _root_cell(params.a, bracket, bits)
         return (lo, hi)
 
     def abs_conj(bits: int) -> Interval:

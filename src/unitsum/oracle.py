@@ -52,46 +52,85 @@ class _Budget:
             raise BudgetExceeded("brute-force node budget exhausted")
 
 
-def _dfs(target: int, slots, left: int, budget: _Budget, keys, idx: int = 0) -> Optional[List[Tuple[int, int, int]]]:
-    """Terms of the first signed left-subset of slots[idx:] summing to
-    target, depth-first with + before -, or None.
+def _dfs(target: int, slots, t: int, budget: _Budget, keys) -> Optional[List[Tuple[int, int, int]]]:
+    """Terms of the first signed t-subset of slots summing to target,
+    depth-first with + before -, or None.
 
-    keys holds the slots' negated magnitudes, ascending.  The last term is
-    the first slot from idx no larger than |target| (bisect_left), if its
-    magnitude is |target|.  The lookup spends the nodes a scan would: one
-    for each larger slot before it and one for a hit, so witnesses and
-    BudgetExceeded stay those of the scan.
+    keys holds the slots' negated magnitudes, ascending.  Levels with
+    three or more terms left loop over their slot and recurse; the level
+    with two left is one loop that looks the last term up by bisect_left
+    in keys.  A node is one slot tried at one depth, and at the last depth
+    each slot a slot-by-slot scan would try (the larger ones and a hit).
+    The outer levels hand their counts down and each two-term loop
+    charges them with its own in one spend, so the nodes spent and the
+    witness are the scan's, and BudgetExceeded comes at the same weight,
+    at most one loop later.  The terms are built once, from the hit's
+    (sign, index) pairs.
     """
-    if left == 0:
+    n = len(keys)
+    if t == 0:
         return [] if target == 0 else None
-    if left == 1:
-        k = bisect_left(keys, -abs(target), idx)
-        hit = k < len(keys) and keys[k] == -abs(target)
-        budget.spend(k - idx + hit)
-        if not hit:
-            return None
-        _, i, j = slots[k]
-        return [(1 if target > 0 else -1, i, j)]
-    for k in range(idx, len(slots) - left + 1):
-        m, i, j = slots[k]
-        # slots are sorted by decreasing magnitude, so once even `left`
-        # copies of the current magnitude cannot reach the target, no
-        # later slot can either
-        if abs(target) > left * m:
-            return None
-        budget.spend()
-        for s in (1, -1):
-            rest = _dfs(target - s * m, slots, left - 1, budget, keys, k + 1)
-            if rest is not None:
-                return [(s, i, j)] + rest
-    return None
+    if t == 1:
+        key = -abs(target)
+        k = bisect_left(keys, key)
+        hit = k < n and keys[k] == key
+        budget.spend(k + hit)
+        return [(1 if target > 0 else -1, *slots[k][1:])] if hit else None
+    mags = [-key for key in keys]
+    path = []  # (sign, index) pairs of the hit, innermost first
+
+    def search(target, idx, left, nodes):
+        """Nodes counted but not yet charged after a miss, None at a hit."""
+        reach = abs(target)
+        if left == 2:
+            # only the first term's sign that matches the target's needs a
+            # lookup: it leaves |reach - m|, while the other sign leaves
+            # reach + m, more than any later slot, so its lookup would
+            # count no node and hit nothing (at reach = 0 both leave m,
+            # and + comes first)
+            s = 1 if target >= 0 else -1
+            for k in range(idx, n - 1):
+                m = mags[k]
+                # slots are sorted by decreasing magnitude, so once even
+                # two copies of this magnitude cannot reach the target, no
+                # later slot can either
+                if reach > 2 * m:
+                    break
+                key = -abs(reach - m)
+                j = bisect_left(keys, key, k + 1)
+                if j < n and keys[j] == key:
+                    budget.spend(nodes + j - k + 1)
+                    path.extend(((s if reach > m else -s, j), (s, k)))
+                    return None
+                nodes += j - k
+            budget.spend(nodes)
+            return 0
+        for k in range(idx, n - left + 1):
+            m = mags[k]
+            if reach > left * m:
+                break
+            nodes += 1
+            for s in (1, -1):
+                nodes = search(target - s * m, k + 1, left - 1, nodes)
+                if nodes is None:
+                    path.append((s, k))
+                    return None
+        return nodes
+
+    nodes = search(target, 0, t, 0)
+    if nodes is not None:
+        budget.spend(nodes)
+        return None
+    return [(s, *slots[k][1:]) for s, k in reversed(path)]
 
 
-def _windowed_subsets(slots, k: int, lo: int, hi: int, budget: _Budget):
-    """Signed k-subsets of slots (by decreasing magnitude) whose sum lies
-    in [lo, hi].
+def _windowed_subsets(slots, k: int, lo: int, hi: int, budget: _Budget, visit):
+    """Visit the signed k-subsets of slots (by decreasing magnitude) whose
+    sum lies in [lo, hi]; returns the first result of visit that is not
+    None, or None.
 
-    Yields (sum, signs, chosen slots) in the order of
+    visit(partials, chosen) gets the (sum, signs) pairs of one choice of
+    slots; the pairs of all calls come in the order of
     combinations(slots, k) times product((1, -1), repeat=k).  A prefix
     whose sum cannot reach the window with the next magnitudes is
     dropped, which never reorders the rest.  Each signed prefix sum
@@ -101,9 +140,7 @@ def _windowed_subsets(slots, k: int, lo: int, hi: int, budget: _Budget):
 
     def walk(start, left, partials, chosen):
         if left == 0:
-            for s, signs in partials:
-                yield s, signs, chosen
-            return
+            return visit(partials, chosen)
         # how far the prefix sum closest to the window is off it
         gap = min(max(lo - s, s - hi) for s, _ in partials)
         for idx in range(start, len(slots) - left + 1):
@@ -111,19 +148,24 @@ def _windowed_subsets(slots, k: int, lo: int, hi: int, budget: _Budget):
             # slots only get smaller, so once left copies of m cannot
             # close the gap no later slot can either
             if left * m < gap:
-                return
+                return None
             budget.spend(2 * len(partials))
             # the most the other left - 1 terms can add or take away
             rest = top[idx + left] - top[idx + 1]
             lo_x, hi_x = lo - rest, hi + rest
             nxt = []
             for s, signs in partials:
-                if lo_x <= s + m <= hi_x:
-                    nxt.append((s + m, signs + (1,)))
-                if lo_x <= s - m <= hi_x:
-                    nxt.append((s - m, signs + (-1,)))
+                u = s + m
+                if lo_x <= u <= hi_x:
+                    nxt.append((u, signs + (1,)))
+                u = s - m
+                if lo_x <= u <= hi_x:
+                    nxt.append((u, signs + (-1,)))
             if nxt:
-                yield from walk(idx + 1, left - 1, nxt, chosen + (slots[idx],))
+                found = walk(idx + 1, left - 1, nxt, chosen + (slots[idx],))
+                if found is not None:
+                    return found
+        return None
 
     return walk(0, k, [(0, ())] if k or lo <= 0 <= hi else [], ())
 
@@ -131,27 +173,34 @@ def _windowed_subsets(slots, k: int, lo: int, hi: int, budget: _Budget):
 def _meet_in_middle(target: int, slots, t: int, budget: _Budget) -> Optional[List[Tuple[int, int, int]]]:
     half = len(slots) // 2
     first, second = slots[:half], slots[half:]
+    table = {}
+
+    def keep(partials, chosen):
+        for s, signs in partials:
+            if s not in table:
+                table[s] = (signs, chosen)
+
+    def probe(partials, chosen):
+        for s, signs in partials:
+            hit = table.get(target - s)
+            if hit is not None:
+                pairs = zip(hit[0] + signs, hit[1] + chosen)
+                return [(sg, i, j) for sg, (_, i, j) in pairs]
+        return None
+
     for ta in range(max(0, t - len(second)), min(t, len(first)) + 1):
         tb = t - ta
         # a second-half sum of tb terms is no larger than the tb largest
         # second-half magnitudes, so only first-half sums this close to
         # the target can ever meet one
         reach = sum(m for m, _, _ in second[:tb])
-        table = {}
-        for s, signs, chosen in _windowed_subsets(
-            first, ta, target - reach, target + reach, budget
-        ):
-            if s not in table:
-                table[s] = (signs, chosen)
+        table.clear()
+        _windowed_subsets(first, ta, target - reach, target + reach, budget, keep)
         if not table:
             continue
-        for s, signs, chosen in _windowed_subsets(
-            second, tb, target - max(table), target - min(table), budget
-        ):
-            hit = table.get(target - s)
-            if hit is not None:
-                pairs = zip(hit[0] + signs, hit[1] + chosen)
-                return [(sg, i, j) for sg, (_, i, j) in pairs]
+        terms = _windowed_subsets(second, tb, target - max(table), target - min(table), budget, probe)
+        if terms is not None:
+            return terms
     return None
 
 
@@ -174,8 +223,10 @@ def min_weight_bruteforce(
     budget runs out first.  One budget node is one slot tried at one
     depth of the direct search (at the last depth, each slot a scan
     would try), or one signed partial sum formed in the
-    meet-in-the-middle walk.  A box with more slots p^i q^j than the
-    budget has nodes raises before its table is built.
+    meet-in-the-middle walk.  The direct search charges a loop's nodes
+    when the loop ends, so BudgetExceeded comes at the weight a charge
+    per node would give, at most one loop later.  A box with more slots
+    p^i q^j than the budget has nodes raises before its table is built.
     """
     v, max_weight = exact_int(v, "value"), exact_int(max_weight, "max_weight")
     node_budget = exact_int(node_budget, "node_budget")

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cubic_reference import represent_by_one_reduce
+from cubic_reference import bisect_cell, represent_by_one_reduce
 from evaluate_reference import cubic_term, evaluate_by_terms
 from unitsum import (
     CubicElement,
@@ -374,7 +374,7 @@ def test_real_roots_refine_with_precision():
 
 
 def _fraction_bisection(a, bits):
-    # Reference for cubic._bisect: halve each reference unit bracket in
+    # Reference for cubic._root_cell: halve each reference unit bracket in
     # Fractions until it is no wider than 2^-bits.
     target = Fraction(1, 2**bits)
     out = []
@@ -394,6 +394,47 @@ def _fraction_bisection(a, bits):
 def test_real_roots_match_fraction_bisection(bits):
     for a in (*range(-60, 61), 1000, -1000, 10**6, -(10**6)):
         assert real_roots(CubicParams(a), bits) == _fraction_bisection(a, bits), a
+
+
+NEWTON_AS = (*range(-3000, 3001, 7), 1, -1, 10**9, -(10**9))
+
+
+@pytest.mark.parametrize("bits", [0, 1, 64, 128, 160, 1024])
+def test_newton_cells_match_bisection(bits):
+    # the reference costs bits + log2(|a| + 3) steps a root, so at 1024
+    # bits it checks every 43rd a and the extremes; the cubic's signs at
+    # the ends check every cell
+    s = 1 << bits
+    checked = set(NEWTON_AS if bits <= 160 else (*NEWTON_AS[::43], *NEWTON_AS[-4:]))
+    for a in NEWTON_AS:
+        for bracket in cubic._isolate(a):
+            lo, hi = cubic._root_cell(a, bracket, bits)
+            assert hi - lo == Fraction(1, s) and bracket[0] <= lo < hi <= bracket[1]
+            ends = (cubic._poly_at(a, int(e * s), s) < 0 for e in (lo, hi))
+            assert next(ends) != next(ends), (a, bracket)
+            if a in checked:
+                assert (lo, hi) == bisect_cell(a, bracket, bits), (a, bracket)
+
+
+def test_newton_steps_stay_logarithmic(monkeypatch):
+    # a cell of 2^-4096 takes a few dozen evaluations of the cubic even at
+    # a = 10^50, where bisection took 4096 + 167 for each root; at any
+    # precision, a Newton point short of one grid step outside the bracket
+    # must not creep along it a step at a time
+    calls = []
+    poly = cubic._poly_at
+
+    def counted(*args):
+        calls.append(args)
+        return poly(*args)
+
+    monkeypatch.setattr(cubic, "_poly_at", counted)
+    for a in (5, -30000, 10**50, -(10**50)):
+        for bits in (0, 64, 4096):
+            for bracket in cubic._isolate(a):
+                calls.clear()
+                cubic._root_cell(a, bracket, bits)
+                assert 1 < len(calls) <= 24, (a, bits, bracket, len(calls))
 
 
 def test_cubic_basis_interval_hooks():

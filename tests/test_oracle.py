@@ -21,6 +21,7 @@ from unitsum import (
 )
 from db_reference import ceil_log_by_multiplication
 from oracle_reference import reference_dfs, reference_min_weight
+from unitsum import oracle
 from unitsum.oracle import _Budget, _dfs
 
 B523 = BasePair(5, 23)
@@ -207,6 +208,44 @@ def test_last_term_lookup_takes_the_first_of_equal_magnitudes():
         assert 100 - budget.left == spent
         for nodes in range(12):
             assert_dfs_same_as_scan(target, slots, nodes)
+
+
+@pytest.mark.parametrize(
+    "v, w, nodes",
+    [
+        # the heaviest direct search among the certify values
+        (-132, 4, 1107),
+        # the heaviest meet-in-the-middle search among them
+        (-282, 6, 62627),
+    ],
+)
+def test_a_budget_of_exactly_the_nodes_spent_suffices(v, w, nodes, monkeypatch):
+    budgets = []
+
+    class Recorded(_Budget):
+        def __init__(self, nodes):
+            super().__init__(nodes)
+            budgets.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_Budget", Recorded)
+        witness = min_weight_bruteforce(v, B523, 8, node_budget=10**9)
+    assert (witness.weight, 10**9 - budgets[0].left) == (w, nodes)
+    assert min_weight_bruteforce(v, B523, 8, node_budget=nodes) == witness
+    with pytest.raises(BudgetExceeded, match="node budget exhausted"):
+        min_weight_bruteforce(v, B523, 8, node_budget=nodes - 1)
+
+
+def test_direct_search_overruns_its_budget_by_less_than_one_loop():
+    # the two-term loops charge their nodes when they end, so a search
+    # that runs out of nodes has spent at most one such loop too many;
+    # on 10^4 slots that is far fewer nodes than slots
+    slots = _slots(B523, (99, 99))
+    assert len(slots) == 10**4
+    budget = _Budget(10**5)
+    with pytest.raises(BudgetExceeded):
+        _dfs(997, slots, 3, budget, [-m for m, _, _ in slots])
+    assert -len(slots) <= budget.left < 0
 
 
 BASES = [BasePair(5, 23), BasePair(2, 3), BasePair(5, 7), BasePair(11, 13)]
