@@ -267,8 +267,8 @@ def _cmd_bench_steps(args) -> int:
         )
     rows = oracle.sweep_verify(lo, hi, base)
     print("n,w_init,steps,weight_final")
-    for n, _, w, _, steps, w_init in rows:
-        print(f"{n},{w_init},{steps},{w}")
+    for row in rows:
+        print(*row, sep=",")
     return EXIT_OK
 
 

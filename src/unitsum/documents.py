@@ -97,9 +97,11 @@ def expansion_from_json(data: dict):
     value an integer or an "n" or "n/d" string of decimal digits; anything
     else, a float, a boolean or "2.5e1" included, raises InvalidExpansion.
     The claimed value is whatever the document asserts, as a Fraction; it
-    is not rechecked here.  A document or term that is not a JSON object,
-    terms that are not an array, and a missing field raise it too, naming
-    what is wrong.
+    is not rechecked here.  A weight field, which min-weight writes, is
+    read by the same integer rule and must equal the number of terms, or
+    InvalidExpansion names both numbers.  A document or term that is not
+    a JSON object, terms that are not an array, and a missing field raise
+    it too, naming what is wrong.
     """
     try:
         document_json(data, dict, "the document")
@@ -116,6 +118,8 @@ def expansion_from_json(data: dict):
         iis = document_ints([t["i"] for t in terms], "exponent")
         js = document_ints([t["j"] for t in terms], "exponent")
         claimed = document_rational(data["value"], "value")
+        # min-weight's documents claim a weight as well
+        weight = document_ints([data["weight"]], "weight")[0] if "weight" in data else None
     except KeyError as exc:
         if exc.args[0] in ("d", "i", "j"):  # a term's field: name the first term without it
             exc = f"{exc} in term {next(k for k, t in enumerate(terms) if exc.args[0] not in t)}"
@@ -131,7 +135,10 @@ def expansion_from_json(data: dict):
     rows = {}
     for d, i, j in zip(ds, iis, js):
         rows.setdefault(j, {})[i] = d
-    return (_from_rows(cls, base, rows, list(zip(ds, iis, js))), claimed)
+    exp = _from_rows(cls, base, rows, list(zip(ds, iis, js)))
+    if weight is not None and weight != len(exp.terms):
+        raise InvalidExpansion(f"document claims weight {weight}, but the expansion has {len(exp.terms)} terms")
+    return (exp, claimed)
 
 
 def witness_to_json(witness) -> dict:

@@ -54,8 +54,7 @@ def _canonical_terms(terms, allow_negative_exponents: bool) -> Tuple[Term, ...]:
     seen = set()
     clean = []
     for d, i, j in terms:
-        if not (type(d) is int and type(i) is int and type(j) is int):
-            d, i, j = exact_int(d, "digit"), exact_int(i, "exponent"), exact_int(j, "exponent")
+        d, i, j = exact_int(d, "digit"), exact_int(i, "exponent"), exact_int(j, "exponent")
         if d not in (-1, 1):
             raise InvalidExpansion(f"digit {d} at ({i},{j}) is not -1 or 1")
         if not allow_negative_exponents and (i < 0 or j < 0):
@@ -518,14 +517,17 @@ def expand_extended(x: PQRational, base: BasePair, on_step=None) -> ExtendedExpa
     return _from_rows(ExtendedExpansion, base, rows, terms)
 
 
-def _shifted_sum(terms, p: int, q: int) -> Tuple[int, int, int]:
-    """(s, i0, j0) with sum d p^i q^j = s p^i0 q^j0 over nonempty terms
-    in descending (i, j) order, i0 and j0 being the least exponents.
+def _shifted_sum(terms, p: int, q: int):
+    """sum d p^i q^j over terms in descending (i, j) order, where a pair
+    may repeat: an int when no exponent is negative, else a Fraction.
 
-    Horner's rule in p over the rows i, and in q within each row, so only
-    powers of the gaps between exponents are computed and no table of
-    powers grows with the exponent span.
+    Horner's rule in p over the rows i, and in q within each row, gives
+    s with the sum = s p^i0 q^j0 for the least exponents i0 and j0, so
+    only powers of the gaps between exponents are computed and no table
+    of powers grows with the exponent span.
     """
+    if not terms:
+        return 0
     j0 = min(j for _, _, j in terms)
     s = 0  # the finished rows, in units of p^row
     row, col, r = terms[0][1], terms[0][2], 0  # r: this row, in units of q^col
@@ -535,21 +537,19 @@ def _shifted_sum(terms, p: int, q: int) -> Tuple[int, int, int]:
             row, col, r = i, j, 0
         r = r * q ** (col - j) + d
         col = j
-    return s + r * q ** (col - j0), row, j0
+    s, i0 = s + r * q ** (col - j0), row
+    if i0 >= 0 and j0 >= 0:
+        return s * p ** i0 * q ** j0
+    return Fraction(s * p ** max(i0, 0) * q ** max(j0, 0), p ** max(-i0, 0) * q ** max(-j0, 0))
 
 
 def evaluate_expansion(exp):
     """Exact value: an int for SignedExpansion, a Fraction for
     ExtendedExpansion."""
-    signed = isinstance(exp, SignedExpansion)
-    if not exp.terms:
-        return 0 if signed else Fraction(0)
-    p, q = exp.base.p, exp.base.q
-    s, i0, j0 = _shifted_sum(exp.terms, p, q)
-    if signed:
-        return s * p ** i0 * q ** j0
-    num = s * p ** max(i0, 0) * q ** max(j0, 0)
-    return Fraction(num, p ** max(-i0, 0) * q ** max(-j0, 0))
+    value = _shifted_sum(exp.terms, exp.base.p, exp.base.q)
+    if type(value) is int and not isinstance(exp, SignedExpansion):
+        return Fraction(value)
+    return value
 
 
 def weight(exp) -> int:
@@ -576,12 +576,16 @@ def rational_basis(p: int, q: int) -> UnitGroupBasis:
 
 
 def rational_evaluator(base: BasePair) -> Callable:
-    """Evaluation hook for engine.evaluate over a rational basis."""
+    """Evaluation hook for engine.evaluate over a rational basis: the
+    signed coefficients, sorted by descending (i, j), summed by the
+    Horner rule of evaluate_expansion; a Fraction."""
 
-    p, q = Fraction(base.p), Fraction(base.q)
+    p, q = base.p, base.q
 
     def ev(items) -> Fraction:
-        return sum(((-a if k else a) * p ** i * q ** j for (k, _, (i, j)), a in items), Fraction(0))
+        # a site on both sign layers gives two terms with one (i, j)
+        terms = _descending([(-a if k else a, i, j) for (k, _, (i, j)), a in items])
+        return Fraction(_shifted_sum(terms, p, q))
 
     return ev
 

@@ -124,10 +124,7 @@ class Representation:
         K, L, M = basis.K, basis.L, basis.M
         clean = {}
         for key, a in (coeffs or {}).items():
-            k, ell, x = key if type(key) is tuple and len(key) == 3 else _exact_index(key)
-            if not (type(k) is int and type(ell) is int and type(a) is int
-                    and type(x) is tuple and all(type(c) is int for c in x)):
-                (k, ell, x), a = _exact_index(key), exact_int(a, "coefficient")
+            (k, ell, x), a = _exact_index(key), exact_int(a, "coefficient")
             if not (0 <= k < K and 1 <= ell <= L and len(x) == M):
                 raise ValueError(f"index {key!r} does not fit the basis")
             if a < 0:

@@ -157,9 +157,14 @@ def min_weight_group():
 
 
 def sweep_verify_group():
+    # the rows sweep_verify returned with an oracle column: (v, "ok",
+    # weight, oracle weight or "", steps, w_init)
     for p, q in ((5, 23), (7, 5), (2, 5)):
-        yield from map(str, sweep_verify(-50, 400, BasePair(p, q)))
-    yield from map(str, sweep_verify(1, 40, BasePair(5, 7), oracle_max_weight=4))
+        for v, w_init, steps, w in sweep_verify(-50, 400, BasePair(p, q)):
+            yield str((v, "ok", w, "", steps, w_init))
+    base = BasePair(5, 7)
+    for v, w_init, steps, w in sweep_verify(1, 40, base):
+        yield str((v, "ok", w, min_weight_bruteforce(v, base, 4).weight, steps, w_init))
 
 
 def reduce_group():

@@ -5,11 +5,15 @@ weights up to 4 when it still filled an out-parameter.
 reference_meet_in_middle is the search it ran before the windowed walk:
 for every split of the weight it lists every signed subset of each slot
 half, keeps the first first-half subset per sum, and returns at the first
-second-half subset that meets one.  The differential tests check that
+second-half subset that meets one.  Each half's sums are listed once
+per (half, size), only as far as a search has read them, and kept for
+later weights and calls.  The differential tests check that
 min_weight_bruteforce finds the same weight and the same terms.
 """
 
+import functools
 import itertools
+from array import array
 
 from unitsum.oracle import _Budget, default_box
 
@@ -35,29 +39,53 @@ def reference_dfs(target, slots, idx, left, chosen, budget):
     return False
 
 
-def reference_meet_in_middle(target, slots, t, budget):
+@functools.lru_cache(maxsize=None)
+def _listing(half, size):
+    """The signed size-subsets of half, in the order of combinations(half,
+    size) times product((1, -1), repeat=size): an array of the sums
+    listed so far (each must fit in 64 bits) and an iterator over the
+    combinations not yet listed.  Entry n is _signed_subset(half, size, n)."""
+    return array("q"), itertools.combinations(half, size)
+
+
+def _sums_until(half, size, wanted=frozenset()):
+    """(sums, n): the sums of _listing(half, size), listed up to n, the
+    index of the first sum in wanted, or to the end and n = None."""
+    sums, combos = _listing(half, size)
+    n = next(itertools.compress(itertools.count(), map(wanted.__contains__, sums)), None)
+    if n is not None:
+        return sums, n
+    for combo in combos:
+        # the pairs (m, -m) give the signs in product((1, -1)) order
+        block = list(map(sum, itertools.product(*((m, -m) for m, _, _ in combo))))
+        sums.fromlist(block)
+        if not wanted.isdisjoint(block):
+            return sums, len(sums) - len(block) + next(k for k, s in enumerate(block) if s in wanted)
+    return sums, None
+
+
+def _signed_subset(half, size, n):
+    """The terms of entry n of _listing(half, size)."""
+    combo = next(itertools.islice(itertools.combinations(half, size), n >> size, None))
+    signs = next(itertools.islice(itertools.product((1, -1), repeat=size), n % (1 << size), None))
+    return [(sg, i, j) for sg, (_, i, j) in zip(signs, combo)]
+
+
+def reference_meet_in_middle(target, slots, t):
     """Terms of the first signed t-subset of slots summing to target, or
     None; returns (terms, ta) with ta the number of first-half terms."""
     half = len(slots) // 2
-    first, second = slots[:half], slots[half:]
+    first, second = tuple(slots[:half]), tuple(slots[half:])
     for ta in range(max(0, t - len(second)), min(t, len(first)) + 1):
         tb = t - ta
-        table = {}
-        for combo in itertools.combinations(range(len(first)), ta):
-            for signs in itertools.product((1, -1), repeat=ta):
-                budget.spend()
-                s = sum(sg * first[k][0] for sg, k in zip(signs, combo))
-                if s not in table:
-                    table[s] = [(sg, first[k][1], first[k][2]) for sg, k in zip(signs, combo)]
-        for combo in itertools.combinations(range(len(second)), tb):
-            for signs in itertools.product((1, -1), repeat=tb):
-                budget.spend()
-                s = sum(sg * second[k][0] for sg, k in zip(signs, combo))
-                hit = table.get(target - s)
-                if hit is not None:
-                    return hit + [
-                        (sg, second[k][1], second[k][2]) for sg, k in zip(signs, combo)
-                    ], ta
+        sums, _ = _sums_until(first, ta)
+        # {sum: index of its first subset}: walked backwards, so that the
+        # first subset is the last one written
+        table = dict(zip(reversed(sums), range(len(sums) - 1, -1, -1)))
+        sums, n = _sums_until(second, tb, {target - s for s in table})
+        if n is not None:
+            k = table[target - sums[n]]
+            return _signed_subset(first, ta, k) + _signed_subset(second, tb, n), ta
     return None
 
 
@@ -81,7 +109,7 @@ def reference_min_weight(v, base, max_weight, exp_box=None):
             if reference_dfs(v, slots, 0, t, chosen, budget):
                 return t, tuple(chosen), None
         else:
-            found = reference_meet_in_middle(v, slots, t, budget)
+            found = reference_meet_in_middle(v, slots, t)
             if found is not None:
                 terms, ta = found
                 return t, tuple(terms), ta

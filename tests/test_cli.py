@@ -116,6 +116,26 @@ def test_verify_detects_tampering(tmp_path, capsys):
     assert "invalid" in out
 
 
+@pytest.mark.parametrize(
+    "weight, code, status",
+    [
+        ("5", 0, "value 997\nstatus valid\n"),
+        (5, 0, "value 997\nstatus valid\n"),
+        # a witness of 5 terms claiming weight 1 was certified valid
+        ("1", 5, "status invalid (document claims weight 1, but the expansion has 5 terms)\n"),
+        (6, 5, "status invalid (document claims weight 6, but the expansion has 5 terms)\n"),
+        (5.0, 5, "status invalid (malformed expansion document: weight 5.0 is not an integer or a decimal string)\n"),
+    ],
+    ids=["string", "integer", "lighter", "heavier", "float"],
+)
+def test_verify_checks_the_witness_weight(capsys, monkeypatch, weight, code, status):
+    _, out, _ = run(capsys, "min-weight", "--p", "5", "--q", "23", "997", "--format", "json")
+    data = json.loads(out)
+    assert data["weight"] == "5"
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(dict(data, weight=weight))))
+    assert run(capsys, "verify", "-")[:2] == (code, status)
+
+
 def test_verify_rejects_fractional_exponent(capsys, monkeypatch):
     # "i": 2.7 was read as 2, and the document certified as 5^2 = 25
     doc = '{"kind":"signed","p":"5","q":"23","value":"25","terms":[{"d":1,"i":2.7,"j":"0"}]}'
@@ -480,7 +500,7 @@ def test_bench_steps_rejects_a_range_past_its_bound(capsys, monkeypatch):
     )
     assert run(capsys, "bench-steps", "--p", "5", "--q", "23", "--from", "-5", "--to", "99995")[:2] == (3, "")
     # exactly the bound is accepted; the sweep itself is stubbed
-    monkeypatch.setattr(cli.oracle, "sweep_verify", lambda lo, hi, base: [(lo, "ok", 1, "", 0, 1)])
+    monkeypatch.setattr(cli.oracle, "sweep_verify", lambda lo, hi, base: [(lo, 1, 0, 1)])
     assert run(capsys, "bench-steps", "--p", "5", "--q", "23", "--from", "-5", "--to", "99994") == (
         0,
         "n,w_init,steps,weight_final\n-5,1,0,1\n",

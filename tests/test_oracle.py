@@ -313,20 +313,17 @@ def test_sweep_of_the_reference_window():
     rows = sweep_verify(995, 1003, B523)
     assert len(rows) == 9
     assert [row[0] for row in rows] == list(range(995, 1004))
-    assert all(row[1] == "ok" for row in rows)
+    # (v, w_init, steps, weight), as bench-steps prints them
+    for v, w_init, steps, w in rows:
+        assert w == weight(expand(v, B523))
+        assert steps <= (w_init * w_init - w_init) // 2
 
 
 def test_sweep_symmetric_window():
     rows = sweep_verify(-100, 100, B523)
     assert len(rows) == 201
     assert [row[0] for row in rows] == list(range(-100, 101))
-
-
-def test_sweep_with_oracle_dominance():
-    rows = sweep_verify(-30, 30, B523, oracle_max_weight=6)
-    for v, status, w_algo, w_oracle, steps, w_init in rows:
-        assert status == "ok"
-        assert w_oracle <= w_algo
+    assert all(len(row) == 4 for row in rows)
 
 
 def test_sweep_aborts_without_a_relation():

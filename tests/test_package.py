@@ -53,7 +53,6 @@ def test_readme_examples_run():
         pytest.param(lambda: unitsum.min_weight_bruteforce(7, B523, 4, None, 2.5), ValueError, "node_budget", id="min_weight-budget"),
         pytest.param(lambda: unitsum.default_box(2.5, B523), ValueError, "value", id="default_box"),
         pytest.param(lambda: unitsum.sweep_verify(1, 2.5, B523), ValueError, "hi", id="sweep_verify"),
-        pytest.param(lambda: unitsum.sweep_verify(1, 2, B523, 2.5), ValueError, "oracle_max_weight", id="sweep_verify-oracle"),
         pytest.param(lambda: unitsum.unit_monomial(2.5, 0, P2), ValueError, "exponent", id="unit_monomial"),
         pytest.param(lambda: unitsum.real_roots(P2, 2.5), ValueError, "precision_bits", id="real_roots"),
         pytest.param(lambda: unitsum.real_roots(P2, -1), ValueError, "precision_bits", id="real_roots-negative"),
