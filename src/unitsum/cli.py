@@ -63,7 +63,7 @@ def integer(text: str) -> int:
     try:
         return documents.document_ints([text], "integer")[0]
     except ValueError as exc:
-        if str(exc).startswith("integer has more than"):  # else argparse calls it invalid
+        if exc.args == documents.digit_limit_error("integer").args:  # else argparse calls it invalid
             raise argparse.ArgumentTypeError(str(exc)) from None
         raise
 
@@ -128,8 +128,7 @@ def _cmd_verify(args) -> int:
     except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses per nesting level
         raise ValueError(f"not valid JSON: {exc}") from None
     except ValueError:  # the decoder's only other error: an integer literal past the digit limit
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(f"a JSON integer literal has more than {limit} digits, past Python's int/str limit") from None
+        raise documents.digit_limit_error("a JSON integer literal") from None
     try:
         exp, claimed = documents.expansion_from_json(data)
     except InvalidExpansion as exc:
@@ -139,8 +138,7 @@ def _cmd_verify(args) -> int:
     try:
         text = f"value {value}"
     except ValueError:  # past the digit limit, so not the claimed value, which passed it
-        limit = sys.get_int_max_str_digits()
-        print(f"status invalid (value has more than {limit} digits; document claims {claimed})")
+        print(f"status invalid (value has more than {sys.get_int_max_str_digits()} digits; document claims {claimed})")
         return EXIT_VERIFY
     print(text)
     if value == claimed:

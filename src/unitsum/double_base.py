@@ -74,39 +74,36 @@ def _descending(terms: list) -> Tuple[Term, ...]:
 
 
 @dataclass(frozen=True)
-class SignedExpansion:
+class _Expansion:
+    """The body of both expansion classes, which set kind and negative_exponents."""
+
+    base: BasePair
+    terms: Tuple[Term, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", _canonical_terms(self.terms, self.negative_exponents))
+
+
+class SignedExpansion(_Expansion):
     """sum d * p^i * q^j with d in {-1,1}, i, j >= 0, distinct (i, j).
 
     Terms are kept in descending lexicographic (i, j) order.
     """
 
-    base: BasePair
-    terms: Tuple[Term, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "terms", _canonical_terms(self.terms, allow_negative_exponents=False)
-        )
+    kind, negative_exponents = "signed", False
 
 
-@dataclass(frozen=True)
-class ExtendedExpansion:
+class ExtendedExpansion(_Expansion):
     """Like SignedExpansion but exponents may be any integers."""
 
-    base: BasePair
-    terms: Tuple[Term, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "terms", _canonical_terms(self.terms, allow_negative_exponents=True)
-        )
+    kind, negative_exponents = "extended", True
 
 
 def _from_rows(cls, base: BasePair, rows: dict, terms: list):
     """cls(base, terms), given the int terms also as rows {j: {i: d}}.
 
-    When the rows hold only the digits -1 and 1, for a SignedExpansion no
-    negative i or j, and one entry per term (a repeated pair leaves
+    When the rows hold only the digits -1 and 1, negative i or j only if
+    cls allows them, and one entry per term (a repeated pair leaves
     fewer), the terms pass the constructor's checks and are only sorted.
     Otherwise the constructor runs, and raises InvalidExpansion naming
     the first faulty term in the order given."""
@@ -115,7 +112,7 @@ def _from_rows(cls, base: BasePair, rows: dict, terms: list):
         if row:
             digits.update(row.values())
             low, entries = min(low, j, min(row)), entries + len(row)
-    if entries != len(terms) or not digits <= {-1, 1} or (cls is SignedExpansion and low < 0):
+    if entries != len(terms) or not digits <= {-1, 1} or (low < 0 and not cls.negative_exponents):
         return cls(base, terms)
     exp = object.__new__(cls)
     object.__setattr__(exp, "base", base)
@@ -547,7 +544,7 @@ def evaluate_expansion(exp):
     """Exact value: an int for SignedExpansion, a Fraction for
     ExtendedExpansion."""
     value = _shifted_sum(exp.terms, exp.base.p, exp.base.q)
-    if type(value) is int and not isinstance(exp, SignedExpansion):
+    if type(value) is int and exp.negative_exponents:
         return Fraction(value)
     return value
 

@@ -12,6 +12,7 @@ relation out at once.
 from __future__ import annotations
 
 import functools
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -26,11 +27,12 @@ _FORM_RANK = {"plain": 0, "p_inverse": 1, "q_inverse": 2}
 
 MAX_EXP = 64  # the converters' exponent bound and the finders' default
 
-# The finders walk their powers up to this exponent at most.  A walk is
-# quadratic in its bound: one form over (97, 89) walks to 10^4 in about
-# 0.09 s, and over bases near 10^12 in about 0.5 s (2-core x86, Python
-# 3.11), where 10^6 would take hours.  A search that needs a larger
-# max_exp raises ValueError instead; one that ends below it is exact.
+# The finders walk their powers up to this exponent at most, and an
+# obstruction orbit holds at most this many residues.  A walk is quadratic
+# in its bound: one form over (97, 89) walks to 10^4 in about 0.09 s, and
+# over bases near 10^12 in about 0.5 s (2-core x86, Python 3.11), where
+# 10^6 would take hours.  A search that needs a larger max_exp raises
+# ValueError instead; one that ends below it is exact.
 MAX_WALK_EXP = 10_000
 
 # Each finder keeps its last results, which are frozen and safe to share;
@@ -227,26 +229,24 @@ def _best_extended(base: "BasePair", max_exp: int) -> Optional[ExtendedRelation]
     return min(candidates, key=lambda r: (r.exponent_sum, _FORM_RANK[r.form]), default=None)
 
 
-def _orbit(g: int, m: int) -> Tuple[int, ...]:
-    """Sorted set {g^x mod m : x >= 1}; finite since residues cycle."""
-    seen = set()
-    r = g % m
+def _orbit(g: int, m: int) -> set:
+    """The set {g^x mod m : x >= 1}; ValueError past MAX_WALK_EXP residues."""
+    seen, r = set(), g % m
     while r not in seen:
+        if len(seen) == MAX_WALK_EXP:
+            raise ValueError(f"an orbit modulo {m} is past the walk bound of {MAX_WALK_EXP} residues")
         seen.add(r)
-        r = (r * g) % m
-    return tuple(sorted(seen))
-
-
-def _orbits_obstruct(p_orbit, q_orbit, m: int) -> bool:
-    forbidden = {2 % m, (-2) % m}
-    return all((u - v) % m not in forbidden for u in p_orbit for v in q_orbit)
+        r = r * g % m
+    return seen
 
 
 def certificate_at(base: "BasePair", m: int) -> Optional[ObstructionCertificate]:
-    """Certificate at a specific modulus, or None if m does not work.
+    """Certificate at a specific modulus, or None if m does not work; an
+    orbit past the walk bound raises ValueError.
 
     Base pairs containing 3 never certify: 2 = |3^1 - q^0| is a genuine
-    solution, so no modulus can rule everything out.
+    solution, so no modulus can rule everything out.  One pass over p's
+    orbit tests the rest, as u - v = +-2 mod m exactly when v = u -+ 2.
     """
     m = exact_int(m, "modulus")
     if m < 2:
@@ -254,11 +254,10 @@ def certificate_at(base: "BasePair", m: int) -> Optional[ObstructionCertificate]
     p, q = base.p, base.q
     if p == 3 or q == 3:
         return None
-    p_orbit = _orbit(p, m)
-    q_orbit = _orbit(q, m)
-    if _orbits_obstruct(p_orbit, q_orbit, m):
-        return ObstructionCertificate(p, q, m, p_orbit, q_orbit)
-    return None
+    p_orbit, q_orbit = _orbit(p, m), _orbit(q, m)
+    if any((u - 2) % m in q_orbit or (u + 2) % m in q_orbit for u in p_orbit):
+        return None
+    return ObstructionCertificate(p, q, m, tuple(sorted(p_orbit)), tuple(sorted(q_orbit)))
 
 
 def find_obstruction(base: "BasePair", max_modulus: int = 1000) -> Optional[ObstructionCertificate]:
@@ -271,6 +270,7 @@ def find_obstruction(base: "BasePair", max_modulus: int = 1000) -> Optional[Obst
     None without a scan: the relation holds modulo every m.  The moduli
     are generated one at a time, so a huge max_modulus costs nothing
     until the scan reaches it, and a huge base is never tried beyond it.
+    A modulus whose orbits pass the walk bound is skipped.
     """
     max_modulus = exact_int(max_modulus, "max_modulus")
     p, q = base.p, base.q
@@ -279,7 +279,7 @@ def find_obstruction(base: "BasePair", max_modulus: int = 1000) -> Optional[Obst
     first = [m for m in (p, q) if m <= max_modulus]
     rest = (m for m in range(2, max_modulus + 1) if m != p and m != q)
     for m in chain(first, rest):
-        cert = certificate_at(base, m)
-        if cert is not None:
-            return cert
+        with suppress(ValueError):  # the only one an int m >= 2 raises: an orbit past the walk bound
+            if cert := certificate_at(base, m):
+                return cert
     return None

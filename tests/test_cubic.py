@@ -20,6 +20,7 @@ from unitsum import (
     ReductionPolicy,
     RelationBroken,
     Representation,
+    VerificationFailed,
     cubic_basis,
     cubic_evaluator,
     element_from_json,
@@ -81,6 +82,24 @@ def test_scalar_mixing_with_ints_and_fractions():
 def test_params_mismatch_raises():
     with pytest.raises(ParamsMismatch):
         elem(P2, 1, 0, 0) + elem(CubicParams(3), 1, 0, 0)
+
+
+def test_reflected_subtraction_negates():
+    beta = elem(P2, 1, 2, 3)
+    assert 5 - beta == -(beta - 5) == elem(P2, 4, -2, -3)
+
+
+def test_foreign_operands_are_handed_back_to_python():
+    # each operator returns NotImplemented for a type it does not take, so
+    # Python falls back to identity for == and raises TypeError for + and -
+    beta = elem(P2, 1, 2, 3)
+    assert beta.__eq__("beta") is NotImplemented and beta != "beta"
+    for op in (beta.__add__, beta.__sub__):
+        assert op(Fraction(1, 2)) is NotImplemented
+    with pytest.raises(TypeError):
+        beta + Fraction(1, 2)
+    with pytest.raises(TypeError):
+        beta - Fraction(1, 2)
 
 
 def test_alpha_inverse_closed_form():
@@ -783,6 +802,23 @@ def test_on_step_reports_every_firing_with_a_warm_cache():
     rep = represent_unit_sums(beta, ReductionPolicy(on_step=lambda idx, t: events.append(t)))
     assert sum(events) == rep.steps == represent_by_one_reduce(beta).steps
     assert rep == represent_by_one_reduce(beta)
+
+
+def test_pile_steps_are_checked_against_the_invariant(monkeypatch):
+    """A kernel that returned a pile one chip off is caught by the step
+    invariant, and the pile is not stored."""
+    stabilize = engine._stabilize
+
+    def one_chip_off(*args):
+        pile, more = stabilize(*args)
+        site = next(key for key in pile if key[2] != (0, 0))
+        return {**pile, site: pile[site] + 1}, more
+
+    monkeypatch.setattr(cubic, "_PILES", cubic._PileCache(max_entries=8, max_sites=400))
+    monkeypatch.setattr(engine, "_stabilize", one_chip_off)
+    with pytest.raises(VerificationFailed, match=r"^S\(50\) of .* holds \d+ / 3 steps, not 0 \+ \d+$"):
+        represent_unit_sums(elem(P2, 50, 0, 0))
+    assert cubic._PILES.piles == {}
 
 
 def test_relation_is_checked_on_a_cache_hit(monkeypatch):

@@ -38,6 +38,19 @@ def test_every_name_is_bound_to_the_documents_functions():
         assert getattr(unitsum, name) is getattr(documents, name)
 
 
+def test_each_expansion_class_names_its_document_kind():
+    signed = expand(997, BasePair(5, 23))
+    extended = ExtendedExpansion(signed.base, signed.terms)
+    assert [expansion_to_json(exp)["kind"] for exp in (signed, extended)] == ["signed", "extended"]
+    assert (SignedExpansion.negative_exponents, ExtendedExpansion.negative_exponents) == (False, True)
+    # neither class is the other: equal terms of the two kinds are unequal
+    assert not isinstance(extended, SignedExpansion) and not isinstance(signed, ExtendedExpansion)
+    assert signed != extended and hash(signed) == hash(extended)
+    assert repr(extended) == f"ExtendedExpansion(base=BasePair(p=5, q=23), terms={signed.terms!r})"
+    with pytest.raises(InvalidExpansion, match="^negative exponent at \\(-1,0\\)$"):
+        SignedExpansion(signed.base, [(1, -1, 0)])
+
+
 def _as_ints(doc: dict, flags) -> dict:
     """doc with the integer fields that flags picks written as JSON integers."""
     out = dict(doc, terms=[dict(t) for t in doc["terms"]])

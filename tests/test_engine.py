@@ -210,6 +210,12 @@ def test_representation_equality_ignores_step_counter():
     assert hash(a) == hash(b)
 
 
+def test_representation_leaves_foreign_comparisons_to_python():
+    a = Representation(BASE, {(0, 1, (0, 0)): 1})
+    assert a.__eq__({(0, 1, (0, 0)): 1}) is NotImplemented
+    assert a != {(0, 1, (0, 0)): 1}
+
+
 def test_empty_representation_is_zero():
     r = rep_of({})
     assert not r

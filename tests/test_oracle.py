@@ -1,5 +1,6 @@
 """Brute-force minimal-weight oracle and the verification sweep."""
 
+import dataclasses
 import random
 import time
 import tracemalloc
@@ -12,6 +13,7 @@ from unitsum import (
     BudgetExceeded,
     NoRelationFound,
     SignedExpansion,
+    VerificationFailed,
     default_box,
     evaluate_expansion,
     expand,
@@ -125,6 +127,13 @@ def test_oracle_witness_matches_value_with_mitm():
     assert w.weight == 5
     assert w.expansion.terms == ((-1, 5, 1), (-1, 3, 0), (1, 1, 3), (-1, 1, 0), (1, 0, 3))
     assert evaluate_expansion(w.expansion) == 997
+
+
+def test_a_witness_that_does_not_evaluate_back_is_refused(monkeypatch):
+    # a search that returned 5^0 for 7 at weight 0
+    monkeypatch.setattr(oracle, "_dfs", lambda *args: ((1, 0, 0),))
+    with pytest.raises(VerificationFailed, match="^oracle witness for 7 does not evaluate back$"):
+        min_weight_bruteforce(7, B523, 4)
 
 
 def test_budget_runs_out_inside_meet_in_middle():
@@ -324,6 +333,31 @@ def test_sweep_symmetric_window():
     assert len(rows) == 201
     assert [row[0] for row in rows] == list(range(-100, 101))
     assert all(len(row) == 4 for row in rows)
+
+
+@pytest.mark.parametrize("fault", ["value", "steps"])
+def test_sweep_rechecks_each_expansion(monkeypatch, fault):
+    """An expansion of 10 that evaluates to 11, or a step count one past
+    the bound, aborts the sweep at 10."""
+    expand_with_stats = oracle.expand_with_stats
+
+    def faulty(v, base):
+        stats = expand_with_stats(v, base)
+        if v != 10:
+            return stats
+        if fault == "value":
+            return dataclasses.replace(stats, expansion=expand(11, base))
+        return dataclasses.replace(stats, steps=(stats.w_init * stats.w_init - stats.w_init) // 2 + 1)
+
+    monkeypatch.setattr(oracle, "expand_with_stats", faulty)
+    w_init = expand_with_stats(10, B523).w_init
+    bound = (w_init * w_init - w_init) // 2
+    if fault == "value":
+        message = "round trip failed at v = 10"
+    else:
+        message = f"step count {bound + 1} exceeds bound {bound} at v = 10"
+    with pytest.raises(VerificationFailed, match=f"^{message}$"):
+        sweep_verify(8, 12, B523)
 
 
 def test_sweep_aborts_without_a_relation():

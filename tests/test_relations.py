@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import gcd
+import time
 import timeit
 import tracemalloc
 
@@ -99,6 +100,17 @@ def test_verify_extended_relation_rejects_tampering():
     rel = find_extended_relation(BasePair(5, 11))
     flipped = ExtendedRelation(rel.a, rel.b, rel.c, rel.d, -rel.sign, rel.form)
     assert not verify_relation(BasePair(5, 11), flipped)
+
+
+def test_extended_relation_takes_only_a_unit_sign():
+    for sign in (0, 2, -2):
+        with pytest.raises(ValueError, match="^sign must be -1 or 1$"):
+            ExtendedRelation(-1, 1, -1, 0, sign, "p_inverse")
+
+
+def test_verify_relation_rejects_what_is_not_a_relation():
+    # the fields of the (5, 23) relation, but not as a relation
+    assert verify_relation(BasePair(5, 23), (2, 1, 1)) is False
 
 
 # -------------------------------------- differential: reference searches
@@ -435,6 +447,35 @@ def test_obstruction_stays_within_its_bound():
     seconds = min(timeit.repeat(lambda: find_obstruction(base, 10), number=1, repeat=3))
     assert find_obstruction(base, 10) == certificate_at(base, 5)
     assert seconds < 0.01
+
+
+def test_obstruction_scan_skips_an_orbit_past_the_walk_bound():
+    # both bases are within the bound, so each is tried first as the
+    # modulus, where the other's orbit runs far past MAX_WALK_EXP residues
+    # (9 s and 0.8 GB to list in full); the walk stops there, the scan goes
+    # on, and 91 certifies, as under a bound of 1000
+    base = BasePair(10**7 + 19, 10**7 + 79)
+    start = time.perf_counter()
+    cert = find_obstruction(base, 10**7 + 79)
+    assert time.perf_counter() - start < 0.5
+    assert cert == find_obstruction(base, 1000) == certificate_at(base, 91)
+
+
+def test_certificate_at_refuses_an_orbit_past_the_walk_bound():
+    # 1000033 has an orbit of 333,334 residues modulo 1000003
+    base = BasePair(1000003, 1000033)
+    with pytest.raises(ValueError, match=f"^an orbit modulo 1000003 is past the walk bound of {MAX_WALK_EXP} residues$"):
+        certificate_at(base, 1000003)
+    assert find_obstruction(base, 1000033) == find_obstruction(base, 1000) == certificate_at(base, 3)
+
+
+def test_orbit_walk_bound_is_inclusive(monkeypatch):
+    # 5 has the orbit {1, 3, 4, 5, 9} modulo 11, and 23 = 1 the orbit {1}
+    monkeypatch.setattr(relations, "MAX_WALK_EXP", 5)
+    assert certificate_at(BasePair(5, 23), 11) is None
+    monkeypatch.setattr(relations, "MAX_WALK_EXP", 4)
+    with pytest.raises(ValueError, match="^an orbit modulo 11 is past the walk bound of 4 residues$"):
+        certificate_at(BasePair(5, 23), 11)
 
 
 @given(st.sampled_from(_PRIMES), st.sampled_from(_PRIMES), st.integers(2, 80))
