@@ -152,10 +152,8 @@ def _print_relation(args, base: BasePair, rel) -> None:
     if args.format == "json":
         _print_json(documents.relation_to_json(rel))
         return
-    if isinstance(rel, relations.PlainRelation):
-        rel = rel.as_extended()
-    op = "+" if rel.sign == 1 else "-"
-    print(f"2 = {_mono(base.p, base.q, rel.a, rel.b)} {op} {_mono(base.p, base.q, rel.c, rel.d)}")
+    (a, b, _), (c, d, sign) = rel.terms
+    print(f"2 = {_mono(base.p, base.q, a, b)} {'+' if sign == 1 else '-'} {_mono(base.p, base.q, c, d)}")
 
 
 def _print_certificate(args, cert) -> None:

@@ -10,7 +10,6 @@ from fractions import Fraction
 from .cubic import CubicElement, CubicParams
 from .double_base import BasePair, ExtendedExpansion, SignedExpansion, _from_rows, evaluate_expansion
 from .errors import InvalidExpansion
-from .relations import PlainRelation
 
 # one or more decimal strings joined by commas, each an optional minus
 # sign and ASCII digits: no "+", spaces, underscores or other scripts' digits
@@ -43,18 +42,15 @@ def document_ints(values, what: str) -> list:
     naming what, so 2.7 is never read as 2."""
     values = list(values)
     types = set(map(type, values))
-    if not types <= {int, str}:
-        bad = next(v for v in values if type(v) not in (int, str))
-        raise ValueError(f"{what} {bad!r} is not an integer or a decimal string")
+    ok = types <= {int, str}
     # one match over the whole column rather than one call per value; a
     # column holding one comma fewer than values splits into one part each
-    if str in types:
+    if ok and str in types:
         column = ",".join(values if types == {str} else _column(str, values, what))
-        if column.count(",") != len(values) - 1 or not _DECIMALS.fullmatch(column):
-            bad = next(
-                v for v in values if type(v) is str and ("," in v or not _DECIMALS.fullmatch(v))
-            )
-            raise ValueError(f"{what} {bad!r} is not an integer or a decimal string")
+        ok = column.count(",") == len(values) - 1 and _DECIMALS.fullmatch(column)
+    if not ok:  # name the first value that is neither an int nor a well-formed decimal string
+        bad = next(v for v in values if not (type(v) is int or type(v) is str and "," not in v and _DECIMALS.fullmatch(v)))
+        raise ValueError(f"{what} {bad!r} is not an integer or a decimal string")
     return _column(int, values, what)
 
 
@@ -78,7 +74,7 @@ def document_rational(value, what: str) -> Fraction:
     n, _, d = value.partition("/")
     n, d = _column(int, (n, d or "1"), what)
     if not d:
-        raise ValueError(f"zero denominator in {value}")
+        raise ValueError(f"{what} {value!r} has a zero denominator")
     return Fraction(n, d)
 
 
@@ -186,9 +182,8 @@ def unit_sum_to_json(beta: CubicElement, items, steps: int) -> dict:
 
 
 def relation_to_json(rel) -> dict:
-    """A plain or extended relation: its kind, then each field as a string."""
-    kind = "plain" if isinstance(rel, PlainRelation) else "extended"
-    return {"kind": kind, **{k: str(v) for k, v in dataclasses.asdict(rel).items()}}
+    """A plain or extended relation: its class's kind, then each field as a string."""
+    return {"kind": rel.kind, **{k: str(v) for k, v in dataclasses.asdict(rel).items()}}
 
 
 def certificate_to_json(cert) -> dict:

@@ -390,20 +390,14 @@ def _claim_reduce(rows: dict, credits, on_step=None) -> int:
     return steps
 
 
-def _checked(rel, base: BasePair, kind: str) -> "_relations.ExtendedRelation":
-    """rel after its exact check against base, in its ExtendedRelation
-    form: None raises NoRelationFound naming the kind, a false identity
-    RelationInvalid naming rel as given."""
+def _checked(rel, base: BasePair, kind: str):
+    """rel after its exact check against base: None raises NoRelationFound
+    naming the kind, a false identity RelationInvalid naming rel."""
     if rel is None:
         raise NoRelationFound(f"no {kind} for ({base.p},{base.q}) with exponents up to {MAX_EXP}")
     if not _relations.verify_relation(base, rel):
         raise RelationInvalid(f"{rel} is not a valid relation for {base}")
-    return rel.as_extended() if isinstance(rel, _relations.PlainRelation) else rel
-
-
-def _extended_credits(rel: "_relations.ExtendedRelation"):
-    # 2 p^i q^j = p^(i+a) q^(j+b) + sign p^(i+c) q^(j+d)
-    return ((rel.a, rel.b, 1), (rel.c, rel.d, rel.sign))
+    return rel
 
 
 @dataclass(frozen=True)
@@ -464,7 +458,7 @@ def expand_with_stats(
                 rows.setdefault(j, {})[i] = d
         else:
             rows = {0: {i: d for i, d in enumerate(digits) if d}}
-        steps = _claim_reduce(rows, _extended_credits(rel), on_step)
+        steps = _claim_reduce(rows, rel.terms, on_step)
     sign = 1 if v > 0 else -1
     terms = [(sign * a, i, j) for j, row in rows.items() for i, a in row.items()]
     return ExpandStats(_from_rows(SignedExpansion, base, rows, terms), steps, w_init)
@@ -498,8 +492,7 @@ def expand_extended(x: PQRational, base: BasePair, on_step=None) -> ExtendedExpa
     if x.num == 0:
         return ExtendedExpansion(base, ())
     rel = _checked(_relations.find_extended_relation(base), base, "relation")
-    credits = _extended_credits(rel)
-    p = base.p
+    credits, p = rel.terms, base.p
     mirrored = rel.form == "q_inverse"
     if mirrored:
         credits = tuple((dj, di, c) for di, dj, c in credits)
@@ -590,15 +583,15 @@ def rational_evaluator(base: BasePair) -> Callable:
 def to_unit_relation(rel, base: BasePair) -> UnitRelation:
     """Encode a plain or extended relation as an engine relation with n = 2.
 
-    The terms are the two credits the converters fire, 2 = p^a q^b +
-    sign p^c q^d: a term with sign +1 goes on sign layer 0, one with
-    sign -1 on layer 1.  So a plain relation puts one term on each
-    layer, and an extended one with a + second term puts both on layer
-    0.  None, as returned when no relation exists, raises
+    Its terms are the relation's own, which the converters fire, 2 =
+    p^a q^b + sign p^c q^d: a term with sign +1 goes on sign layer 0,
+    one with sign -1 on layer 1.  So a plain relation puts one term on
+    each layer, and an extended one with a + second term puts both on
+    layer 0.  None, as returned when no relation exists, raises
     NoRelationFound.
     """
-    credits = _extended_credits(_checked(rel, base, "relation"))
-    return UnitRelation(n=2, terms=tuple((0 if c == 1 else 1, (di, dj)) for di, dj, c in credits))
+    terms = _checked(rel, base, "relation").terms
+    return UnitRelation(n=2, terms=tuple((0 if s == 1 else 1, (i, j)) for i, j, s in terms))
 
 
 # last, as documents imports this module; the benchmark finds these two here

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 from contextlib import suppress
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from typing import TYPE_CHECKING, Optional, Tuple
 
@@ -45,6 +44,7 @@ _relation_cache = functools.lru_cache(maxsize=256)
 class PlainRelation:
     """2 = sign * (p^x - q^y) with nonnegative integer exponents."""
 
+    kind = "plain"
     x: int
     y: int
     sign: int
@@ -57,11 +57,15 @@ class PlainRelation:
         if self.x < 0 or self.y < 0:
             raise ValueError("exponents must be nonnegative")
 
+    @property
+    def terms(self) -> Tuple[Tuple[int, int, int], ...]:
+        """The two terms (i, j, s) of 2 = sum s p^i q^j, positive term first."""
+        return ((self.x, 0, 1), (0, self.y, -1)) if self.sign == 1 else ((0, self.y, 1), (self.x, 0, -1))
+
     def as_extended(self) -> "ExtendedRelation":
         """The same relation as 2 = p^a q^b - p^c q^d, positive term first."""
-        if self.sign == 1:
-            return ExtendedRelation(self.x, 0, 0, self.y, -1, "plain")
-        return ExtendedRelation(0, self.y, self.x, 0, -1, "plain")
+        (a, b, _), (c, d, sign) = self.terms
+        return ExtendedRelation(a, b, c, d, sign, "plain")
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,7 @@ class ExtendedRelation:
     (denominator a power of p), 'q_inverse' (its mirror image).
     """
 
+    kind = "extended"
     a: int
     b: int
     c: int
@@ -86,6 +91,11 @@ class ExtendedRelation:
             raise ValueError("sign must be -1 or 1")
         if self.form not in _FORM_RANK:
             raise ValueError(f"unknown form {self.form!r}")
+
+    @property
+    def terms(self) -> Tuple[Tuple[int, int, int], ...]:
+        """The two terms (i, j, s) of 2 = sum s p^i q^j, positive term first."""
+        return ((self.a, self.b, 1), (self.c, self.d, self.sign))
 
     @property
     def exponent_sum(self) -> int:
@@ -114,14 +124,15 @@ class ObstructionCertificate:
 
 
 def verify_relation(base: "BasePair", rel) -> bool:
-    """Exact check that a relation's identity holds for this base pair."""
+    """Exact check that rel's two terms give 2 = sum s p^i q^j for this base
+    pair, in integers: both sides times the p^e q^f that clears the negative
+    exponents.  False for what is not a relation."""
+    if not isinstance(rel, (PlainRelation, ExtendedRelation)):
+        return False
     p, q = base.p, base.q
-    if isinstance(rel, PlainRelation):
-        return rel.sign * (p ** rel.x - q ** rel.y) == 2
-    if isinstance(rel, ExtendedRelation):
-        P, Q = Fraction(p), Fraction(q)
-        return P ** rel.a * Q ** rel.b + rel.sign * P ** rel.c * Q ** rel.d == 2
-    return False
+    (a, b, s), (c, d, t) = rel.terms
+    e, f = max(0, -a, -c), max(0, -b, -d)
+    return s * p ** (a + e) * q ** (b + f) + t * p ** (c + e) * q ** (d + f) == 2 * p ** e * q ** f
 
 
 def _first_partner(w: int, v: int, scale: int, gap: int, max_exp: int) -> Optional[Tuple[int, int, int]]:

@@ -6,8 +6,11 @@ walks every exponent pair (x, y) in order of x + y, then x, and the
 inverse-form search tests each 2 u^a - s for a power of v by repeated
 division and ranks every hit, with the field tuple as a last tie-break.
 The differential tests check that the finders return the same relation.
+reference_verify_relation is the check verify_relation made before it
+read every relation through its two terms.
 """
 
+from fractions import Fraction
 from typing import Optional
 
 from unitsum.relations import _FORM_RANK, MAX_EXP, ExtendedRelation, PlainRelation
@@ -75,3 +78,16 @@ def reference_extended_relation(base, max_exp: int = MAX_EXP) -> Optional[Extend
             (r.a, r.b, r.c, r.d, r.sign),
         ),
     )
+
+
+def reference_verify_relation(base, rel) -> bool:
+    """The identity of rel in exact arithmetic: 2 = sign * (p^x - q^y) in
+    integers for a plain relation, 2 = p^a q^b + sign * p^c q^d in
+    Fractions for an extended one; False for anything else."""
+    p, q = base.p, base.q
+    if isinstance(rel, PlainRelation):
+        return rel.sign * (p ** rel.x - q ** rel.y) == 2
+    if isinstance(rel, ExtendedRelation):
+        P, Q = Fraction(p), Fraction(q)
+        return P ** rel.a * Q ** rel.b + rel.sign * P ** rel.c * Q ** rel.d == 2
+    return False

@@ -78,7 +78,7 @@ def test_expand_extended_rejects_zero_denominator(capsys):
     code, out, err = run(capsys, "expand-extended", "--p", "5", "--q", "11", "1/0")
     assert code == 3
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith("error: value ")
 
 
 @pytest.mark.parametrize("bad", ["+7/25", "7/-25", " 7/25", "7 /25", "2.5", "1e3", "7_0/25", "7/25/1"])
@@ -188,6 +188,16 @@ def test_verify_names_the_faulty_term(capsys, monkeypatch, terms, fault):
     })
     monkeypatch.setattr("sys.stdin", io.StringIO(doc))
     assert run(capsys, "verify", "-")[:2] == (5, f"status invalid ({fault})\n")
+
+
+def test_verify_names_the_field_of_a_zero_denominator(capsys, monkeypatch):
+    doc = json.dumps({
+        "kind": "extended", "p": "5", "q": "11", "value": "1/0",
+        "terms": [{"d": 1, "i": "-1", "j": "-1"}],
+    })
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    status = "status invalid (malformed expansion document: value '1/0' has a zero denominator)\n"
+    assert run(capsys, "verify", "-")[:2] == (5, status)
 
 
 def test_verify_accepts_an_extended_document_with_negative_exponents(capsys, monkeypatch):

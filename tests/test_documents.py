@@ -123,3 +123,25 @@ def test_cubic_coordinates_past_the_digit_limit_are_named_both_ways():
         element_to_json(CubicElement(CubicParams(2), 10**LIMIT, 0, 0))
     with pytest.raises(ValueError, match="^coordinate has more than"):
         element_from_json({"a": "2", "coords": ["1", "9" * (LIMIT + 1), "0"]})
+
+
+@pytest.mark.parametrize(
+    "column, bad",
+    [(["x", 2.5], "'x'"), ([2.5, "x"], "2.5"), ([1, "2,3", None], "'2,3'"), (["1", True, " 7"], "True")],
+)
+def test_document_ints_names_the_first_faulty_value_in_column_order(column, bad):
+    # ["x", 2.5] named 2.5 when the type test ran before the string match
+    with pytest.raises(ValueError, match=f"^digit {bad} is not an integer or a decimal string$"):
+        documents.document_ints(column, "digit")
+
+
+def test_each_relation_class_names_its_document_kind():
+    plain, extended = unitsum.PlainRelation(2, 1, 1), unitsum.find_extended_relation(BasePair(5, 11))
+    assert documents.relation_to_json(plain) == {"kind": "plain", "x": "2", "y": "1", "sign": "1"}
+    assert documents.relation_to_json(extended)["kind"] == "extended"
+    assert documents.relation_to_json(plain.as_extended())["kind"] == "extended"
+
+
+def test_a_zero_denominator_names_its_field():
+    with pytest.raises(ValueError, match=r"^value '1/0' has a zero denominator$"):
+        documents.document_rational("1/0", "value")

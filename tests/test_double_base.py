@@ -43,7 +43,7 @@ from unitsum import (
     to_unit_relation,
     weight,
 )
-from unitsum.double_base import _claim_reduce, _extended_credits, _valuation
+from unitsum.double_base import _checked, _claim_reduce, _valuation
 from unitsum.documents import document_ints
 from unitsum.relations import find_extended_relation, find_plain_relation
 
@@ -518,6 +518,26 @@ def test_missing_relations_name_the_search():
         to_unit_relation(None, BasePair(5, 11))
 
 
+@pytest.mark.parametrize("pair", [(5, 23), (23, 5), (5, 11), (11, 5)])
+def test_checked_hands_back_the_relation_it_checked(pair):
+    base = BasePair(*pair)
+    for rel in (find_plain_relation(base), find_extended_relation(base)):
+        if rel is not None:
+            assert _checked(rel, base, "relation") is rel
+
+
+def test_converters_build_no_relation_of_their_own(monkeypatch):
+    # each conversion read the relation as an ExtendedRelation it built anew
+    b511 = BasePair(5, 11)
+    x = pq_rational(Fraction(7, 55), b511)
+    want = (expand(500123, B523), expand_extended(x, b511))  # the finders' caches are warm from here on
+    built = []
+    post_init = ExtendedRelation.__post_init__
+    monkeypatch.setattr(ExtendedRelation, "__post_init__", lambda rel: built.append(rel) or post_init(rel))
+    assert (expand(500123, B523), expand_extended(x, b511)) == want
+    assert built == []
+
+
 def test_expand_extended_zero():
     b = BasePair(5, 11)
     assert expand_extended(pq_rational(Fraction(0), b), b).terms == ()
@@ -814,7 +834,7 @@ def test_claim_reduce_rejects_credits_that_may_not_terminate(credits):
 def test_claim_reduce_accepts_plain_and_p_inverse_credits(base, rel):
     assert rel.form in ("plain", "p_inverse")
     rows = {0: {0: 9}}
-    steps = _claim_reduce(rows, _extended_credits(rel))
+    steps = _claim_reduce(rows, rel.terms)
     assert steps > 0
     assert all(a in (-1, 1) for row in rows.values() for a in row.values())
     exp = ExtendedExpansion(base, [(a, i, j) for j, row in rows.items() for i, a in row.items()])
@@ -822,9 +842,8 @@ def test_claim_reduce_accepts_plain_and_p_inverse_credits(base, rel):
 
 
 def _credits(rel):
-    ext = rel.as_extended() if isinstance(rel, PlainRelation) else rel
-    credits = _extended_credits(ext)
-    if ext.form == "q_inverse":  # expand_extended's mirror image
+    credits = rel.terms
+    if rel.kind == "extended" and rel.form == "q_inverse":  # expand_extended's mirror image
         credits = tuple((dj, di, c) for di, dj, c in credits)
     return credits
 

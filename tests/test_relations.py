@@ -1,5 +1,6 @@
 """Relation search and modular obstruction certificates."""
 
+import dataclasses
 from fractions import Fraction
 from math import gcd
 import time
@@ -9,7 +10,12 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from relations_reference import _exact_log, reference_extended_relation, reference_plain_relation
+from relations_reference import (
+    _exact_log,
+    reference_extended_relation,
+    reference_plain_relation,
+    reference_verify_relation,
+)
 from unitsum import (
     BasePair,
     ExtendedRelation,
@@ -18,10 +24,11 @@ from unitsum import (
     find_extended_relation,
     find_obstruction,
     find_plain_relation,
+    to_unit_relation,
     verify_relation,
 )
 from unitsum import relations
-from unitsum.relations import MAX_EXP, MAX_WALK_EXP, _best_extended, _first_partner
+from unitsum.relations import _FORM_RANK, MAX_EXP, MAX_WALK_EXP, _best_extended, _first_partner
 
 
 @pytest.mark.parametrize(
@@ -111,6 +118,71 @@ def test_extended_relation_takes_only_a_unit_sign():
 def test_verify_relation_rejects_what_is_not_a_relation():
     # the fields of the (5, 23) relation, but not as a relation
     assert verify_relation(BasePair(5, 23), (2, 1, 1)) is False
+
+
+# ------------------------------------- one reading: kind and two terms
+
+
+# about a quarter of these pairs have an inverse form as their best relation
+_COPRIME_BASES = st.sampled_from(
+    [BasePair(p, q) for p in range(2, 17) for q in range(2, 17) if p != q and gcd(p, q) == 1]
+)
+_EXPONENTS = st.integers(-6, 6)
+_SIGNS = st.sampled_from([1, -1])
+_DRAWN_RELATIONS = st.one_of(
+    st.builds(PlainRelation, st.integers(0, 6), st.integers(0, 6), _SIGNS),
+    st.builds(
+        ExtendedRelation, _EXPONENTS, _EXPONENTS, _EXPONENTS, _EXPONENTS, _SIGNS, st.sampled_from(sorted(_FORM_RANK))
+    ),
+)
+
+
+def _perturbed(rel, field: str, step: int):
+    """rel with its sign flipped, or one exponent moved by step.  Either
+    turns a true relation false: a moved exponent scales one term by a
+    power of p or q and keeps the other, and a flipped sign negates a
+    plain relation's sum, or an extended one's second term."""
+    if field == "sign":
+        return dataclasses.replace(rel, sign=-rel.sign)
+    return dataclasses.replace(rel, **{field: getattr(rel, field) + step})
+
+
+@given(_COPRIME_BASES, _DRAWN_RELATIONS, st.data())
+def test_verify_relation_matches_exact_fraction_evaluation(base, drawn, data):
+    # a drawn relation is almost always false; the finders' are true, and
+    # each of them perturbed is false
+    rels = [drawn]
+    for rel in (find_plain_relation(base), find_extended_relation(base)):
+        if rel is not None:
+            fields = [f.name for f in dataclasses.fields(rel) if f.name != "form"]
+            moved = _perturbed(rel, data.draw(st.sampled_from(fields)), data.draw(_SIGNS))
+            assert (verify_relation(base, rel), verify_relation(base, moved)) == (True, False)
+            rels += [rel, moved]
+    for rel in rels:
+        assert verify_relation(base, rel) is reference_verify_relation(base, rel)
+
+
+@pytest.mark.parametrize(
+    "pair, extended, kind, terms, layers",
+    [
+        ((5, 23), False, "plain", ((2, 0, 1), (0, 1, -1)), ((0, (2, 0)), (1, (0, 1)))),
+        ((23, 5), False, "plain", ((0, 2, 1), (1, 0, -1)), ((0, (0, 2)), (1, (1, 0)))),
+        ((5, 11), True, "extended", ((-1, 1, 1), (-1, 0, -1)), ((0, (-1, 1)), (1, (-1, 0)))),
+        ((11, 5), True, "extended", ((1, -1, 1), (0, -1, -1)), ((0, (1, -1)), (1, (0, -1)))),
+    ],
+    ids=["plain", "plain-minus", "p_inverse", "q_inverse"],
+)
+def test_each_printed_relation_reads_as_its_kind_and_two_terms(pair, extended, kind, terms, layers):
+    # the four relations test_stdout_is_pinned prints, in text and in JSON
+    base = BasePair(*pair)
+    rel = (find_extended_relation if extended else find_plain_relation)(base)
+    assert (rel.kind, rel.terms) == (kind, terms)
+    if kind == "plain":
+        assert rel.as_extended().terms == terms
+        assert rel.as_extended().kind == "extended"
+    assert to_unit_relation(rel, base).terms == layers
+    # kind is read off the class, not stored: fields, repr and equality are as before
+    assert "kind" not in {f.name for f in dataclasses.fields(rel)} and "kind" not in repr(rel)
 
 
 # -------------------------------------- differential: reference searches
