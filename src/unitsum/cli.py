@@ -138,7 +138,7 @@ def _cmd_verify(args) -> int:
     try:
         text = f"value {value}"
     except ValueError:  # past the digit limit, so not the claimed value, which passed it
-        print(f"status invalid (value has more than {sys.get_int_max_str_digits()} digits; document claims {claimed})")
+        print(f"status invalid ({documents.digit_limit_error('value')}; document claims {claimed})")
         return EXIT_VERIFY
     print(text)
     if value == claimed:

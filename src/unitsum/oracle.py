@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .double_base import (
@@ -26,10 +26,13 @@ from .errors import BudgetExceeded, VerificationFailed, exact_int
 
 @dataclass(frozen=True)
 class WeightWitness:
-    """A minimal expansion: no strictly lighter one exists in the box."""
+    """A minimal expansion, no strictly lighter one in the box; weight is its term count."""
 
-    weight: int
+    weight: int = field(init=False)
     expansion: SignedExpansion
+
+    def __post_init__(self):
+        object.__setattr__(self, "weight", len(self.expansion.terms))
 
 
 def default_box(v: int, base: BasePair) -> Tuple[int, int]:
@@ -254,7 +257,7 @@ def min_weight_bruteforce(
             expansion = SignedExpansion(base, terms)
             if evaluate_expansion(expansion) != v:
                 raise VerificationFailed(f"oracle witness for {v} does not evaluate back")
-            return WeightWitness(t, expansion)
+            return WeightWitness(expansion)
     return None
 
 

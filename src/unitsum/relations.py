@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING, Optional, Tuple
 
@@ -65,15 +65,19 @@ class PlainRelation:
     def as_extended(self) -> "ExtendedRelation":
         """The same relation as 2 = p^a q^b - p^c q^d, positive term first."""
         (a, b, _), (c, d, sign) = self.terms
-        return ExtendedRelation(a, b, c, d, sign, "plain")
+        return ExtendedRelation(a, b, c, d, sign)
 
 
 @dataclass(frozen=True)
 class ExtendedRelation:
     """2 = p^a q^b + sign * p^c q^d with the positive term written first.
 
-    form tags where the inverse powers sit: 'plain' (none), 'p_inverse'
-    (denominator a power of p), 'q_inverse' (its mirror image).
+    form, read off the exponents, tags where the inverse powers sit:
+    'plain' (none), 'p_inverse' (a power of p), 'q_inverse' (a power of q).
+    Coprime bases hold them on one base at most: with both, clearing the
+    denominators gives 2 p^e q^f = s p^i q^j + t p^k q^l with e, f > 0 and
+    min(i, k) = min(j, l) = 0, which p and q divide only if i = j = k = l = 0,
+    where the right side is at most 2.
     """
 
     kind = "extended"
@@ -82,15 +86,15 @@ class ExtendedRelation:
     c: int
     d: int
     sign: int
-    form: str
+    form: str = field(init=False)
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d", "sign"):
             object.__setattr__(self, name, exact_int(getattr(self, name), name))
         if self.sign not in (-1, 1):
             raise ValueError("sign must be -1 or 1")
-        if self.form not in _FORM_RANK:
-            raise ValueError(f"unknown form {self.form!r}")
+        form = "q_inverse" if min(self.b, self.d) < 0 else "p_inverse" if min(self.a, self.c) < 0 else "plain"
+        object.__setattr__(self, "form", form)
 
     @property
     def terms(self) -> Tuple[Tuple[int, int, int], ...]:
@@ -233,10 +237,10 @@ def _best_extended(base: "BasePair", max_exp: int) -> Optional[ExtendedRelation]
     # 2 = s * u^-a + u^-a v^b with s = -d, positive term first
     if hit := _first_partner(p, q, 2, 1, max_exp):
         a, b, d = hit
-        candidates.append(ExtendedRelation(-a, b, -a, 0, -d, "p_inverse"))
+        candidates.append(ExtendedRelation(-a, b, -a, 0, -d))
     if hit := _first_partner(q, p, 2, 1, max_exp):
         a, b, d = hit
-        candidates.append(ExtendedRelation(b, -a, 0, -a, -d, "q_inverse"))
+        candidates.append(ExtendedRelation(b, -a, 0, -a, -d))
     return min(candidates, key=lambda r: (r.exponent_sum, _FORM_RANK[r.form]), default=None)
 
 

@@ -50,12 +50,14 @@ def _exact_log(value: int, b: int) -> Optional[int]:
 
 def reference_extended_relation(base, max_exp: int = MAX_EXP) -> Optional[ExtendedRelation]:
     """Least relation by (exponent sum, form, fields) over the plain and
-    the single-base-inverse forms."""
+    the single-base-inverse forms.  The form is this search's own label
+    for each candidate, and each relation must read the same form off its
+    exponents."""
     p, q = base.p, base.q
     candidates = []
     plain = reference_plain_relation(base, max_exp)
     if plain is not None:
-        candidates.append(plain.as_extended())
+        candidates.append((plain.as_extended(), "plain"))
     for u, v, form in ((p, q, "p_inverse"), (q, p, "q_inverse")):
         ua = 1
         for a in range(1, max_exp + 1):
@@ -65,19 +67,20 @@ def reference_extended_relation(base, max_exp: int = MAX_EXP) -> Optional[Extend
                 if b is None or b > max_exp:
                     continue
                 if form == "p_inverse":
-                    candidates.append(ExtendedRelation(-a, b, -a, 0, s, form))
+                    candidates.append((ExtendedRelation(-a, b, -a, 0, s), form))
                 else:
-                    candidates.append(ExtendedRelation(b, -a, 0, -a, s, form))
+                    candidates.append((ExtendedRelation(b, -a, 0, -a, s), form))
+    assert all(r.form == label for r, label in candidates), candidates
     if not candidates:
         return None
     return min(
         candidates,
-        key=lambda r: (
-            r.exponent_sum,
-            _FORM_RANK[r.form],
-            (r.a, r.b, r.c, r.d, r.sign),
+        key=lambda c: (
+            c[0].exponent_sum,
+            _FORM_RANK[c[1]],
+            (c[0].a, c[0].b, c[0].c, c[0].d, c[0].sign),
         ),
-    )
+    )[0]
 
 
 def reference_verify_relation(base, rel) -> bool:

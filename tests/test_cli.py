@@ -290,7 +290,7 @@ def test_verify_calls_a_value_past_the_digit_limit_invalid(capsys, monkeypatch, 
     doc = json.dumps({"kind": kind, "p": "5", "q": "23", "value": "1", "terms": terms})
     monkeypatch.setattr("sys.stdin", io.StringIO(doc))
     assert run(capsys, "verify", "-") == (
-        5, f"status invalid (value has more than {LIMIT} digits; document claims 1)\n", ""
+        5, f"status invalid (value has more than {LIMIT} digits, past Python's int/str limit; document claims 1)\n", ""
     )
 
 

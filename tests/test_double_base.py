@@ -495,10 +495,21 @@ def test_expand_extended_mirrored_relation():
 def test_expand_extended_rechecks_its_relation(monkeypatch):
     b = BasePair(5, 11)
     rel = find_extended_relation(b)
-    wrong = ExtendedRelation(rel.a, rel.b, rel.c, rel.d, -rel.sign, rel.form)
+    wrong = ExtendedRelation(rel.a, rel.b, rel.c, rel.d, -rel.sign)
     monkeypatch.setattr("unitsum.relations.find_extended_relation", lambda *_: wrong)
     with pytest.raises(RelationInvalid):
         expand_extended(pq_rational(Fraction(7, 25), b), b)
+
+
+def test_expand_extended_mirrors_by_the_exponents(monkeypatch):
+    # the form is read off the exponents, so a relation with inverse
+    # powers of p alone cannot send expand_extended through the mirror
+    b = BasePair(5, 11)
+    rel = ExtendedRelation(-1, 1, -1, 0, -1)
+    assert rel.form == "p_inverse"
+    want = expand_extended(pq_rational(Fraction(7, 55), b), b).terms
+    monkeypatch.setattr("unitsum.relations.find_extended_relation", lambda *_: rel)
+    assert expand_extended(pq_rational(Fraction(7, 55), b), b).terms == want
 
 
 def test_plain_converters_recheck_their_relation(monkeypatch):

@@ -14,6 +14,7 @@ from unitsum import (
     NoRelationFound,
     SignedExpansion,
     VerificationFailed,
+    WeightWitness,
     default_box,
     evaluate_expansion,
     expand,
@@ -46,6 +47,22 @@ def test_two_has_weight_two():
     w = min_weight_bruteforce(2, B523, 3, (6, 3))
     assert w.weight == 2
     assert evaluate_expansion(w.expansion) == 2
+
+
+def test_a_witness_weighs_its_terms():
+    # the weight is read off the expansion, so the two cannot disagree
+    assert [f.name for f in dataclasses.fields(WeightWitness) if f.init] == ["expansion"]
+    rng = random.Random(43)
+    for v in [rng.randrange(-3000, 3000) for _ in range(40)]:
+        w = min_weight_bruteforce(v, B523, 6)
+        assert w.weight == len(w.expansion.terms)
+        assert WeightWitness(w.expansion) == w
+    w = min_weight_bruteforce(7, B523, 4)
+    assert repr(w) == (
+        "WeightWitness(weight=3, expansion=SignedExpansion(base=BasePair(p=5, q=23), "
+        "terms=((1, 2, 0), (1, 1, 0), (-1, 0, 1))))"
+    )
+    assert list(dataclasses.asdict(w)) == ["weight", "expansion"]
 
 
 def test_default_box_grows_with_the_value():

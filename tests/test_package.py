@@ -100,7 +100,7 @@ ZERO_HOOK = Representation(unitsum.UnitGroupBasis((1,), (5,), (lambda bits: (0, 
         pytest.param(lambda: unitsum.monotone_quantity(ZERO_HOOK), "abs_val hooks must certify positivity", id="monotone_quantity"),
         pytest.param(lambda: unitsum.PlainRelation(1, 1, 0), "sign must be -1 or 1", id="PlainRelation-sign"),
         pytest.param(lambda: unitsum.PlainRelation(-1, 1, 1), "exponents must be nonnegative", id="PlainRelation-exponent"),
-        pytest.param(lambda: unitsum.ExtendedRelation(0, 0, 0, 0, 1, "x"), "unknown form", id="ExtendedRelation"),
+        pytest.param(lambda: unitsum.ExtendedRelation(0, 0, 0, 0, 2), "sign must be -1 or 1", id="ExtendedRelation"),
         # a key that is not a (k, l, x) triple is named, not unpacked
         pytest.param(lambda: Representation(REP.basis, {5: 1}), "index 5 does not fit the basis", id="Representation-int-key"),
         pytest.param(lambda: Representation(REP.basis, {(0, 1): 1}), "index (0, 1) does not fit the basis", id="Representation-pair-key"),

@@ -28,7 +28,7 @@ from unitsum import (
     verify_relation,
 )
 from unitsum import relations
-from unitsum.relations import _FORM_RANK, MAX_EXP, MAX_WALK_EXP, _best_extended, _first_partner
+from unitsum.relations import MAX_EXP, MAX_WALK_EXP, _best_extended, _first_partner
 
 
 @pytest.mark.parametrize(
@@ -37,8 +37,8 @@ from unitsum.relations import _FORM_RANK, MAX_EXP, MAX_WALK_EXP, _best_extended,
         (PlainRelation, (2.5, 1, 1), "x"),
         (PlainRelation, (2, Fraction(3, 2), 1), "y"),
         (PlainRelation, (2, 1, float("nan")), "sign"),
-        (ExtendedRelation, (1.5, 0, 0, 1, -1, "plain"), "a"),
-        (ExtendedRelation, (2, 0, 0, float("inf"), -1, "plain"), "d"),
+        (ExtendedRelation, (1.5, 0, 0, 1, -1), "a"),
+        (ExtendedRelation, (2, 0, 0, float("inf"), -1), "d"),
     ],
 )
 def test_relations_reject_non_integral_fields(cls, args, field):
@@ -49,7 +49,7 @@ def test_relations_reject_non_integral_fields(cls, args, field):
 
 def test_relations_keep_exact_integers():
     plain = PlainRelation(2.0, Fraction(2, 2), 1.0)
-    ext = ExtendedRelation(Fraction(-2, 2), 2.0, -1, 0, 1.0, "p_inverse")
+    ext = ExtendedRelation(Fraction(-2, 2), 2.0, -1, 0, 1.0)
     assert all(type(v) is int for v in (plain.x, plain.y, plain.sign))
     assert all(type(v) is int for v in (ext.a, ext.b, ext.c, ext.d, ext.sign))
     assert verify_relation(BasePair(5, 23), plain)
@@ -105,14 +105,25 @@ def test_extended_search_covers_plain_relations():
 
 def test_verify_extended_relation_rejects_tampering():
     rel = find_extended_relation(BasePair(5, 11))
-    flipped = ExtendedRelation(rel.a, rel.b, rel.c, rel.d, -rel.sign, rel.form)
+    flipped = ExtendedRelation(rel.a, rel.b, rel.c, rel.d, -rel.sign)
     assert not verify_relation(BasePair(5, 11), flipped)
 
 
 def test_extended_relation_takes_only_a_unit_sign():
     for sign in (0, 2, -2):
         with pytest.raises(ValueError, match="^sign must be -1 or 1$"):
-            ExtendedRelation(-1, 1, -1, 0, sign, "p_inverse")
+            ExtendedRelation(-1, 1, -1, 0, sign)
+
+
+def test_extended_relation_takes_five_values_and_reads_its_form():
+    assert [f.name for f in dataclasses.fields(ExtendedRelation) if f.init] == ["a", "b", "c", "d", "sign"]
+    with pytest.raises(TypeError):
+        ExtendedRelation(-1, 1, -1, 0, -1, "q_inverse")
+    rel = find_extended_relation(BasePair(11, 5))
+    # form keeps its place in the repr, the JSON fields and equality
+    assert repr(rel) == "ExtendedRelation(a=1, b=-1, c=0, d=-1, sign=-1, form='q_inverse')"
+    assert list(dataclasses.asdict(rel)) == ["a", "b", "c", "d", "sign", "form"]
+    assert rel == ExtendedRelation(1, -1, 0, -1, -1) and hash(rel) == hash(ExtendedRelation(1, -1, 0, -1, -1))
 
 
 def test_verify_relation_rejects_what_is_not_a_relation():
@@ -129,12 +140,8 @@ _COPRIME_BASES = st.sampled_from(
 )
 _EXPONENTS = st.integers(-6, 6)
 _SIGNS = st.sampled_from([1, -1])
-_DRAWN_RELATIONS = st.one_of(
-    st.builds(PlainRelation, st.integers(0, 6), st.integers(0, 6), _SIGNS),
-    st.builds(
-        ExtendedRelation, _EXPONENTS, _EXPONENTS, _EXPONENTS, _EXPONENTS, _SIGNS, st.sampled_from(sorted(_FORM_RANK))
-    ),
-)
+_DRAWN_EXTENDED = st.builds(ExtendedRelation, _EXPONENTS, _EXPONENTS, _EXPONENTS, _EXPONENTS, _SIGNS)
+_DRAWN_RELATIONS = st.one_of(st.builds(PlainRelation, st.integers(0, 6), st.integers(0, 6), _SIGNS), _DRAWN_EXTENDED)
 
 
 def _perturbed(rel, field: str, step: int):
@@ -145,6 +152,20 @@ def _perturbed(rel, field: str, step: int):
     if field == "sign":
         return dataclasses.replace(rel, sign=-rel.sign)
     return dataclasses.replace(rel, **{field: getattr(rel, field) + step})
+
+
+@given(_COPRIME_BASES, _DRAWN_EXTENDED)
+def test_form_follows_the_exponents_and_a_relation_inverts_one_base(base, drawn):
+    # q_inverse for a negative power of q, else p_inverse for one of p,
+    # else plain; and no true relation over coprime bases has negative
+    # powers of both (the lemma in ExtendedRelation's docstring)
+    for rel in (drawn, find_extended_relation(base)):
+        if rel is None:
+            continue
+        q_inverse, p_inverse = min(rel.b, rel.d) < 0, min(rel.a, rel.c) < 0
+        assert rel.form == ("q_inverse" if q_inverse else "p_inverse" if p_inverse else "plain")
+        if verify_relation(base, rel):
+            assert not (p_inverse and q_inverse), (base, rel)
 
 
 @given(_COPRIME_BASES, _DRAWN_RELATIONS, st.data())
