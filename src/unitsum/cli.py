@@ -20,7 +20,7 @@ import functools
 import json
 import sys
 
-from . import cubic, documents, engine, oracle, relations
+from . import cubic, documents, double_base, engine, oracle, relations
 from .double_base import (
     BasePair,
     evaluate_expansion,
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("expand", help="signed expansion of an integer")
     _add_base_args(s)
     s.add_argument("value", type=integer, help="integer to expand")
-    s.add_argument("--seed-method", choices=("padic", "greedy"), default="padic")
+    s.add_argument("--seed-method", choices=double_base.SEED_METHODS, default=double_base.SEED_METHODS[0])
     _add_format_arg(s)
     s.set_defaults(func=_cmd_expand)
 
@@ -307,14 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("find-relation", help="search base-pair relations")
     _add_base_args(s)
     s.add_argument("--max-exp", type=integer, default=relations.MAX_EXP)
-    s.add_argument("--max-modulus", type=integer, default=1000)
+    s.add_argument("--max-modulus", type=integer, default=relations.MAX_MODULUS)
     s.add_argument("--extended", action="store_true", help="also search inverse-power forms")
     _add_format_arg(s)
     s.set_defaults(func=_cmd_find_relation)
 
     s = subs.add_parser("obstruct", help="search an obstruction certificate")
     _add_base_args(s)
-    s.add_argument("--max-modulus", type=integer, default=1000)
+    s.add_argument("--max-modulus", type=integer, default=relations.MAX_MODULUS)
     _add_format_arg(s)
     s.set_defaults(func=_cmd_obstruct)
 
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-weight", type=integer, default=8)
     s.add_argument("--i-max", type=integer, default=None)
     s.add_argument("--j-max", type=integer, default=None)
-    s.add_argument("--budget", type=integer, default=20_000_000)
+    s.add_argument("--budget", type=integer, default=oracle.NODE_BUDGET)
     _add_format_arg(s)
     s.set_defaults(func=_cmd_min_weight)
 

@@ -563,12 +563,11 @@ def represent_unit_sums(beta: CubicElement, policy: Optional[engine.ReductionPol
     rel = three_relation(params)
     basis = cubic_basis(params)
     policy = policy or engine.ReductionPolicy()
+    coords = sorted((abs(c), t, 0 if c > 0 else 1) for t, c in enumerate(beta.coords) if c)
     if policy.on_step is not None:
-        # a zero coordinate seeds nothing: Representation drops zero coefficients
-        seeds = {(0 if c > 0 else 1, 1, (t, 0)): abs(c) for t, c in enumerate(beta.coords)}
+        seeds = {(k, 1, (t, 0)): n for n, t, k in coords}
         return engine.reduce(Representation(basis, seeds), rel, policy)
     cap = max(policy.max_steps, 0)
-    coords = sorted((abs(c), t, 0 if c > 0 else 1) for t, c in enumerate(beta.coords) if c)
     starts = [_PILES.floor(n) for n, _, _ in coords]  # (m, steps, pile)
     total = sum(steps for _, steps, _ in starts)
     below = (0, 0, {})

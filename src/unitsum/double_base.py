@@ -30,6 +30,8 @@ from .relations import MAX_EXP
 
 Term = Tuple[int, int, int]
 
+SEED_METHODS = ("padic", "greedy")  # expand's seeds, the default first
+
 
 @dataclass(frozen=True)
 class BasePair:
@@ -426,7 +428,7 @@ def _single_base_rows(v: int, base: BasePair) -> Optional[dict]:
 def expand_with_stats(
     v: int,
     base: BasePair,
-    seed_method: str = "padic",
+    seed_method: str = SEED_METHODS[0],
     on_step=None,
 ) -> ExpandStats:
     """expand, but also reporting steps and w_init.
@@ -443,8 +445,8 @@ def expand_with_stats(
     firing of t pairs at (i, j).
     """
     v = exact_int(v, "value")
-    if seed_method not in ("padic", "greedy"):
-        raise ValueError("seed_method must be 'padic' or 'greedy'")
+    if seed_method not in SEED_METHODS:
+        raise ValueError(f"seed_method must be {' or '.join(map(repr, SEED_METHODS))}")
     digits = p_adic_digits(abs(v), base.p)
     w_init = sum(digits)
     if v == 0:
@@ -464,7 +466,7 @@ def expand_with_stats(
     return ExpandStats(_from_rows(SignedExpansion, base, rows, terms), steps, w_init)
 
 
-def expand(v: int, base: BasePair, seed_method: str = "padic") -> SignedExpansion:
+def expand(v: int, base: BasePair, seed_method: str = SEED_METHODS[0]) -> SignedExpansion:
     """Signed double-base expansion of any integer.
 
     Values of either sign are handled (negation flips every digit).  When

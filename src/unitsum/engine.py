@@ -98,14 +98,20 @@ class UnitRelation:
         return max(abs(c) for _, r in self.terms for c in r)
 
 
-def _exact_index(key) -> Index:
+def _exact_index(key, basis: UnitGroupBasis) -> Index:
+    """key as an index (k, l, x) of basis: a triple of integers (see
+    errors.exact_int) and M exponents, with 0 <= k < K and 1 <= l <= L."""
     try:
         k, ell, x = key
         x = tuple(x)
     except (TypeError, ValueError):
-        raise ValueError(f"index {key!r} does not fit the basis") from None
-    x = tuple(exact_int(c, "exponent") for c in x)
-    return (exact_int(k, "sign layer"), exact_int(ell, "generator"), x)
+        x = None
+    else:
+        x = tuple(exact_int(c, "exponent") for c in x)
+        k, ell = exact_int(k, "sign layer"), exact_int(ell, "generator")
+    if x is None or not (0 <= k < basis.K and 1 <= ell <= basis.L and len(x) == basis.M):
+        raise ValueError(f"index {key!r} does not fit the basis")
+    return (k, ell, x)
 
 
 class Representation:
@@ -121,16 +127,13 @@ class Representation:
 
     def __init__(self, basis: UnitGroupBasis, coeffs: Optional[Mapping] = None, steps: int = 0):
         self.basis = basis
-        K, L, M = basis.K, basis.L, basis.M
         clean = {}
         for key, a in (coeffs or {}).items():
-            (k, ell, x), a = _exact_index(key), exact_int(a, "coefficient")
-            if not (0 <= k < K and 1 <= ell <= L and len(x) == M):
-                raise ValueError(f"index {key!r} does not fit the basis")
+            key, a = _exact_index(key, basis), exact_int(a, "coefficient")
             if a < 0:
                 raise ValueError("coefficients must be nonnegative")
             if a:
-                clean[(k, ell, x)] = a
+                clean[key] = a
         self._coeffs = clean
         self.steps = exact_int(steps, "steps")
 
@@ -226,7 +229,7 @@ def replacement_step(rep: Representation, rel: UnitRelation, target) -> Represen
     term gains 1 at its shifted index.  Value is preserved exactly; total
     weight changes by I - n."""
     _check_relation(rep.basis, rel)
-    k, ell, x = target = _exact_index(target)
+    k, ell, x = target = _exact_index(target, rep.basis)
     have = rep._coeffs.get(target, 0)
     if have < rel.n:
         raise TargetTooSmall(f"coefficient {have} at {target} is below n = {rel.n}")

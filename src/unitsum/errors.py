@@ -50,14 +50,14 @@ class VerificationFailed(UnitSumError):
 
 def exact_int(value, what: str) -> int:
     """value as an int: an int passes untouched, anything else must
-    convert exactly (Fraction(4, 2) gives 2; 2.5, inf, nan and '3' raise
-    ValueError naming what)."""
+    convert exactly (Fraction(4, 2) gives 2; 2.5, inf, nan, '3' and None
+    raise ValueError naming what)."""
     if type(value) is int:
         return value
     try:
         n = int(value)
         exact = n == value
-    except (OverflowError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         exact = False
     if not exact:
         raise ValueError(f"{what} {value!r} is not an integer")

@@ -24,6 +24,9 @@ from .double_base import (
 from .errors import BudgetExceeded, VerificationFailed, exact_int
 
 
+NODE_BUDGET = 20_000_000  # min_weight_bruteforce's default node budget
+
+
 @dataclass(frozen=True)
 class WeightWitness:
     """A minimal expansion, no strictly lighter one in the box; weight is its term count."""
@@ -212,7 +215,7 @@ def min_weight_bruteforce(
     base: BasePair,
     max_weight: int,
     exp_box: Optional[Tuple[int, int]] = None,
-    node_budget: int = 20_000_000,
+    node_budget: int = NODE_BUDGET,
 ) -> Optional[WeightWitness]:
     """Lightest expansion of v using exponents i <= I_max, j <= J_max.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from typing import TYPE_CHECKING, Optional, Tuple
 
@@ -25,6 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover
 _FORM_RANK = {"plain": 0, "p_inverse": 1, "q_inverse": 2}
 
 MAX_EXP = 64  # the converters' exponent bound and the finders' default
+MAX_MODULUS = 1000  # find_obstruction's default modulus bound
 
 # The finders walk their powers up to this exponent at most, and an
 # obstruction orbit holds at most this many residues.  A walk is quadratic
@@ -40,8 +41,20 @@ MAX_WALK_EXP = 10_000
 _relation_cache = functools.lru_cache(maxsize=256)
 
 
+class _Relation:
+    """The body of both relation classes: each init field an integer (see
+    errors.exact_int) named by the field, and sign -1 or 1."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.init:
+                object.__setattr__(self, f.name, exact_int(getattr(self, f.name), f.name))
+        if self.sign not in (-1, 1):
+            raise ValueError("sign must be -1 or 1")
+
+
 @dataclass(frozen=True)
-class PlainRelation:
+class PlainRelation(_Relation):
     """2 = sign * (p^x - q^y) with nonnegative integer exponents."""
 
     kind = "plain"
@@ -50,10 +63,7 @@ class PlainRelation:
     sign: int
 
     def __post_init__(self):
-        for name in ("x", "y", "sign"):
-            object.__setattr__(self, name, exact_int(getattr(self, name), name))
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be -1 or 1")
+        super().__post_init__()
         if self.x < 0 or self.y < 0:
             raise ValueError("exponents must be nonnegative")
 
@@ -69,7 +79,7 @@ class PlainRelation:
 
 
 @dataclass(frozen=True)
-class ExtendedRelation:
+class ExtendedRelation(_Relation):
     """2 = p^a q^b + sign * p^c q^d with the positive term written first.
 
     form, read off the exponents, tags where the inverse powers sit:
@@ -89,10 +99,7 @@ class ExtendedRelation:
     form: str = field(init=False)
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "d", "sign"):
-            object.__setattr__(self, name, exact_int(getattr(self, name), name))
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be -1 or 1")
+        super().__post_init__()
         form = "q_inverse" if min(self.b, self.d) < 0 else "p_inverse" if min(self.a, self.c) < 0 else "plain"
         object.__setattr__(self, "form", form)
 
@@ -131,7 +138,7 @@ def verify_relation(base: "BasePair", rel) -> bool:
     """Exact check that rel's two terms give 2 = sum s p^i q^j for this base
     pair, in integers: both sides times the p^e q^f that clears the negative
     exponents.  False for what is not a relation."""
-    if not isinstance(rel, (PlainRelation, ExtendedRelation)):
+    if not isinstance(rel, _Relation):
         return False
     p, q = base.p, base.q
     (a, b, s), (c, d, t) = rel.terms
@@ -275,7 +282,7 @@ def certificate_at(base: "BasePair", m: int) -> Optional[ObstructionCertificate]
     return ObstructionCertificate(p, q, m, tuple(sorted(p_orbit)), tuple(sorted(q_orbit)))
 
 
-def find_obstruction(base: "BasePair", max_modulus: int = 1000) -> Optional[ObstructionCertificate]:
+def find_obstruction(base: "BasePair", max_modulus: int = MAX_MODULUS) -> Optional[ObstructionCertificate]:
     """First certificate with modulus at most max_modulus, scanning p and
     q first when they are in bounds, then 2, 3, ... upwards.
 

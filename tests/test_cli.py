@@ -1,13 +1,15 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import argparse
 import hashlib
+import inspect
 import io
 import json
 import sys
 
 import pytest
 
-from unitsum import Representation, cli, cubic, relations
+from unitsum import BasePair, Representation, cli, cubic, expand, expand_with_stats, min_weight_bruteforce, relations
 from unitsum.cli import main
 
 # the digit limit on int/str conversions, which 3.10 releases before
@@ -713,3 +715,24 @@ def test_max_exp_flag_does_not_stick(capsys):
         "no relation with exponents up to 5; no obstruction certificate with modulus up to 1000\n",
     )
     assert run(capsys, "find-relation", "--p", "3", "--q", "727")[:2] == (0, "2 = 3^6 - 727^1\n")
+
+
+def test_flag_defaults_are_the_library_defaults():
+    parse = cli.build_parser().parse_args
+    base = ("--p", "5", "--q", "23")
+
+    def default(function, name):
+        return inspect.signature(function).parameters[name].default
+
+    expand_args = parse(["expand", *base, "7"])
+    assert expand_args.seed_method == default(expand_with_stats, "seed_method") == default(expand, "seed_method")
+    for command in ("find-relation", "obstruct"):
+        assert parse([command, *base]).max_modulus == default(relations.find_obstruction, "max_modulus")
+    assert parse(["find-relation", *base]).max_exp == default(relations.find_plain_relation, "max_exp")
+    assert parse(["min-weight", *base, "7"]).budget == default(min_weight_bruteforce, "node_budget")
+    subcommands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    choices = next(a.choices for a in subcommands.choices["expand"]._actions if a.dest == "seed_method")
+    for method in choices:
+        assert expand_with_stats(997, BasePair(5, 23), method).expansion.terms
+    with pytest.raises(ValueError, match="^seed_method must be 'padic' or 'greedy'$"):
+        expand_with_stats(997, BasePair(5, 23), "foo")

@@ -2,6 +2,7 @@
 and the certified numeric helpers."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -272,6 +273,18 @@ def test_replacement_step_needs_a_big_enough_coefficient():
         replacement_step(r, REL, (0, 1, (0, 0)))
     with pytest.raises(TargetTooSmall):
         replacement_step(r, REL, (0, 1, (9, 9)))
+
+
+# a sign layer past K, a generator past L and three exponents for M = 2:
+# each was looked up as it stood and reported as a coefficient below n
+@pytest.mark.parametrize(
+    "target", [(5, 1, (0, 0)), (0, 2, (0, 0)), (0, 1, (0, 0, 0))], ids=["sign-layer", "generator", "exponents"]
+)
+def test_replacement_step_names_a_target_outside_the_basis(target):
+    params = CubicParams(2)
+    rep = Representation(cubic_basis(params), {(0, 1, (0, 0)): 3})
+    with pytest.raises(ValueError, match=re.escape(f"index {target} does not fit the basis")):
+        replacement_step(rep, three_relation(params), target)
 
 
 @pytest.mark.parametrize("target", [(0, 1, (0.5, 0)), (0.5, 1, (0, 0)), (0, 1, (0, float("nan")))])

@@ -30,10 +30,11 @@ def test_readme_examples_run():
     assert result.failed == 0
 
 
-# Each call passes 2.5, or a negative bit count, where the helper takes an
-# integer.  greedy_seed(2.5, B523) used to loop forever, and
+# Each call passes 2.5, None, a list or a negative bit count where the
+# helper takes an integer.  greedy_seed(2.5, B523) used to loop forever,
 # certificate_at(B511, 7.5) returned a certificate with float orbits: a
-# false proof that no relation exists.
+# false proof that no relation exists, and None or a list raised int()'s
+# TypeError, which names no argument.
 @pytest.mark.parametrize(
     "call, error, what",
     [
@@ -63,6 +64,12 @@ def test_readme_examples_run():
         pytest.param(lambda: unitsum.pq_rational(0.1, B523), ValueError, "value", id="pq_rational"),
         pytest.param(lambda: unitsum.pq_rational(" 7/9 ", B523), ValueError, "value", id="pq_rational-string"),
         pytest.param(lambda: unitsum.CubicElement(P2, 0, 1, 0) ** 2.5, ValueError, "exponent", id="CubicElement-pow"),
+        pytest.param(lambda: BasePair(None, 5), ValueError, "base", id="BasePair-None"),
+        pytest.param(lambda: CubicParams(None), ValueError, "parameter", id="CubicParams-None"),
+        pytest.param(lambda: unitsum.p_adic_digits(None, 3), ValueError, "value", id="p_adic_digits-None"),
+        pytest.param(lambda: unitsum.ReductionPolicy(max_steps=None), ValueError, "max_steps", id="ReductionPolicy-None"),
+        pytest.param(lambda: unitsum.find_plain_relation(B523, None), ValueError, "max_exp", id="find_plain_relation-None"),
+        pytest.param(lambda: unitsum.expand([1], B523), ValueError, "value", id="expand-list"),
     ],
 )
 def test_helpers_reject_non_integral_arguments_by_name(call, error, what):
