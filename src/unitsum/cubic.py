@@ -261,6 +261,7 @@ def unit_monomial(i: int, j: int, params: CubicParams) -> CubicElement:
 
 
 _THREE = UnitRelation(n=3, terms=((0, (1, 2)), (0, (-2, -1)), (0, (1, -1))))
+THREE_RELATION_DEGREE = 52  # D, derived in three_relation
 
 
 def three_relation(params: CubicParams) -> UnitRelation:
@@ -269,12 +270,18 @@ def three_relation(params: CubicParams) -> UnitRelation:
 
     The three units are alpha^2 + (2-a) alpha - a,
     -2 alpha^2 + (2a-1) alpha + (a+4) and alpha^2 - (a+1) alpha - 1;
-    their coordinates cancel columnwise to (3, 0, 0) for every a.
-    """
+    their coordinates cancel columnwise to (3, 0, 0) for every a.  Those
+    computed have degree at most D in a, so D + 1 values of a prove the
+    identity for every a.  No branch reads a (_unit_inverse tests the
+    generators' norm, 1).  In the degrees d of triples, a product has
+    d(u) + d(v) + 2 (the reduction's factors have degree 2 at most),
+    _conjugate d + 4, an inverse 2 d + 14, a first power d + 2, a square
+    2 d + 4: alpha^1, alpha^-2, alpha2^2 and alpha2^-1 have 2, 32, 6 and
+    18, the monomials 10, 52 and 22.  Run over Z[a], none passes 2."""
     a = params.a
     got = tuple(unit_monomial(i, j, params).coords for _, (i, j) in _THREE.terms)
     expected = ((-a, 2 - a, 1), (a + 4, 2 * a - 1, -2), (-1, -a - 1, 1))
-    if got != expected or tuple(map(sum, zip(*got))) != (3, 0, 0):
+    if got != expected:
         raise RelationBroken(f"three-unit identity failed for a = {a}")
     return _THREE
 
@@ -414,8 +421,11 @@ def cubic_evaluator(params: CubicParams):
 
 class _PileCache:
     """The stable piles S(n) of represent_unit_sums, keyed by the
-    magnitude n alone, with at most max_entries piles and max_sites
-    stored sites; the least recently used pile goes first.
+    magnitude n alone, with at most max_sites stored sites; the least
+    recently used pile goes first.  S(n) keeps the weight n (the relation
+    has I = n) and a count of at most 2 stands for at most 6 sites, so it
+    stores at least ceil(n / 12) representatives: 2^18 sites hold at most
+    2,502 piles, as ceil(1 / 12) + ... + ceil(2503 / 12) > 2^18.
 
     A pile is (steps, pile): its orbit representatives (see
     _fold) as the map {(0, 1, (i, j)): c} that
@@ -426,8 +436,8 @@ class _PileCache:
     48 MB in all.  A lock keeps the sorted magnitudes and the dict in step.
     """
 
-    def __init__(self, max_entries: int, max_sites: int):
-        self.max_entries, self.max_sites = max_entries, max_sites
+    def __init__(self, max_sites: int):
+        self.max_sites = max_sites
         self._lock = threading.Lock()
         self.clear()
 
@@ -456,7 +466,7 @@ class _PileCache:
             self.piles[n] = (steps, pile)
             bisect.insort(self.sizes, n)
             self.sites += len(pile)
-            while len(self.piles) > self.max_entries or self.sites > self.max_sites:
+            while self.sites > self.max_sites:
                 old = next(iter(self.piles))
                 self.sites -= len(self.piles.pop(old)[1])
                 del self.sizes[bisect.bisect_left(self.sizes, old)]
@@ -465,7 +475,7 @@ class _PileCache:
 # a cubic-units bench round stores about 7,400 orbit representatives
 # (about 0.48 MB), and the 500 elements of acceptance criterion 7 about
 # 47,000; see _PileCache for what a site costs
-_PILES = _PileCache(max_entries=1 << 10, max_sites=1 << 18)
+_PILES = _PileCache(max_sites=1 << 18)
 
 
 def _fold(x):

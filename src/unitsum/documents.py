@@ -127,7 +127,7 @@ def expansion_from_json(data: dict):
         if exc.args[0] in ("d", "i", "j"):  # a term's field: name the first term without it
             exc = f"{exc} in term {next(k for k, t in enumerate(terms) if exc.args[0] not in t)}"
         raise InvalidExpansion(f"malformed expansion document: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise InvalidExpansion(f"malformed expansion document: {exc}") from None
     cls = next((c for c in (SignedExpansion, ExtendedExpansion) if c.kind == kind), None)
     if cls is None:

@@ -35,10 +35,17 @@ MAX_MODULUS = 1000  # find_obstruction's default modulus bound
 # ValueError instead; one that ends below it is exact.
 MAX_WALK_EXP = 10_000
 
-# Each finder keeps its last results, which are frozen and safe to share;
-# one sweep-small bench run asks about 55 base pairs.  A bound of 64.0
-# shares the entry of 64, as the finders read it as that int.
-_relation_cache = functools.lru_cache(maxsize=256)
+
+def _relation_cache(finder):
+    """finder behind a cache of its last 256 results, frozen and safe to share (a sweep-small bench
+    run asks about 55 base pairs); max_exp is read by exact_int before it is hashed, as 64 for 64.0."""
+    cached = functools.lru_cache(maxsize=256)(finder)
+
+    def find(base: "BasePair", max_exp: int = MAX_EXP):
+        return cached(base, exact_int(max_exp, "max_exp"))
+
+    find.cache_info, find.cache_clear = cached.cache_info, cached.cache_clear
+    return functools.update_wrapper(find, finder)
 
 
 class _Relation:
@@ -191,7 +198,6 @@ def find_plain_relation(base: "BasePair", max_exp: int = MAX_EXP) -> Optional[Pl
     256 entries at most.
     """
     # p^x = q^y + 2 sign
-    max_exp = exact_int(max_exp, "max_exp")
     hit = _first_partner(base.q, base.p, 1, 2, min(max_exp, MAX_WALK_EXP))
     if hit is None and max_exp > MAX_WALK_EXP:
         raise _past_walk_bound(max_exp)
@@ -220,7 +226,6 @@ def find_extended_relation(base: "BasePair", max_exp: int = MAX_EXP) -> Optional
     past the bound would have a sum both below the best's and above the
     bound.
     """
-    max_exp = exact_int(max_exp, "max_exp")
     for bound in (MAX_EXP, MAX_WALK_EXP):
         bound = min(max_exp, bound)
         best = _best_extended(base, bound)

@@ -6,6 +6,7 @@ import inspect
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -432,6 +433,29 @@ def test_cubic_verify_range(capsys):
     code, out, _ = run(capsys, "cubic-verify", "--a-from", "0", "--a-to", "0")
     assert code == 0
     assert out == "1/1 relations verified, sum = 3\n"
+
+
+# cubic-verify checks D + 1 values of a at most: the identity is one of
+# polynomials in a of degree at most D (see cubic.three_relation)
+D = cubic.THREE_RELATION_DEGREE
+
+
+def test_cubic_verify_answers_any_range_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cubic-verify", "--a-from", "0", "--a-to", "1000000000")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (0, "1000000001/1000000001 relations verified, sum = 3\n", "")
+
+
+@pytest.mark.parametrize("more", [0, 1, D - 1, D, D + 1, 10**6])
+def test_cubic_verify_checks_at_most_d_plus_one_values(capsys, monkeypatch, more):
+    # a range of at most D + 1 values checks each of them, a longer one
+    # its first D + 1
+    checked = []
+    three = cubic.three_relation
+    monkeypatch.setattr(cubic, "three_relation", lambda params: checked.append(params.a) or three(params))
+    assert run(capsys, "cubic-verify", "--a-from", "-7", "--a-to", str(more - 7))[0] == 0
+    assert checked == list(range(-7, min(more, D) - 7 + 1))
 
 
 def test_cubic_verify_rejects_reversed_range(capsys):

@@ -1,6 +1,7 @@
 """Simplest cubic fields: exact ring arithmetic, units, roots, and the
 coefficient-2 unit-sum representations."""
 
+import itertools
 import random
 import sys
 import threading
@@ -288,6 +289,75 @@ def test_three_relation_sums_to_three():
             elem(params, 0, 0, 0),
         )
         assert total == elem(params, 3, 0, 0)
+
+
+class _Poly:
+    """An integer polynomial in a, by its coefficients from the constant
+    up; just enough of a ring for the coordinate arithmetic in cubic."""
+
+    def __init__(self, *coeffs):
+        coeffs = list(coeffs)
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        self.coeffs = tuple(coeffs)
+
+    @staticmethod
+    def _of(x):
+        return x.coeffs if isinstance(x, _Poly) else (x,)
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def __add__(self, other):
+        return _Poly(*(x + y for x, y in itertools.zip_longest(self.coeffs, self._of(other), fillvalue=0)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Poly(*(-x for x in self.coeffs))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        other = self._of(other)
+        out = [0] * (len(self.coeffs) + len(other))
+        for i, x in enumerate(self.coeffs):
+            for j, y in enumerate(other):
+                out[i + j] += x * y
+        return _Poly(*out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return self.coeffs == _Poly(*self._of(other)).coeffs
+
+
+def test_three_relation_holds_over_z_a(monkeypatch):
+    """The three monomials, computed as unit_monomial computes them but
+    with a left an indeterminate, are the expected triples as polynomials:
+    the identity holds for every integer a.  No coordinate that a product
+    takes or gives passes degree 2, within the THREE_RELATION_DEGREE that
+    cubic-verify's D + 1 values rely on."""
+    degrees = []
+    mul = cubic._mul_coords
+
+    def recorded(u, v, a):
+        out = mul(u, v, a)
+        degrees.extend(c.degree if isinstance(c, _Poly) else 0 for c in (*u, *v, *out))
+        return out
+
+    monkeypatch.setattr(cubic, "_mul_coords", recorded)
+    a = _Poly(0, 1)
+    power = cubic._generator_power.__wrapped__
+    got = tuple(recorded(power(False, i, a), power(True, j, a), a) for _, (i, j) in three_relation(P2).terms)
+    assert got == ((-a, 2 - a, 1), (a + 4, 2 * a - 1, -2), (-1, -a - 1, 1))
+    assert tuple(map(sum, zip(*got))) == (3, 0, 0)
+    assert max(degrees) == 2 <= cubic.THREE_RELATION_DEGREE
 
 
 def test_three_relation_is_checked_on_every_call(monkeypatch):
@@ -814,7 +884,7 @@ def test_pile_steps_are_checked_against_the_invariant(monkeypatch):
         site = next(key for key in pile if key[2] != (0, 0))
         return {**pile, site: pile[site] + 1}, more
 
-    monkeypatch.setattr(cubic, "_PILES", cubic._PileCache(max_entries=8, max_sites=400))
+    monkeypatch.setattr(cubic, "_PILES", cubic._PileCache(max_sites=400))
     monkeypatch.setattr(engine, "_stabilize", one_chip_off)
     with pytest.raises(VerificationFailed, match=r"^S\(50\) of .* holds \d+ / 3 steps, not 0 \+ \d+$"):
         represent_unit_sums(elem(P2, 50, 0, 0))
@@ -866,17 +936,34 @@ def test_continuing_a_pile_unpacks_only_the_sites_that_moved(monkeypatch, n):
     assert built <= sum(unpacked) <= (rel.I + 2) * len(fired) < len(start)
 
 
+def test_each_pile_stores_a_twelfth_of_its_magnitude():
+    """S(n) keeps the weight n, as the relation has as many terms as its
+    right side, and a stable count of at most 2 stands for an orbit of at
+    most 6 sites; so it stores at least ceil(n / 12) representatives, and
+    the cache's 2^18 sites hold at most 2,502 piles."""
+    piles = cubic._PILES
+    piles.clear()
+    for n in range(1, 601):
+        represent_unit_sums(elem(P2, n, 0, 0))
+        pile = piles.piles[n][1]
+        sizes = [cubic._fold(x)[1] for (_, _, x) in pile]
+        assert sum(c * size for c, size in zip(pile.values(), sizes)) == n
+        assert max(pile.values()) <= 2 and max(sizes) <= 6
+        assert len(pile) >= -(-n // 12)
+    assert sum(-(-n // 12) for n in range(1, 2503)) <= 1 << 18 < sum(-(-n // 12) for n in range(1, 2504))
+
+
 def test_pile_cache_bounds_hold_after_many_magnitudes():
     piles = cubic._PILES
-    assert (piles.max_entries, piles.max_sites) == (1 << 10, 1 << 18)
+    assert piles.max_sites == 1 << 18
     piles.clear()
     # a pile of n chips holds about 0.6 n sites, stored as about 0.11 n
     # orbit representatives, so these hold about 391,000 stored sites in
-    # all, and the last 1024 of them more than the site bound; each call
-    # continues from the last pile
+    # all, more than the site bound; each call continues from the last pile
     for n in range(1400, 3000):
         represent_unit_sums(elem(P2, n, 0, 0))
-    assert len(piles.piles) <= piles.max_entries
+    # the site bound holds the piles to 2,502 (see the test above)
+    assert len(piles.piles) <= 2502
     assert piles.sites == sum(len(pile) for _, pile in piles.piles.values()) <= piles.max_sites
     assert piles.sites > piles.max_sites - 1200
     assert piles.sizes == sorted(piles.piles)
@@ -893,16 +980,16 @@ def _line(sites):
 
 
 def test_pile_cache_evicts_the_least_recently_used_pile():
-    cache = cubic._PileCache(max_entries=3, max_sites=5)
+    cache = cubic._PileCache(max_sites=5)
     for n in (1, 2, 3):
         cache.store(n, 0, {(0, 1, (0, 0)): n})
     assert cache.floor(2)[0] == 2  # 2 is now the most recently used
-    cache.store(4, 0, _line(1))
+    cache.store(4, 0, _line(3))  # 6 sites: 1 goes
     assert sorted(cache.piles) == [2, 3, 4]
     assert cache.floor(1) == (0, 0, {})
-    cache.store(9, 7, _line(4))  # 7 sites and 4 entries: 3 goes, then 2
+    cache.store(9, 7, _line(2))  # 7 sites: 3 goes, then 2
     assert cache.sizes == [4, 9] and cache.sites == 5
-    assert cache.floor(20) == (9, 7, _line(4))
+    assert cache.floor(20) == (9, 7, _line(2))
     cache.store(10, 8, _line(6))  # larger than the site bound alone
     assert cache.sizes == [4, 9] and cache.sites == 5
 
@@ -923,8 +1010,9 @@ def test_a_stored_pile_never_changes():
 
 
 def test_pile_cache_is_shared_safely_across_threads(monkeypatch):
-    # a small cache, so that the threads evict each other's piles
-    monkeypatch.setattr(cubic, "_PILES", cubic._PileCache(max_entries=8, max_sites=400))
+    # a small cache, so that the threads evict each other's piles: the 52
+    # magnitudes below store 317 sites, and 40 hold about five piles
+    monkeypatch.setattr(cubic, "_PILES", cubic._PileCache(max_sites=40))
     rng = random.Random(7)
     elements = [
         elem(CubicParams(rng.choice([-3, 0, 2])), *(rng.randint(-60, 60) for _ in range(3))) for _ in range(40)
@@ -954,8 +1042,11 @@ def test_pile_cache_is_shared_safely_across_threads(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     piles = cubic._PILES
-    assert piles.sizes == sorted(piles.piles) and len(piles.piles) <= piles.max_entries
+    assert piles.sizes == sorted(piles.piles)
     assert piles.sites == sum(len(pile) for _, pile in piles.piles.values()) <= piles.max_sites
+    # every magnitude was stored once, and most of them went again
+    magnitudes = {abs(c) for beta in elements for c in beta.coords if c}
+    assert len(piles.piles) < len(magnitudes) == 52
 
 
 @settings(max_examples=40)

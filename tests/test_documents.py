@@ -4,7 +4,7 @@ import json
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import unitsum
 from unitsum import (
@@ -145,3 +145,57 @@ def test_each_relation_class_names_its_document_kind():
 def test_a_zero_denominator_names_its_field():
     with pytest.raises(ValueError, match=r"^value '1/0' has a zero denominator$"):
         documents.document_rational("1/0", "value")
+
+
+# what json.loads can return: NaN and the infinities included
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+
+# a field or a term is well formed in 14 draws of 16
+_HOW = st.sampled_from(["good"] * 14 + ["json", "missing"])
+_EXPONENT = st.integers(-3, 5) | st.integers(-3, 5).map(str)
+
+
+@st.composite
+def _documents(draw):
+    """An expansion document whose every field, every term and every
+    term's field is well formed, or else any JSON value (a field may also
+    be missing).  A well-formed document may still be wrong: equal terms,
+    a digit 2, a negative exponent in a signed document, a weight that is
+    not the term count."""
+
+    def fields(good):
+        out = {}
+        for key, strategy in good.items():
+            how = draw(_HOW)
+            if how != "missing":
+                out[key] = draw(strategy if how == "good" else _JSON)
+        return out
+
+    p, q = draw(_PAIRS)
+    term = {"d": st.sampled_from([1, -1, "1", "-1", 0, 2]), "i": _EXPONENT, "j": _EXPONENT}
+    terms = [fields(term) if draw(_HOW) == "good" else draw(_JSON) for _ in range(draw(st.integers(0, 5)))]
+    return fields(
+        {
+            "kind": st.sampled_from(["signed", "extended"]),
+            "p": st.sampled_from([p, str(p)]),
+            "q": st.sampled_from([q, str(q)]),
+            "value": st.integers() | st.from_regex(r"-?[0-9]{1,3}(/[0-9]{1,2})?", fullmatch=True),
+            "terms": st.just(terms),
+            "weight": st.integers(0, 6) | st.integers(0, 6).map(str),
+        }
+    )
+
+
+@settings(derandomize=True, max_examples=300)
+@given(_JSON | _documents())
+def test_reader_raises_nothing_but_invalid_expansion(doc):
+    # the reader's one handler catches ValueError alone; anything else a
+    # document could raise would escape it
+    try:
+        expansion_from_json(doc)
+    except InvalidExpansion:
+        pass

@@ -69,6 +69,9 @@ def test_readme_examples_run():
         pytest.param(lambda: unitsum.p_adic_digits(None, 3), ValueError, "value", id="p_adic_digits-None"),
         pytest.param(lambda: unitsum.ReductionPolicy(max_steps=None), ValueError, "max_steps", id="ReductionPolicy-None"),
         pytest.param(lambda: unitsum.find_plain_relation(B523, None), ValueError, "max_exp", id="find_plain_relation-None"),
+        # the finders read the bound before their cache hashes it
+        pytest.param(lambda: unitsum.find_plain_relation(B523, [64]), ValueError, "max_exp", id="find_plain_relation-list"),
+        pytest.param(lambda: unitsum.find_extended_relation(B523, [64]), ValueError, "max_exp", id="find_extended_relation-list"),
         pytest.param(lambda: unitsum.expand([1], B523), ValueError, "value", id="expand-list"),
     ],
 )
