@@ -15,7 +15,7 @@ import functools
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from . import engine
 from .engine import Interval, Representation, UnitGroupBasis, UnitRelation
@@ -114,7 +114,7 @@ class CubicElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _element(self.params, *_mul_coords(self.coords, other.coords, self.params.a))
+        return _element(self.params, *_mul_coords(self.coords, other.coords, _order(self.params.a).rows))
 
     __rmul__ = __mul__
 
@@ -151,55 +151,62 @@ def _element(params: CubicParams, c0: int, c1: int, c2: int) -> CubicElement:
     return elem
 
 
-def _mul_coords(u, v, a: int):
-    """Product of two coordinate triples in the order with parameter a."""
+class _Order(NamedTuple):
+    rows: tuple  # alpha^3 and alpha^4 as triples, which a product reduces by
+    images: tuple  # sigma(alpha) and sigma(alpha^2)
+
+
+@functools.lru_cache(maxsize=1 << 8)  # like cubic_basis, a function of a alone
+def _order(a) -> _Order:
+    """The record for a, from f's coefficients and sigma(alpha), each written once."""
+    f0, f1, f2 = cube = (1, a + 2, a - 1)  # alpha^3 = f2 alpha^2 + f1 alpha + f0
+    rows = (cube, (f2 * f0, f0 + f2 * f1, f1 + f2 * f2))  # alpha^4 = alpha alpha^3
+    s1 = (a + 1, a - 1, -1)  # sigma(alpha) = -1 - 1/alpha
+    return _Order(rows, (s1, _mul_coords(s1, s1, rows)))
+
+
+def _mul_coords(u, v, rows):
+    """Product of two coordinate triples, reduced by an order's rows."""
     c0, c1, c2 = u
     d0, d1, d2 = v
-    e0 = c0 * d0
-    e1 = c0 * d1 + c1 * d0
-    e2 = c0 * d2 + c1 * d1 + c2 * d0
+    (t0, t1, t2), (q0, q1, q2) = rows
     e3 = c1 * d2 + c2 * d1
     e4 = c2 * d2
-    k1 = a - 1
-    k2 = a + 2
-    # alpha^3 = k1 alpha^2 + k2 alpha + 1, alpha^4 follows by one more pass
     return (
-        e0 + e3 + e4 * k1,
-        e1 + e3 * k2 + e4 * (k1 * k2 + 1),
-        e2 + e3 * k1 + e4 * (k1 * k1 + k2),
+        c0 * d0 + e3 * t0 + e4 * q0,
+        c0 * d1 + c1 * d0 + e3 * t1 + e4 * q1,
+        c0 * d2 + c1 * d1 + c2 * d0 + e3 * t2 + e4 * q2,
     )
 
 
 def _pow_coords(g, e: int, a: int):
     """g^e for a coordinate triple g and e >= 0, by square-and-multiply."""
+    rows = _order(a).rows
     result = (1, 0, 0)
     while e:
         if e & 1:
-            result = _mul_coords(result, g, a)
+            result = _mul_coords(result, g, rows)
         e >>= 1
         if e:
-            g = _mul_coords(g, g, a)
+            g = _mul_coords(g, g, rows)
     return result
 
 
-def _conjugate(u, a: int):
-    """sigma(u) = c0 + c1 alpha2 + c2 alpha2^2 for the Galois map sigma:
-    alpha -> alpha2 = -1 - 1/alpha, whose coordinates are (a+1, a-1, -1)."""
-    s1 = (a + 1, a - 1, -1)
-    s2 = _mul_coords(s1, s1, a)
+def _conjugate(u, order: _Order):
+    """sigma(u) = c0 + c1 sigma(alpha) + c2 sigma(alpha^2), from the order's images."""
+    s1, s2 = order.images
     return tuple(u[0] * e + u[1] * x + u[2] * y for e, x, y in zip((1, 0, 0), s1, s2))
 
 
 def _unit_inverse(u, a: int):
-    """Coordinates of u^-1 for a unit u, from its Galois conjugates.
-
-    The norm N(u) = u sigma(u) sigma^2(u) is a rational integer, and u
-    is a unit exactly when N(u) = +-1; then u^-1 = N(u) sigma(u)
-    sigma^2(u).  A nonzero u of any other norm raises ValueError.
-    """
-    s1 = _conjugate(u, a)
-    rest = _mul_coords(s1, _conjugate(s1, a), a)
-    norm = _mul_coords(u, rest, a)[0]
+    """Coordinates of u^-1 for a unit u, from its Galois conjugates: the
+    norm N(u) = u sigma(u) sigma^2(u) is a rational integer, u is a unit
+    exactly when N(u) = +-1, and then u^-1 = N(u) sigma(u) sigma^2(u).
+    A nonzero u of any other norm raises ValueError."""
+    order = _order(a)
+    s1 = _conjugate(u, order)
+    rest = _mul_coords(s1, _conjugate(s1, order), order.rows)
+    norm = _mul_coords(u, rest, order.rows)[0]
     if norm not in (1, -1):
         raise ValueError(f"{u} is not a unit for a = {a}: its norm is {norm}")
     return tuple(norm * c for c in rest)
@@ -215,8 +222,7 @@ def alpha(params: CubicParams) -> CubicElement:
 
 def alpha2(params: CubicParams) -> CubicElement:
     """The conjugate -1 - 1/alpha, with integer coordinates (a+1, a-1, -1)."""
-    a = params.a
-    return CubicElement(params, a + 1, a - 1, -1)
+    return CubicElement(params, *_order(params.a).images[0])
 
 
 # one cubic-units bench round fills about 1,600 entries
@@ -228,7 +234,7 @@ def _generator_power(conjugate: bool, e: int, a: int):
     2^12 powers are cached, of exponents |e| <= 2^8 only (see _power).
     """
     e = exact_int(e, "exponent")
-    g = (a + 1, a - 1, -1) if conjugate else (0, 1, 0)
+    g = _order(a).images[0] if conjugate else (0, 1, 0)
     if e < 0:
         g = _unit_inverse(g, a)
     return _pow_coords(g, abs(e), a)
@@ -257,7 +263,7 @@ def unit_monomial(i: int, j: int, params: CubicParams) -> CubicElement:
     generator powers (see _power) and carries the caller's params.
     """
     a = params.a
-    return _element(params, *_mul_coords(_power(False, i, a), _power(True, j, a), a))
+    return _element(params, *_mul_coords(_power(False, i, a), _power(True, j, a), _order(a).rows))
 
 
 _THREE = UnitRelation(n=3, terms=((0, (1, 2)), (0, (-2, -1)), (0, (1, -1))))
@@ -268,16 +274,15 @@ def three_relation(params: CubicParams) -> UnitRelation:
     """The identity u1 + u2 + u3 = 3 over the unit monomials with
     exponents (1,2), (-2,-1), (1,-1); checked exactly on every call.
 
-    The three units are alpha^2 + (2-a) alpha - a,
-    -2 alpha^2 + (2a-1) alpha + (a+4) and alpha^2 - (a+1) alpha - 1;
-    their coordinates cancel columnwise to (3, 0, 0) for every a.  Those
-    computed have degree at most D in a, so D + 1 values of a prove the
-    identity for every a.  No branch reads a (_unit_inverse tests the
-    generators' norm, 1).  In the degrees d of triples, a product has
-    d(u) + d(v) + 2 (the reduction's factors have degree 2 at most),
-    _conjugate d + 4, an inverse 2 d + 14, a first power d + 2, a square
-    2 d + 4: alpha^1, alpha^-2, alpha2^2 and alpha2^-1 have 2, 32, 6 and
-    18, the monomials 10, 52 and 22.  Run over Z[a], none passes 2."""
+    The units' coordinates, expected below, cancel columnwise to
+    (3, 0, 0) for every a.  Those computed have degree at most D in a, so
+    D + 1 values of a prove the identity for every a.  No branch reads a
+    (_unit_inverse tests the generators' norm, 1).  In the degrees d of
+    triples, _order's rows have 1 and 2, sigma(alpha) 1 and sigma(alpha^2)
+    4, so a product has d(u) + d(v) + 2, _conjugate d + 4, an inverse
+    2 d + 14, a first power d + 2, a square 2 d + 4: alpha^1, alpha^-2,
+    alpha2^2 and alpha2^-1 have 2, 32, 6 and 18, the monomials 10, 52
+    and 22.  Run over Z[a], none passes 2."""
     a = params.a
     got = tuple(unit_monomial(i, j, params).coords for _, (i, j) in _THREE.terms)
     expected = ((-a, 2 - a, 1), (a + 4, 2 * a - 1, -2), (-1, -a - 1, 1))
@@ -286,9 +291,9 @@ def three_relation(params: CubicParams) -> UnitRelation:
     return _THREE
 
 
-def _poly_at(a: int, x, s: int = 1):
-    """s^3 f(x/s) for the defining polynomial f: the sign of f(x/s)."""
-    return ((x - (a - 1) * s) * x - (a + 2) * s * s) * x - s * s * s
+def _poly_at(g, x):
+    """x^3 - g2 x^2 - g1 x - g0 for g = (g0, g1, g2); see _root_cell."""
+    return ((x - g[2]) * x - g[1]) * x - g[0]
 
 
 def _isolate(a: int) -> Tuple[Tuple[int, int], ...]:
@@ -312,25 +317,26 @@ def _root_cell(a: int, bracket: Tuple[int, int], bits: int) -> Interval:
     after at most about log2(width) halvings."""
     s = 1 << bits
     lo, hi = bracket[0] * s, bracket[1] * s
-    b1, b0 = 2 * (a - 1) * s, (a + 2) * s * s
+    f0, f1, f2 = _order(a).rows[0]
+    g = (f0 * s * s * s, f1 * s * s, f2 * s)  # g(x) = s^3 f(x/s), by _poly_at
 
     def newton(x, fx):
         # x - s f(x/s) / f'(x/s), rounded away from the end x; None where
         # it leaves [lo, hi]
-        d = (3 * x - b1) * x - b0
+        d = (3 * x - 2 * g[2]) * x - g[1]
         if d:
             n = x - fx // d if x == hi else x + -fx // d
             if lo <= n <= hi:
                 return n
         return None
 
-    f_lo, f_hi = _poly_at(a, lo, s), _poly_at(a, hi, s)
+    f_lo, f_hi = _poly_at(g, lo), _poly_at(g, hi)
     neg_at_lo = f_lo < 0
     n_lo, n_hi = newton(lo, f_lo), newton(hi, f_hi)
     nx = n_hi if n_lo is None or (n_hi is not None and hi - n_hi < n_lo - lo) else n_lo
     while hi - lo > 1:
         x = (lo + hi) >> 1 if nx is None else min(max(nx, lo + 1), hi - 1)
-        fx = _poly_at(a, x, s)
+        fx = _poly_at(g, x)
         if (fx < 0) == neg_at_lo:
             lo = x
         else:
@@ -389,7 +395,7 @@ def cubic_evaluator(params: CubicParams):
     row and one element in all.  Each distinct power is read once per
     call (see _power).
     """
-    a = params.a
+    order = _order(params.a)
 
     def ev(items) -> CubicElement:
         rows = {}
@@ -399,7 +405,7 @@ def cubic_evaluator(params: CubicParams):
                 c = -c
             u = powers.get(i)
             if u is None:
-                u = powers[i] = _power(False, i, a)
+                u = powers[i] = _power(False, i, params.a)
             u0, u1, u2 = u
             row = rows.get(j)
             if row is None:
@@ -410,7 +416,7 @@ def cubic_evaluator(params: CubicParams):
                 row[2] += c * u2
         t0 = t1 = t2 = 0
         for j, row in rows.items():
-            s0, s1, s2 = _mul_coords(row, _power(True, j, a), a)
+            s0, s1, s2 = _mul_coords(row, _power(True, j, params.a), order.rows)
             t0 += s0
             t1 += s1
             t2 += s2

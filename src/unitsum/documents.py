@@ -103,12 +103,20 @@ def expansion_from_json(data: dict):
     is not rechecked here.  A weight field, which min-weight writes, is
     read by the same integer rule and must equal the number of terms, or
     InvalidExpansion names both numbers.  A document or term that is not
-    a JSON object, terms that are not an array, and a missing field raise
-    it too, naming what is wrong.
+    a JSON object, terms that are not an array, a missing field, an
+    unknown kind and a relation document raise it too, naming what is
+    wrong; the kind is read first.
     """
     try:
         document_json(data, dict, "the document")
         kind = data["kind"]
+        # relations have the kinds "plain" and "extended" too, but a sign
+        # and no terms; kind is compared by == alone, as it may be unhashable
+        if kind in ("plain", "extended") and "sign" in data and "terms" not in data:
+            raise InvalidExpansion(f"a relation document of kind {kind!r}, not an expansion")
+        cls = next((c for c in (SignedExpansion, ExtendedExpansion) if c.kind == kind), None)
+        if cls is None:
+            raise InvalidExpansion(f"unknown expansion kind {kind!r}")
         base = BasePair(*document_ints((data["p"], data["q"]), "base"))
         terms = document_json(data["terms"], list, "terms")
         try:
@@ -129,9 +137,6 @@ def expansion_from_json(data: dict):
         raise InvalidExpansion(f"malformed expansion document: missing field {exc}") from None
     except ValueError as exc:
         raise InvalidExpansion(f"malformed expansion document: {exc}") from None
-    cls = next((c for c in (SignedExpansion, ExtendedExpansion) if c.kind == kind), None)
-    if cls is None:
-        raise InvalidExpansion(f"unknown expansion kind {kind!r}")
     rows = {}
     for d, i, j in zip(ds, iis, js):
         rows.setdefault(j, {})[i] = d

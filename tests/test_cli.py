@@ -219,6 +219,33 @@ def test_verify_names_the_missing_field_of_a_cubic_document(capsys, monkeypatch)
     assert run(capsys, "verify", "-")[:2] == (5, "status invalid (malformed expansion document: missing field 'kind')\n")
 
 
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (("--p", "5", "--q", "23"), "plain"),
+        (("--p", "5", "--q", "11", "--extended"), "extended"),
+    ],
+    ids=["plain", "extended"],
+)
+def test_verify_names_a_relation_document_as_one(capsys, monkeypatch, argv, kind):
+    # find-relation's kinds are plain and extended, and an extended
+    # expansion shares the second; the relation's keys tell them apart
+    _, doc, _ = run(capsys, "find-relation", *argv, "--format", "json")
+    assert json.loads(doc)["kind"] == kind
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    assert run(capsys, "verify", "-")[:2] == (
+        5, f"status invalid (a relation document of kind '{kind}', not an expansion)\n"
+    )
+
+
+def test_verify_names_an_unknown_kind_before_any_missing_field(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"kind": "foo", "terms": []}'))
+    assert run(capsys, "verify", "-")[:2] == (5, "status invalid (unknown expansion kind 'foo')\n")
+    # an unhashable kind is named the same way
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"kind": ["plain"], "sign": "1"}'))
+    assert run(capsys, "verify", "-")[:2] == (5, "status invalid (unknown expansion kind ['plain'])\n")
+
+
 @pytest.mark.parametrize("field", ["d", "i", "j"])
 def test_verify_names_the_term_that_lacks_a_field(capsys, monkeypatch, field):
     terms = [{"d": 1, "i": str(k), "j": "0"} for k in range(4)]

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cubic_reference import bisect_cell, represent_by_one_reduce
+from cubic_reference import bisect_cell, conjugate, cubic_at, mul_coords, represent_by_one_reduce
 from evaluate_reference import cubic_term, evaluate_by_terms
 from unitsum import (
     CubicElement,
@@ -217,6 +217,37 @@ def test_power_caches_are_bounded():
     assert cubic._generator_power.cache_info().maxsize == 1 << 12
 
 
+ORDER_AS = (0, 1, -1, 2, -2, 1000, -1000, 10**9, -(10**9))
+
+
+@pytest.mark.parametrize("a", ORDER_AS)
+def test_order_record_matches_the_reduction_written_out(a):
+    # the product over the record's rows and the conjugate from its images
+    # against cubic_reference's, which write out alpha^3 and sigma(alpha) in
+    # a, on seeded random triples; and the record's images are sigma(alpha)
+    # and sigma(alpha^2) by that reference
+    order = cubic._order(a)
+    assert order.images == (conjugate((0, 1, 0), a), conjugate((0, 0, 1), a))
+    rng = random.Random(a)
+    for _ in range(400):
+        u, v = (tuple(rng.randint(-(10**6), 10**6) for _ in range(3)) for _ in range(2))
+        assert cubic._mul_coords(u, v, order.rows) == mul_coords(u, v, a), (u, v)
+        assert cubic._conjugate(u, order) == conjugate(u, a), u
+
+
+def test_order_record_cache_is_bounded_and_keyed_by_the_parameter():
+    assert cubic._order.cache_info().maxsize == 1 << 8
+    cubic._order.cache_clear()
+    try:
+        for a in range(-200, 200):
+            cubic._order(a)
+        assert cubic._order.cache_info().currsize == 1 << 8
+        assert cubic._order(5) is cubic._order(5)
+        assert cubic._order(5) == cubic._order.__wrapped__(5)
+    finally:
+        cubic._order.cache_clear()
+
+
 def test_large_exponents_bypass_the_power_cache():
     """Past |e| = 2^8 a power is computed afresh, by unit_monomial and by
     the evaluator alike: the same coordinates as the element's own
@@ -247,7 +278,7 @@ def _times_mod_minpoly(u, v, a):
 
 
 def test_unit_monomial_matches_polynomial_reduction(monkeypatch):
-    # Independent of the inlined reduction in cubic._mul_coords and of
+    # Independent of the rows and images in cubic._order and of
     # cubic._unit_inverse: powers are products of polynomials divided by
     # the minimal polynomial, and the inverses are the literal closed forms.
     # __wrapped__ skips the power cache, so every power is computed afresh.
@@ -340,21 +371,26 @@ class _Poly:
 def test_three_relation_holds_over_z_a(monkeypatch):
     """The three monomials, computed as unit_monomial computes them but
     with a left an indeterminate, are the expected triples as polynomials:
-    the identity holds for every integer a.  No coordinate that a product
-    takes or gives passes degree 2, within the THREE_RELATION_DEGREE that
-    cubic-verify's D + 1 values rely on."""
+    the identity holds for every integer a.  The order's record is built
+    over Z[a] as well.  No coordinate that a product takes or gives, and
+    no coordinate of the rows it reduces by, passes degree 2, within the
+    THREE_RELATION_DEGREE that cubic-verify's D + 1 values rely on."""
     degrees = []
     mul = cubic._mul_coords
 
-    def recorded(u, v, a):
-        out = mul(u, v, a)
-        degrees.extend(c.degree if isinstance(c, _Poly) else 0 for c in (*u, *v, *out))
+    def recorded(u, v, rows):
+        out = mul(u, v, rows)
+        degrees.extend(c.degree if isinstance(c, _Poly) else 0 for c in (*u, *v, *out, *rows[0], *rows[1]))
         return out
 
     monkeypatch.setattr(cubic, "_mul_coords", recorded)
+    # __wrapped__ skips the record's and the power's caches, which cannot
+    # hash a polynomial, so each record and power is built afresh over Z[a]
+    monkeypatch.setattr(cubic, "_order", cubic._order.__wrapped__)
     a = _Poly(0, 1)
     power = cubic._generator_power.__wrapped__
-    got = tuple(recorded(power(False, i, a), power(True, j, a), a) for _, (i, j) in three_relation(P2).terms)
+    rows = cubic._order(a).rows
+    got = tuple(recorded(power(False, i, a), power(True, j, a), rows) for _, (i, j) in three_relation(P2).terms)
     assert got == ((-a, 2 - a, 1), (a + 4, 2 * a - 1, -2), (-1, -a - 1, 1))
     assert tuple(map(sum, zip(*got))) == (3, 0, 0)
     assert max(degrees) == 2 <= cubic.THREE_RELATION_DEGREE
@@ -384,10 +420,10 @@ def _scan_isolate(a):
     while True:
         intervals = []
         x = Fraction(-bound)
-        fx = cubic._poly_at(a, x)
+        fx = cubic_at(a, x)
         while x < bound and len(intervals) < 3:
             y = x + step
-            fy = cubic._poly_at(a, y)
+            fy = cubic_at(a, y)
             if (fx < 0) != (fy < 0):
                 intervals.append((x, y))
             x, fx = y, fy
@@ -426,7 +462,7 @@ def test_root_brackets_change_sign_for_huge_parameters():
         brackets = cubic._isolate(a)
         assert brackets[0][1] <= brackets[1][0] and brackets[1][1] <= brackets[2][0]
         for lo, hi in brackets:
-            assert (cubic._poly_at(a, lo) < 0) != (cubic._poly_at(a, hi) < 0)
+            assert (cubic_at(a, lo) < 0) != (cubic_at(a, hi) < 0)
 
 
 def test_real_roots_anchor_values():
@@ -463,15 +499,15 @@ def test_real_roots_refine_with_precision():
 
 
 def _fraction_bisection(a, bits):
-    # Reference for cubic._root_cell: halve each reference unit bracket in
-    # Fractions until it is no wider than 2^-bits.
+    # Halve each reference unit bracket in Fractions until it is no wider
+    # than 2^-bits; slow, so it only pins _unit_bisection on a sample.
     target = Fraction(1, 2**bits)
     out = []
     for lo, hi in _unit_brackets(a):
-        neg_at_lo = cubic._poly_at(a, lo) < 0
+        neg_at_lo = cubic_at(a, lo) < 0
         while hi - lo > target:
             mid = (lo + hi) / 2
-            if (cubic._poly_at(a, mid) < 0) == neg_at_lo:
+            if (cubic_at(a, mid) < 0) == neg_at_lo:
                 lo = mid
             else:
                 hi = mid
@@ -479,10 +515,23 @@ def _fraction_bisection(a, bits):
     return tuple(out)
 
 
+def _unit_bisection(a, bits):
+    # Reference for cubic._root_cell: bisect each reference unit bracket,
+    # of width 1, on integers over 2^bits, down to width 2^-bits; the
+    # midpoints are the Fraction bisection's, so the cells are too.
+    return tuple(bisect_cell(a, (int(lo), int(hi)), bits) for lo, hi in _unit_brackets(a))
+
+
+@pytest.mark.parametrize("bits", [0, 1, 2, 20, 64, 128, 160])
+def test_unit_bisection_matches_fraction_bisection(bits):
+    for a in (-60, -2, -1, 0, 1, 2, 37, 60, 1000, -(10**6)):
+        assert _unit_bisection(a, bits) == _fraction_bisection(a, bits), a
+
+
 @pytest.mark.parametrize("bits", [0, 1, 2, 20, 64, 128, 160])
 def test_real_roots_match_fraction_bisection(bits):
     for a in (*range(-60, 61), 1000, -1000, 10**6, -(10**6)):
-        assert real_roots(CubicParams(a), bits) == _fraction_bisection(a, bits), a
+        assert real_roots(CubicParams(a), bits) == _unit_bisection(a, bits), a
 
 
 NEWTON_AS = (*range(-3000, 3001, 7), 1, -1, 10**9, -(10**9))
@@ -499,7 +548,7 @@ def test_newton_cells_match_bisection(bits):
         for bracket in cubic._isolate(a):
             lo, hi = cubic._root_cell(a, bracket, bits)
             assert hi - lo == Fraction(1, s) and bracket[0] <= lo < hi <= bracket[1]
-            ends = (cubic._poly_at(a, int(e * s), s) < 0 for e in (lo, hi))
+            ends = (cubic_at(a, int(e * s), s) < 0 for e in (lo, hi))
             assert next(ends) != next(ends), (a, bracket)
             if a in checked:
                 assert (lo, hi) == bisect_cell(a, bracket, bits), (a, bracket)
