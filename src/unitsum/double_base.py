@@ -124,7 +124,8 @@ def _from_rows(cls, base: BasePair, rows: dict, terms: list):
 
 @dataclass(frozen=True)
 class PQRational:
-    """A rational num / (p^a_p * q^a_q) in lowest terms over the base pair."""
+    """A rational num / (p^a_p * q^a_q) with the least exponents, over any
+    coprime base pair: factors of p and q in num cancel while they can."""
 
     base: BasePair
     num: int
@@ -150,21 +151,34 @@ class PQRational:
 
 
 def pq_rational(x: Fraction, base: BasePair) -> PQRational:
-    """Factor the denominator of x, an int or a Fraction, into base powers.
+    """x, an int or a Fraction, over the base powers that clear each base's
+    share of its denominator (any coprime pair: over (9, 7), 1/3 is 3/9).
 
     Any other x must equal an integer exactly (errors.exact_int: 7.0
     reads as 7, while 0.1 and '7/9' raise ValueError naming the value).
-    The exponent of each base is a valuation, read from the denominator's
-    digits in that base.  Raises ValueError when the denominator has a
-    factor foreign to both bases.
+    Raises ValueError naming the part of the denominator that neither
+    base shares, when it is not 1.
     """
     if type(x) is not int and type(x) is not Fraction:
         x = exact_int(x, "value")
-    ap, aq = _valuation(x.denominator, base.p), _valuation(x.denominator, base.q)
-    den = x.denominator // (base.p ** ap * base.q ** aq)
+    ap, den = _base_share(x.denominator, base.p)
+    aq, den = _base_share(den, base.q)
     if den != 1:
         raise ValueError(f"denominator factor {den} is not a product of base powers")
-    return PQRational(base, x.numerator, ap, aq)
+    return PQRational(base, x.numerator * (base.p ** ap * base.q ** aq // x.denominator), ap, aq)
+
+
+def _base_share(n: int, b: int) -> Tuple[int, int]:
+    """(e, rest) with n = g * rest, rest coprime to b and e the least
+    exponent with g | b^e.  Each division of n by gcd(n, b) lowers by one
+    the power of b that its share needs, so e counts them; while g =
+    gcd(n, b) divides n twice the next gcd is g again, so _valuation(n, g)
+    of them go at once (whole powers, for a prime b)."""
+    e = 0
+    while (g := math.gcd(n, b)) > 1:
+        t = _valuation(n, g)
+        n, e = n // g ** t, e + t
+    return e, n
 
 
 # up to this many bits one divmod per digit is as fast as splitting; at

@@ -22,8 +22,6 @@ from .errors import exact_int
 if TYPE_CHECKING:  # pragma: no cover
     from .double_base import BasePair
 
-_FORM_RANK = {"plain": 0, "p_inverse": 1, "q_inverse": 2}
-
 MAX_EXP = 64  # the converters' exponent bound and the finders' default
 MAX_MODULUS = 1000  # find_obstruction's default modulus bound
 
@@ -242,7 +240,9 @@ def _past_walk_bound(max_exp: int) -> ValueError:
 
 
 def _best_extended(base: "BasePair", max_exp: int) -> Optional[ExtendedRelation]:
-    """Least candidate of the three forms with exponents up to max_exp."""
+    """Least candidate of the three forms with exponents up to max_exp, by
+    exponent sum; min keeps the first of equal sums, so the order the
+    candidates are built in, plain, p_inverse, q_inverse, breaks ties."""
     p, q = base.p, base.q
     plain = find_plain_relation(base, max_exp)
     candidates = [] if plain is None else [plain.as_extended()]
@@ -253,7 +253,7 @@ def _best_extended(base: "BasePair", max_exp: int) -> Optional[ExtendedRelation]
     if hit := _first_partner(q, p, 2, 1, max_exp):
         a, b, d = hit
         candidates.append(ExtendedRelation(b, -a, 0, -a, -d))
-    return min(candidates, key=lambda r: (r.exponent_sum, _FORM_RANK[r.form]), default=None)
+    return min(candidates, key=lambda r: r.exponent_sum, default=None)
 
 
 def _orbit(g: int, m: int) -> set:

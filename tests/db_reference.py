@@ -5,11 +5,14 @@ These are the straightforward versions that unitsum ran before its Horner
 evaluation, staircase greedy search, digit split and per-layer firing
 loop: a power product per term, a scan of the whole (i, j) grid for every
 greedy term, one division or multiplication by the base per digit, factor
-or power, and one heap of (j, i) tuples over a grid keyed by (i, j).  The
-differential tests compare the library against them term for term.
+or power, and one heap of (j, i) tuples over a grid keyed by (i, j).
+least_exponents_by_trial tries the exponents of a p,q-rational in turn
+instead of reading them from valuations.  The differential tests compare
+the library against them term for term.
 """
 
 import heapq
+import math
 from fractions import Fraction
 
 from unitsum.double_base import SignedExpansion
@@ -98,6 +101,24 @@ def lowest_terms_by_division(num, a_p, a_q, p, q):
         num //= q
         a_q -= 1
     return num, a_p, a_q
+
+
+def least_exponents_by_trial(x, p, q):
+    """(a, b, foreign) for a Fraction x over the bases p and q.  foreign
+    is what is left of x's denominator once every factor it shares with
+    p * q is divided out, one gcd at a time.  When foreign is 1, (a, b)
+    is the first pair, in order of a + b then a, with x * p^a * q^b an
+    integer; otherwise it is (None, None)."""
+    foreign = x.denominator
+    while (g := math.gcd(foreign, p * q)) > 1:
+        foreign //= g
+    if foreign != 1:
+        return None, None, foreign
+    for total in range(2 * x.denominator.bit_length() + 1):
+        for a in range(total + 1):
+            if (x * p**a * q ** (total - a)).denominator == 1:
+                return a, total - a, 1
+    raise AssertionError(f"no exponents clear {x} over ({p},{q})")
 
 
 def ceil_log_by_multiplication(v, b):

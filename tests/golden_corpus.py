@@ -91,10 +91,15 @@ def expand_extended_group():
                 yield f"{p} {q} {num} {ap} {aq} {exp.terms}"
 
 
+def _relation_line(rel):
+    # kind and terms, which both relation classes hold, not either's repr
+    return "None" if rel is None else f"{rel.kind} {rel.terms}"
+
+
 def relations_group():
     for p, q in SMALL_PAIRS:
         base = BasePair(p, q)
-        yield f"{p} {q} {find_plain_relation(base)} {find_extended_relation(base)}"
+        yield f"{p} {q} {_relation_line(find_plain_relation(base))} {_relation_line(find_extended_relation(base))}"
 
 
 def find_obstruction_group():

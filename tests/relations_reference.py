@@ -13,7 +13,10 @@ read every relation through its two terms.
 from fractions import Fraction
 from typing import Optional
 
-from unitsum.relations import _FORM_RANK, MAX_EXP, ExtendedRelation, PlainRelation
+from unitsum.relations import MAX_EXP, ExtendedRelation, PlainRelation
+
+# the reference's own tie-break between forms of equal exponent sum
+FORM_ORDER = ("plain", "p_inverse", "q_inverse")
 
 
 def reference_plain_relation(base, max_exp: int = MAX_EXP) -> Optional[PlainRelation]:
@@ -77,7 +80,7 @@ def reference_extended_relation(base, max_exp: int = MAX_EXP) -> Optional[Extend
         candidates,
         key=lambda c: (
             c[0].exponent_sum,
-            _FORM_RANK[c[1]],
+            FORM_ORDER.index(c[1]),
             (c[0].a, c[0].b, c[0].c, c[0].d, c[0].sign),
         ),
     )[0]

@@ -77,6 +77,22 @@ def test_expand_extended_rejects_foreign_denominator(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("p, q, value", [("9", "7", "1/3"), ("27", "25", "1/5")])
+def test_expand_extended_reads_a_share_of_a_composite_base(capsys, monkeypatch, p, q, value):
+    # 1/3 is 3 / 9 and 1/5 is 5 / 25: each base's share, short of a whole power
+    code, out, _ = run(capsys, "expand-extended", "--p", p, "--q", q, "--format", "json", value)
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    assert run(capsys, "verify", "-") == (0, f"value {value}\nstatus valid\n", "")
+
+
+def test_expand_extended_names_the_factor_neither_base_shares(capsys):
+    # 15 = 3 * 5, where 3 is a share of 9 and 5 is foreign to both bases
+    code, out, err = run(capsys, "expand-extended", "--p", "9", "--q", "7", "1/15")
+    assert (code, out) == (3, "")
+    assert err == "error: denominator factor 5 is not a product of base powers\n"
+
+
 def test_expand_extended_rejects_zero_denominator(capsys):
     code, out, err = run(capsys, "expand-extended", "--p", "5", "--q", "11", "1/0")
     assert code == 3

@@ -411,7 +411,7 @@ def _approx(iv):
     return float((lo + hi) / 2)
 
 
-def _scan_isolate(a):
+def _fraction_scan_isolate(a):
     # Reference for cubic._isolate: scan [-bound, bound] from the left,
     # halving the step until three sign changes show; O(|a|) evaluations.
     # Grid points are rational, hence never roots.
@@ -430,6 +430,22 @@ def _scan_isolate(a):
         if len(intervals) == 3:
             return intervals
         step /= 2
+
+
+def _scan_isolate(a):
+    # _fraction_scan_isolate's first pass, at step 1, on integers.  That
+    # scan halves its step only when the pass finds fewer than three sign
+    # changes, so when it finds three, as asserted, they are its answer.
+    bound = 2 + max(abs(a - 1), abs(a + 2))
+    intervals = []
+    x, fx = -bound, cubic_at(a, -bound)
+    while x < bound and len(intervals) < 3:
+        fy = cubic_at(a, x + 1)
+        if (fx < 0) != (fy < 0):
+            intervals.append((Fraction(x), Fraction(x + 1)))
+        x, fx = x + 1, fy
+    assert len(intervals) == 3, a
+    return intervals
 
 
 def _unit_brackets(a):
@@ -455,6 +471,11 @@ def test_root_brackets_match_the_grid_scan():
         assert _unit_brackets(a) == _scan_isolate(a), a
         for (lo, hi), (u_lo, u_hi) in zip(cubic._isolate(a), _unit_brackets(a)):
             assert lo <= u_lo < u_hi <= hi, a
+
+
+def test_integer_scan_matches_fraction_scan():
+    for a in (*range(-12, 13), 37, -37, 200, -200):
+        assert _scan_isolate(a) == _fraction_scan_isolate(a), a
 
 
 def test_root_brackets_change_sign_for_huge_parameters():

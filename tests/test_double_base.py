@@ -14,6 +14,7 @@ from db_reference import (
     claim_reduce_by_heap,
     evaluate_by_power_sums,
     greedy_seed_by_grid_scan,
+    least_exponents_by_trial,
     lowest_terms_by_division,
     valuation_by_division,
 )
@@ -463,6 +464,42 @@ def test_pq_rational_zero_and_coprime_numerators_skip_the_denominator():
     assert (x.num, x.a_p, x.a_q) == (0, 0, 0)
     y = PQRational(b, 7, 10**9, 0)
     assert (y.num, y.a_p, y.a_q) == (7, 10**9, 0)
+
+
+PRIMES_TO_100 = [n for n in range(2, 101) if all(n % d for d in range(2, n))]
+
+
+@st.composite
+def pq_cases(draw):
+    # a coprime pair with bases 2..60, composite ones included, and
+    # m / (p^a q^b f) with f 1, a share of p or q, or a prime foreign to both
+    p, q = draw(st.tuples(st.integers(2, 60), st.integers(2, 60)).filter(lambda t: t[0] != t[1] and math.gcd(*t) == 1))
+    f = draw(st.one_of(
+        st.just(1),
+        st.sampled_from([d for d in range(2, p + 1) if p % d == 0]),
+        st.sampled_from([d for d in range(2, q + 1) if q % d == 0]),
+        st.sampled_from([r for r in PRIMES_TO_100 if (p * q) % r]),
+    ))
+    a, b, m = draw(st.integers(0, 8)), draw(st.integers(0, 8)), draw(st.integers(-(10**6), 10**6))
+    return p, q, Fraction(m, p**a * q**b * f)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(pq_cases())
+@example((9, 7, Fraction(1, 3)))
+@example((9, 7, Fraction(1, 15)))
+@example((12, 35, Fraction(1, 2**9 * 5 * 49)))
+def test_pq_rational_matches_trial_over_any_coprime_pair(case):
+    # 1/3 over (9, 7) is 3 / 9, and was refused as "denominator factor 3"
+    p, q, x = case
+    a, b, foreign = least_exponents_by_trial(x, p, q)
+    if foreign != 1:
+        with pytest.raises(ValueError, match=f"^denominator factor {foreign} is not a product of base powers$"):
+            pq_rational(x, BasePair(p, q))
+    else:
+        y = pq_rational(x, BasePair(p, q))
+        assert (y.a_p, y.a_q) == (a, b)
+        assert Fraction(y.num, p**a * q**b) == x
 
 
 def test_expand_extended_single_inverse_power():
