@@ -36,6 +36,7 @@ from .errors import (
     NoRelationFound,
     UnitSumError,
     VerificationFailed,
+    exact_int,
 )
 
 EXIT_OK = 0
@@ -167,8 +168,7 @@ def _print_certificate(args, cert) -> None:
 
 def _cmd_find_relation(args) -> int:
     base = _base(args)
-    if args.max_exp < 1:  # the plain search checks this too, but may be skipped
-        raise ValueError("max_exp must be at least 1")
+    exact_int(args.max_exp, "max_exp", 1)  # the plain search checks this too, but may be skipped
     # a certificate rules out plain relations at every exponent, so it is
     # asked for first and a large --max-exp costs nothing when one exists
     cert = relations.find_obstruction(base, args.max_modulus)

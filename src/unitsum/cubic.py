@@ -349,9 +349,7 @@ def real_roots(params: CubicParams, precision_bits: int = 64) -> Tuple[Interval,
     """Three disjoint rational enclosures of the roots, ascending; the
     last one is alpha.  Each has width exactly 2^-precision_bits and is
     computed afresh, so equal calls give equal enclosures."""
-    precision_bits = exact_int(precision_bits, "precision_bits")
-    if precision_bits < 0:
-        raise ValueError("precision_bits must be nonnegative")
+    precision_bits = exact_int(precision_bits, "precision_bits", 0)
     a = params.a
     return tuple(_root_cell(a, bracket, precision_bits) for bracket in _isolate(a))
 

@@ -42,10 +42,8 @@ class BasePair:
     q: int
 
     def __post_init__(self):
-        object.__setattr__(self, "p", exact_int(self.p, "base"))
-        object.__setattr__(self, "q", exact_int(self.q, "base"))
-        if self.p < 2 or self.q < 2:
-            raise ValueError("bases must be at least 2")
+        object.__setattr__(self, "p", exact_int(self.p, "base", 2))
+        object.__setattr__(self, "q", exact_int(self.q, "base", 2))
         if self.p == self.q:
             raise ValueError("bases must be distinct")
         if math.gcd(self.p, self.q) != 1:
@@ -134,9 +132,7 @@ class PQRational:
 
     def __post_init__(self):
         num = exact_int(self.num, "numerator")
-        ap, aq = exact_int(self.a_p, "exponent"), exact_int(self.a_q, "exponent")
-        if ap < 0 or aq < 0:
-            raise ValueError("denominator exponents must be nonnegative")
+        ap, aq = exact_int(self.a_p, "denominator exponent", 0), exact_int(self.a_q, "denominator exponent", 0)
         p, q = self.base.p, self.base.q
         if num == 0:
             ap = aq = 0
@@ -210,11 +206,7 @@ def p_adic_digits(n: int, p: int) -> List[int]:
     Arithmetic*, 2010, section 1.7), instead of dividing the whole
     number once per digit.
     """
-    n, p = exact_int(n, "value"), exact_int(p, "base")
-    if n < 0:
-        raise ValueError("digits are defined for nonnegative integers")
-    if p < 2:
-        raise ValueError("base must be at least 2")
+    n, p = exact_int(n, "value", 0), exact_int(p, "base", 2)
     pows = [p]
     if n.bit_length() > _DIGIT_LOOP_BITS:
         # stop at the first p^(2^k) whose square surely exceeds n

@@ -78,9 +78,7 @@ class UnitRelation:
             for k, r in self.terms
         )
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "n", exact_int(self.n, "right-hand side"))
-        if self.n < 2:
-            raise ValueError("right-hand side must be at least 2")
+        object.__setattr__(self, "n", exact_int(self.n, "right-hand side", 2))
         if not (self.n >= self.I >= 2):
             raise ValueError("term count must lie in [2, n]")
         if all(k == 0 and not any(r) for k, r in terms):
@@ -129,9 +127,7 @@ class Representation:
         self.basis = basis
         clean = {}
         for key, a in (coeffs or {}).items():
-            key, a = _exact_index(key, basis), exact_int(a, "coefficient")
-            if a < 0:
-                raise ValueError("coefficients must be nonnegative")
+            key, a = _exact_index(key, basis), exact_int(a, "coefficient", 0)
             if a:
                 clean[key] = a
         self._coeffs = clean
@@ -175,7 +171,8 @@ def _representation(basis: UnitGroupBasis, coeffs: dict, steps: int) -> Represen
 @dataclass(frozen=True)
 class BoundParams:
     """Inputs of the theoretical step-count recurrences; every field is
-    an integer (see errors.exact_int)."""
+    an integer (see errors.exact_int), r at least 0 and the others at
+    least 1."""
 
     M: int
     K: int
@@ -184,10 +181,8 @@ class BoundParams:
     w: int
 
     def __post_init__(self):
-        for name in ("M", "K", "L", "r", "w"):
-            object.__setattr__(self, name, exact_int(getattr(self, name), name))
-        if min(self.M, self.K, self.L, self.w) < 1 or self.r < 0:
-            raise ValueError("require M, K, L, w >= 1 and r >= 0")
+        for name, least in (("M", 1), ("K", 1), ("L", 1), ("r", 0), ("w", 1)):
+            object.__setattr__(self, name, exact_int(getattr(self, name), name, least))
 
 
 @dataclass(frozen=True)
@@ -260,9 +255,7 @@ def monotone_quantity(rep: Representation, precision_bits: int = 64) -> Interval
     share the rest of x, and one Fraction per side divides by the product
     of the lcms.  So a site costs integer products and no gcd.
     """
-    precision_bits = exact_int(precision_bits, "precision_bits")
-    if precision_bits < 0:
-        raise ValueError("precision_bits must be nonnegative")
+    precision_bits = exact_int(precision_bits, "precision_bits", 0)
     basis = rep.basis
     abs_ivs = [basis.abs_val[m](precision_bits) for m in range(basis.M)]
     for lo, hi in abs_ivs:

@@ -48,18 +48,21 @@ class VerificationFailed(UnitSumError):
     """An independent recheck of a computed result did not pass."""
 
 
-def exact_int(value, what: str) -> int:
+def exact_int(value, what: str, least=None) -> int:
     """value as an int: an int passes untouched, anything else must
     convert exactly (Fraction(4, 2) gives 2; 2.5, inf, nan, '3' and None
-    raise ValueError naming what)."""
-    if type(value) is int:
-        return value
-    try:
-        n = int(value)
-        exact = n == value
-    except (OverflowError, TypeError, ValueError):
-        exact = False
-    if not exact:
-        raise ValueError(f"{what} {value!r} is not an integer")
-    return n
-
+    raise ValueError naming what).  Given least, a value below it raises
+    ValueError(f"{what} must be at least {least}"), which never prints
+    the value: one past Python's int/str digit limit cannot be printed."""
+    if type(value) is not int:
+        try:
+            n = int(value)
+            exact = n == value
+        except (OverflowError, TypeError, ValueError):
+            exact = False
+        if not exact:
+            raise ValueError(f"{what} {value!r} is not an integer")
+        value = n
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be at least {least}")
+    return value

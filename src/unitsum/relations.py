@@ -40,7 +40,7 @@ def _relation_cache(finder):
     cached = functools.lru_cache(maxsize=256)(finder)
 
     def find(base: "BasePair", max_exp: int = MAX_EXP):
-        return cached(base, exact_int(max_exp, "max_exp"))
+        return cached(base, exact_int(max_exp, "max_exp", 1))
 
     find.cache_info, find.cache_clear = cached.cache_info, cached.cache_clear
     return functools.update_wrapper(find, finder)
@@ -48,12 +48,13 @@ def _relation_cache(finder):
 
 class _Relation:
     """The body of both relation classes: each init field an integer (see
-    errors.exact_int) named by the field, and sign -1 or 1."""
+    errors.exact_int) named by the field, at least its metadata's least
+    when it has one, and sign -1 or 1."""
 
     def __post_init__(self):
         for f in fields(self):
             if f.init:
-                object.__setattr__(self, f.name, exact_int(getattr(self, f.name), f.name))
+                object.__setattr__(self, f.name, exact_int(getattr(self, f.name), f.name, f.metadata.get("least")))
         if self.sign not in (-1, 1):
             raise ValueError("sign must be -1 or 1")
 
@@ -63,14 +64,9 @@ class PlainRelation(_Relation):
     """2 = sign * (p^x - q^y) with nonnegative integer exponents."""
 
     kind = "plain"
-    x: int
-    y: int
+    x: int = field(metadata={"least": 0})
+    y: int = field(metadata={"least": 0})
     sign: int
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.x < 0 or self.y < 0:
-            raise ValueError("exponents must be nonnegative")
 
     @property
     def terms(self) -> Tuple[Tuple[int, int, int], ...]:
@@ -122,6 +118,8 @@ class ExtendedRelation(_Relation):
 class ObstructionCertificate:
     """Modulus m with the full multiplicative orbits of p and q mod m
     (exponents >= 1) whose pairwise differences avoid 2 and -2 mod m.
+    The orbits are read off (p, q, m), sorted, so they cannot disagree
+    with the modulus.
 
     For bases other than 3 this proves 2 = |p^x - q^y| has no solutions
     with x, y >= 0: exponents >= 1 are blocked mod m, and a zero exponent
@@ -131,8 +129,12 @@ class ObstructionCertificate:
     p: int
     q: int
     modulus: int
-    p_orbit: Tuple[int, ...]
-    q_orbit: Tuple[int, ...]
+    p_orbit: Tuple[int, ...] = field(init=False)
+    q_orbit: Tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "p_orbit", tuple(sorted(_orbit(self.p, self.modulus))))
+        object.__setattr__(self, "q_orbit", tuple(sorted(_orbit(self.q, self.modulus))))
 
     def to_json(self) -> dict:
         from .documents import certificate_to_json  # documents imports this module
@@ -169,8 +171,6 @@ def _first_partner(w: int, v: int, scale: int, gap: int, max_exp: int) -> Option
       So 2a + b grows with a.
     No two solutions of one form tie, so the finders need no tie-break.
     """
-    if max_exp < 1:
-        raise ValueError("max_exp must be at least 1")
     target, e, ve = scale, 1, v
     for k in range(1, max_exp + 1):
         target *= w
@@ -275,16 +275,14 @@ def certificate_at(base: "BasePair", m: int) -> Optional[ObstructionCertificate]
     solution, so no modulus can rule everything out.  One pass over p's
     orbit tests the rest, as u - v = +-2 mod m exactly when v = u -+ 2.
     """
-    m = exact_int(m, "modulus")
-    if m < 2:
-        raise ValueError("modulus must be at least 2")
+    m = exact_int(m, "modulus", 2)
     p, q = base.p, base.q
     if p == 3 or q == 3:
         return None
     p_orbit, q_orbit = _orbit(p, m), _orbit(q, m)
     if any((u - 2) % m in q_orbit or (u + 2) % m in q_orbit for u in p_orbit):
         return None
-    return ObstructionCertificate(p, q, m, tuple(sorted(p_orbit)), tuple(sorted(q_orbit)))
+    return ObstructionCertificate(p, q, m)
 
 
 def find_obstruction(base: "BasePair", max_modulus: int = MAX_MODULUS) -> Optional[ObstructionCertificate]:

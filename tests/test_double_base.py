@@ -91,18 +91,36 @@ def test_p_adic_digits_round_trip(n, p):
 
 
 def test_p_adic_digits_rejects_bad_input():
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="value must be at least 0"):
         p_adic_digits(-1, 5)
     with pytest.raises(ValueError, match="base must be at least 2"):
         p_adic_digits(7, 1)
 
 
 def _digits_by_division(n, p):
-    # one divmod per digit: the digits the split must reproduce
+    # one divmod per digit: the pin for the chunked reference below
     out = []
     while n:
         n, r = divmod(n, p)
         out.append(r)
+    return out
+
+
+def _digits_by_chunks(n, p):
+    # one divmod by p^t, the largest power of p below 2^60, then t small
+    # ones on the remainder: the digits the split must reproduce, with
+    # about t times fewer divisions of the whole number than one per digit
+    t, pt = 1, p
+    while pt * p < 1 << 60:
+        t, pt = t + 1, pt * p
+    out = []
+    while n:
+        n, r = divmod(n, pt)
+        for _ in range(t):
+            r, d = divmod(r, p)
+            out.append(d)
+    while out and not out[-1]:
+        out.pop()
     return out
 
 
@@ -116,7 +134,10 @@ def test_p_adic_digits_match_division(p):
     values = [p**k + d for k in sorted(exponents) if (p**k).bit_length() <= 8192 for d in (-1, 0, 1)]
     values += [rng.getrandbits(rng.randrange(1, 70_001)) for _ in range(2)] + [rng.getrandbits(70_000)]
     for n in values:
-        assert p_adic_digits(n, p) == _digits_by_division(n, p), (p, n.bit_length())
+        expected = _digits_by_chunks(n, p)
+        if n.bit_length() <= 8192:
+            assert expected == _digits_by_division(n, p), (p, n.bit_length())
+        assert p_adic_digits(n, p) == expected, (p, n.bit_length())
 
 
 def test_balanced_ternary():

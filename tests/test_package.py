@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import unitsum
-from unitsum import BasePair, CubicParams, Representation, rational_basis
+from unitsum import BasePair, CubicParams, Representation, cli, rational_basis
 
 B523 = BasePair(5, 23)
 B511 = BasePair(5, 11)
@@ -100,16 +100,16 @@ ZERO_HOOK = Representation(unitsum.UnitGroupBasis((1,), (5,), (lambda bits: (0, 
     [
         pytest.param(lambda: unitsum.find_plain_relation(B523, 0), "max_exp must be at least 1", id="find_plain_relation"),
         pytest.param(lambda: unitsum.find_extended_relation(B523, 0), "max_exp must be at least 1", id="find_extended_relation"),
-        pytest.param(lambda: unitsum.PQRational(B523, 1, -1, 0), "denominator exponents must be nonnegative", id="PQRational"),
+        pytest.param(lambda: unitsum.PQRational(B523, 1, -1, 0), "denominator exponent must be at least 0", id="PQRational"),
         pytest.param(lambda: unitsum.expand_with_stats(7, B523, "binary"), "seed_method must be", id="expand_with_stats"),
         pytest.param(lambda: unitsum.expand_extended(unitsum.pq_rational(7, B511), B523), "rational and expansion base pairs differ", id="expand_extended"),
         pytest.param(lambda: unitsum.UnitGroupBasis(etas=(), epsilons=(5,), abs_val=(None,)), "basis needs at least one eta", id="UnitGroupBasis-no-eta"),
         pytest.param(lambda: unitsum.UnitGroupBasis(etas=(1,), epsilons=(5, 23), abs_val=(None,)), "one abs_val hook per epsilon", id="UnitGroupBasis-hooks"),
         pytest.param(lambda: unitsum.UnitRelation(n=2, terms=((0, (0,)), (0, (0,)))), "the all-ones relation", id="UnitRelation"),
-        pytest.param(lambda: unitsum.BoundParams(M=0, K=2, L=1, r=0, w=1), "require M, K, L, w >= 1", id="BoundParams"),
+        pytest.param(lambda: unitsum.BoundParams(M=0, K=2, L=1, r=0, w=1), "M must be at least 1", id="BoundParams"),
         pytest.param(lambda: unitsum.monotone_quantity(ZERO_HOOK), "abs_val hooks must certify positivity", id="monotone_quantity"),
         pytest.param(lambda: unitsum.PlainRelation(1, 1, 0), "sign must be -1 or 1", id="PlainRelation-sign"),
-        pytest.param(lambda: unitsum.PlainRelation(-1, 1, 1), "exponents must be nonnegative", id="PlainRelation-exponent"),
+        pytest.param(lambda: unitsum.PlainRelation(-1, 1, 1), "x must be at least 0", id="PlainRelation-exponent"),
         pytest.param(lambda: unitsum.ExtendedRelation(0, 0, 0, 0, 2), "sign must be -1 or 1", id="ExtendedRelation"),
         # a key that is not a (k, l, x) triple is named, not unpacked
         pytest.param(lambda: Representation(REP.basis, {5: 1}), "index 5 does not fit the basis", id="Representation-int-key"),
@@ -120,3 +120,53 @@ ZERO_HOOK = Representation(unitsum.UnitGroupBasis((1,), (5,), (lambda bits: (0, 
 def test_out_of_range_arguments_are_rejected(call, prefix):
     with pytest.raises(ValueError, match=f"^{re.escape(prefix)}"):
         call()
+
+
+def _find_relation_cli(max_exp):
+    # the CLI's own read of --max-exp: (5,11) has a certificate, so no search reads it
+    args = cli.build_parser().parse_args(["find-relation", "--p", "5", "--q", "11"])
+    args.max_exp = max_exp
+    return args.func(args)
+
+
+def _bound_params(name, value):
+    return unitsum.BoundParams(**{**dict(M=1, K=1, L=1, r=0, w=1), name: value})
+
+
+# each argument with a least value, which errors.exact_int reads: the call
+# with the value in place, the name it goes by and its least value
+@pytest.mark.parametrize(
+    "call, what, least",
+    [
+        pytest.param(lambda v: unitsum.real_roots(P2, v), "precision_bits", 0, id="real_roots"),
+        pytest.param(lambda v: unitsum.monotone_quantity(REP, v), "precision_bits", 0, id="monotone_quantity"),
+        pytest.param(lambda v: unitsum.UnitRelation(v, ((0, (1,)), (0, (-1,)))), "right-hand side", 2, id="UnitRelation"),
+        pytest.param(lambda v: Representation(REP.basis, {(0, 1, (1, 1)): v}), "coefficient", 0, id="Representation"),
+        *(
+            pytest.param(lambda v, name=name: _bound_params(name, v), name, least, id=f"BoundParams-{name}")
+            for name, least in (("M", 1), ("K", 1), ("L", 1), ("r", 0), ("w", 1))
+        ),
+        pytest.param(lambda v: BasePair(v, 3), "base", 2, id="BasePair-p"),
+        pytest.param(lambda v: BasePair(3, v), "base", 2, id="BasePair-q"),
+        pytest.param(lambda v: unitsum.PQRational(B523, 1, v, 0), "denominator exponent", 0, id="PQRational-a_p"),
+        pytest.param(lambda v: unitsum.PQRational(B523, 1, 0, v), "denominator exponent", 0, id="PQRational-a_q"),
+        pytest.param(lambda v: unitsum.p_adic_digits(v, 5), "value", 0, id="p_adic_digits-value"),
+        pytest.param(lambda v: unitsum.p_adic_digits(7, v), "base", 2, id="p_adic_digits-base"),
+        pytest.param(lambda v: unitsum.PlainRelation(v, 1, 1), "x", 0, id="PlainRelation-x"),
+        pytest.param(lambda v: unitsum.PlainRelation(1, v, 1), "y", 0, id="PlainRelation-y"),
+        pytest.param(lambda v: unitsum.certificate_at(B511, v), "modulus", 2, id="certificate_at"),
+        pytest.param(lambda v: unitsum.find_plain_relation(B523, v), "max_exp", 1, id="find_plain_relation"),
+        pytest.param(lambda v: unitsum.find_extended_relation(B523, v), "max_exp", 1, id="find_extended_relation"),
+        pytest.param(_find_relation_cli, "max_exp", 1, id="cli-find-relation"),
+    ],
+)
+def test_floors_are_read_by_the_integer_rule(call, what, least):
+    below = f"^{re.escape(what)} must be at least {least}$"
+    with pytest.raises(ValueError, match=below):
+        call(least - 1)
+    # the message holds no value, so one past the int/str digit limit is named too
+    with pytest.raises(ValueError, match=below):
+        call(least - 10**5000)
+    call(least)
+    with pytest.raises(ValueError, match=f"^{re.escape(what)} .+ is not an integer$"):
+        call(least + 0.5)

@@ -10,6 +10,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
+from golden_corpus import SMALL_PAIRS
 from relations_reference import (
     _exact_log,
     reference_extended_relation,
@@ -448,6 +449,19 @@ def test_certificate_orbits_are_recorded():
     cert = find_obstruction(BasePair(5, 11))
     assert cert.p_orbit == (0,)
     assert cert.q_orbit == (1,)
+
+
+def test_certificate_reads_its_orbits_off_its_modulus():
+    # the orbits are no arguments, so they cannot disagree with the modulus
+    assert [f.name for f in dataclasses.fields(relations.ObstructionCertificate) if f.init] == ["p", "q", "modulus"]
+    with pytest.raises(TypeError):
+        relations.ObstructionCertificate(5, 11, 5, (0,), (1,))
+    for p, q in SMALL_PAIRS:
+        cert = find_obstruction(BasePair(p, q))
+        if cert is not None:
+            m = cert.modulus
+            assert cert.p_orbit == tuple(sorted(relations._orbit(p, m))), (p, q)
+            assert cert.q_orbit == tuple(sorted(relations._orbit(q, m))), (p, q)
 
 
 def test_certificate_at_alternate_modulus():
