@@ -509,12 +509,12 @@ def _place(out: dict, pile: dict, t: int, k: int) -> None:
     """Add a pile, moved from (0, 0) to (t, 0), to out on sign layer k:
     each stored (i, j) stands for its orbit, the sigma-orbit (i, j),
     (-j, i - j), (j - i, -i) and its image under tau, (-j, -i),
-    (j - i, j), (i, i - j).  On a mirror ray the two are one, so it is
-    written once; the origin is one point."""
+    (j - i, j), (i, i - j).  On a mirror ray and at the origin the two
+    are one, so the second line rewrites keys already in out, with the
+    same count and in the order they hold."""
     for (_, _, (i, j)), c in pile.items():
         out[(k, 1, (i + t, j))] = out[(k, 1, (t - j, i - j))] = out[(k, 1, (j - i + t, -i))] = c
-        if i != 2 * j and j != 2 * i:
-            out[(k, 1, (t - j, -i))] = out[(k, 1, (j - i + t, j))] = out[(k, 1, (i + t, i - j))] = c
+        out[(k, 1, (t - j, -i))] = out[(k, 1, (j - i + t, j))] = out[(k, 1, (i + t, i - j))] = c
 
 
 def represent_unit_sums(beta: CubicElement, policy: Optional[engine.ReductionPolicy] = None) -> Representation:
@@ -561,15 +561,18 @@ def represent_unit_sums(beta: CubicElement, policy: Optional[engine.ReductionPol
       c (i^2 - i j + j^2) / 3 over its representatives, each weighted
       by its orbit's size over 3: 2, or 1 on a mirror ray.
 
-    So each call reads, for each coordinate, the cached S(m) with the
-    largest m <= |c_t| (see _PileCache), then takes the coordinates once,
-    in ascending magnitude, each from that pile or from the one the last
-    coordinate ended at, if larger, so a repeated magnitude is reduced once.
-    It adds the missing chips at (0, 0), runs the engine's kernel on the
-    orbits with the steps the cap leaves beyond every coordinate's start,
-    reads the new pile's steps from the invariant, which must add up to
-    the kernel's count, stores the pile and places it.  A total above the
-    cap, counting each coordinate at the pile it starts from, raises at once.
+    So each call first reads the steps of the cached S(m) with the
+    largest m <= |c_t| for each coordinate (see _PileCache); a total
+    above the cap raises at once.  It takes the coordinates in ascending
+    magnitude, each from the cached pile read again at its turn, at least
+    the one the coordinate before just stored: the cache is the only
+    carry, and a repeated magnitude is reduced once.  After a refused
+    store or an eviction, a smaller start reaches the same S(n) in the
+    same steps (*Continuation*), so the total never passes the final one
+    and the cap raises exactly when that does.  Each coordinate adds the
+    missing chips at (0, 0), runs the kernel on the orbits with the steps
+    the cap leaves, reads the new pile's steps from the invariant, which
+    must add up to the kernel's count, stores the pile and places it.
     With policy.on_step set, the cache is neither read nor written, so
     every firing is reported.
     """
@@ -582,14 +585,12 @@ def represent_unit_sums(beta: CubicElement, policy: Optional[engine.ReductionPol
         seeds = {(k, 1, (t, 0)): n for n, t, k in coords}
         return engine.reduce(Representation(basis, seeds), rel, policy)
     cap = max(policy.max_steps, 0)
-    starts = [_PILES.floor(n) for n, _, _ in coords]  # (m, steps, pile)
-    total = sum(steps for _, steps, _ in starts)
-    below = (0, 0, {})
+    counts = [_PILES.floor(n)[1] for n, _, _ in coords]  # each start's steps
+    total = sum(counts)
     out = {}
-    for (n, t, k), (m, steps, pile) in zip(coords, starts):
-        if below[0] > m:
-            total += below[1] - steps
-            m, steps, pile = below
+    for (n, t, k), counted in zip(coords, counts):
+        m, steps, pile = _PILES.floor(n)
+        total += steps - counted
         if total > cap:
             raise engine._cap_exceeded(policy.max_steps)
         if m < n:
@@ -604,9 +605,7 @@ def represent_unit_sums(beta: CubicElement, policy: Optional[engine.ReductionPol
             if squares != 3 * (steps + more):
                 raise VerificationFailed(f"S({n}) of {beta!r} holds {squares} / 3 steps, not {steps} + {more}")
             total += more
-            steps += more
-            _PILES.store(n, steps, pile)
-        below = (n, steps, pile)
+            _PILES.store(n, steps + more, pile)
         _place(out, pile, t, k)
     return engine._representation(basis, out, total)
 

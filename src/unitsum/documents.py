@@ -43,11 +43,12 @@ def document_ints(values, what: str) -> list:
     values = list(values)
     types = set(map(type, values))
     ok = types <= {int, str}
-    # one match over the whole column rather than one call per value; a
-    # column holding one comma fewer than values splits into one part each
+    # one match over the strings alone (no int is printed), not one call per
+    # value; strings holding one comma fewer than their number split apart
     if ok and str in types:
-        column = ",".join(values if types == {str} else _column(str, values, what))
-        ok = column.count(",") == len(values) - 1 and _DECIMALS.fullmatch(column)
+        strings = values if types == {str} else [v for v in values if type(v) is str]
+        column = ",".join(strings)
+        ok = column.count(",") == len(strings) - 1 and _DECIMALS.fullmatch(column)
     if not ok:  # name the first value that is neither an int nor a well-formed decimal string
         bad = next(v for v in values if not (type(v) is int or type(v) is str and "," not in v and _DECIMALS.fullmatch(v)))
         raise ValueError(f"{what} {bad!r} is not an integer or a decimal string")

@@ -53,7 +53,8 @@ def exact_int(value, what: str, least=None) -> int:
     convert exactly (Fraction(4, 2) gives 2; 2.5, inf, nan, '3' and None
     raise ValueError naming what).  Given least, a value below it raises
     ValueError(f"{what} must be at least {least}"), which never prints
-    the value: one past Python's int/str digit limit cannot be printed."""
+    the value: one past Python's int/str digit limit cannot be printed.
+    A non-integer is printed when its repr can be, and otherwise not."""
     if type(value) is not int:
         try:
             n = int(value)
@@ -61,7 +62,11 @@ def exact_int(value, what: str, least=None) -> int:
         except (OverflowError, TypeError, ValueError):
             exact = False
         if not exact:
-            raise ValueError(f"{what} {value!r} is not an integer")
+            try:  # a Fraction past the digit limit cannot be printed
+                shown = f"{what} {value!r}"
+            except ValueError:
+                shown = what
+            raise ValueError(f"{shown} is not an integer")
         value = n
     if least is not None and value < least:
         raise ValueError(f"{what} must be at least {least}")

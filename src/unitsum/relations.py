@@ -119,7 +119,7 @@ class ObstructionCertificate:
     """Modulus m with the full multiplicative orbits of p and q mod m
     (exponents >= 1) whose pairwise differences avoid 2 and -2 mod m.
     The orbits are read off (p, q, m), sorted, so they cannot disagree
-    with the modulus.
+    with the modulus; each of the three is read by exact_int, least 2.
 
     For bases other than 3 this proves 2 = |p^x - q^y| has no solutions
     with x, y >= 0: exponents >= 1 are blocked mod m, and a zero exponent
@@ -133,6 +133,8 @@ class ObstructionCertificate:
     q_orbit: Tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
+        for name, what in (("p", "base"), ("q", "base"), ("modulus", "modulus")):
+            object.__setattr__(self, name, exact_int(getattr(self, name), what, 2))
         object.__setattr__(self, "p_orbit", tuple(sorted(_orbit(self.p, self.modulus))))
         object.__setattr__(self, "q_orbit", tuple(sorted(_orbit(self.q, self.modulus))))
 

@@ -7,8 +7,10 @@ real_roots ran before cubic._root_cell took Newton steps.  mul_coords and
 conjugate are cubic's product and Galois map as they were before the
 order's record, with the reduction and sigma(alpha) written out in a.
 cubic_at is the defining polynomial written out, so that no reference
-reads the library's statement of it.  The differential tests compare the
-library against them.
+reads the library's statement of it.  place_with_mirror_branch is
+cubic._place as it was when it wrote a mirror-ray orbit's tau-images
+only off the mirror rays.  The differential tests compare the library
+against them.
 """
 
 from fractions import Fraction
@@ -69,3 +71,13 @@ def conjugate(u, a):
     s1 = (a + 1, a - 1, -1)
     s2 = mul_coords(s1, s1, a)
     return tuple(u[0] * e + u[1] * x + u[2] * y for e, x, y in zip((1, 0, 0), s1, s2))
+
+
+def place_with_mirror_branch(out, pile, t, k):
+    """Add a pile of orbit representatives, moved from (0, 0) to (t, 0),
+    to out on sign layer k: the sigma-orbit of each, and its tau-images
+    unless it lies on a mirror ray i = 2 j or j = 2 i."""
+    for (_, _, (i, j)), c in pile.items():
+        out[(k, 1, (i + t, j))] = out[(k, 1, (t - j, i - j))] = out[(k, 1, (j - i + t, -i))] = c
+        if i != 2 * j and j != 2 * i:
+            out[(k, 1, (t - j, -i))] = out[(k, 1, (j - i + t, j))] = out[(k, 1, (i + t, i - j))] = c

@@ -6,11 +6,14 @@ evaluation, staircase greedy search, digit split and per-layer firing
 loop: a power product per term, a scan of the whole (i, j) grid for every
 greedy term, one division or multiplication by the base per digit, factor
 or power, and one heap of (j, i) tuples over a grid keyed by (i, j).
-least_exponents_by_trial tries the exponents of a p,q-rational in turn
+greedy_seed_by_sorted_powers is a cheaper greedy reference, pinned to the
+grid scan on small values, which bisects one sorted table of powers per
+value.  least_exponents_by_trial tries the exponents of a p,q-rational in turn
 instead of reading them from valuations.  The differential tests compare
 the library against them term for term.
 """
 
+import bisect
 import heapq
 import math
 from fractions import Fraction
@@ -57,6 +60,45 @@ def greedy_seed_by_grid_scan(v, base):
             i += 1
         _, m, i, j, s = best
         r -= s * m
+        if (i, j) not in acc:
+            acc[(i, j)] = 0
+            order.append((i, j))
+        acc[(i, j)] += s
+    return [(acc[ij], ij[0], ij[1]) for ij in order if acc[ij]]
+
+
+def greedy_seed_by_sorted_powers(v, base):
+    """greedy_seed from one sorted table of every p^i q^j up to 2|v|:
+    each term bisects |r| in it and takes the closer neighbour, the
+    smaller on a tie, with the sign of r.  Coprime bases give distinct
+    powers, so the nearest power names its (i, j).  The remainder shrinks
+    every term, and the power nearest |r| is at most 2|r|, so the table
+    holds every power greedy_seed_by_grid_scan picks."""
+    p, q = base.p, base.q
+    lim = 2 * abs(v)
+    table = []
+    pi, i = 1, 0
+    while pi <= lim:
+        m, j = pi, 0
+        while m <= lim:
+            table.append((m, i, j))
+            m *= q
+            j += 1
+        pi *= p
+        i += 1
+    table.sort()
+    powers = [m for m, _, _ in table]
+    order = []
+    acc = {}
+    r = v
+    while r:
+        a = abs(r)
+        k = bisect.bisect_left(powers, a)  # powers[k - 1] < a <= powers[k]
+        if k == len(powers) or k and a - powers[k - 1] <= powers[k] - a:
+            k -= 1
+        _, i, j = table[k]
+        s = 1 if r > 0 else -1
+        r -= s * powers[k]
         if (i, j) not in acc:
             acc[(i, j)] = 0
             order.append((i, j))

@@ -11,7 +11,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cubic_reference import bisect_cell, conjugate, cubic_at, mul_coords, represent_by_one_reduce
+from cubic_reference import (
+    bisect_cell,
+    conjugate,
+    cubic_at,
+    mul_coords,
+    place_with_mirror_branch,
+    represent_by_one_reduce,
+)
 from evaluate_reference import cubic_term, evaluate_by_terms
 from unitsum import (
     CubicElement,
@@ -892,6 +899,27 @@ def test_one_magnitude_three_times_runs_the_kernel_once(budgets):
     assert rep == represent_by_one_reduce(beta) and rep.steps == 3 * represent_unit_sums(elem(P2, 300, 0, 0)).steps
 
 
+def test_each_coordinate_continues_from_the_pile_the_one_before_stored(monkeypatch):
+    """The cache is the only carry between coordinates: from a cold
+    cache, 300 is reduced once, and 301 continues from the S(300) that
+    the first 300 stored.  A cache too small to keep S(300) gives the
+    same output and steps, as 301 then starts cold."""
+    beta = elem(P2, 300, -300, 301)
+    want = represent_by_one_reduce(beta)
+    cubic._PILES.clear()
+    starts = []
+    stabilize = engine._stabilize
+    monkeypatch.setattr(engine, "_stabilize", lambda coeffs, *rest: starts.append(dict(coeffs)) or stabilize(coeffs, *rest))
+    rep = represent_unit_sums(beta)
+    s300, seed = cubic._PILES.piles[300][1], (0, 1, (0, 0))
+    assert starts == [{seed: 300}, {**s300, seed: s300.get(seed, 0) + 1}]
+    assert rep == want and rep.steps == want.steps
+    monkeypatch.setattr(cubic, "_PILES", cubic._PileCache(max_sites=10))
+    small = represent_unit_sums(beta)
+    assert small == rep and small.steps == rep.steps
+    assert cubic._PILES.piles == {}
+
+
 def test_first_kernel_budget_counts_every_coordinates_cached_pile(budgets):
     """Each coordinate's start is read before the first kernel run, so
     that run is not handed steps that the larger coordinates' cached
@@ -1004,6 +1032,29 @@ def test_continuing_a_pile_unpacks_only_the_sites_that_moved(monkeypatch, n):
     built = sum(id(key) not in given for key in out)
     assert len(whole) > 500
     assert built <= sum(unpacked) <= (rel.I + 2) * len(fired) < len(start)
+
+
+def test_place_writes_whole_orbits_as_the_mirror_branch_did():
+    """_place writes all six images of every representative.  On a
+    mirror ray and at the origin the tau-images are the sigma-images, so
+    the dict, its keys' order included, is the one the branch on the
+    mirror rays wrote."""
+    piles = cubic._PILES
+    piles.clear()
+    rng = random.Random("place")
+    for _ in range(30):
+        represent_unit_sums(elem(CubicParams(rng.choice([-3, 0, 2])), *(rng.randint(-400, 400) for _ in range(3))))
+    stored = [pile for _, pile in piles.piles.values()]
+    reps = {x for pile in stored for (_, _, x) in pile}
+    assert (0, 0) in reps
+    assert any(i == 2 * j for i, j in reps if i) and any(j == 2 * i for i, j in reps if j)
+    for pile in stored:
+        for t in (0, 1, 2, -5):
+            for k in (0, 1):
+                got, want = {}, {}
+                cubic._place(got, pile, t, k)
+                place_with_mirror_branch(want, pile, t, k)
+                assert list(got.items()) == list(want.items())
 
 
 def test_each_pile_stores_a_twelfth_of_its_magnitude():

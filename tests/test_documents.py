@@ -2,6 +2,7 @@
 
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,6 +124,32 @@ def test_cubic_coordinates_past_the_digit_limit_are_named_both_ways():
         element_to_json(CubicElement(CubicParams(2), 10**LIMIT, 0, 0))
     with pytest.raises(ValueError, match="^coordinate has more than"):
         element_from_json({"a": "2", "coords": ["1", "9" * (LIMIT + 1), "0"]})
+
+
+@needs_limit
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda: BasePair(Fraction(10**LIMIT + 1, 2), 3), "base"),
+        (lambda: CubicElement(CubicParams(2), Fraction(1, 10**LIMIT + 1), 0, 0), "coordinate"),
+    ],
+    ids=["base", "coordinate"],
+)
+def test_a_non_integer_past_the_digit_limit_is_named_without_its_value(call, what):
+    # the value's repr raised Python's own digit-limit error
+    with pytest.raises(ValueError, match=f"^{what} is not an integer$") as info:
+        call()
+    assert "set_int_max_str_digits" not in str(info.value)
+
+
+@needs_limit
+def test_document_ints_prints_no_int_of_a_mixed_column():
+    # the ints of a mixed column were printed to be matched, so a large
+    # one raised the digit-limit error where an all-int column read fine
+    big = 10 ** (2 * LIMIT)
+    assert documents.document_ints([big, 7], "x") == documents.document_ints([big, "7"], "x") == [big, 7]
+    with pytest.raises(ValueError, match=r"^x '\+7' is not an integer or a decimal string$"):
+        documents.document_ints([big, "+7"], "x")
 
 
 @pytest.mark.parametrize(

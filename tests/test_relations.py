@@ -464,6 +464,19 @@ def test_certificate_reads_its_orbits_off_its_modulus():
             assert cert.q_orbit == tuple(sorted(relations._orbit(q, m))), (p, q)
 
 
+@pytest.mark.parametrize(
+    "modulus, message",
+    [(0, "^modulus must be at least 2$"), (-3, "^modulus must be at least 2$"), (2.5, "^modulus 2.5 is not an integer$")],
+)
+def test_certificate_reads_its_fields(modulus, message):
+    # 0 raised ZeroDivisionError, -3 gave the orbits (-2, -1) and 2.5
+    # float orbits
+    with pytest.raises(ValueError, match=message):
+        relations.ObstructionCertificate(5, 11, modulus)
+    cert = relations.ObstructionCertificate(Fraction(10, 2), 11, 5)
+    assert type(cert.p) is int and cert == find_obstruction(BasePair(5, 11))
+
+
 def test_certificate_at_alternate_modulus():
     # several moduli can certify the same pair
     assert certificate_at(BasePair(7, 13), 3) is not None
